@@ -11,11 +11,16 @@ walk reachability (breadth-first search over (vertex, last color)
 states) is used internally as a fast necessary filter and for pruning,
 never as the final answer: walks may revisit vertices, so walk
 reachability can overcount.
+
+`complete` is the one search over colorings: every exact coloring search
+in the package (minimum palettes, strong sweeps, extensions, skeleton
+fallbacks) extends a partial coloring through it.
 """
 
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass
 
 from .errors import (
@@ -269,6 +274,64 @@ class _Machine:
 
 def _machine_for(c: EdgeColoring) -> _Machine:
     return _Machine(c.graph.n, c.k, c.graph.edges, c.colors)
+
+
+class _OutOfTime(Exception):
+    pass
+
+
+# A passing relaxation check costs about as much as a leaf check, so
+# subtrees with at most this many leaves are enumerated without pruning.
+_PLAIN_LEAVES = 8
+
+
+def complete(g: Graph, k: int, fixed, free, strong: bool = False, deadline=None):
+    """Lexicographically first k-coloring that extends `fixed` and passes
+    the exact check, or None once every completion is ruled out.
+
+    fixed maps edges to colors; free lists the other edges in the order
+    they are assigned, and the first witness is the first in that order
+    that plain enumeration (colors ascending) would reach. Each search
+    node gives every still-free edge its own fresh color above k and runs
+    the exact checker on that relaxation. A proper path of any completion
+    stays proper there (a fresh color differs from every other color), and
+    two paths whose first or last colors differ still differ, so a
+    rejected relaxation rules out the whole subtree; subtrees of at most
+    _PLAIN_LEAVES leaves skip that check. At a leaf nothing is free and
+    the same call is the exact check of the witness. With nothing fixed
+    the palette is symmetric, so colors appear in restricted growth order
+    (color c+1 only after color c). The clock is read at every node;
+    passing `deadline` (a time.monotonic() value) raises _OutOfTime.
+    """
+    index = {e: i for i, e in enumerate(g.edges)}
+    slots = [index[e] for e in free]
+    if len(slots) + len(fixed) != g.m or set(fixed) | set(free) != set(index):
+        raise ColoringGraphMismatch("fixed and free edges must split the edge set")
+    colors = [0] * g.m
+    for e, c in fixed.items():
+        colors[index[e]] = c
+    n, edges, r = g.n, g.edges, len(slots)
+    symmetric = not fixed
+
+    def rec(depth: int, top: int) -> bool:
+        if deadline is not None and time.monotonic() > deadline:
+            raise _OutOfTime
+        if depth == r or k ** (r - depth) > _PLAIN_LEAVES:
+            for j in range(depth, r):
+                colors[slots[j]] = k + 1 + j - depth
+            relaxed = _Machine(n, k + r - depth, edges, colors)
+            if relaxed.first_bad_pair(strong) is not None:
+                return False
+            if depth == r:
+                return True
+        slot = slots[depth]
+        for c in range(1, (min(k, top + 1) if symmetric else k) + 1):
+            colors[slot] = c
+            if rec(depth + 1, max(top, c)):
+                return True
+        return False
+
+    return tuple(colors) if rec(0, 0) else None
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Certificate-producing colorings: trees, bridgeless cores, gluing,
 vertex extensions, and the staged 2-color pipeline.
 
-Every operation re-verifies its output with the exact checker before
-returning it; a certificate is never trusted on the strength of the
-construction alone. Searches are deterministic: fixed candidate orders,
+Every operation checks its output with the exact checker before
+returning it, exactly once; a certificate is never trusted on the
+strength of the construction alone. Colorings that are searched for come
+from the completion kernel `coloring.complete`, whose passing leaf check
+is that one check. Searches are deterministic: fixed candidate orders,
 and any sampled candidates come from a seeded generator.
 """
 
@@ -16,8 +18,8 @@ from itertools import product
 
 from .coloring import (
     EdgeColoring,
-    _Machine,
     coloring_from_json,
+    complete,
     has_strong_property,
     is_proper_connected,
     make_coloring,
@@ -84,22 +86,33 @@ class PcCertificate:
     verified: bool
 
 
-def _colors_ok(g: Graph, k: int, colors, strong: bool) -> bool:
-    return _Machine(g.n, k, g.edges, colors).first_bad_pair(strong) is None
-
-
 def _certify(g: Graph, k: int, colors, strategy: str, strong: bool = False):
-    """Wrap a coloring as a certificate, or raise if the checker refuses."""
+    """Wrap a coloring as a certificate, or raise if the checker refuses.
+
+    One check: two paths that differ in their first and last colors are
+    in particular proper, so the strong property implies the plain one.
+    """
     coloring = EdgeColoring(g, k, tuple(colors))
-    if not is_proper_connected(coloring):
-        raise VerificationFailed(
-            f"{strategy} construction produced a non proper-connected coloring"
-        )
     if strong and not has_strong_property(coloring):
         raise VerificationFailed(
             f"{strategy} construction failed the strong-property check"
         )
+    if not strong and not is_proper_connected(coloring):
+        raise VerificationFailed(
+            f"{strategy} construction produced a non proper-connected coloring"
+        )
     return PcCertificate(g, coloring, k, strategy, strong, True)
+
+
+def _search(g: Graph, k: int, fixed, free, strategy: str, strong=False, deadline=None):
+    """Certificate for the first completion of `fixed` over `free` that
+    passes the exact check, or None when none does; with nothing free,
+    one exact check of `fixed`. The kernel's passing leaf check is the
+    certificate's check, so it is not run again."""
+    colors = complete(g, k, fixed, free, strong, deadline)
+    if colors is None:
+        return None
+    return PcCertificate(g, EdgeColoring(g, k, colors), k, strategy, strong, True)
 
 
 def _assignment_to_colors(g: Graph, assignment: dict) -> tuple[int, ...]:
@@ -263,8 +276,7 @@ def _strong_candidates(g: Graph, k: int, thorough: bool):
     """Deterministic stream of raw color tuples worth testing at palette k.
 
     Ear-phase patterns come first, then Hamilton-cycle patterns; with
-    thorough=True, seeded samples and (volume permitting) a complete
-    lexicographic sweep follow.
+    thorough=True, seeded samples follow.
     """
     edge_index = {e: i for i, e in enumerate(g.edges)}
     runs = _ear_edge_runs(_ear_decomposition(g))
@@ -301,18 +313,16 @@ def _strong_candidates(g: Graph, k: int, thorough: bool):
     rng = random.Random(0x5EED ^ (g.n << 16) ^ g.m ^ k)
     for _ in range(_SAMPLE_CAP):
         yield tuple(rng.randrange(1, k + 1) for _ in range(g.m))
-    if k ** max(g.m - 1, 0) <= _SWEEP_VOLUME:
-        # complete sweep, first edge pinned by palette symmetry
-        for rest in product(range(1, k + 1), repeat=g.m - 1):
-            yield (1,) + rest
 
 
 def _strong_bridgeless(g: Graph, strategy: str):
     """Search for a strong coloring; k=2 on bipartite input, else up to 3.
 
-    Returns None only when no candidate worked and a complete sweep was
-    infeasible; an actually exhausted sweep raises, because the bridgeless
-    guarantees make that a bug, not a result.
+    After the candidates of the last palette, a complete search follows
+    when the volume guard allows it. Returns None only when no candidate
+    worked and the complete search was infeasible; an exhausted search
+    raises, because the bridgeless guarantees make that a bug, not a
+    result.
     """
     if g.n == 1:
         return _certify(g, 2, (), strategy, strong=True)
@@ -320,9 +330,14 @@ def _strong_bridgeless(g: Graph, strategy: str):
     for k in palettes:
         thorough = k == palettes[-1]
         for colors in _strong_candidates(g, k, thorough):
-            if _colors_ok(g, k, colors, strong=True):
-                return _certify(g, k, colors, strategy, strong=True)
+            fixed = dict(zip(g.edges, colors))
+            cert = _search(g, k, fixed, (), strategy, strong=True)
+            if cert is not None:
+                return cert
         if thorough and k ** max(g.m - 1, 0) <= _SWEEP_VOLUME:
+            cert = _search(g, k, {}, g.edges, strategy, strong=True)
+            if cert is not None:
+                return cert
             raise VerificationExhausted(
                 f"no strong {k}-coloring exists for n={g.n}, m={g.m}; "
                 "this contradicts the guarantee for bridgeless graphs"
@@ -335,8 +350,8 @@ def strong_coloring_bridgeless(g: Graph) -> PcCertificate:
     2 colors when bipartite, at most 3 otherwise.
 
     Ear-decomposition phase candidates are tried first, then seeded
-    sampling, then a lexicographic sweep; each candidate is checked
-    exactly, so the heuristics never affect soundness.
+    sampling, then a complete search; each candidate is checked exactly,
+    so the heuristics never affect soundness.
     """
     if g.n > STRONG_SEARCH_MAX_N:
         raise TooLarge(f"strong search limited to n <= {STRONG_SEARCH_MAX_N}")
@@ -458,16 +473,10 @@ def extend_vertex(cert: PcCertificate, new_edges) -> PcCertificate:
     if len(attach) < 2:
         raise DegreeTooLow(f"new vertex needs degree >= 2, got {len(attach)}")
     bigger = from_edge_list(base.n + 1, list(base.edges) + attach)
-    base_assignment = {
-        e: c for e, c in zip(base.edges, cert.coloring.colors)
-    }
-    for combo in product((1, 2), repeat=len(attach)):
-        assignment = dict(base_assignment)
-        for e, c in zip(attach, combo):
-            assignment[e] = c
-        colors = _assignment_to_colors(bigger, assignment)
-        if _colors_ok(bigger, 2, colors, strong=False):
-            return _certify(bigger, 2, colors, "extend")
+    base_assignment = dict(zip(base.edges, cert.coloring.colors))
+    got = _search(bigger, 2, base_assignment, attach, "extend")
+    if got is not None:
+        return got
     raise VerificationExhausted(
         "no 2-color assignment on the new edges works; "
         "for a degree >= 2 attachment this should be impossible"
@@ -493,15 +502,10 @@ def extend_two_vertices(cert: PcCertificate, new_edges) -> PcCertificate:
     if all(set(e) == {w1, w2} for e in all_new):
         raise Disconnected("the new pair must have an edge into the base")
     bigger = from_edge_list(base.n + 2, list(base.edges) + all_new)
-    base_assignment = {e: c for e, c in zip(base.edges, cert.coloring.colors)}
-    k = cert.k
-    for combo in product(range(1, k + 1), repeat=len(all_new)):
-        assignment = dict(base_assignment)
-        for e, c in zip(all_new, combo):
-            assignment[e] = c
-        colors = _assignment_to_colors(bigger, assignment)
-        if _colors_ok(bigger, k, colors, strong=False):
-            return _certify(bigger, k, colors, "extend")
+    base_assignment = dict(zip(base.edges, cert.coloring.colors))
+    got = _search(bigger, cert.k, base_assignment, all_new, "extend")
+    if got is not None:
+        return got
     raise VerificationExhausted(
         "no assignment on the new edges connects the extended graph"
     )
@@ -517,8 +521,9 @@ def color_hub_branches(g: Graph, hub: int, parts):
     parts must partition the vertices other than hub into three nonempty
     sets: the first together with hub must carry a spanning cycle, the
     other two a spanning path starting at hub. Pattern candidates alternate
-    along each piece; an exhaustive 2-coloring of the skeleton edges is the
-    fallback. None when the skeleton does not exist or nothing verifies.
+    along each piece; a complete search over 2-colorings of the skeleton
+    edges, with every other edge at color 1, is the fallback. None when
+    the skeleton does not exist or nothing verifies.
     """
     if g.n > PIPELINE_MAX_N:
         raise TooLarge(f"limited to n <= {PIPELINE_MAX_N}")
@@ -564,19 +569,13 @@ def color_hub_branches(g: Graph, hub: int, parts):
         for run, phase in zip(pieces, phases):
             for i, e in enumerate(run):
                 assignment[e] = 1 + (i + phase) % 2
-        colors = _assignment_to_colors(g, assignment)
-        if _colors_ok(g, 2, colors, strong=False):
-            return _certify(g, 2, colors, "hub_branches")
-    # exhaustive over the skeleton, first skeleton edge pinned by symmetry
-    for combo in product((1, 2), repeat=len(skeleton) - 1):
-        assignment = dict(base)
-        assignment[skeleton[0]] = 1
-        for e, c in zip(skeleton[1:], combo):
-            assignment[e] = c
-        colors = _assignment_to_colors(g, assignment)
-        if _colors_ok(g, 2, colors, strong=False):
-            return _certify(g, 2, colors, "hub_branches")
-    return None
+        got = _search(g, 2, assignment, (), "hub_branches")
+        if got is not None:
+            return got
+    # the off-skeleton edges are fixed at 1, so the palette is not symmetric
+    on_skeleton = set(skeleton)
+    rest = {e: 1 for e in g.edges if e not in on_skeleton}
+    return _search(g, 2, rest, skeleton, "hub_branches")
 
 
 # ---------------------------------------------------------------------------
@@ -585,16 +584,16 @@ def color_hub_branches(g: Graph, hub: int, parts):
 
 def _relabel_to(g: Graph, cert: PcCertificate, mapping, strategy: str):
     """Transfer a certificate along vertex mapping into g; edges of g not
-    covered by the certificate get color 1. Verified again on g."""
+    covered by the certificate get color 1. Verified again on g, and
+    marked strong when the strong check passes too."""
     assignment = {e: 1 for e in g.edges}
     for (x, y), c in zip(cert.graph.edges, cert.coloring.colors):
         p, q = mapping[x], mapping[y]
         assignment[min(p, q), max(p, q)] = c
-    colors = _assignment_to_colors(g, assignment)
-    if not _colors_ok(g, 2, colors, strong=False):
+    plain = _search(g, 2, assignment, (), strategy)
+    if plain is None:
         return None
-    strong = _colors_ok(g, 2, colors, strong=True)
-    return _certify(g, 2, colors, strategy, strong=strong)
+    return _search(g, 2, assignment, (), strategy, strong=True) or plain
 
 
 def _piece_certificate(h: Graph, comp, pendants):
@@ -627,14 +626,9 @@ def _piece_certificate(h: Graph, comp, pendants):
         inner_colors = {
             e: c for e, c in zip(sub.edges, core.coloring.colors)
         }
-    for combo in product((1, 2), repeat=len(pend)):
-        assignment = dict(inner_colors)
-        for e, c in zip(pend, combo):
-            assignment[min(e), max(e)] = c
-        colors = _assignment_to_colors(piece, assignment)
-        if _colors_ok(piece, 2, colors, strong=False):
-            return _certify(piece, 2, colors, "glue"), mapping
-    return None
+    free = [(min(e), max(e)) for e in pend]
+    got = _search(piece, 2, inner_colors, free, "glue")
+    return None if got is None else (got, mapping)
 
 
 def _chain_glue(g: Graph, h: Graph, tree) -> PcCertificate | None:
@@ -715,10 +709,9 @@ def _seed_and_extend(g: Graph, h: Graph) -> PcCertificate | None:
     lifted = {e: 1 for e in sub_g.edges}
     for e, c in zip(sub_h.edges, core.coloring.colors):
         lifted[e] = c
-    colors = _assignment_to_colors(sub_g, lifted)
-    if not _colors_ok(sub_g, 2, colors, strong=True):
+    cert = _search(sub_g, 2, lifted, (), "extend", strong=True)
+    if cert is None:
         return None
-    cert = _certify(sub_g, 2, colors, "extend", strong=True)
 
     inside = list(mapping)
     index = {x: i for i, x in enumerate(inside)}
@@ -774,12 +767,9 @@ def _seed_and_extend(g: Graph, h: Graph) -> PcCertificate | None:
         else:
             return None
         # keep the strong flag honest so pair absorption stays available
-        if not cert.strong and _colors_ok(
-            cert.graph, 2, cert.coloring.colors, strong=True
-        ):
-            cert = _certify(
-                cert.graph, 2, cert.coloring.colors, "extend", strong=True
-            )
+        if not cert.strong:
+            assignment = dict(zip(cert.graph.edges, cert.coloring.colors))
+            cert = _search(cert.graph, 2, assignment, (), "extend", strong=True) or cert
     return _relabel_to(g, cert, inside, "extend")
 
 

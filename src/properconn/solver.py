@@ -12,15 +12,20 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from itertools import product
 
 from .coloring import (
     EdgeColoring,
-    _Machine,
+    _OutOfTime,
     has_strong_property,
     is_proper_connected,
 )
-from .constructive import PcCertificate, _certify, color_hamilton_path, color_tree
+from .constructive import (
+    PcCertificate,
+    _certify,
+    _search,
+    color_hamilton_path,
+    color_tree,
+)
 from .errors import Disconnected, PcError, SearchBudgetExceeded, TooLarge
 from .graph import Graph, degree_stats, from_edge_list, is_complete, is_connected
 
@@ -35,10 +40,6 @@ def _budget_deadline(budget_ms=None):
     if budget_ms is None:
         return None
     return time.monotonic() + budget_ms / 1000.0
-
-
-class _OutOfTime(Exception):
-    pass
 
 
 def _bfs_tree(g: Graph, root: int):
@@ -90,30 +91,25 @@ def pc_upper(g: Graph) -> PcCertificate:
     return _certify(g, inner.k, colors, "tree")
 
 
-def _search_k(g: Graph, k: int, deadline):
-    """Lexicographically first proper-connecting k-coloring, or None after
-    exhausting the space. First edge pinned to color 1 by palette symmetry."""
-    n, edges = g.n, g.edges
-    m = len(edges)
-    for count, rest in enumerate(product(range(1, k + 1), repeat=m - 1)):
-        if deadline is not None and count % 2048 == 0:
-            if time.monotonic() > deadline:
-                raise _OutOfTime
-        colors = (1,) + rest
-        machine = _Machine(n, k, edges, colors)
-        if machine.first_bad_pair(strong=False) is None:
-            return colors
-    return None
-
-
 def pc_exact(g: Graph, kmax=None) -> tuple[int, PcCertificate]:
     """The exact minimum palette size with a verified witness.
 
-    Palettes are tried in increasing order; each candidate coloring is
-    checked exactly, so a passed palette is a witness and an exhausted one
-    is a lower bound. With kmax set this becomes a bounded decision: if
-    every palette up to kmax is exhausted the bracketing interval is
-    raised rather than guessed.
+    Palettes are tried in increasing order. Each is searched by the
+    completion kernel (coloring.complete) over all edges in g.edges order,
+    colors ascending, in restricted growth order (color c+1 only after
+    color c), which skips only relabelings of colorings already tried.
+    Every node checks the partial coloring with each unassigned edge given
+    its own fresh color; no completion connects a pair that this
+    relaxation leaves unconnected, so a rejection prunes the whole
+    subtree. The witness is the lexicographically first proper-connecting
+    coloring and passed the exact checker, and an exhausted palette is a
+    lower bound. The volume guard is unchanged: a palette with
+    k^(m-1) > EXHAUSTIVE_VOLUME candidates is refused on graphs with more
+    than SMALL_N vertices or SMALL_M edges, however few nodes the pruned
+    search would visit. The budget clock is read at every search node.
+    With kmax set this becomes a bounded decision: if every palette up to
+    kmax is exhausted the bracketing interval is raised rather than
+    guessed.
     """
     if not is_connected(g):
         raise Disconnected("the invariant is defined for connected graphs")
@@ -134,13 +130,13 @@ def pc_exact(g: Graph, kmax=None) -> tuple[int, PcCertificate]:
                 k, upper.k, f"palette {k} over {g.m - 1} free edges exceeds the guard"
             )
         try:
-            colors = _search_k(g, k, deadline)
+            cert = _search(g, k, {}, g.edges, "exhaustive", deadline=deadline)
         except _OutOfTime:
             raise SearchBudgetExceeded(
                 k, upper.k, f"budget hit while searching palette {k}"
             ) from None
-        if colors is not None:
-            return k, _certify(g, k, colors, "exhaustive")
+        if cert is not None:
+            return k, cert
     raise SearchBudgetExceeded(
         hi + 1, upper.k, f"all palettes up to kmax={hi} exhausted"
     )

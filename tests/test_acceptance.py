@@ -112,9 +112,9 @@ def test_criterion_3_biclique_star_needs_exactly_three_colors():
 
     t0 = time.monotonic()
     with pytest.raises(SearchBudgetExceeded) as info:
-        pc_exact(g, kmax=2)  # sweeps all 2^18 reduced 2-colorings
+        pc_exact(g, kmax=2)  # the pruned search rules out every 2-coloring
     assert info.value.lower == 3
-    assert time.monotonic() - t0 < 120
+    assert time.monotonic() - t0 < 10
 
     witness = make_coloring(g, 3, dict(zip(g.edges, BICLIQUE_STAR_WITNESS)))
     assert is_proper_connected(witness)

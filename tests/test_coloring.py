@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import random
+import time
+from itertools import product
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -23,6 +25,7 @@ from properconn import (
     make_coloring,
     path_profile,
 )
+from properconn.coloring import _OutOfTime, complete
 from util import (
     brute_has_strong,
     brute_is_proper_connected,
@@ -173,3 +176,80 @@ def test_json_mismatch_detected():
     doc["colors"] = [1]
     with pytest.raises((ColoringGraphMismatch, ValueError)):
         coloring_from_json(json.dumps(doc))
+
+
+# --- the completion kernel ---------------------------------------------------
+
+# free edges per palette size, so the plain enumeration stays small
+KERNEL_FREE_CAP = {1: 15, 2: 9, 3: 6}
+
+
+def enumerate_completion(g, k, fixed, free, strong):
+    """The first completion in product() order that the checker accepts."""
+    first_bad = first_weak_pair if strong else first_improper_pair
+    for combo in product(range(1, k + 1), repeat=len(free)):
+        assignment = dict(fixed)
+        assignment.update(zip(free, combo))
+        colors = tuple(assignment[e] for e in g.edges)
+        if first_bad(make_coloring(g, k, colors)) is None:
+            return colors
+    return None
+
+
+@st.composite
+def completion_problems(draw):
+    """(graph, k, fixed, free in search order, strong); with some_fixed
+    false every edge is free and the palette is symmetric."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    k = draw(st.integers(min_value=1, max_value=3))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    some_fixed = draw(st.booleans())
+    cap = KERNEL_FREE_CAP[k]
+    g = random_connected(rng, n, draw(st.sampled_from([0.0, 0.2, 0.5, 0.9])))
+    if not some_fixed and g.m > cap:
+        # keep a spanning tree plus as many further edges as the cap allows
+        tree = random_connected(rng, n, 0.0)
+        extra = [e for e in g.edges if e not in set(tree.edges)]
+        g = from_edge_list(n, list(tree.edges) + extra[: max(cap - tree.m, 0)])
+    edges = list(g.edges)
+    rng.shuffle(edges)
+    if some_fixed:
+        r = rng.randint(0, min(len(edges) - 1, cap))
+    else:
+        r = min(len(edges), cap)
+    free = edges[:r]
+    fixed = {e: rng.randint(1, k) for e in edges[r:]}
+    return g, k, fixed, free, draw(st.booleans())
+
+
+@given(completion_problems())
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_kernel_matches_plain_enumeration(problem):
+    g, k, fixed, free, strong = problem
+    assert complete(g, k, fixed, free, strong) == enumerate_completion(
+        g, k, fixed, free, strong
+    )
+
+
+def test_kernel_exhausts_a_two_color_impossible_graph():
+    # three triangles sharing a vertex need three colors
+    g = from_edge_list(
+        7, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4), (0, 5), (0, 6), (5, 6)]
+    )
+    assert complete(g, 2, {}, g.edges) is None
+    colors = complete(g, 3, {}, g.edges)
+    assert colors is not None and is_proper_connected(make_coloring(g, 3, colors))
+
+
+def test_kernel_rejects_a_bad_edge_split():
+    g = path_graph(3)
+    with pytest.raises(ColoringGraphMismatch):
+        complete(g, 2, {(0, 1): 1}, [])
+    with pytest.raises(ColoringGraphMismatch):
+        complete(g, 2, {(0, 1): 1}, [(0, 1), (1, 2)])
+
+
+def test_kernel_reads_the_clock_at_the_first_node():
+    g = cycle_graph(5)
+    with pytest.raises(_OutOfTime):
+        complete(g, 2, {}, g.edges, deadline=time.monotonic() - 1.0)
