@@ -47,13 +47,15 @@ from .errors import (
     NotABridge,
     NotAPath,
     NotATree,
+    OutOfRange,
     OverlappingSets,
-    PaletteAlignmentImpossible,
     PcError,
     RequiresStrongProperty,
     SameVertex,
     SearchBudgetExceeded,
     TooLarge,
+    TooSmall,
+    UnsuitableBase,
     VerificationExhausted,
     VerificationFailed,
     VertexOutOfRange,
@@ -63,13 +65,11 @@ from .graph import (
     BridgeBlockTree,
     Graph,
     bipartition,
-    boundary_size,
     bridge_block_tree,
     canonical_code,
     canonical_form,
     connectivity,
     degree_stats,
-    edges_between,
     find_bridges,
     format_edge_list_text,
     from_adj_rows,

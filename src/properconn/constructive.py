@@ -35,6 +35,8 @@ from .errors import (
     OverlappingSets,
     RequiresStrongProperty,
     TooLarge,
+    TooSmall,
+    UnsuitableBase,
     VerificationExhausted,
     VerificationFailed,
     VertexOutOfRange,
@@ -361,7 +363,7 @@ def strong_coloring_bridgeless(g: Graph) -> PcCertificate:
     if bridges:
         raise HasBridge(f"graph has bridge {bridges[0]}")
     if g.n < 3:
-        raise ValueError("bridgeless coloring needs n >= 3")
+        raise TooSmall("bridgeless coloring needs n >= 3")
     bip = bipartition(g)
     tag = "bipartite_bridgeless" if bip is not None else "bridgeless_3"
     got = _strong_bridgeless(g, tag)
@@ -465,7 +467,7 @@ def extend_vertex(cert: PcCertificate, new_edges) -> PcCertificate:
     """Absorb one new vertex with >= 2 attachment edges into a 2-color
     certificate, by trying every color assignment on the new edges."""
     if not cert.verified or cert.k != 2:
-        raise ValueError("extension needs a verified 2-color base certificate")
+        raise UnsuitableBase("extension needs a verified 2-color base certificate")
     base = cert.graph
     w = base.n
     grouped = _extension_edges(base, new_edges, (w,))
@@ -487,7 +489,7 @@ def extend_two_vertices(cert: PcCertificate, new_edges) -> PcCertificate:
     """Absorb two new vertices (each with >= 1 edge, at least one edge into
     the base) into a strong certificate, keeping the palette size."""
     if not cert.verified:
-        raise ValueError("extension needs a verified base certificate")
+        raise UnsuitableBase("extension needs a verified base certificate")
     if not cert.strong:
         raise RequiresStrongProperty("two-vertex extension needs a strong base")
     base = cert.graph

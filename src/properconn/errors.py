@@ -1,7 +1,9 @@
 """Exception types shared across the toolkit.
 
 Every error raised by the library derives from PcError so callers can
-catch toolkit failures without masking programming errors.
+catch toolkit failures without masking programming errors. OutOfRange,
+TooSmall and UnsuitableBase flag a bad argument value, so they also
+derive from ValueError for callers that catch that.
 """
 
 
@@ -33,6 +35,14 @@ class TooLarge(PcError):
     """Input exceeds the desk-scale guard for this operation."""
 
 
+class TooSmall(PcError, ValueError):
+    """The graph has too few vertices for this operation."""
+
+
+class OutOfRange(PcError, ValueError):
+    """A size, length or order range argument lies outside its domain."""
+
+
 class SameVertex(PcError):
     """Two distinct vertices were required."""
 
@@ -53,10 +63,6 @@ class NotABridge(PcError):
     """The given edge is not a bridge of the composite graph."""
 
 
-class PaletteAlignmentImpossible(PcError):
-    """Reserved: palettes of two certificates cannot be aligned."""
-
-
 class VerificationFailed(PcError):
     """A constructed coloring failed re-verification (construction bug)."""
 
@@ -71,6 +77,10 @@ class VerificationExhausted(PcError):
 
 class IsolatedNewVertex(PcError):
     """A new vertex must attach with at least one edge."""
+
+
+class UnsuitableBase(PcError, ValueError):
+    """The base certificate is unverified or has the wrong palette size."""
 
 
 class RequiresStrongProperty(PcError):

@@ -14,7 +14,6 @@ from .errors import (
     Disconnected,
     LoopEdge,
     MalformedGraph6,
-    OverlappingSets,
     TooLarge,
     VertexOutOfRange,
 )
@@ -242,27 +241,6 @@ def connectivity(g: Graph) -> int:
             if _reach_mask(g.adj, start, allowed) != allowed:
                 return size
     return n - 1
-
-
-def edges_between(g: Graph, xs, ys) -> list[tuple[int, int]]:
-    """Edges with one end in xs and the other in ys (disjoint sets)."""
-    xset, yset = set(xs), set(ys)
-    if xset & yset:
-        raise OverlappingSets(f"sets share vertices {sorted(xset & yset)}")
-    for v in xset | yset:
-        if not 0 <= v < g.n:
-            raise VertexOutOfRange(f"vertex {v} outside 0..{g.n - 1}")
-    return [
-        (u, v)
-        for u, v in g.edges
-        if (u in xset and v in yset) or (u in yset and v in xset)
-    ]
-
-
-def boundary_size(g: Graph, xs) -> int:
-    """Number of edges leaving the vertex set xs."""
-    rest = [v for v in range(g.n) if v not in set(xs)]
-    return len(edges_between(g, xs, rest))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ vertex is implicit.
 
 from __future__ import annotations
 
-from .errors import SameVertex, TooLarge, VertexOutOfRange
+from .errors import OutOfRange, SameVertex, TooLarge, VertexOutOfRange
 from .graph import Graph, _reach_mask, bridge_block_tree, find_bridges, is_connected
 
 HAMILTON_MAX_N = 16
@@ -173,7 +173,7 @@ def has_path_of_length(g: Graph, u: int, v: int, length: int) -> bool:
     if u == v:
         raise SameVertex(f"endpoints must differ, both are {u}")
     if not 1 <= length <= g.n - 1:
-        raise ValueError(f"length must be in 1..{g.n - 1}, got {length}")
+        raise OutOfRange(f"length must be in 1..{g.n - 1}, got {length}")
     adj = g.adj
     want = length + 1  # vertices on the path
     dead = set()

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from properconn import (
     LoopEdge,
     MalformedGraph6,
-    OverlappingSets,
     VertexOutOfRange,
     bipartition,
     bridge_block_tree,
@@ -19,7 +18,6 @@ from properconn import (
     canonical_form,
     connectivity,
     degree_stats,
-    edges_between,
     find_bridges,
     format_edge_list_text,
     from_edge_list,
@@ -188,13 +186,6 @@ def test_bipartite_spanning_subgraph_exact_beats_greedy():
     h, _ = max_bipartite_spanning_subgraph(g, exact=True)
     # best cut of K5 is 2+3, six edges
     assert h.m == 6
-
-
-def test_edges_between():
-    g = cycle_graph(6)
-    assert edges_between(g, {0, 1, 2}, {3, 4, 5}) == [(0, 5), (2, 3)]
-    with pytest.raises(OverlappingSets):
-        edges_between(g, {0}, {0, 1})
 
 
 def test_induced_subgraph_relabels_compactly():

@@ -17,6 +17,7 @@ from properconn import (
     exceptional_graphs,
     find_bridges,
     format_report_text,
+    from_edge_list,
     from_graph6,
     is_connected,
     make_star_of_bicliques,
@@ -62,6 +63,33 @@ def test_enumeration_degree_filter():
     total = sum(1 for _ in enumerate_connected(6))
     filtered = sum(1 for _ in enumerate_connected(6, min_degree=2))
     assert 0 < filtered < total
+
+
+def test_min_degree_levels_equal_the_filtered_full_level():
+    # the pruned min-degree chain must yield exactly the filtered full level
+    for bipartite, top in ((False, 7), (True, 9)):
+        for n in range(2, top + 1):
+            full = [to_graph6(g) for g in enumerate_connected(n, bipartite_only=bipartite)]
+            for t in (1, 2, 3):
+                want = [c for c in full if degree_stats(from_graph6(c))[1] >= t]
+                got = [
+                    to_graph6(g)
+                    for g in enumerate_connected(n, min_degree=t, bipartite_only=bipartite)
+                ]
+                assert got == want, (bipartite, n, t)
+
+
+def test_enumeration_matches_the_networkx_atlas():
+    nx = pytest.importorskip("networkx")
+    atlas = {n: set() for n in range(2, 8)}
+    for h in nx.graph_atlas_g():
+        n = h.number_of_nodes()
+        if n in atlas and nx.is_connected(h):
+            atlas[n].add(canonical_code(from_edge_list(n, h.edges())))
+    for n, codes in atlas.items():
+        built = [canonical_code(g) for g in enumerate_connected(n)]
+        assert len(built) == len(codes) == CONNECTED_COUNTS[n]
+        assert set(built) == codes
 
 
 def test_enumeration_bipartite_counts():
