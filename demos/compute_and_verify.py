@@ -49,7 +49,6 @@ def main():
         victim.k,
         victim.strategy,
         victim.strong,
-        True,
     )
     report = verify_certificate(forged)
     print()

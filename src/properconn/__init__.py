@@ -21,7 +21,6 @@ from .coloring import (
     path_profile,
 )
 from .constructive import (
-    STRATEGIES,
     PcCertificate,
     certificate_from_json,
     certificate_to_json,
@@ -68,7 +67,6 @@ from .graph import (
     bridge_block_tree,
     canonical_code,
     canonical_form,
-    connectivity,
     degree_stats,
     find_bridges,
     format_edge_list_text,
@@ -85,12 +83,8 @@ from .graph import (
 )
 from .hamilton import (
     hamilton_cycle,
-    hamilton_cycle_through,
     hamilton_path,
-    hamilton_path_between,
     hamilton_path_from,
-    has_path_of_length,
-    longest_cycle,
 )
 from .solver import VerificationReport, pc_exact, pc_upper, verify_certificate
 from .survey import (

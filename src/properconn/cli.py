@@ -6,7 +6,8 @@ Exit codes are a stable contract:
   2  search budget ran out; the printed bracket is the honest answer
   3  a survey found exceptions that differ from the frozen fixtures
 
-PC_BUDGET_MS caps per-graph exact-search wall time.
+PC_BUDGET_MS caps per-graph exact-search wall time in milliseconds; a
+value that is not a non-negative integer is an input error (exit 1).
 """
 
 from __future__ import annotations

@@ -90,9 +90,6 @@ class PathProfile:
 
     pairs: frozenset[tuple[int, int]]
 
-    def reverse(self) -> "PathProfile":
-        return PathProfile(frozenset((e, s) for s, e in self.pairs))
-
     def connects(self) -> bool:
         return bool(self.pairs)
 

@@ -22,7 +22,6 @@ from .coloring import (
     complete,
     has_strong_property,
     is_proper_connected,
-    make_coloring,
 )
 from .errors import (
     BadPartition,
@@ -52,40 +51,29 @@ from .graph import (
     is_connected,
     is_tree,
     max_bipartite_spanning_subgraph,
-    to_graph6,
 )
 from .hamilton import hamilton_cycle, hamilton_path, hamilton_path_from
 
 STRONG_SEARCH_MAX_N = 10
 PIPELINE_MAX_N = 16
 _PHASE_CAP = 4096
-_SAMPLE_CAP = 20000
-
-STRATEGIES = (
-    "complete",
-    "hamilton_path",
-    "tree",
-    "bipartite_bridgeless",
-    "bridgeless_3",
-    "glue",
-    "extend",
-    "hub_branches",
-    "pipeline",
-    "exhaustive",
-)
 
 
 @dataclass(frozen=True)
 class PcCertificate:
-    """A coloring whose claims (k colors, proper connected, optionally
-    strong) have been machine-checked; strategy records how it was built."""
+    """A coloring with its claims: k colors, proper connected, and strong
+    when `strong` is set; strategy records how it was built.
+
+    Every certificate this library builds passed the exact checker
+    before it was returned. One read back with certificate_from_json is
+    only a claim until verify_certificate passes it.
+    """
 
     graph: Graph
     coloring: EdgeColoring
     k: int
     strategy: str
     strong: bool
-    verified: bool
 
 
 def _certify(g: Graph, k: int, colors, strategy: str, strong: bool = False):
@@ -103,7 +91,7 @@ def _certify(g: Graph, k: int, colors, strategy: str, strong: bool = False):
         raise VerificationFailed(
             f"{strategy} construction produced a non proper-connected coloring"
         )
-    return PcCertificate(g, coloring, k, strategy, strong, True)
+    return PcCertificate(g, coloring, k, strategy, strong)
 
 
 def _search(g: Graph, k: int, fixed, free, strategy: str, strong=False, deadline=None):
@@ -114,7 +102,7 @@ def _search(g: Graph, k: int, fixed, free, strategy: str, strong=False, deadline
     colors = complete(g, k, fixed, free, strong, deadline)
     if colors is None:
         return None
-    return PcCertificate(g, EdgeColoring(g, k, colors), k, strategy, strong, True)
+    return PcCertificate(g, EdgeColoring(g, k, colors), k, strategy, strong)
 
 
 def _assignment_to_colors(g: Graph, assignment: dict) -> tuple[int, ...]:
@@ -271,15 +259,10 @@ def _ear_edge_runs(ears):
     return runs
 
 
-_SWEEP_VOLUME = 1 << 22
-
-
-def _strong_candidates(g: Graph, k: int, thorough: bool):
-    """Deterministic stream of raw color tuples worth testing at palette k.
-
-    Ear-phase patterns come first, then Hamilton-cycle patterns; with
-    thorough=True, seeded samples follow.
-    """
+def _ear_patterns(g: Graph):
+    """Deterministic stream of 2-color tuples that alternate colors 1 and
+    2 along each ear of an ear decomposition, one phase per ear; seeded
+    phases stand in for all of them when there are too many."""
     edge_index = {e: i for i, e in enumerate(g.edges)}
     runs = _ear_edge_runs(_ear_decomposition(g))
 
@@ -299,61 +282,40 @@ def _strong_candidates(g: Graph, k: int, thorough: bool):
         for _ in range(_PHASE_CAP):
             yield from_phases([rng.randrange(2) for _ in range(n_runs)])
 
-    cyc = hamilton_cycle(g)
-    if cyc is not None:
-        for off_color in range(1, k + 1):
-            colors = [off_color] * g.m
-            for i, (a, b) in enumerate(zip(cyc, cyc[1:] + [cyc[0]])):
-                c = 1 + i % 2
-                if i == g.n - 1 and g.n % 2 and k >= 3:
-                    c = 3
-                colors[edge_index[min(a, b), max(a, b)]] = c
-            yield tuple(colors)
 
-    if not thorough:
-        return
-    rng = random.Random(0x5EED ^ (g.n << 16) ^ g.m ^ k)
-    for _ in range(_SAMPLE_CAP):
-        yield tuple(rng.randrange(1, k + 1) for _ in range(g.m))
+def _strong_bridgeless(g: Graph) -> PcCertificate:
+    """Strong certificate for a connected bridgeless graph on n >= 3
+    vertices: k=2 on bipartite input, else at most 3.
 
-
-def _strong_bridgeless(g: Graph, strategy: str):
-    """Search for a strong coloring; k=2 on bipartite input, else up to 3.
-
-    After the candidates of the last palette, a complete search follows
-    when the volume guard allows it. Returns None only when no candidate
-    worked and the complete search was infeasible; an exhausted search
-    raises, because the bridgeless guarantees make that a bug, not a
-    result.
+    Two steps: the ear patterns, then the completion kernel over every
+    coloring with 2 colors (bipartite) or 3. Borozan et al., "Proper
+    connection of graphs", Discrete Math. 312 (2012), guarantee such a
+    coloring, so an exhausted search is a bug, not a result, and raises.
     """
-    if g.n == 1:
-        return _certify(g, 2, (), strategy, strong=True)
-    palettes = [2] if bipartition(g) is not None else [2, 3]
-    for k in palettes:
-        thorough = k == palettes[-1]
-        for colors in _strong_candidates(g, k, thorough):
-            fixed = dict(zip(g.edges, colors))
-            cert = _search(g, k, fixed, (), strategy, strong=True)
-            if cert is not None:
-                return cert
-        if thorough and k ** max(g.m - 1, 0) <= _SWEEP_VOLUME:
-            cert = _search(g, k, {}, g.edges, strategy, strong=True)
-            if cert is not None:
-                return cert
-            raise VerificationExhausted(
-                f"no strong {k}-coloring exists for n={g.n}, m={g.m}; "
-                "this contradicts the guarantee for bridgeless graphs"
-            )
-    return None
+    bipartite = bipartition(g) is not None
+    strategy = "bipartite_bridgeless" if bipartite else "bridgeless_3"
+    for colors in _ear_patterns(g):
+        cert = _search(g, 2, dict(zip(g.edges, colors)), (), strategy, strong=True)
+        if cert is not None:
+            return cert
+    k = 2 if bipartite else 3
+    cert = _search(g, k, {}, g.edges, strategy, strong=True)
+    if cert is None:
+        raise VerificationExhausted(
+            f"no strong {k}-coloring exists for n={g.n}, m={g.m}; "
+            "this contradicts the guarantee for bridgeless graphs"
+        )
+    return cert
 
 
 def strong_coloring_bridgeless(g: Graph) -> PcCertificate:
-    """Verified strong certificate for a connected bridgeless graph:
+    """Checked strong certificate for a connected bridgeless graph:
     2 colors when bipartite, at most 3 otherwise.
 
-    Ear-decomposition phase candidates are tried first, then seeded
-    sampling, then a complete search; each candidate is checked exactly,
-    so the heuristics never affect soundness.
+    The ear-decomposition patterns are tried first, then the completion
+    kernel searches every coloring of the palette; there is no sampling
+    and no volume guard, only the n <= STRONG_SEARCH_MAX_N cap. Each
+    candidate is checked exactly, so the patterns never affect soundness.
     """
     if g.n > STRONG_SEARCH_MAX_N:
         raise TooLarge(f"strong search limited to n <= {STRONG_SEARCH_MAX_N}")
@@ -364,15 +326,7 @@ def strong_coloring_bridgeless(g: Graph) -> PcCertificate:
         raise HasBridge(f"graph has bridge {bridges[0]}")
     if g.n < 3:
         raise TooSmall("bridgeless coloring needs n >= 3")
-    bip = bipartition(g)
-    tag = "bipartite_bridgeless" if bip is not None else "bridgeless_3"
-    got = _strong_bridgeless(g, tag)
-    if got is None:
-        raise VerificationExhausted(
-            f"heuristics found no strong coloring for n={g.n}, m={g.m} "
-            "and the space is too large to sweep"
-        )
-    return got
+    return _strong_bridgeless(g)
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +348,6 @@ def glue_across_bridge(
     halves agree on the bridge color, and the union is re-verified.
     """
     map_a, map_b = embedding
-    if not (cert_a.verified and cert_b.verified):
-        raise VerificationFailed("glue requires verified input certificates")
     ga, gb = cert_a.graph, cert_b.graph
     if len(map_a) != ga.n or len(map_b) != gb.n:
         raise VertexOutOfRange("embedding size does not match a half")
@@ -466,8 +418,8 @@ def _extension_edges(base: Graph, new_edges, new_ids):
 def extend_vertex(cert: PcCertificate, new_edges) -> PcCertificate:
     """Absorb one new vertex with >= 2 attachment edges into a 2-color
     certificate, by trying every color assignment on the new edges."""
-    if not cert.verified or cert.k != 2:
-        raise UnsuitableBase("extension needs a verified 2-color base certificate")
+    if cert.k != 2:
+        raise UnsuitableBase("extension needs a 2-color base certificate")
     base = cert.graph
     w = base.n
     grouped = _extension_edges(base, new_edges, (w,))
@@ -488,8 +440,6 @@ def extend_vertex(cert: PcCertificate, new_edges) -> PcCertificate:
 def extend_two_vertices(cert: PcCertificate, new_edges) -> PcCertificate:
     """Absorb two new vertices (each with >= 1 edge, at least one edge into
     the base) into a strong certificate, keeping the palette size."""
-    if not cert.verified:
-        raise UnsuitableBase("extension needs a verified base certificate")
     if not cert.strong:
         raise RequiresStrongProperty("two-vertex extension needs a strong base")
     base = cert.graph
@@ -622,9 +572,7 @@ def _piece_certificate(h: Graph, comp, pendants):
         inner_colors: dict[tuple[int, int], int] = {}
     else:
         sub = from_edge_list(len(members), inner)
-        core = _strong_bridgeless(sub, "bipartite_bridgeless")
-        if core is None or core.k != 2:
-            return None
+        core = _strong_bridgeless(sub)
         inner_colors = {
             e: c for e, c in zip(sub.edges, core.coloring.colors)
         }
@@ -703,9 +651,7 @@ def _seed_and_extend(g: Graph, h: Graph) -> PcCertificate | None:
         return None
     seed = seeds[0]
     sub_h, mapping = induced_subgraph(h, seed)
-    core = _strong_bridgeless(sub_h, "bipartite_bridgeless")
-    if core is None:
-        return None
+    core = _strong_bridgeless(sub_h)
     # lift the seed onto g's induced subgraph: extra chords only add paths
     sub_g, mapping = induced_subgraph(g, seed)
     lifted = {e: 1 for e in sub_g.edges}
@@ -799,11 +745,10 @@ def pc2_pipeline(g: Graph):
         return None
     tree = bridge_block_tree(h)
     if len(tree.components) == 1 and h.n >= 3:
-        core = _strong_bridgeless(h, "bipartite_bridgeless")
-        if core is not None:
-            got = _relabel_to(g, core, list(range(g.n)), "bipartite_bridgeless")
-            if got is not None:
-                return got
+        core = _strong_bridgeless(h)
+        got = _relabel_to(g, core, list(range(g.n)), "bipartite_bridgeless")
+        if got is not None:
+            return got
     elif tree.max_degree() <= 2:
         got = _chain_glue(g, h, tree)
         if got is not None:
@@ -857,7 +802,6 @@ def certificate_to_json(cert: PcCertificate) -> str:
         "meta": {
             "strategy": cert.strategy,
             "strong": cert.strong,
-            "verified": cert.verified,
         },
     }
     return json.dumps(payload)
@@ -875,5 +819,4 @@ def certificate_from_json(text: str) -> PcCertificate:
         k=payload["k"],
         strategy=meta.get("strategy", "exhaustive"),
         strong=bool(meta.get("strong", False)),
-        verified=bool(meta.get("verified", False)),
     )

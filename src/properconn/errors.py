@@ -80,7 +80,7 @@ class IsolatedNewVertex(PcError):
 
 
 class UnsuitableBase(PcError, ValueError):
-    """The base certificate is unverified or has the wrong palette size."""
+    """The base certificate has the wrong palette size."""
 
 
 class RequiresStrongProperty(PcError):

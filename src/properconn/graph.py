@@ -8,7 +8,6 @@ here are pure; Graph values are safe to share between workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .errors import (
     Disconnected,
@@ -19,7 +18,6 @@ from .errors import (
 )
 
 CANONICAL_MAX_N = 12
-EXACT_BIPARTITE_MAX_N = 20
 
 
 @dataclass(frozen=True)
@@ -219,30 +217,6 @@ def is_tree(g: Graph) -> bool:
     return g.m == g.n - 1 and is_connected(g)
 
 
-def connectivity(g: Graph) -> int:
-    """Vertex connectivity by brute-force minimum cut; kappa(K_n) = n-1.
-
-    Exponential in n; fine at desk scale only.
-    """
-    n = g.n
-    if n == 0:
-        return 0
-    if is_complete(g):
-        return n - 1
-    if not is_connected(g):
-        return 0
-    full = (1 << n) - 1
-    for size in range(1, n - 1):
-        for cut in combinations(range(n), size):
-            allowed = full
-            for v in cut:
-                allowed &= ~(1 << v)
-            start = (allowed & -allowed).bit_length() - 1
-            if _reach_mask(g.adj, start, allowed) != allowed:
-                return size
-    return n - 1
-
-
 # ---------------------------------------------------------------------------
 # bridges and the bridge-block tree
 
@@ -357,9 +331,6 @@ class Bipartition:
     sideU: frozenset[int]
     sideV: frozenset[int]
 
-    def side_of(self, v: int) -> int:
-        return 0 if v in self.sideU else 1
-
 
 def bipartition(g: Graph):
     """The 2-coloring of a bipartite graph, or None if an odd cycle exists.
@@ -386,54 +357,40 @@ def bipartition(g: Graph):
     return Bipartition(side_u, side_v)
 
 
-def max_bipartite_spanning_subgraph(
-    g: Graph, exact: bool = False
-) -> tuple[Graph, Bipartition]:
+def max_bipartite_spanning_subgraph(g: Graph) -> tuple[Graph, Bipartition]:
     """Spanning bipartite subgraph keeping at least half of every degree.
 
-    Default: greedy side assignment followed by single-vertex local search
-    (scan ascending, move the first improving vertex, repeat to fixpoint),
-    which already guarantees 2*d_H(v) >= d_G(v) for every vertex. With
-    exact=True (n <= 20) the globally maximum cut is found by exhaustion,
-    smallest side-assignment mask winning ties.
+    Greedy side assignment followed by single-vertex local search (scan
+    ascending, move the first improving vertex, repeat to fixpoint). At
+    the fixpoint no vertex has more neighbors on its own side than
+    across, so 2*d_H(v) >= d_G(v) for every vertex. The cut is a local
+    maximum, not necessarily a global one.
     """
     n = g.n
-    if exact:
-        if n > EXACT_BIPARTITE_MAX_N:
-            raise TooLarge(f"exact mode limited to n <= {EXACT_BIPARTITE_MAX_N}")
-        best_mask, best_cut = 0, -1
-        for mask in range(1 << max(n - 1, 0)):
-            cut = 0
-            for u, v in g.edges:
-                cut += (mask >> u & 1) != (mask >> v & 1)
-            if cut > best_cut:
-                best_mask, best_cut = mask, cut
-        side = [best_mask >> v & 1 for v in range(n)]
-    else:
-        side = [0] * n
+    side = [0] * n
+    for v in range(n):
+        to_u = to_v = 0
+        for w in g.neighbors(v):
+            if w < v:
+                if side[w] == 0:
+                    to_u += 1
+                else:
+                    to_v += 1
+        side[v] = 0 if to_v >= to_u else 1
+    improved = True
+    while improved:
+        improved = False
         for v in range(n):
-            to_u = to_v = 0
+            same = cross = 0
             for w in g.neighbors(v):
-                if w < v:
-                    if side[w] == 0:
-                        to_u += 1
-                    else:
-                        to_v += 1
-            side[v] = 0 if to_v >= to_u else 1
-        improved = True
-        while improved:
-            improved = False
-            for v in range(n):
-                same = cross = 0
-                for w in g.neighbors(v):
-                    if side[w] == side[v]:
-                        same += 1
-                    else:
-                        cross += 1
-                if same > cross:
-                    side[v] = 1 - side[v]
-                    improved = True
-                    break
+                if side[w] == side[v]:
+                    same += 1
+                else:
+                    cross += 1
+            if same > cross:
+                side[v] = 1 - side[v]
+                improved = True
+                break
     crossing = [(u, v) for u, v in g.edges if side[u] != side[v]]
     part = Bipartition(
         frozenset(v for v in range(n) if side[v] == 0),

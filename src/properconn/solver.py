@@ -14,7 +14,6 @@ import time
 from dataclasses import dataclass
 
 from .coloring import (
-    EdgeColoring,
     _OutOfTime,
     has_strong_property,
     is_proper_connected,
@@ -26,20 +25,25 @@ from .constructive import (
     color_hamilton_path,
     color_tree,
 )
-from .errors import Disconnected, PcError, SearchBudgetExceeded, TooLarge
+from .errors import Disconnected, OutOfRange, PcError, SearchBudgetExceeded, TooLarge
 from .graph import Graph, degree_stats, from_edge_list, is_complete, is_connected
 
 EXHAUSTIVE_VOLUME = 1 << 22
 SMALL_N, SMALL_M = 10, 24
 
 
-def _budget_deadline(budget_ms=None):
-    if budget_ms is None:
-        raw = os.environ.get("PC_BUDGET_MS", "")
-        budget_ms = int(raw) if raw.isdigit() else None
-    if budget_ms is None:
+def _budget_deadline():
+    """time.monotonic() deadline from PC_BUDGET_MS (milliseconds), or None
+    when the variable is unset or empty; any other value that is not a
+    non-negative integer raises OutOfRange."""
+    raw = os.environ.get("PC_BUDGET_MS", "")
+    if not raw:
         return None
-    return time.monotonic() + budget_ms / 1000.0
+    if not (raw.isascii() and raw.isdigit()):
+        raise OutOfRange(
+            f"PC_BUDGET_MS must be a non-negative integer of milliseconds, got {raw!r}"
+        )
+    return time.monotonic() + int(raw) / 1000.0
 
 
 def _bfs_tree(g: Graph, root: int):
@@ -106,18 +110,20 @@ def pc_exact(g: Graph, kmax=None) -> tuple[int, PcCertificate]:
     lower bound. The volume guard is unchanged: a palette with
     k^(m-1) > EXHAUSTIVE_VOLUME candidates is refused on graphs with more
     than SMALL_N vertices or SMALL_M edges, however few nodes the pruned
-    search would visit. The budget clock is read at every search node.
+    search would visit. The budget clock starts when the call does and is
+    read at every search node; an invalid PC_BUDGET_MS raises OutOfRange
+    on every call, complete graphs included.
     With kmax set this becomes a bounded decision: if every palette up to
     kmax is exhausted the bracketing interval is raised rather than
     guessed.
     """
+    deadline = _budget_deadline()
     if not is_connected(g):
         raise Disconnected("the invariant is defined for connected graphs")
     if is_complete(g):
         return 1, _certify(g, 1, (1,) * g.m, "complete")
     upper = pc_upper(g)
     hi = upper.k if kmax is None else min(kmax, upper.k)
-    deadline = _budget_deadline()
     for k in range(2, hi + 1):
         if k == upper.k:
             return upper.k, upper

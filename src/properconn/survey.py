@@ -23,7 +23,13 @@ from multiprocessing import get_context
 import numpy as np
 
 from .constructive import PcCertificate, certificate_to_json, pc2_pipeline
-from .errors import FixturesMissing, OutOfRange, SearchBudgetExceeded, TooLarge
+from .errors import (
+    FixturesMissing,
+    OutOfRange,
+    SearchBudgetExceeded,
+    TooLarge,
+    VerificationFailed,
+)
 from .graph import (
     Graph,
     _reach_mask,
@@ -423,7 +429,7 @@ def _examine(code: str):
     if pc == 2:
         return ("two", None)
     if not verify_certificate(witness):
-        raise AssertionError(f"unverifiable witness for {code}")
+        raise VerificationFailed(f"unverifiable witness for {code}")
     return ("exception", (pc, witness))
 
 

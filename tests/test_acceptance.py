@@ -60,8 +60,7 @@ def test_criterion_1_min_degree_survey_finds_exactly_two_exceptions():
     ]
     for exc in report.exceptions:
         cert = exc.certificate
-        assert cert.k == 3 and cert.verified
-        assert verify_certificate(cert).ok
+        assert cert.k == 3 and verify_certificate(cert).ok
     assert elapsed < 600
 
 
@@ -158,7 +157,7 @@ def test_criterion_6_construction_suites_hold_on_small_graphs():
             if find_bridges(g):
                 continue
             cert = strong_coloring_bridgeless(g)
-            assert cert.k == 2 and cert.strong and cert.verified
+            assert cert.k == 2 and cert.strong and verify_certificate(cert).ok
 
     # bridgeless in general: three colors, still strong
     two_color_bases = []
@@ -167,7 +166,7 @@ def test_criterion_6_construction_suites_hold_on_small_graphs():
             if find_bridges(g):
                 continue
             cert = strong_coloring_bridgeless(g)
-            assert cert.k <= 3 and cert.strong and cert.verified
+            assert cert.k <= 3 and cert.strong and verify_certificate(cert).ok
             if cert.k == 2:
                 two_color_bases.append(cert)
 
@@ -175,7 +174,7 @@ def test_criterion_6_construction_suites_hold_on_small_graphs():
     rng = random.Random(20260814)
     for _ in range(200):
         comp = _random_glue(rng)
-        assert comp.verified and verify_certificate(comp).ok
+        assert verify_certificate(comp).ok
 
     # absorption: a strong 2-color base takes any new degree-2/3 vertex
     for cert in two_color_bases:
@@ -184,7 +183,7 @@ def test_criterion_6_construction_suites_hold_on_small_graphs():
         for d in (2, 3):
             for attach in combinations(range(base.n), d):
                 bigger = extend_vertex(cert, [(w, u) for u in attach])
-                assert bigger.verified and bigger.k == 2
+                assert bigger.k == 2 and verify_certificate(bigger).ok
 
     # monotonicity: losing edges never lowers the connection number
     for _ in range(500):

@@ -8,11 +8,9 @@ from __future__ import annotations
 
 import json
 
-import pytest
-
 from properconn import coloring_to_json, from_edge_list, make_coloring
 from properconn.cli import main
-from util import cycle_graph, star_graph
+from util import cycle_graph
 
 
 def run(capsys, *argv):
@@ -97,6 +95,14 @@ def test_compute_honors_budget(monkeypatch, capsys):
     code, out, _ = run(capsys, "compute", "--graph6", "G@LCE[")
     assert code == 2
     assert "inconclusive" in out
+
+
+def test_compute_rejects_an_invalid_budget(monkeypatch, capsys):
+    monkeypatch.setenv("PC_BUDGET_MS", "ten")
+    code, out, err = run(capsys, "compute", "--graph6", "CF")
+    assert code == 1
+    assert out == ""
+    assert "pc: error:" in err and "PC_BUDGET_MS" in err
 
 
 def test_survey_clean_window(capsys):

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import random
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -18,9 +19,10 @@ from properconn import (
     NotABridge,
     NotATree,
     OverlappingSets,
+    PcError,
     RequiresStrongProperty,
     TooLarge,
-    VerificationFailed,
+    bipartition,
     certificate_from_json,
     certificate_to_json,
     color_hamilton_path,
@@ -28,11 +30,12 @@ from properconn import (
     color_tree,
     extend_two_vertices,
     extend_vertex,
+    find_bridges,
     from_edge_list,
     from_graph6,
     glue_across_bridge,
     has_strong_property,
-    is_proper_connected,
+    is_connected,
     pc2_pipeline,
     pc_exact,
     strong_coloring_bridgeless,
@@ -40,6 +43,7 @@ from properconn import (
 )
 from util import (
     complete_bipartite,
+    complete_graph,
     cycle_graph,
     friendship_graph,
     path_graph,
@@ -54,7 +58,6 @@ PROPERTY_SETTINGS = settings(
 
 
 def check(cert, k=None, strategy=None, strong=None):
-    assert cert.verified
     assert verify_certificate(cert).ok
     if k is not None:
         assert cert.k == k
@@ -82,7 +85,7 @@ def test_tree_coloring_rejects_cycles():
 
 def test_single_vertex_tree():
     cert = color_tree(from_edge_list(1, []))
-    assert cert.k == 1 and cert.verified
+    assert cert.k == 1 and verify_certificate(cert).ok
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(3, 9))
@@ -138,6 +141,44 @@ def test_strong_coloring_on_complete_bipartite():
     assert cert.k == 2
 
 
+def random_bipartite_bridgeless(rng, n):
+    while True:
+        a = rng.choice([3, 4, 5])
+        p = rng.choice([0.35, 0.5, 0.7])
+        edges = [(u, v) for u in range(a) for v in range(a, n) if rng.random() < p]
+        g = from_edge_list(n, edges)
+        if is_connected(g) and not find_bridges(g):
+            return g
+
+
+def random_bridgeless(rng, n):
+    while True:
+        g = random_connected(rng, n, rng.choice([0.15, 0.25, 0.4]))
+        if not find_bridges(g):
+            return g
+
+
+def test_strong_search_settles_every_graph_at_the_size_cap():
+    # no volume guard stands behind the ear patterns: the kernel must
+    # settle each bridgeless graph up to n=10 with 2 colors when bipartite
+    # and at most 3 otherwise (Borozan et al., Discrete Math. 312, 2012)
+    rng = random.Random(20261018)
+    graphs = [cycle_graph(9), complete_graph(10), petersen(), complete_bipartite(5, 5)]
+    graphs += [random_bridgeless(rng, rng.choice([9, 10])) for _ in range(40)]
+    graphs += [random_bipartite_bridgeless(rng, rng.choice([9, 10])) for _ in range(20)]
+    t0 = time.monotonic()
+    for g in graphs:
+        cert = strong_coloring_bridgeless(g)
+        assert cert.strong and verify_certificate(cert).ok
+        if bipartition(g) is not None:
+            assert cert.k == 2
+        else:
+            assert cert.k <= 3
+    # an odd cycle has no strong 2-coloring, so C9 comes from the kernel
+    assert strong_coloring_bridgeless(cycle_graph(9)).k == 3
+    assert time.monotonic() - t0 < 30
+
+
 def test_strong_coloring_guards():
     with pytest.raises(HasBridge):
         strong_coloring_bridgeless(path_graph(4))
@@ -179,11 +220,45 @@ def test_glue_rejects_missing_bridge():
         glue_across_bridge(ca, cb, (2, 3), ([0, 1, 2, 3], [3, 4, 5, 2]))
 
 
-def test_glue_rejects_unverified_half():
+def tampered(cert):
+    """JSON copies of cert that claim more than their colors give: each
+    color in turn changed, then a false strong claim; all say
+    "verified": true."""
+    doc = json.loads(certificate_to_json(cert))
+    doc["meta"]["verified"] = True
+    copies = []
+    for i, c in enumerate(doc["colors"]):
+        forged = json.loads(json.dumps(doc))
+        forged["colors"][i] = c % doc["k"] + 1
+        copies.append(certificate_from_json(json.dumps(forged)))
+    doc["meta"]["strong"] = True
+    copies.append(certificate_from_json(json.dumps(doc)))
+    return copies
+
+
+def test_tampered_inputs_give_errors_or_checked_certificates():
+    # glue and extension trust no claim of their inputs: each call either
+    # raises a PcError or returns a certificate the checker passes
     ca, cb = two_triangle_halves()
-    forged = type(ca)(ca.graph, ca.coloring, ca.k, ca.strategy, ca.strong, False)
-    with pytest.raises(VerificationFailed):
-        glue_across_bridge(forged, cb, (2, 3), ([0, 1, 2, 3], [3, 4, 5, 2]))
+    c4 = strong_coloring_bridgeless(cycle_graph(4))
+    path = color_hamilton_path(path_graph(4))
+    embedding = ([0, 1, 2, 3], [3, 4, 5, 2])
+    calls = []
+    for forged in tampered(ca):
+        calls.append(lambda f=forged: glue_across_bridge(f, cb, (2, 3), embedding))
+    for forged in tampered(c4) + tampered(path):
+        calls.append(lambda f=forged: extend_vertex(f, [(4, 0), (4, 2)]))
+        calls.append(lambda f=forged: extend_two_vertices(f, [(4, 0), (4, 5), (5, 2)]))
+    outcomes = {"raised": 0, "checked": 0}
+    for call in calls:
+        try:
+            cert = call()
+        except PcError:
+            outcomes["raised"] += 1
+            continue
+        assert verify_certificate(cert).ok
+        outcomes["checked"] += 1
+    assert outcomes["raised"] and outcomes["checked"]
 
 
 def test_glue_keeps_first_half_palette():
@@ -247,7 +322,7 @@ def test_extend_vertex_random_attachments(seed):
     w = base_graph.n
     attach = rng.sample(range(base_graph.n), rng.choice([2, 3]))
     bigger = extend_vertex(base, [(w, u) for u in attach])
-    assert bigger.verified and bigger.graph.degree(w) == len(attach)
+    assert verify_certificate(bigger).ok and bigger.graph.degree(w) == len(attach)
 
 
 # --- hub skeleton ------------------------------------------------------------
@@ -336,7 +411,19 @@ def test_certificate_json_round_trip():
     doc = json.loads(text)
     assert doc["k"] == 2 and doc["meta"]["strategy"] == "bipartite_bridgeless"
     back = certificate_from_json(text)
-    assert back == cert and back.verified
+    assert back == cert and verify_certificate(back).ok
+
+
+def test_certificate_json_verified_flag_has_no_effect():
+    cert = strong_coloring_bridgeless(cycle_graph(6))
+    doc = json.loads(certificate_to_json(cert))
+    assert "verified" not in doc["meta"]
+    doc["colors"] = [1] * len(doc["colors"])
+    plain = certificate_from_json(json.dumps(doc))
+    doc["meta"]["verified"] = True
+    claimed = certificate_from_json(json.dumps(doc))
+    assert claimed == plain
+    assert not verify_certificate(claimed).ok
 
 
 def test_certificate_json_refuses_tampering():
@@ -344,4 +431,4 @@ def test_certificate_json_refuses_tampering():
     doc = json.loads(certificate_to_json(cert))
     doc["colors"][0] = doc["colors"][1]
     restored = certificate_from_json(json.dumps(doc))
-    assert not restored.verified or not verify_certificate(restored).ok
+    assert not verify_certificate(restored).ok

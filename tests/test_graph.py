@@ -16,7 +16,6 @@ from properconn import (
     bridge_block_tree,
     canonical_code,
     canonical_form,
-    connectivity,
     degree_stats,
     find_bridges,
     format_edge_list_text,
@@ -130,14 +129,6 @@ def test_shape_predicates():
     assert not is_connected(from_edge_list(4, [(0, 1), (2, 3)]))
 
 
-def test_connectivity_known_values():
-    assert connectivity(complete_graph(5)) == 4
-    assert connectivity(cycle_graph(6)) == 2
-    assert connectivity(path_graph(4)) == 1
-    assert connectivity(petersen()) == 3
-    assert connectivity(from_edge_list(3, [(0, 1)])) == 0
-
-
 @given(small_graphs(max_n=7))
 @PROPERTY_SETTINGS
 def test_bridges_match_deletion_oracle(g):
@@ -179,13 +170,6 @@ def test_bipartite_spanning_subgraph_keeps_half_the_degree(g):
     for v in range(g.n):
         assert 2 * h.degree(v) >= g.degree(v)
     assert len(sides.sideU) + len(sides.sideV) == g.n
-
-
-def test_bipartite_spanning_subgraph_exact_beats_greedy():
-    g = complete_graph(5)
-    h, _ = max_bipartite_spanning_subgraph(g, exact=True)
-    # best cut of K5 is 2+3, six edges
-    assert h.m == 6
 
 
 def test_induced_subgraph_relabels_compactly():

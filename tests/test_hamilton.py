@@ -1,4 +1,4 @@
-"""Hamilton path/cycle search and the long-path helpers."""
+"""Hamilton path and cycle search."""
 
 from __future__ import annotations
 
@@ -9,19 +9,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from properconn import (
-    SameVertex,
     TooLarge,
     from_edge_list,
     hamilton_cycle,
-    hamilton_cycle_through,
     hamilton_path,
-    hamilton_path_between,
     hamilton_path_from,
-    has_path_of_length,
-    longest_cycle,
 )
 from util import (
-    brute_longest_cycle_len,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -80,16 +74,6 @@ def test_anchored_variants():
     g = cycle_graph(6)
     p = hamilton_path_from(g, 3)
     assert is_path_of(g, p) and p[0] == 3
-    q = hamilton_path_between(g, 2, 3)
-    assert is_path_of(g, q) and {q[0], q[-1]} == {2, 3}
-    assert hamilton_path_between(g, 0, 2) is None  # skips vertex 1
-    c = hamilton_cycle_through(g, 4)
-    assert is_path_of(g, c, closed=True) and c[0] == 4
-
-
-def test_anchored_same_vertex_rejected():
-    with pytest.raises(SameVertex):
-        hamilton_path_between(cycle_graph(4), 1, 1)
 
 
 def test_trivial_sizes():
@@ -104,31 +88,6 @@ def test_size_guard():
     big = path_graph(17)
     with pytest.raises(TooLarge):
         hamilton_path(big)
-
-
-def test_has_path_of_length_examples():
-    g = cycle_graph(5)
-    # between adjacent vertices the cycle gives hops of 1 and 4
-    assert has_path_of_length(g, 0, 1, 1)
-    assert has_path_of_length(g, 0, 1, 4)
-    assert not has_path_of_length(g, 0, 1, 2)
-    with pytest.raises(ValueError):
-        has_path_of_length(g, 0, 1, 5)  # a simple path tops out at n-1 hops
-
-
-@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(4, 7))
-@PROPERTY_SETTINGS
-def test_longest_cycle_matches_brute_force(seed, n):
-    g = random_connected(random.Random(seed), n, 0.4)
-    cyc = longest_cycle(g)
-    want = brute_longest_cycle_len(g)
-    if want == 0:
-        assert cyc is None
-    else:
-        assert cyc is not None and len(cyc) == want
-        hops = list(zip(cyc, cyc[1:])) + [(cyc[-1], cyc[0])]
-        assert all(g.has_edge(u, v) for u, v in hops)
-        assert len(set(cyc)) == len(cyc)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(3, 6))

@@ -9,7 +9,10 @@ import pytest
 
 from properconn import (
     FixturesMissing,
+    PcError,
     TooLarge,
+    VerificationFailed,
+    VerificationReport,
     canonical_code,
     degree_stats,
     enumerate_connected,
@@ -196,6 +199,17 @@ def test_min_degree_survey_finds_the_seven_vertex_exception():
     assert exc.pc == 3
     assert verify_certificate(exc.certificate).ok
     assert report.unresolved == []
+
+
+def test_unverifiable_witness_is_a_pc_error(monkeypatch):
+    monkeypatch.setattr(
+        survey_mod,
+        "verify_certificate",
+        lambda cert: VerificationReport(False, "rejected for the test"),
+    )
+    with pytest.raises(VerificationFailed, match="F@QFw") as info:
+        survey_mod._examine("F@QFw")
+    assert isinstance(info.value, PcError)
 
 
 def test_min_degree_survey_bounds_checking():

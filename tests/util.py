@@ -120,17 +120,3 @@ def brute_bridges(g: Graph):
         if v not in seen:
             out.append((u, v))
     return out
-
-
-def brute_longest_cycle_len(g: Graph) -> int:
-    best = 0
-    for start in range(g.n):
-        stack = [(start, [start], 1 << start)]
-        while stack:
-            x, path, seen = stack.pop()
-            for y in g.neighbors(x):
-                if y == start and len(path) >= 3:
-                    best = max(best, len(path))
-                elif not seen >> y & 1 and y > start:
-                    stack.append((y, path + [y], seen | 1 << y))
-    return best
