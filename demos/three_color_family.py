@@ -7,9 +7,10 @@ them back to back, so their colors must be pairwise different: three
 colors are forced no matter how large t grows, even though min degree
 scales like n/8.
 
-For t=2 (16 vertices) this script lets the solver prove it: the staged
-pipeline returns None, the exhaustive 2-color sweep comes back empty,
-and a hand-picked 3-coloring passes the checker.
+For t=2 (16 vertices) this script lets the solver prove it: pc2_pipeline
+returns None (its kernel ruled out every 2-coloring), pc_exact's 2-color
+sweep comes back empty too, and a hand-picked 3-coloring passes the
+checker.
 """
 
 import time
@@ -40,7 +41,8 @@ def main():
 
     g = make_star_of_bicliques(2)
     print("t=2 in detail:")
-    print(f"  pipeline says: {pc2_pipeline(g)}")
+    verdict = "no 2-coloring" if pc2_pipeline(g) is None else "2 colors suffice"
+    print(f"  pc2_pipeline says: {verdict}")
 
     t0 = time.monotonic()
     try:

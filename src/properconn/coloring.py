@@ -304,6 +304,10 @@ def complete(g: Graph, k: int, fixed, free, strong: bool = False, deadline=None)
     slots = [index[e] for e in free]
     if len(slots) + len(fixed) != g.m or set(fixed) | set(free) != set(index):
         raise ColoringGraphMismatch("fixed and free edges must split the edge set")
+    # fresh relaxation colors start at k+1, so a fixed color there is unsound
+    bad = sorted({c for c in fixed.values() if not 1 <= c <= k})
+    if bad:
+        raise ColoringGraphMismatch(f"fixed colors {bad} outside 1..{k}")
     colors = [0] * g.m
     for e, c in fixed.items():
         colors[index[e]] = c

@@ -1,12 +1,13 @@
 """Certificate-producing colorings: trees, bridgeless cores, gluing,
-vertex extensions, and the staged 2-color pipeline.
+vertex extensions, hub skeletons, and the 2-color decision pc2_pipeline.
 
 Every operation checks its output with the exact checker before
 returning it, exactly once; a certificate is never trusted on the
 strength of the construction alone. Colorings that are searched for come
 from the completion kernel `coloring.complete`, whose passing leaf check
 is that one check. Searches are deterministic: fixed candidate orders,
-and any sampled candidates come from a seeded generator.
+and any sampled candidates come from a seeded generator. pc2_pipeline
+returns None only after the kernel has exhausted every 2-coloring.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .errors import (
 from .graph import (
     Graph,
     bipartition,
-    bridge_block_tree,
     degree_stats,
     find_bridges,
     from_edge_list,
@@ -431,6 +431,9 @@ def extend_vertex(cert: PcCertificate, new_edges) -> PcCertificate:
     got = _search(bigger, 2, base_assignment, attach, "extend")
     if got is not None:
         return got
+    # checked only now, so a sound base costs nothing extra
+    if not is_proper_connected(cert.coloring):
+        raise UnsuitableBase("the base coloring is not proper connected")
     raise VerificationExhausted(
         "no 2-color assignment on the new edges works; "
         "for a degree >= 2 attachment this should be impossible"
@@ -458,6 +461,8 @@ def extend_two_vertices(cert: PcCertificate, new_edges) -> PcCertificate:
     got = _search(bigger, cert.k, base_assignment, all_new, "extend")
     if got is not None:
         return got
+    if not has_strong_property(cert.coloring):
+        raise UnsuitableBase("the base coloring does not have the strong property")
     raise VerificationExhausted(
         "no assignment on the new edges connects the extended graph"
     )
@@ -531,262 +536,38 @@ def color_hub_branches(g: Graph, hub: int, parts):
 
 
 # ---------------------------------------------------------------------------
-# the staged 2-color pipeline
-
-
-def _relabel_to(g: Graph, cert: PcCertificate, mapping, strategy: str):
-    """Transfer a certificate along vertex mapping into g; edges of g not
-    covered by the certificate get color 1. Verified again on g, and
-    marked strong when the strong check passes too."""
-    assignment = {e: 1 for e in g.edges}
-    for (x, y), c in zip(cert.graph.edges, cert.coloring.colors):
-        p, q = mapping[x], mapping[y]
-        assignment[min(p, q), max(p, q)] = c
-    plain = _search(g, 2, assignment, (), strategy)
-    if plain is None:
-        return None
-    return _search(g, 2, assignment, (), strategy, strong=True) or plain
-
-
-def _piece_certificate(h: Graph, comp, pendants):
-    """Certificate for one bridge-block piece plus its pendant bridge ends.
-
-    comp is the 2-edge-connected vertex set inside h; pendants maps each
-    outside bridge endpoint to its attachment inside comp. Labels of the
-    result are compact; returns (cert, mapping to h labels) or None.
-    """
-    members = sorted(comp)
-    outside = sorted(pendants)
-    mapping = members + outside
-    index = {x: i for i, x in enumerate(mapping)}
-    inner = [
-        (index[a], index[b])
-        for a, b in h.edges
-        if a in comp and b in comp
-    ]
-    pend = [
-        (index[pendants[p]], index[p]) for p in outside
-    ]
-    piece = from_edge_list(len(mapping), inner + pend)
-    if len(members) == 1:
-        inner_colors: dict[tuple[int, int], int] = {}
-    else:
-        sub = from_edge_list(len(members), inner)
-        core = _strong_bridgeless(sub)
-        inner_colors = {
-            e: c for e, c in zip(sub.edges, core.coloring.colors)
-        }
-    free = [(min(e), max(e)) for e in pend]
-    got = _search(piece, 2, inner_colors, free, "glue")
-    return None if got is None else (got, mapping)
-
-
-def _chain_glue(g: Graph, h: Graph, tree) -> PcCertificate | None:
-    """Stage 3: bridge-block chain of the bipartite subgraph, glued."""
-    comps = tree.components
-    order = [tree.leaves()[0]]
-    while len(order) < len(comps):
-        nxt = [
-            c for c in tree.tree_adj[order[-1]]
-            if len(order) < 2 or c != order[-2]
-        ]
-        if not nxt:
-            break
-        order.append(nxt[0])
-    if len(order) != len(comps):
-        return None
-    bridge_of = {}
-    for x, y in tree.bridges:
-        cx, cy = tree.component_of(x), tree.component_of(y)
-        bridge_of[min(cx, cy), max(cx, cy)] = (x, y)
-
-    def pendants_for(pos):
-        result = {}
-        for nb_pos in (pos - 1, pos + 1):
-            if 0 <= nb_pos < len(order):
-                ci, cj = order[pos], order[nb_pos]
-                x, y = bridge_of[min(ci, cj), max(ci, cj)]
-                if x in comps[order[pos]]:
-                    result[y] = x
-                else:
-                    result[x] = y
-        return result
-
-    built = _piece_certificate(h, comps[order[0]], pendants_for(0))
-    if built is None:
-        return None
-    acc_cert, acc_map = built
-    for pos in range(1, len(order)):
-        built = _piece_certificate(h, comps[order[pos]], pendants_for(pos))
-        if built is None:
-            return None
-        piece_cert, piece_map = built
-        real = sorted(set(acc_map) | set(piece_map))
-        compact = {x: i for i, x in enumerate(real)}
-        ci, cj = order[pos - 1], order[pos]
-        bx, by = bridge_of[min(ci, cj), max(ci, cj)]
-        bridge = (compact[bx], compact[by])
-        acc_cert = glue_across_bridge(
-            acc_cert,
-            piece_cert,
-            bridge,
-            ([compact[x] for x in acc_map], [compact[x] for x in piece_map]),
-        )
-        acc_map = real
-    return _relabel_to(g, acc_cert, acc_map, "glue")
-
-
-def _seed_and_extend(g: Graph, h: Graph) -> PcCertificate | None:
-    """Stage 5: strong bipartite seed, then absorb the rest vertex by
-    vertex (or in pairs while the running certificate stays strong)."""
-    try:
-        tree = bridge_block_tree(h)
-    except Disconnected:
-        return None
-    seeds = sorted(
-        (c for c in tree.components if len(c) >= 3),
-        key=lambda c: (-len(c), min(c)),
-    )
-    if not seeds:
-        return None
-    seed = seeds[0]
-    sub_h, mapping = induced_subgraph(h, seed)
-    core = _strong_bridgeless(sub_h)
-    # lift the seed onto g's induced subgraph: extra chords only add paths
-    sub_g, mapping = induced_subgraph(g, seed)
-    lifted = {e: 1 for e in sub_g.edges}
-    for e, c in zip(sub_h.edges, core.coloring.colors):
-        lifted[e] = c
-    cert = _search(sub_g, 2, lifted, (), "extend", strong=True)
-    if cert is None:
-        return None
-
-    inside = list(mapping)
-    index = {x: i for i, x in enumerate(inside)}
-    remaining = sorted(set(range(g.n)) - set(inside))
-
-    def attach_edges(x, extra=()):
-        known = dict(index)
-        for i, y in enumerate(extra):
-            known[y] = len(inside) + i
-        return [
-            (min(known[y], known[x]), max(known[y], known[x]))
-            for y in g.neighbors(x)
-            if y in known
-        ]
-
-    while remaining:
-        single = None
-        for x in remaining:
-            if sum(1 for y in g.neighbors(x) if y in index) >= 2:
-                single = x
-                break
-        if single is not None:
-            cert = extend_vertex(cert, attach_edges(single, extra=(single,)))
-            inside.append(single)
-            index[single] = len(inside) - 1
-            remaining.remove(single)
-        elif cert.strong and len(remaining) >= 2:
-            pair = None
-            for i, x in enumerate(remaining):
-                for y in remaining[i + 1:]:
-                    ex = attach_edges(x, extra=(x, y))
-                    ey = attach_edges(y, extra=(x, y))
-                    joint = sorted(set(ex) | set(ey))
-                    degx = sum(1 for e in joint if len(inside) in e)
-                    degy = sum(1 for e in joint if len(inside) + 1 in e)
-                    to_base = any(
-                        min(e) < len(inside) for e in joint
-                    )
-                    if degx >= 1 and degy >= 1 and to_base:
-                        pair = (x, y, joint)
-                        break
-                if pair:
-                    break
-            if pair is None:
-                return None
-            x, y, joint = pair
-            cert = extend_two_vertices(cert, joint)
-            inside.extend([x, y])
-            index[x] = len(inside) - 2
-            index[y] = len(inside) - 1
-            remaining.remove(x)
-            remaining.remove(y)
-        else:
-            return None
-        # keep the strong flag honest so pair absorption stays available
-        if not cert.strong:
-            assignment = dict(zip(cert.graph.edges, cert.coloring.colors))
-            cert = _search(cert.graph, 2, assignment, (), "extend", strong=True) or cert
-    return _relabel_to(g, cert, inside, "extend")
+# the 2-color decision
 
 
 def pc2_pipeline(g: Graph):
-    """Try the cheap 2-color strategies in a fixed order; None if all fail.
+    """A checked 2-color certificate, or None when g has no 2-coloring.
 
-    Order: spanning path; bridgeless bipartite spanning subgraph; chain of
-    bipartite blocks glued across bridges; degree-3 hub skeleton; strong
-    seed plus vertex absorption. A None return means the caller should
-    fall back to exact search, not that pc > 2.
+    Three steps. A spanning path, colored alternately. Else the bipartite
+    core: when the spanning bipartite subgraph h is connected and
+    bridgeless, its strong 2-coloring, with every other edge at color 1,
+    is proper connected on g too, because each proper path of h is a
+    path of g with the same colors. Else the completion kernel over
+    every 2-coloring of g, whose exhaustion is the verdict. (A connected
+    graph on at most 2 vertices has a spanning path, so h has n >= 3.)
     """
     if g.n > PIPELINE_MAX_N:
         raise TooLarge(f"pipeline limited to n <= {PIPELINE_MAX_N}")
     if not is_connected(g):
         raise Disconnected("only connected graphs have a connection number")
-    if g.n < 2:
-        return None
 
     cert = color_hamilton_path(g)
     if cert is not None:
         return cert
 
     h, _ = max_bipartite_spanning_subgraph(g)
-    if not is_connected(h):
-        return None
-    tree = bridge_block_tree(h)
-    if len(tree.components) == 1 and h.n >= 3:
+    if is_connected(h) and not find_bridges(h):
         core = _strong_bridgeless(h)
-        got = _relabel_to(g, core, list(range(g.n)), "bipartite_bridgeless")
-        if got is not None:
-            return got
-    elif tree.max_degree() <= 2:
-        got = _chain_glue(g, h, tree)
-        if got is not None:
-            return got
-    else:
-        hubs = [
-            i for i, nb in enumerate(tree.tree_adj) if len(nb) == 3
-        ]
-        if (
-            tree.max_degree() == 3
-            and len(hubs) == 1
-            and len(tree.components[hubs[0]]) == 1
-        ):
-            hub = min(tree.components[hubs[0]])
-            branches = []
-            for first in tree.tree_adj[hubs[0]]:
-                verts: set[int] = set()
-                stack = [(first, hubs[0])]
-                while stack:
-                    node, parent = stack.pop()
-                    verts |= set(tree.components[node])
-                    stack.extend(
-                        (nxt, node)
-                        for nxt in tree.tree_adj[node]
-                        if nxt != parent
-                    )
-                branches.append(verts)
-            for cycle_part in range(3):
-                rest = [branches[i] for i in range(3) if i != cycle_part]
-                try:
-                    got = color_hub_branches(
-                        g, hub, (branches[cycle_part], rest[0], rest[1])
-                    )
-                except BadPartition:
-                    got = None
-                if got is not None:
-                    return got
-    return _seed_and_extend(g, h)
+        assignment = {e: 1 for e in g.edges}
+        assignment.update(zip(h.edges, core.coloring.colors))
+        return _certify(
+            g, 2, _assignment_to_colors(g, assignment), "bipartite_bridgeless"
+        )
+    return _search(g, 2, {}, g.edges, "exhaustive")
 
 
 # ---------------------------------------------------------------------------

@@ -275,17 +275,8 @@ class BridgeBlockTree:
     bridges: tuple[tuple[int, int], ...]
     tree_adj: tuple[tuple[int, ...], ...]
 
-    def component_of(self, v: int) -> int:
-        for idx, comp in enumerate(self.components):
-            if v in comp:
-                return idx
-        raise VertexOutOfRange(f"vertex {v} not in any component")
-
     def leaves(self) -> list[int]:
         return [i for i, nbr in enumerate(self.tree_adj) if len(nbr) == 1]
-
-    def max_degree(self) -> int:
-        return max((len(nbr) for nbr in self.tree_adj), default=0)
 
 
 def bridge_block_tree(g: Graph) -> BridgeBlockTree:

@@ -6,9 +6,12 @@ augmentation (grow by one vertex, dedup by canonical code) for n <= 9,
 and a labeled adjacency-mask sweep for n <= 7. The augmentation labels
 only children that pass a canonical-deletion prefilter, and a level with
 minimum degree >= t grows from levels filtered the same way, so the
-surveys never build the full levels they would discard. Surveys run the
-cheap constructive pipeline first and fall back to the exact solver;
-graphs whose search budget runs out are reported, never dropped.
+surveys never build the full levels they would discard. Surveys decide
+pc <= 2 with pc2_pipeline (a spanning path, a bipartite core, else the
+exact kernel at k = 2), whose None is a verdict; only those graphs go to
+the exact solver, and graphs whose search budget runs out are reported,
+never dropped. A solver that finds a 2-coloring there contradicts the
+pipeline and raises VerificationFailed.
 """
 
 from __future__ import annotations
@@ -427,7 +430,9 @@ def _examine(code: str):
     except SearchBudgetExceeded as exc:
         return ("unresolved", (exc.lower, exc.upper, str(exc)))
     if pc == 2:
-        return ("two", None)
+        raise VerificationFailed(
+            f"{code}: pc_exact found a 2-coloring that pc2_pipeline ruled out"
+        )
     if not verify_certificate(witness):
         raise VerificationFailed(f"unverifiable witness for {code}")
     return ("exception", (pc, witness))

@@ -249,6 +249,16 @@ def test_kernel_rejects_a_bad_edge_split():
         complete(g, 2, {(0, 1): 1}, [(0, 1), (1, 2)])
 
 
+def test_kernel_rejects_fixed_colors_outside_the_palette():
+    # relaxation colors start at k+1; a fixed k+1 would collide with them
+    g = path_graph(6)
+    rest = [e for e in g.edges if e != (0, 1)]
+    for bad in (3, 0, -1):
+        with pytest.raises(ColoringGraphMismatch, match="outside 1..2"):
+            complete(g, 2, {(0, 1): bad}, rest)
+    assert complete(g, 2, {(0, 1): 2}, rest) == (2, 1, 2, 1, 2)
+
+
 def test_kernel_reads_the_clock_at_the_first_node():
     g = cycle_graph(5)
     with pytest.raises(_OutOfTime):

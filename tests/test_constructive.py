@@ -1,5 +1,5 @@
 """Certificate builders: trees, spanning paths, bridgeless strong colorings,
-gluing, vertex absorption, and the staged 2-color pipeline."""
+gluing, vertex absorption, and the 2-color decision pc2_pipeline."""
 
 from __future__ import annotations
 
@@ -28,6 +28,7 @@ from properconn import (
     color_hamilton_path,
     color_hub_branches,
     color_tree,
+    enumerate_connected,
     extend_two_vertices,
     extend_vertex,
     find_bridges,
@@ -39,6 +40,7 @@ from properconn import (
     pc2_pipeline,
     pc_exact,
     strong_coloring_bridgeless,
+    to_graph6,
     verify_certificate,
 )
 from util import (
@@ -365,12 +367,11 @@ def test_hub_branches_stays_none_when_two_colors_fail():
 
 
 def test_pipeline_stage_exemplars():
-    # one frozen graph per stage, smallest found by a full scan to n=7
+    # one frozen graph per step: spanning path, bipartite core, kernel
     cases = {
         "BW": "hamilton_path",
         "E?~o": "bipartite_bridgeless",  # complete bipartite 2x4
-        "E?No": "glue",
-        "E@NW": "hub_branches",
+        "E?No": "exhaustive",
     }
     for code, tag in cases.items():
         got = pc2_pipeline(from_graph6(code))
@@ -383,11 +384,12 @@ def test_pipeline_gives_up_on_three_color_graphs():
         assert pc2_pipeline(g) is None
 
 
-def test_pipeline_none_is_not_a_verdict():
-    # CF is the four-vertex star: pipeline fails and pc really is 3;
-    # but a pipeline miss can also happen at pc=2, so None proves nothing
-    assert pc2_pipeline(from_graph6("CF")) is None
-    assert pc_exact(from_graph6("CF"))[0] == 3
+def test_pipeline_none_is_the_verdict_pc_above_two():
+    # every connected graph on 2..7 vertices (995 classes)
+    graphs = [g for n in range(2, 8) for g in enumerate_connected(n)]
+    assert len(graphs) == 995
+    for g in graphs:
+        assert (pc2_pipeline(g) is None) == (pc_exact(g)[0] > 2), to_graph6(g)
 
 
 def test_pipeline_size_guard():

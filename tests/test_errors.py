@@ -5,10 +5,13 @@ from __future__ import annotations
 import pytest
 
 from properconn import (
+    EdgeColoring,
     OutOfRange,
+    PcCertificate,
     PcError,
     TooSmall,
     UnsuitableBase,
+    extend_two_vertices,
     extend_vertex,
     from_edge_list,
     make_star_of_bicliques,
@@ -17,7 +20,12 @@ from properconn import (
     survey_bipartite,
     survey_min_degree,
 )
-from util import complete_graph, cycle_graph, star_graph
+from util import complete_graph, cycle_graph, path_graph, star_graph
+
+
+def forged(g):
+    """An all-1 "strong 2-coloring" that connects no pair at distance 2."""
+    return PcCertificate(g, EdgeColoring(g, 2, (1,) * g.m), 2, "forged", True)
 
 
 def test_bad_argument_values_raise_pc_errors():
@@ -27,6 +35,8 @@ def test_bad_argument_values_raise_pc_errors():
         (OutOfRange, lambda: survey_bipartite(3, 5)),
         (TooSmall, lambda: strong_coloring_bridgeless(from_edge_list(1, []))),
         (UnsuitableBase, lambda: extend_vertex(pc_exact(star_graph(3))[1], [(4, 0), (4, 1)])),
+        (UnsuitableBase, lambda: extend_vertex(forged(cycle_graph(4)), [(4, 0), (4, 2)])),
+        (UnsuitableBase, lambda: extend_two_vertices(forged(path_graph(4)), [(4, 0), (4, 5)])),
     ]
     for kind, call in cases:
         with pytest.raises(kind) as info:

@@ -212,6 +212,15 @@ def test_unverifiable_witness_is_a_pc_error(monkeypatch):
     assert isinstance(info.value, PcError)
 
 
+def test_solver_contradicting_the_pipeline_is_a_pc_error(monkeypatch):
+    # C5 has a 2-coloring, so a pipeline None here contradicts pc_exact
+    monkeypatch.setattr(survey_mod, "pc2_pipeline", lambda g: None)
+    code = to_graph6(cycle_graph(5))
+    with pytest.raises(VerificationFailed, match="ruled out") as info:
+        survey_mod._examine(code)
+    assert isinstance(info.value, PcError)
+
+
 def test_min_degree_survey_bounds_checking():
     with pytest.raises(ValueError):
         survey_min_degree(6, 5)
