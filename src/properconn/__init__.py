@@ -92,7 +92,6 @@ from .survey import (
     SurveyReport,
     UnresolvedRecord,
     enumerate_connected,
-    enumerate_connected_by_sweep,
     exceptional_graphs,
     format_report_text,
     make_star_of_bicliques,

@@ -6,11 +6,14 @@ predicates here answer two questions about a colored graph: is every
 vertex pair joined by a proper simple path, and does every pair have two
 proper paths whose first colors differ and whose last colors differ.
 
-Everything is decided by exhaustive simple-path enumeration. A relaxed
-walk reachability (breadth-first search over (vertex, last color)
-states) is used internally as a fast necessary filter and for pruning,
-never as the final answer: walks may revisit vertices, so walk
-reachability can overcount.
+Everything is decided by exhaustive simple-path enumeration. The checker
+runs one depth-first search over the proper simple paths from each
+source and settles every later vertex it reaches; when that search runs
+to the end, the vertices it missed are the failing pairs. Past a fixed
+step cap, the unsettled pairs go one at a time to a per-pair search
+pruned by walk reachability (breadth-first search over (vertex, last
+color) states). Walks may revisit vertices, so walk reachability can
+overcount: it prunes and rejects, but never accepts a pair.
 
 `complete` is the one search over colorings: every exact coloring search
 in the package (minimum palettes, strong sweeps, extensions, skeleton
@@ -102,7 +105,13 @@ class PathProfile:
 
 
 # ---------------------------------------------------------------------------
-# internal machinery on primitive data (shared with the solver hot loops)
+# internal machinery on primitive data (the checker behind every public
+# predicate and every node of the completion kernel)
+
+
+# Steps (edges followed) one source's DFS in _Machine.dfs_from may take
+# before the targets it has not settled go to the per-pair search.
+_DFS_STEPS = 256
 
 
 def _spread_states(trans, init: int) -> int:
@@ -123,9 +132,11 @@ def _spread_states(trans, init: int) -> int:
 class _Machine:
     """Per-coloring search state: color lookups, walk transitions, caches.
 
-    States are (vertex, last edge color) packed as v*k + color-1. Built
-    once per coloring and reused across all vertex pairs; the solver's
-    enumeration loops rely on that reuse.
+    first_bad_pair runs one depth-first search over proper simple paths
+    per source. Only when that search passes its step cap does it fall
+    back to the per-pair search (pair_ok), which prunes with walk
+    transitions over states (vertex, last edge color), packed as
+    v*k + color-1; those tables are built on first use.
     """
 
     def __init__(self, n: int, k: int, edges, colors):
@@ -136,19 +147,26 @@ class _Machine:
             rows[u][v] = c
             rows[v][u] = c
         self.rows = rows
-        trans = [0] * (n * k)
-        for v in range(n):
-            out = sorted(rows[v].items())
-            for c in range(1, k + 1):
-                mask = 0
-                for w, cw in out:
-                    if cw != c:
-                        mask |= 1 << (w * k + cw - 1)
-                trans[v * k + c - 1] = mask
-        self.trans = trans
+        self._trans = None
         self._rtrans = None
         self._walk: dict[int, int] = {}
         self._good: dict[int, int] = {}
+
+    def transitions(self) -> list[int]:
+        """trans[s]: states one proper step away from state s."""
+        if self._trans is None:
+            n, k, rows = self.n, self.k, self.rows
+            trans = [0] * (n * k)
+            for v in range(n):
+                out = sorted(rows[v].items())
+                for c in range(1, k + 1):
+                    mask = 0
+                    for w, cw in out:
+                        if cw != c:
+                            mask |= 1 << (w * k + cw - 1)
+                    trans[v * k + c - 1] = mask
+            self._trans = trans
+        return self._trans
 
     def walk_mask(self, u: int) -> int:
         """Vertices reachable from u by a proper walk of >= 1 edge."""
@@ -159,7 +177,7 @@ class _Machine:
         init = 0
         for w, c in self.rows[u].items():
             init |= 1 << (w * k + c - 1)
-        states = _spread_states(self.trans, init)
+        states = _spread_states(self.transitions(), init)
         vmask = 0
         while states:
             low = states & -states
@@ -168,26 +186,16 @@ class _Machine:
         self._walk[u] = vmask
         return vmask
 
-    def walk_all_pairs(self) -> bool:
-        """Necessary filter: every pair joined by a proper walk."""
-        want = (1 << self.n) - 1
-        for u in range(self.n - 1):
-            # walk reachability is symmetric, so checking v > u suffices
-            remaining = want & ~((1 << (u + 1)) - 1)
-            if self.walk_mask(u) & remaining != remaining:
-                return False
-        return True
-
     def good_states(self, v: int) -> int:
         """States (w, last color) from which some proper walk ends at v."""
         cached = self._good.get(v)
         if cached is not None:
             return cached
         if self._rtrans is None:
-            size = self.n * self.k
-            rtrans = [0] * size
-            for s in range(size):
-                m = self.trans[s]
+            trans = self.transitions()
+            rtrans = [0] * len(trans)
+            for s in range(len(trans)):
+                m = trans[s]
                 while m:
                     low = m & -m
                     rtrans[low.bit_length() - 1] |= 1 << s
@@ -261,10 +269,60 @@ class _Machine:
         found = PathProfile(frozenset(self.profile_pairs(u, v, mode)))
         return found.has_strong_pair() if strong else found.connects()
 
+    def dfs_from(self, u: int, strong: bool) -> tuple[int, bool]:
+        """One DFS over the proper simple paths that start at u.
+
+        Returns (pending, finished): pending is the mask of targets v > u
+        not yet known to be good (reached by a proper path, or in strong
+        mode by two paths whose first colors differ and whose last colors
+        differ), and finished says the DFS ended because no target was
+        pending or every proper simple path from u was seen, rather than
+        because _DFS_STEPS ran out.
+        """
+        rows = self.rows
+        pending = (1 << self.n) - (2 << u)
+        steps = _DFS_STEPS
+        ends: dict[int, set[tuple[int, int]]] = {}
+
+        def strong_pair(x: int, start: int, last: int) -> bool:
+            seen = ends.setdefault(x, set())
+            # the pairs recorded so far hold no strong pair, so only the
+            # new one can complete one
+            if any(s != start and e != last for s, e in seen):
+                return True
+            seen.add((start, last))
+            return False
+
+        def rec(w: int, visited: int, last: int, start: int) -> bool:
+            nonlocal pending, steps
+            for x, cx in rows[w].items():
+                if cx == last or visited >> x & 1:
+                    continue
+                if pending >> x & 1 and (not strong or strong_pair(x, start, cx)):
+                    pending ^= 1 << x
+                    if not pending:
+                        return True
+                steps -= 1
+                if steps < 0 or rec(x, visited | 1 << x, cx, start):
+                    return True
+            return False
+
+        for w, c in rows[u].items():
+            if pending >> w & 1 and (not strong or strong_pair(w, c, c)):
+                pending ^= 1 << w
+                if not pending:
+                    break
+            if rec(w, 1 << u | 1 << w, c, c):
+                break
+        return pending, steps >= 0
+
     def first_bad_pair(self, strong: bool):
+        """Lexicographically first pair (u, v) that fails, or None."""
         for u in range(self.n - 1):
+            pending, finished = self.dfs_from(u, strong)
             for v in range(u + 1, self.n):
-                if not self.pair_ok(u, v, strong):
+                # a finished DFS saw every proper simple path from u
+                if pending >> v & 1 and (finished or not self.pair_ok(u, v, strong)):
                     return (u, v)
         return None
 

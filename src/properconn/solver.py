@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 from .coloring import (
     _OutOfTime,
+    first_improper_pair,
+    first_weak_pair,
     has_strong_property,
     is_proper_connected,
 )
@@ -165,14 +167,14 @@ def verify_certificate(cert: PcCertificate) -> VerificationReport:
             return VerificationReport(False, "coloring belongs to another graph")
         if coloring.k > cert.k or any(c > cert.k for c in coloring.colors):
             return VerificationReport(False, f"coloring exceeds {cert.k} colors")
-        if not is_proper_connected(coloring):
-            from .coloring import first_improper_pair
-
+        # the strong property implies the plain one, so a passing
+        # certificate costs one check; a failing one is scanned again
+        # to name the pair
+        check = has_strong_property if cert.strong else is_proper_connected
+        if not check(coloring):
             pair = first_improper_pair(coloring)
-            return VerificationReport(False, f"no proper path for pair {pair}")
-        if cert.strong and not has_strong_property(coloring):
-            from .coloring import first_weak_pair
-
+            if pair is not None:
+                return VerificationReport(False, f"no proper path for pair {pair}")
             pair = first_weak_pair(coloring)
             return VerificationReport(False, f"strong property fails at {pair}")
     except PcError as exc:

@@ -1,10 +1,10 @@
 """Isomorph-free enumeration of small connected graphs and exhaustive
 minimum-degree surveys of the two-color bound.
 
-Two independent generators back the exhaustiveness claims: canonical
-augmentation (grow by one vertex, dedup by canonical code) for n <= 9,
-and a labeled adjacency-mask sweep for n <= 7. The augmentation labels
-only children that pass a canonical-deletion prefilter, and a level with
+Canonical augmentation (grow by one vertex, dedup by canonical code)
+enumerates the classes for n <= 9; the test suite cross-checks it with
+an independent labeled adjacency-mask sweep for n <= 7. The augmentation
+labels only children that pass a canonical-deletion prefilter, and a level with
 minimum degree >= t grows from levels filtered the same way, so the
 surveys never build the full levels they would discard. Surveys decide
 pc <= 2 with pc2_pipeline (a spanning path, a bipartite core, else the
@@ -20,10 +20,7 @@ import json
 import time
 from dataclasses import dataclass
 from importlib import resources
-from math import comb
 from multiprocessing import get_context
-
-import numpy as np
 
 from .constructive import PcCertificate, certificate_to_json, pc2_pipeline
 from .errors import (
@@ -50,7 +47,6 @@ from .graph import (
 from .solver import pc_exact, verify_certificate
 
 ENUMERATION_MAX_N = 9
-SWEEP_MAX_N = 7
 
 FIXTURE_RESOURCE = "exceptional_graphs.json"
 
@@ -169,72 +165,6 @@ def enumerate_connected(n: int, min_degree: int = 0, bipartite_only: bool = Fals
     kind = "bipartite" if bipartite_only else "general"
     for code in _level(kind, n, max(min_degree, 0)):
         yield from_graph6(code)
-
-
-# ---------------------------------------------------------------------------
-# independent oracle: labeled sweep
-
-
-def _transposition_luts(n: int, pairs, pos):
-    """For every label transposition, byte-lookup tables computing the
-    induced permutation of adjacency-mask bits."""
-    nbits = len(pairs)
-    nchunks = (nbits + 7) // 8
-    for a in range(n):
-        for b in range(a + 1, n):
-            perm = []
-            for i, j in pairs:
-                ii = b if i == a else a if i == b else i
-                jj = b if j == a else a if j == b else j
-                perm.append(pos[(min(ii, jj), max(ii, jj))])
-            luts = []
-            for c in range(nchunks):
-                lut = np.zeros(256, dtype=np.uint32)
-                for v in range(256):
-                    w = 0
-                    for bit in range(8):
-                        p = c * 8 + bit
-                        if v >> bit & 1 and p < nbits:
-                            w |= 1 << perm[p]
-                    lut[v] = w
-                luts.append(lut)
-            yield luts
-
-
-def enumerate_connected_by_sweep(n: int):
-    """Second, independent generator: scan all labeled adjacency masks,
-    keep local lexicographic minima under label transpositions (the true
-    class minimum always survives), then dedup by canonical code.
-
-    Returns the sorted canonical graph6 codes. Cross-checking this list
-    against the augmentation chain is the enumeration acceptance gate.
-    """
-    if not 2 <= n <= SWEEP_MAX_N:
-        raise TooLarge(f"labeled sweep covers 2 <= n <= {SWEEP_MAX_N}")
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    pos = {pair: idx for idx, pair in enumerate(pairs)}
-    nbits = comb(n, 2)
-    masks = np.arange(1 << nbits, dtype=np.uint32)
-    keep = np.ones(masks.size, dtype=bool)
-    for luts in _transposition_luts(n, pairs, pos):
-        permuted = luts[0][masks & 0xFF]
-        if len(luts) > 1:
-            permuted |= luts[1][(masks >> np.uint32(8)) & 0xFF]
-        if len(luts) > 2:
-            permuted |= luts[2][(masks >> np.uint32(16)) & 0xFF]
-        keep &= masks <= permuted
-    full = (1 << n) - 1
-    codes = set()
-    for mask in masks[keep].tolist():
-        adj = [0] * n
-        for idx, (i, j) in enumerate(pairs):
-            if mask >> idx & 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-        if _reach_mask(adj, 0, full) != full:
-            continue
-        codes.add(canonical_code(from_edge_list(n, [p for idx, p in enumerate(pairs) if mask >> idx & 1])))
-    return sorted(code.decode("ascii") for code in codes)
 
 
 # ---------------------------------------------------------------------------

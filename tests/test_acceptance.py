@@ -16,7 +16,6 @@ import pytest
 from properconn import (
     SearchBudgetExceeded,
     enumerate_connected,
-    enumerate_connected_by_sweep,
     extend_vertex,
     find_bridges,
     from_edge_list,
@@ -36,6 +35,7 @@ from properconn import (
 from util import (
     brute_is_proper_connected,
     complete_graph,
+    enumerate_connected_by_sweep,
     random_connected,
     star_graph,
 )

@@ -6,6 +6,7 @@ import json
 import random
 import time
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -25,14 +26,17 @@ from properconn import (
     make_coloring,
     path_profile,
 )
-from properconn.coloring import _OutOfTime, complete
+from properconn import coloring
+from properconn.coloring import _Machine, _OutOfTime, complete
 from util import (
+    brute_first_bad_pair,
     brute_has_strong,
     brute_is_proper_connected,
     brute_profile,
     complete_graph,
     cycle_graph,
     path_graph,
+    per_pair_first_bad_pair,
     random_connected,
 )
 
@@ -152,6 +156,35 @@ def test_profile_is_reverse_symmetric(c):
             assert path_profile(c, v, u).pairs == frozenset(
                 (b, a) for a, b in fwd
             )
+
+
+@st.composite
+def relaxed_colorings(draw):
+    """(graph, palette size, colors): colors in 1..k, except that some
+    edges get their own fresh color above k, as in the kernel's
+    relaxation checks."""
+    n = draw(st.sampled_from(range(2, 9)))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    g = random_connected(rng, n, draw(st.sampled_from([0.0, 0.15, 0.3, 0.5])))
+    k = draw(st.integers(min_value=1, max_value=3))
+    colors = [rng.randint(1, k) for _ in g.edges]
+    fresh = rng.sample(range(g.m), draw(st.integers(min_value=0, max_value=g.m)))
+    for j, i in enumerate(fresh):
+        colors[i] = k + 1 + j
+    return g, k + len(fresh), colors
+
+
+@pytest.mark.parametrize("steps", [0, coloring._DFS_STEPS])
+@given(relaxed_colorings(), st.booleans())
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_first_bad_pair_matches_independent_oracles(steps, case, strong):
+    # steps=0 sends every target the DFS has not settled to the fallback
+    g, k, colors = case
+    color_of = make_coloring(g, k, colors).color
+    want = brute_first_bad_pair(g, color_of, strong)
+    assert per_pair_first_bad_pair(_Machine(g.n, k, g.edges, colors), strong) == want
+    with mock.patch.object(coloring, "_DFS_STEPS", steps):
+        assert _Machine(g.n, k, g.edges, colors).first_bad_pair(strong) == want
 
 
 def test_failure_reports_are_consistent():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from properconn import (
     Disconnected,
+    PcCertificate,
     SearchBudgetExceeded,
     from_edge_list,
     from_graph6,
@@ -17,6 +18,8 @@ from properconn import (
     make_coloring,
     pc_exact,
     pc_upper,
+    solver,
+    strong_coloring_bridgeless,
     verify_certificate,
 )
 from util import (
@@ -202,7 +205,31 @@ def test_verify_rejects_false_strong_claim():
     forged = type(cert)(g, ok, 2, "exhaustive", True)
     report = verify_certificate(forged)
     assert not report.ok
-    assert "strong" in report.reason
+    assert report.reason == "strong property fails at (0, 1)"
+
+
+def test_strong_claim_without_proper_paths_names_the_missing_path():
+    g = path_graph(3)
+    bad = make_coloring(g, 2, {(0, 1): 1, (1, 2): 1})
+    report = verify_certificate(PcCertificate(g, bad, 2, "exhaustive", True))
+    assert report.reason == "no proper path for pair (0, 2)"
+
+
+def test_passing_strong_certificate_costs_one_check(monkeypatch):
+    cert = strong_coloring_bridgeless(cycle_graph(6))
+    calls = []
+
+    def counted(name, check):
+        def run(coloring):
+            calls.append(name)
+            return check(coloring)
+
+        return run
+
+    for name in ("is_proper_connected", "has_strong_property"):
+        monkeypatch.setattr(solver, name, counted(name, getattr(solver, name)))
+    assert verify_certificate(cert).ok
+    assert calls == ["has_strong_property"]
 
 
 def test_verify_rejects_palette_overflow():

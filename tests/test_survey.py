@@ -16,7 +16,6 @@ from properconn import (
     canonical_code,
     degree_stats,
     enumerate_connected,
-    enumerate_connected_by_sweep,
     exceptional_graphs,
     find_bridges,
     format_report_text,
@@ -33,7 +32,7 @@ from properconn import (
     write_report,
 )
 from properconn import survey as survey_mod
-from util import complete_graph, cycle_graph
+from util import complete_graph, cycle_graph, enumerate_connected_by_sweep
 
 # connected graphs per vertex count, a classic integer sequence
 CONNECTED_COUNTS = {2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
