@@ -1,9 +1,10 @@
 """Exact computation of the minimum palette for proper connectivity.
 
 Upper bounds come from constructions (complete, spanning path, spanning
-tree); lower bounds come only from exhausted search at smaller palettes,
-plus the definitional fact that only complete graphs work with one color.
-The search budget is wall-clock capped (PC_BUDGET_MS); running out is
+tree). Lower bounds are proved: the most bridges at any one vertex, and
+every palette that the exhaustive search ran out of, plus the
+definitional fact that only complete graphs work with one color. The
+search budget is wall-clock capped (PC_BUDGET_MS); running out is
 reported as a bracketing interval, never as a silent wrong answer.
 """
 
@@ -27,11 +28,8 @@ from .constructive import (
     color_hamilton_path,
     color_tree,
 )
-from .errors import Disconnected, OutOfRange, PcError, SearchBudgetExceeded, TooLarge
-from .graph import Graph, degree_stats, from_edge_list, is_complete, is_connected
-
-EXHAUSTIVE_VOLUME = 1 << 22
-SMALL_N, SMALL_M = 10, 24
+from .errors import Disconnected, OutOfRange, PcError, SearchBudgetExceeded
+from .graph import Graph, degree_stats, find_bridges, from_edge_list, is_complete, is_connected
 
 
 def _budget_deadline():
@@ -75,10 +73,7 @@ def pc_upper(g: Graph) -> PcCertificate:
         raise Disconnected("upper bounds are defined for connected graphs")
     if is_complete(g):
         return _certify(g, 1, (1,) * g.m, "complete")
-    try:
-        cert = color_hamilton_path(g)
-    except TooLarge:
-        cert = None
+    cert = color_hamilton_path(g)
     if cert is not None:
         return cert
     best_edges, best_delta = None, g.n
@@ -97,27 +92,38 @@ def pc_upper(g: Graph) -> PcCertificate:
     return _certify(g, inner.k, colors, "tree")
 
 
+def _bridge_star(g: Graph) -> int:
+    """The most bridges that meet at any one vertex."""
+    count = [0] * g.n
+    for u, v in find_bridges(g):
+        count[u] += 1
+        count[v] += 1
+    return max(count, default=0)
+
+
 def pc_exact(g: Graph, kmax=None) -> tuple[int, PcCertificate]:
     """The exact minimum palette size with a verified witness.
 
-    Palettes are tried in increasing order. Each is searched by the
-    completion kernel (coloring.complete) over all edges in g.edges order,
-    colors ascending, in restricted growth order (color c+1 only after
-    color c), which skips only relabelings of colorings already tried.
-    Every node checks the partial coloring with each unassigned edge given
-    its own fresh color; no completion connects a pair that this
-    relaxation leaves unconnected, so a rejection prunes the whole
-    subtree. The witness is the lexicographically first proper-connecting
-    coloring and passed the exact checker, and an exhausted palette is a
-    lower bound. The volume guard is unchanged: a palette with
-    k^(m-1) > EXHAUSTIVE_VOLUME candidates is refused on graphs with more
-    than SMALL_N vertices or SMALL_M edges, however few nodes the pruned
-    search would visit. The budget clock starts when the call does and is
-    read at every search node; an invalid PC_BUDGET_MS raises OutOfRange
-    on every call, complete graphs included.
-    With kmax set this becomes a bounded decision: if every palette up to
-    kmax is exhausted the bracketing interval is raised rather than
-    guessed.
+    If b bridges meet at one vertex v, then pc(G) >= b: for two of them,
+    vx and vy, the only x-y path is x v y, since a path leaves x's side of
+    vx and enters y's side of vy only through those edges, so the two
+    bridges need different colors. Palettes from max(2, b) up to the k of
+    pc_upper's certificate are tried in increasing order; when b equals
+    that k, no search runs. Each is searched by the completion kernel
+    (coloring.complete) over all edges in g.edges order, colors
+    ascending, in restricted growth order (color c+1 only after color c),
+    which skips only relabelings of colorings already tried. Every node
+    checks the partial coloring with each unassigned edge given its own
+    fresh color; no completion connects a pair that this relaxation
+    leaves unconnected, so a rejection prunes the whole subtree. The
+    witness is the lexicographically first proper-connecting coloring
+    and passed the exact checker, and an exhausted palette is a lower
+    bound. The budget clock starts when the call does and is read at
+    every search node; an invalid PC_BUDGET_MS raises OutOfRange on every
+    call, complete graphs included.
+    With kmax set, no palette above kmax is searched: unless the proved
+    bound meets the upper bound, the bracket [max(2, b, kmax+1), upper]
+    is raised rather than guessed.
     """
     deadline = _budget_deadline()
     if not is_connected(g):
@@ -125,17 +131,10 @@ def pc_exact(g: Graph, kmax=None) -> tuple[int, PcCertificate]:
     if is_complete(g):
         return 1, _certify(g, 1, (1,) * g.m, "complete")
     upper = pc_upper(g)
-    hi = upper.k if kmax is None else min(kmax, upper.k)
-    for k in range(2, hi + 1):
-        if k == upper.k:
-            return upper.k, upper
-        feasible = (g.n <= SMALL_N and g.m <= SMALL_M) or k ** (
-            g.m - 1
-        ) <= EXHAUSTIVE_VOLUME
-        if not feasible:
-            # smaller palettes all exhausted, so the bracket below is proven
+    for k in range(max(2, _bridge_star(g)), upper.k):
+        if kmax is not None and k > kmax:
             raise SearchBudgetExceeded(
-                k, upper.k, f"palette {k} over {g.m - 1} free edges exceeds the guard"
+                k, upper.k, f"palettes above kmax={kmax} are not searched"
             )
         try:
             cert = _search(g, k, {}, g.edges, "exhaustive", deadline=deadline)
@@ -145,9 +144,7 @@ def pc_exact(g: Graph, kmax=None) -> tuple[int, PcCertificate]:
             ) from None
         if cert is not None:
             return k, cert
-    raise SearchBudgetExceeded(
-        hi + 1, upper.k, f"all palettes up to kmax={hi} exhausted"
-    )
+    return upper.k, upper
 
 
 @dataclass(frozen=True)

@@ -105,14 +105,17 @@ def _components(g, keep):
 def test_criterion_3_biclique_star_needs_exactly_three_colors():
     """The 16-vertex biclique star has min degree n/8 yet needs a third
     color: the cheap pipeline fails, the full 2-color space exhausts,
-    and a frozen 3-coloring passes the checker."""
+    the solver finds a 3-coloring that passes the checker, and so does a
+    frozen one."""
     g = make_star_of_bicliques(2)
     assert pc2_pipeline(g) is None
 
     t0 = time.monotonic()
     with pytest.raises(SearchBudgetExceeded) as info:
-        pc_exact(g, kmax=2)  # the pruned search rules out every 2-coloring
+        pc_exact(g, kmax=2)  # the hub's three bridges prove the bracket
     assert info.value.lower == 3
+    pc, cert = pc_exact(g)
+    assert pc == 3 and verify_certificate(cert).ok
     assert time.monotonic() - t0 < 10
 
     witness = make_coloring(g, 3, dict(zip(g.edges, BICLIQUE_STAR_WITNESS)))

@@ -8,7 +8,13 @@ from __future__ import annotations
 
 import json
 
-from properconn import coloring_to_json, from_edge_list, make_coloring
+from properconn import (
+    coloring_to_json,
+    from_edge_list,
+    make_coloring,
+    strong_coloring_bridgeless,
+)
+from properconn import cli
 from properconn.cli import main
 from util import cycle_graph
 
@@ -75,6 +81,32 @@ def test_verify_strong_flag(tmp_path, capsys):
     assert "strong property fails at:" in out
 
 
+def test_verify_runs_one_check_on_a_passing_coloring(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "c6.json"
+    path.write_text(coloring_to_json(strong_coloring_bridgeless(cycle_graph(6)).coloring))
+    calls = []
+
+    def counted(name, check):
+        def run_check(coloring):
+            calls.append(name)
+            return check(coloring)
+
+        return run_check
+
+    for name in (
+        "is_proper_connected",
+        "has_strong_property",
+        "first_improper_pair",
+        "first_weak_pair",
+    ):
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    code, out, _ = run(capsys, "verify", "--graph6", "EhEG", str(path))
+    assert (code, out.strip(), calls) == (0, "ok", ["is_proper_connected"])
+    calls.clear()
+    code, out, _ = run(capsys, "verify", "--graph6", "EhEG", str(path), "--strong")
+    assert (code, out.strip(), calls) == (0, "ok strong", ["has_strong_property"])
+
+
 def test_verify_graph_mismatch(tmp_path, capsys):
     g = from_edge_list(3, [(0, 1), (1, 2)])
     path = tmp_path / "c.json"
@@ -85,7 +117,13 @@ def test_verify_graph_mismatch(tmp_path, capsys):
 
 
 def test_compute_kmax_bracket_is_inconclusive(capsys):
+    # the 4-star's four bridges prove pc=4, which kmax cannot hide
     code, out, _ = run(capsys, "compute", "--graph6", "D?{", "--kmax", "2")
+    assert code == 0
+    assert "pc=4" in out
+    # the biclique star: three bridges at the hub, a 4-color spanning tree
+    star = "O]_?WY???@_E_?????W?E"
+    code, out, _ = run(capsys, "compute", "--graph6", star, "--kmax", "2")
     assert code == 2
     assert "inconclusive: pc in [3, 4]" in out
 

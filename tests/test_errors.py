@@ -9,6 +9,7 @@ from properconn import (
     OutOfRange,
     PcCertificate,
     PcError,
+    TooLarge,
     TooSmall,
     UnsuitableBase,
     extend_two_vertices,
@@ -16,6 +17,7 @@ from properconn import (
     from_edge_list,
     make_star_of_bicliques,
     pc_exact,
+    pc_upper,
     strong_coloring_bridgeless,
     survey_bipartite,
     survey_min_degree,
@@ -52,3 +54,12 @@ def test_invalid_budget_raises_out_of_range(monkeypatch):
         for g in (complete_graph(4), cycle_graph(5)):
             with pytest.raises(OutOfRange, match="PC_BUDGET_MS"):
                 pc_exact(g)
+
+
+def test_solver_refuses_graphs_past_the_checker_cap():
+    # the Hamilton search stops at 16 vertices, as does the checker
+    # behind every other certificate
+    for call in (pc_upper, pc_exact):
+        with pytest.raises(TooLarge) as info:
+            call(path_graph(17))
+        assert isinstance(info.value, PcError)

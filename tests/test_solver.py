@@ -5,23 +5,26 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from properconn import (
     Disconnected,
     PcCertificate,
     SearchBudgetExceeded,
+    find_bridges,
     from_edge_list,
     from_graph6,
     is_tree,
     make_coloring,
+    make_star_of_bicliques,
     pc_exact,
     pc_upper,
     solver,
     strong_coloring_bridgeless,
     verify_certificate,
 )
+from properconn.coloring import complete
 from util import (
     complete_bipartite,
     complete_graph,
@@ -122,9 +125,15 @@ def test_exact_rejects_disconnected():
 
 
 def test_kmax_turns_the_search_into_a_bounded_decision():
-    # the 4-star needs 4 colors, so capping at 2 must end in a bracket
+    # the 4-star's hub meets four bridges, so the proved bound meets the
+    # tree certificate and the answer is exact, even above kmax
+    pc, cert = pc_exact(star_graph(4), kmax=2)
+    assert pc == 4 and cert.strategy == "tree"
+    assert verify_certificate(cert).ok
+    # the biclique star's hub meets three bridges, and its spanning tree
+    # needs four colors: capping at 2 must end in the bracket between them
     with pytest.raises(SearchBudgetExceeded) as info:
-        pc_exact(star_graph(4), kmax=2)
+        pc_exact(make_star_of_bicliques(2), kmax=2)
     assert info.value.lower == 3
     assert info.value.upper == 4
 
@@ -140,8 +149,9 @@ def test_budget_deadline_is_honored(monkeypatch):
 
 
 def test_three_biclique_star_resolves_via_matching_bounds():
-    # three 4-cycles of K_{2,2} behind a 3-edge hub: the 2-color sweep
-    # exhausts, and a degree-3 spanning tree closes the bracket at 3
+    # three 4-cycles of K_{2,2} behind a 3-edge hub: the hub's three
+    # bridges prove 3, and a degree-3 spanning tree meets that bound, so
+    # no palette is searched
     blocks = []
     for b in range(3):
         off = 1 + 4 * b
@@ -153,10 +163,9 @@ def test_three_biclique_star_resolves_via_matching_bounds():
     assert verify_certificate(cert).ok
 
 
-def test_oversized_palette_search_reports_a_bracket():
-    # four K4 blocks behind a hub: 25 edges push even the 2-color sweep
-    # past the volume guard, and 16 vertices disqualify the small-graph
-    # exemption, so the solver must hand back a bracket right away
+def test_sixteen_vertex_graph_gets_a_searched_two_coloring():
+    # four K4 blocks behind a hub plus a tail: 27 edges on 16 vertices,
+    # past any count of the unpruned space, yet the kernel settles it
     edges = []
     for b in range(4):
         off = 1 + 3 * b
@@ -165,10 +174,25 @@ def test_oversized_palette_search_reports_a_bracket():
     edges += [(1, 13), (13, 14), (14, 15)]  # a tail to reach 16 vertices
     g = from_edge_list(16, edges)
     assert g.m == 27
-    with pytest.raises(SearchBudgetExceeded) as info:
-        pc_exact(g)
-    assert info.value.lower == 2  # nothing exhausted, so only the trivial bound
-    assert info.value.upper == pc_upper(g).k
+    pc, cert = pc_exact(g)
+    assert pc == 2 and cert.strategy == "exhaustive"
+    assert verify_certificate(cert).ok
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(3, 8), st.integers(0, 3))
+@settings(PROPERTY_SETTINGS, max_examples=200)
+def test_bridge_bound_never_exceeds_pc(seed, n, extra):
+    # a random tree plus up to three edges, kept only while a bridge is left
+    rng = random.Random(seed)
+    g = random_connected(rng, n, 0.0)
+    edges = set(g.edges)
+    missing = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges]
+    edges.update(rng.sample(missing, min(extra, len(missing))))
+    g = from_edge_list(n, sorted(edges))
+    assume(find_bridges(g))
+    b = solver._bridge_star(g)
+    if b >= 3:
+        assert complete(g, b - 1, {}, g.edges) is None
 
 
 def test_verify_accepts_honest_certificates():
