@@ -44,9 +44,7 @@ def main():
 
     monochrome = (1,) * victim.graph.m
     forged = PcCertificate(
-        victim.graph,
         EdgeColoring(victim.graph, victim.k, monochrome),
-        victim.k,
         victim.strategy,
         victim.strong,
     )

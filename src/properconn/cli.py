@@ -16,17 +16,11 @@ import argparse
 import json
 import sys
 
-from .coloring import (
-    coloring_from_json,
-    first_improper_pair,
-    first_weak_pair,
-    has_strong_property,
-    is_proper_connected,
-)
-from .constructive import certificate_to_json
+from .coloring import coloring_from_json
+from .constructive import PcCertificate, certificate_to_json
 from .errors import ColoringGraphMismatch, PcError, SearchBudgetExceeded
 from .graph import from_graph6, parse_edge_list_text, to_graph6
-from .solver import pc_exact
+from .solver import pc_exact, verify_certificate
 from .survey import (
     exceptional_graphs,
     format_report_text,
@@ -88,15 +82,9 @@ def cmd_verify(args) -> int:
         coloring = coloring_from_json(fh.read())
     if coloring.graph != g:
         raise ColoringGraphMismatch("coloring file describes a different graph")
-    # the strong property implies the plain one, so a passing coloring
-    # costs one check; a failing one is scanned again to name the pair
-    check = has_strong_property if args.strong else is_proper_connected
-    if not check(coloring):
-        pair = first_improper_pair(coloring)
-        if pair is not None:
-            print(f"improper pair: {pair}")
-        else:
-            print(f"strong property fails at: {first_weak_pair(coloring)}")
+    report = verify_certificate(PcCertificate(coloring, "file", args.strong))
+    if not report:
+        print(report.reason)
         return 1
     print("ok strong" if args.strong else "ok")
     return 0

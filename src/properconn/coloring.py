@@ -73,18 +73,24 @@ class EdgeColoring:
 def make_coloring(g: Graph, k: int, assignment) -> EdgeColoring:
     """Build an EdgeColoring from a dict {edge: color} or a parallel sequence."""
     if isinstance(assignment, dict):
-        normalized = {}
-        for (u, v), c in assignment.items():
-            key = (min(u, v), max(u, v))
-            if normalized.get(key, c) != c:
-                raise ColoringGraphMismatch(f"conflicting colors for edge {key}")
-            normalized[key] = c
-        if set(normalized) != set(g.edges):
-            raise ColoringGraphMismatch("assignment does not cover the edge set")
-        colors = tuple(normalized[e] for e in g.edges)
+        colors = _colors_by_edge(g, assignment.items())
     else:
         colors = tuple(assignment)
     return EdgeColoring(g, k, colors)
+
+
+def _colors_by_edge(g: Graph, pairs) -> tuple[int, ...]:
+    """Colors in g.edges order from (edge, color) pairs that name each edge
+    of g, in either orientation, with one color."""
+    normalized = {}
+    for (u, v), c in pairs:
+        key = (min(u, v), max(u, v))
+        if normalized.get(key, c) != c:
+            raise ColoringGraphMismatch(f"conflicting colors for edge {key}")
+        normalized[key] = c
+    if set(normalized) != set(g.edges):
+        raise ColoringGraphMismatch("assignment does not cover the edge set")
+    return tuple(normalized[e] for e in g.edges)
 
 
 @dataclass(frozen=True)
@@ -472,6 +478,11 @@ def coloring_to_json(c: EdgeColoring) -> str:
 
 
 def coloring_from_json(text: str) -> EdgeColoring:
+    return _coloring_document(text)[0]
+
+
+def _coloring_document(text: str):
+    """The coloring a JSON document describes, and the parsed document."""
     try:
         payload = json.loads(text)
         n = payload["n"]
@@ -485,10 +496,4 @@ def coloring_from_json(text: str) -> EdgeColoring:
             f"{len(raw_colors)} colors for {len(raw_edges)} edges"
         )
     g = from_edge_list(n, raw_edges)
-    assignment = {}
-    for (u, v), c in zip(raw_edges, raw_colors):
-        key = (min(u, v), max(u, v))
-        if assignment.get(key, c) != c:
-            raise ColoringGraphMismatch(f"conflicting colors for edge {key}")
-        assignment[key] = c
-    return make_coloring(g, k, assignment)
+    return EdgeColoring(g, k, _colors_by_edge(g, zip(raw_edges, raw_colors))), payload

@@ -2,12 +2,14 @@
 vertex extensions, hub skeletons, and the 2-color decision pc2_pipeline.
 
 Every operation checks its output with the exact checker before
-returning it, exactly once; a certificate is never trusted on the
-strength of the construction alone. Colorings that are searched for come
-from the completion kernel `coloring.complete`, whose passing leaf check
-is that one check. Searches are deterministic: fixed candidate orders,
-and any sampled candidates come from a seeded generator. pc2_pipeline
-returns None only after the kernel has exhausted every 2-coloring.
+returning it, exactly once and on the graph it certifies; a certificate
+is never trusted on the strength of the construction alone. The 2-color
+pipeline checks its bipartite-core candidates on g, never on the core.
+Colorings that are searched for come from the completion kernel
+`coloring.complete`, whose passing leaf check is that one check.
+Searches are deterministic: fixed candidate orders, and any sampled
+candidates come from a seeded generator. pc2_pipeline returns None only
+after the kernel has exhausted every 2-coloring.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from itertools import product
 
 from .coloring import (
     EdgeColoring,
-    coloring_from_json,
+    _coloring_document,
     complete,
     has_strong_property,
     is_proper_connected,
@@ -61,37 +63,37 @@ _PHASE_CAP = 4096
 
 @dataclass(frozen=True)
 class PcCertificate:
-    """A coloring with its claims: k colors, proper connected, and strong
-    when `strong` is set; strategy records how it was built.
+    """A coloring with its claims: proper connected, and strong when
+    `strong` is set; strategy records how it was built. The graph and the
+    palette size are the coloring's own, so they cannot disagree with it.
 
     Every certificate this library builds passed the exact checker
     before it was returned. One read back with certificate_from_json is
     only a claim until verify_certificate passes it.
     """
 
-    graph: Graph
     coloring: EdgeColoring
-    k: int
     strategy: str
     strong: bool
 
+    @property
+    def graph(self) -> Graph:
+        return self.coloring.graph
 
-def _certify(g: Graph, k: int, colors, strategy: str, strong: bool = False):
-    """Wrap a coloring as a certificate, or raise if the checker refuses.
+    @property
+    def k(self) -> int:
+        return self.coloring.k
 
-    One check: two paths that differ in their first and last colors are
-    in particular proper, so the strong property implies the plain one.
-    """
+
+def _certify(g: Graph, k: int, colors, strategy: str):
+    """Wrap a coloring as a plain certificate, or raise if the checker
+    refuses it."""
     coloring = EdgeColoring(g, k, tuple(colors))
-    if strong and not has_strong_property(coloring):
-        raise VerificationFailed(
-            f"{strategy} construction failed the strong-property check"
-        )
-    if not strong and not is_proper_connected(coloring):
+    if not is_proper_connected(coloring):
         raise VerificationFailed(
             f"{strategy} construction produced a non proper-connected coloring"
         )
-    return PcCertificate(g, coloring, k, strategy, strong)
+    return PcCertificate(coloring, strategy, False)
 
 
 def _search(g: Graph, k: int, fixed, free, strategy: str, strong=False, deadline=None):
@@ -102,7 +104,7 @@ def _search(g: Graph, k: int, fixed, free, strategy: str, strong=False, deadline
     colors = complete(g, k, fixed, free, strong, deadline)
     if colors is None:
         return None
-    return PcCertificate(g, EdgeColoring(g, k, colors), k, strategy, strong)
+    return PcCertificate(EdgeColoring(g, k, colors), strategy, strong)
 
 
 def _assignment_to_colors(g: Graph, assignment: dict) -> tuple[int, ...]:
@@ -123,7 +125,12 @@ def color_tree(t: Graph) -> PcCertificate:
     if not is_tree(t):
         raise NotATree(f"graph with n={t.n}, m={t.m} is not a tree")
     _, _, delta = degree_stats(t)
-    k = max(delta, 1)
+    colors = _assignment_to_colors(t, _tree_assignment(t))
+    return _certify(t, max(delta, 1), colors, "tree")
+
+
+def _tree_assignment(t: Graph) -> dict[tuple[int, int], int]:
+    """Colors 1..max degree on the edges of tree t, proper at every vertex."""
     assignment: dict[tuple[int, int], int] = {}
     seen = {0}
     stack = [(0, 0)]  # (vertex, color of its parent edge; 0 at the root)
@@ -139,8 +146,7 @@ def color_tree(t: Graph) -> PcCertificate:
             seen.add(w)
             stack.append((w, color))
             color += 1
-    colors = _assignment_to_colors(t, assignment) if t.m else ()
-    return _certify(t, k, colors, "tree")
+    return assignment
 
 
 def color_hamilton_path(g: Graph):
@@ -283,15 +289,27 @@ def _ear_patterns(g: Graph):
             yield from_phases([rng.randrange(2) for _ in range(n_runs)])
 
 
-def _strong_bridgeless(g: Graph) -> PcCertificate:
-    """Strong certificate for a connected bridgeless graph on n >= 3
-    vertices: k=2 on bipartite input, else at most 3.
+def strong_coloring_bridgeless(g: Graph) -> PcCertificate:
+    """Checked strong certificate for a connected bridgeless graph:
+    2 colors when bipartite, at most 3 otherwise.
 
-    Two steps: the ear patterns, then the completion kernel over every
-    coloring with 2 colors (bipartite) or 3. Borozan et al., "Proper
-    connection of graphs", Discrete Math. 312 (2012), guarantee such a
-    coloring, so an exhausted search is a bug, not a result, and raises.
+    The ear-decomposition patterns are tried first, then the completion
+    kernel searches every coloring of the palette; there is no sampling
+    and no volume guard, only the n <= STRONG_SEARCH_MAX_N cap. Each
+    candidate is checked exactly, so the patterns never affect soundness.
+    Borozan et al., "Proper connection of graphs", Discrete Math. 312
+    (2012), guarantee such a coloring, so an exhausted search is a bug,
+    not a result, and raises.
     """
+    if g.n > STRONG_SEARCH_MAX_N:
+        raise TooLarge(f"strong search limited to n <= {STRONG_SEARCH_MAX_N}")
+    if not is_connected(g):
+        raise Disconnected("strong coloring needs a connected graph")
+    bridges = find_bridges(g)
+    if bridges:
+        raise HasBridge(f"graph has bridge {bridges[0]}")
+    if g.n < 3:
+        raise TooSmall("bridgeless coloring needs n >= 3")
     bipartite = bipartition(g) is not None
     strategy = "bipartite_bridgeless" if bipartite else "bridgeless_3"
     for colors in _ear_patterns(g):
@@ -306,27 +324,6 @@ def _strong_bridgeless(g: Graph) -> PcCertificate:
             "this contradicts the guarantee for bridgeless graphs"
         )
     return cert
-
-
-def strong_coloring_bridgeless(g: Graph) -> PcCertificate:
-    """Checked strong certificate for a connected bridgeless graph:
-    2 colors when bipartite, at most 3 otherwise.
-
-    The ear-decomposition patterns are tried first, then the completion
-    kernel searches every coloring of the palette; there is no sampling
-    and no volume guard, only the n <= STRONG_SEARCH_MAX_N cap. Each
-    candidate is checked exactly, so the patterns never affect soundness.
-    """
-    if g.n > STRONG_SEARCH_MAX_N:
-        raise TooLarge(f"strong search limited to n <= {STRONG_SEARCH_MAX_N}")
-    if not is_connected(g):
-        raise Disconnected("strong coloring needs a connected graph")
-    bridges = find_bridges(g)
-    if bridges:
-        raise HasBridge(f"graph has bridge {bridges[0]}")
-    if g.n < 3:
-        raise TooSmall("bridgeless coloring needs n >= 3")
-    return _strong_bridgeless(g)
 
 
 # ---------------------------------------------------------------------------
@@ -477,10 +474,9 @@ def color_hub_branches(g: Graph, hub: int, parts):
 
     parts must partition the vertices other than hub into three nonempty
     sets: the first together with hub must carry a spanning cycle, the
-    other two a spanning path starting at hub. Pattern candidates alternate
-    along each piece; a complete search over 2-colorings of the skeleton
-    edges, with every other edge at color 1, is the fallback. None when
-    the skeleton does not exist or nothing verifies.
+    other two a spanning path starting at hub. The completion kernel
+    searches every 2-coloring of the skeleton edges with every other edge
+    at color 1. None when the skeleton does not exist or nothing verifies.
     """
     if g.n > PIPELINE_MAX_N:
         raise TooLarge(f"limited to n <= {PIPELINE_MAX_N}")
@@ -520,15 +516,6 @@ def color_hub_branches(g: Graph, hub: int, parts):
         )
 
     skeleton = [e for run in pieces for e in run]
-    base = {e: 1 for e in g.edges}
-    for phases in product((0, 1), repeat=3):
-        assignment = dict(base)
-        for run, phase in zip(pieces, phases):
-            for i, e in enumerate(run):
-                assignment[e] = 1 + (i + phase) % 2
-        got = _search(g, 2, assignment, (), "hub_branches")
-        if got is not None:
-            return got
     # the off-skeleton edges are fixed at 1, so the palette is not symmetric
     on_skeleton = set(skeleton)
     rest = {e: 1 for e in g.edges if e not in on_skeleton}
@@ -544,11 +531,13 @@ def pc2_pipeline(g: Graph):
 
     Three steps. A spanning path, colored alternately. Else the bipartite
     core: when the spanning bipartite subgraph h is connected and
-    bridgeless, its strong 2-coloring, with every other edge at color 1,
-    is proper connected on g too, because each proper path of h is a
-    path of g with the same colors. Else the completion kernel over
-    every 2-coloring of g, whose exhaustion is the verdict. (A connected
-    graph on at most 2 vertices has a spanning path, so h has n >= 3.)
+    bridgeless, each ear pattern of h, with every other edge at color 1,
+    gets one exact check on g. Borozan et al. guarantee h a strong
+    2-coloring, which lifts this way to a proper connected one of g, but
+    the patterns need not contain it, so none passing is no verdict. Else
+    the completion kernel over every 2-coloring of g, whose exhaustion is
+    the verdict. (A connected graph on at most 2 vertices has a spanning
+    path, so h has n >= 3.)
     """
     if g.n > PIPELINE_MAX_N:
         raise TooLarge(f"pipeline limited to n <= {PIPELINE_MAX_N}")
@@ -561,12 +550,12 @@ def pc2_pipeline(g: Graph):
 
     h, _ = max_bipartite_spanning_subgraph(g)
     if is_connected(h) and not find_bridges(h):
-        core = _strong_bridgeless(h)
-        assignment = {e: 1 for e in g.edges}
-        assignment.update(zip(h.edges, core.coloring.colors))
-        return _certify(
-            g, 2, _assignment_to_colors(g, assignment), "bipartite_bridgeless"
-        )
+        lifted = {e: 1 for e in g.edges}
+        for colors in _ear_patterns(h):
+            lifted.update(zip(h.edges, colors))
+            cert = _search(g, 2, lifted, (), "bipartite_bridgeless")
+            if cert is not None:
+                return cert
     return _search(g, 2, {}, g.edges, "exhaustive")
 
 
@@ -589,15 +578,10 @@ def certificate_to_json(cert: PcCertificate) -> str:
 
 
 def certificate_from_json(text: str) -> PcCertificate:
-    payload = json.loads(text)
-    coloring = coloring_from_json(
-        json.dumps({key: payload[key] for key in ("n", "k", "edges", "colors")})
-    )
+    coloring, payload = _coloring_document(text)
     meta = payload.get("meta", {})
     return PcCertificate(
-        graph=coloring.graph,
         coloring=coloring,
-        k=payload["k"],
         strategy=meta.get("strategy", "exhaustive"),
         strong=bool(meta.get("strong", False)),
     )

@@ -275,9 +275,6 @@ class BridgeBlockTree:
     bridges: tuple[tuple[int, int], ...]
     tree_adj: tuple[tuple[int, ...], ...]
 
-    def leaves(self) -> list[int]:
-        return [i for i, nbr in enumerate(self.tree_adj) if len(nbr) == 1]
-
 
 def bridge_block_tree(g: Graph) -> BridgeBlockTree:
     """Contract the 2-edge-connected components; tree edges are the bridges."""

@@ -12,7 +12,7 @@ vertex is implicit.
 from __future__ import annotations
 
 from .errors import TooLarge, VertexOutOfRange
-from .graph import Graph, _reach_mask, bridge_block_tree, find_bridges, is_connected
+from .graph import Graph, _reach_mask, find_bridges, is_connected
 
 HAMILTON_MAX_N = 16
 
@@ -74,9 +74,6 @@ def hamilton_path(g: Graph):
     if g.n == 1:
         return [0]
     if not is_connected(g):
-        return None
-    # each leaf of the bridge-block tree pins down one path end
-    if len(bridge_block_tree(g).leaves()) > 2:
         return None
     n = g.n
     full = (1 << n) - 1

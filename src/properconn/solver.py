@@ -23,10 +23,11 @@ from .coloring import (
 )
 from .constructive import (
     PcCertificate,
+    _assignment_to_colors,
     _certify,
     _search,
+    _tree_assignment,
     color_hamilton_path,
-    color_tree,
 )
 from .errors import Disconnected, OutOfRange, PcError, SearchBudgetExceeded
 from .graph import Graph, degree_stats, find_bridges, from_edge_list, is_complete, is_connected
@@ -67,7 +68,9 @@ def pc_upper(g: Graph) -> PcCertificate:
 
     Complete graphs get one color; otherwise a spanning path gives two;
     the fallback colors the breadth-first spanning tree with the fewest
-    colors over all roots, filling non-tree edges with color 1.
+    colors over all roots, filling non-tree edges with color 1. Each
+    certificate gets one exact check, on g: the tree's coloring alone is
+    never checked, since a proper path of the tree is one of g.
     """
     if not is_connected(g):
         raise Disconnected("upper bounds are defined for connected graphs")
@@ -76,20 +79,15 @@ def pc_upper(g: Graph) -> PcCertificate:
     cert = color_hamilton_path(g)
     if cert is not None:
         return cert
-    best_edges, best_delta = None, g.n
+    best_tree, best_delta = None, g.n
     for root in range(g.n):
-        edges = _bfs_tree(g, root)
-        tree = from_edge_list(g.n, edges)
+        tree = from_edge_list(g.n, _bfs_tree(g, root))
         delta = degree_stats(tree)[2]
         if delta < best_delta:
-            best_edges, best_delta = edges, delta
-    tree = from_edge_list(g.n, best_edges)
-    inner = color_tree(tree)
+            best_tree, best_delta = tree, delta
     assignment = {e: 1 for e in g.edges}
-    for e, c in zip(tree.edges, inner.coloring.colors):
-        assignment[e] = c
-    colors = tuple(assignment[e] for e in g.edges)
-    return _certify(g, inner.k, colors, "tree")
+    assignment.update(_tree_assignment(best_tree))
+    return _certify(g, best_delta, _assignment_to_colors(g, assignment), "tree")
 
 
 def _bridge_star(g: Graph) -> int:
@@ -120,16 +118,14 @@ def pc_exact(g: Graph, kmax=None) -> tuple[int, PcCertificate]:
     and passed the exact checker, and an exhausted palette is a lower
     bound. The budget clock starts when the call does and is read at
     every search node; an invalid PC_BUDGET_MS raises OutOfRange on every
-    call, complete graphs included.
+    call, complete graphs included. pc_upper raises Disconnected on a
+    disconnected graph and gives a complete graph its one-color
+    certificate, for which no palette is searched.
     With kmax set, no palette above kmax is searched: unless the proved
     bound meets the upper bound, the bracket [max(2, b, kmax+1), upper]
     is raised rather than guessed.
     """
     deadline = _budget_deadline()
-    if not is_connected(g):
-        raise Disconnected("the invariant is defined for connected graphs")
-    if is_complete(g):
-        return 1, _certify(g, 1, (1,) * g.m, "complete")
     upper = pc_upper(g)
     for k in range(max(2, _bridge_star(g)), upper.k):
         if kmax is not None and k > kmax:
@@ -157,13 +153,13 @@ class VerificationReport:
 
 
 def verify_certificate(cert: PcCertificate) -> VerificationReport:
-    """Recompute every claim a certificate makes; never raises."""
+    """Recompute every claim a certificate makes; never raises.
+
+    The graph and the palette size are the coloring's own, so the claims
+    left are proper connectivity and, when claimed, the strong property.
+    """
     try:
         coloring = cert.coloring
-        if coloring.graph != cert.graph:
-            return VerificationReport(False, "coloring belongs to another graph")
-        if coloring.k > cert.k or any(c > cert.k for c in coloring.colors):
-            return VerificationReport(False, f"coloring exceeds {cert.k} colors")
         # the strong property implies the plain one, so a passing
         # certificate costs one check; a failing one is scanned again
         # to name the pair

@@ -14,7 +14,7 @@ from properconn import (
     make_coloring,
     strong_coloring_bridgeless,
 )
-from properconn import cli
+from properconn import solver
 from properconn.cli import main
 from util import cycle_graph
 
@@ -64,7 +64,7 @@ def test_verify_rejects_improper_coloring(tmp_path, capsys):
     path.write_text(coloring_to_json(bad))
     code, out, _ = run(capsys, "verify", "--graph6", "Bg", str(path))
     assert code == 1
-    assert "improper pair: (0, 2)" in out
+    assert "no proper path for pair (0, 2)" in out
 
 
 def test_verify_strong_flag(tmp_path, capsys):
@@ -78,7 +78,7 @@ def test_verify_strong_flag(tmp_path, capsys):
         capsys, "verify", "--graph6", "Bg", str(path), "--strong"
     )
     assert code == 1
-    assert "strong property fails at:" in out
+    assert "strong property fails at (0, 1)" in out
 
 
 def test_verify_runs_one_check_on_a_passing_coloring(tmp_path, capsys, monkeypatch):
@@ -99,7 +99,7 @@ def test_verify_runs_one_check_on_a_passing_coloring(tmp_path, capsys, monkeypat
         "first_improper_pair",
         "first_weak_pair",
     ):
-        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+        monkeypatch.setattr(solver, name, counted(name, getattr(solver, name)))
     code, out, _ = run(capsys, "verify", "--graph6", "EhEG", str(path))
     assert (code, out.strip(), calls) == (0, "ok", ["is_proper_connected"])
     calls.clear()

@@ -392,6 +392,25 @@ def test_pipeline_none_is_the_verdict_pc_above_two():
         assert (pc2_pipeline(g) is None) == (pc_exact(g)[0] > 2), to_graph6(g)
 
 
+def test_pipeline_runs_no_strong_search(monkeypatch):
+    # the bipartite core's ear patterns get plain checks on g itself
+    from properconn import constructive
+
+    kernel = constructive.complete
+    strong_calls = []
+
+    def recorded(g, k, fixed, free, strong=False, deadline=None):
+        if strong:
+            strong_calls.append(to_graph6(g))
+        return kernel(g, k, fixed, free, strong, deadline)
+
+    monkeypatch.setattr(constructive, "complete", recorded)
+    for n in range(2, 8):
+        for g in enumerate_connected(n):
+            pc2_pipeline(g)
+    assert strong_calls == []
+
+
 def test_pipeline_size_guard():
     with pytest.raises(TooLarge):
         pc2_pipeline(path_graph(17))

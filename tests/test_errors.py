@@ -27,7 +27,7 @@ from util import complete_graph, cycle_graph, path_graph, star_graph
 
 def forged(g):
     """An all-1 "strong 2-coloring" that connects no pair at distance 2."""
-    return PcCertificate(g, EdgeColoring(g, 2, (1,) * g.m), 2, "forged", True)
+    return PcCertificate(EdgeColoring(g, 2, (1,) * g.m), "forged", True)
 
 
 def test_bad_argument_values_raise_pc_errors():

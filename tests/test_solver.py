@@ -12,6 +12,7 @@ from properconn import (
     Disconnected,
     PcCertificate,
     SearchBudgetExceeded,
+    constructive,
     find_bridges,
     from_edge_list,
     from_graph6,
@@ -48,6 +49,22 @@ def test_upper_bound_strategies():
     spider = from_edge_list(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
     cert = pc_upper(spider)
     assert cert.strategy == "tree" and cert.k == 3
+
+
+def test_tree_upper_bound_is_checked_once_on_the_graph(monkeypatch):
+    # the spanning tree's own coloring is never checked, only g's
+    g = star_graph(3)
+    check = constructive.is_proper_connected
+    checked = []
+
+    def counted(coloring):
+        checked.append(coloring.graph)
+        return check(coloring)
+
+    monkeypatch.setattr(constructive, "is_proper_connected", counted)
+    cert = pc_upper(g)
+    assert cert.strategy == "tree" and cert.k == 3
+    assert checked == [g]
 
 
 def test_upper_bound_is_always_verified():
@@ -202,22 +219,10 @@ def test_verify_accepts_honest_certificates():
         assert report.reason == ""
 
 
-def test_verify_rejects_wrong_graph():
-    cert = pc_exact(cycle_graph(5))[1]
-    other = pc_exact(cycle_graph(6))[1]
-    forged = type(cert)(
-        other.graph, cert.coloring, cert.k, cert.strategy, cert.strong
-    )
-    report = verify_certificate(forged)
-    assert not report.ok and report.reason
-
-
 def test_verify_rejects_improper_coloring():
     g = path_graph(3)
     bad = make_coloring(g, 2, {(0, 1): 1, (1, 2): 1})
-    cert = pc_exact(g)[1]
-    forged = type(cert)(g, bad, 2, "exhaustive", False)
-    report = verify_certificate(forged)
+    report = verify_certificate(PcCertificate(bad, "exhaustive", False))
     assert not report.ok
     assert "(0, 2)" in report.reason
 
@@ -225,9 +230,7 @@ def test_verify_rejects_improper_coloring():
 def test_verify_rejects_false_strong_claim():
     g = path_graph(3)
     ok = make_coloring(g, 2, {(0, 1): 1, (1, 2): 2})
-    cert = pc_exact(g)[1]
-    forged = type(cert)(g, ok, 2, "exhaustive", True)
-    report = verify_certificate(forged)
+    report = verify_certificate(PcCertificate(ok, "exhaustive", True))
     assert not report.ok
     assert report.reason == "strong property fails at (0, 1)"
 
@@ -235,7 +238,7 @@ def test_verify_rejects_false_strong_claim():
 def test_strong_claim_without_proper_paths_names_the_missing_path():
     g = path_graph(3)
     bad = make_coloring(g, 2, {(0, 1): 1, (1, 2): 1})
-    report = verify_certificate(PcCertificate(g, bad, 2, "exhaustive", True))
+    report = verify_certificate(PcCertificate(bad, "exhaustive", True))
     assert report.reason == "no proper path for pair (0, 2)"
 
 
@@ -254,13 +257,3 @@ def test_passing_strong_certificate_costs_one_check(monkeypatch):
         monkeypatch.setattr(solver, name, counted(name, getattr(solver, name)))
     assert verify_certificate(cert).ok
     assert calls == ["has_strong_property"]
-
-
-def test_verify_rejects_palette_overflow():
-    g = path_graph(3)
-    wide = make_coloring(g, 3, {(0, 1): 1, (1, 2): 3})
-    cert = pc_exact(g)[1]
-    forged = type(cert)(g, wide, 2, "exhaustive", False)
-    report = verify_certificate(forged)
-    assert not report.ok
-    assert "exceeds" in report.reason
