@@ -93,24 +93,28 @@ def induced_subgraph(g: Graph, vertices) -> tuple[Graph, tuple[int, ...]]:
 # graph6 and edge-list text formats
 
 
+def _pack_graph6(n: int, bits: int) -> str:
+    """Short-form graph6 of the n-vertex graph whose upper-triangle bits,
+    column by column, are the binary digits of bits (first bit most
+    significant)."""
+    total = n * (n - 1) // 2
+    pad = -total % 6
+    bits <<= pad
+    return chr(n + 63) + "".join(
+        chr((bits >> shift & 63) + 63) for shift in range(total + pad - 6, -1, -6)
+    )
+
+
 def to_graph6(g: Graph) -> str:
     """Encode in short-form graph6 (n <= 62), no header, no newline."""
     n = g.n
     if n > 62:
         raise TooLarge(f"short-form graph6 requires n <= 62, got {n}")
-    bits = []
+    bits = 0
     for j in range(1, n):
         for i in range(j):
-            bits.append(g.adj[i] >> j & 1)
-    while len(bits) % 6:
-        bits.append(0)
-    chars = [chr(n + 63)]
-    for pos in range(0, len(bits), 6):
-        group = 0
-        for b in bits[pos : pos + 6]:
-            group = group << 1 | b
-        chars.append(chr(group + 63))
-    return "".join(chars)
+            bits = bits << 1 | g.adj[i] >> j & 1
+    return _pack_graph6(n, bits)
 
 
 def from_graph6(text: str) -> Graph:
@@ -391,50 +395,69 @@ def max_bipartite_spanning_subgraph(g: Graph) -> tuple[Graph, Bipartition]:
 # canonical labeling
 
 
-def _canonical_perm(n: int, rows) -> list[int]:
-    """Permutation minimizing the column-major upper-triangle bit vector.
+def _canonical_perm(n: int, rows) -> tuple[list[int], list[int]]:
+    """Permutation minimizing the column-major upper-triangle bit vector,
+    and that minimum code as its list of per-position fields.
 
-    Branch and bound: vertices are placed one position at a time; placing a
-    vertex at position j contributes the j adjacency bits to the already
-    placed vertices. Candidates are tried in ascending chunk order so the
-    prefix comparison against the best complete code can cut whole
-    subtrees, and candidates that are interchangeable by a transposition
-    automorphism are explored only once.
+    Branch and bound: vertices are placed one position at a time; placing
+    a vertex at position j contributes a j-bit field, its adjacency to the
+    vertices at positions 0..j-1 with position 0 the most significant bit.
+    The code is the concatenation of the fields, so codes compare field by
+    field. Candidates are tried in ascending field order, and candidates
+    that are interchangeable by a transposition automorphism are explored
+    only once. A candidate is packed as field << 4 | vertex (n <= 12).
+
+    A node whose prefix is below the best code's leads to a better code.
+    One whose prefix ties it is cut by a lookahead bound. Let c(w) be the
+    field of an unplaced vertex w against the prefix, of length j. If w
+    lands at position j+i, its field there is c(w) followed by i bits for
+    the vertices placed in between, so it is at least c(w) << i. Placing
+    the unplaced vertices in ascending c order makes these bounds
+    lexicographically least: a completion whose fields equal the bounds
+    up to position j+i-1 has placed the i smallest c values there, so its
+    vertex at j+i has c at least the next one. So the node's sorted
+    candidate list bounds every completion's fields from below, and when
+    that bound is not below the best code's remaining fields, no
+    completion beats the best and the node returns. When a deeper call
+    replaces the best code, the new code extends the current prefix, so
+    the prefix ties it from then on.
     """
     if n <= 1:
-        return list(range(n))
-    total_bits = n * (n - 1) // 2
-    best_code = None
+        return list(range(n)), [0] * n
+    best_fields: list[int] = []
     best_perm: list[int] = []
-    deg_order = sorted(range(n), key=lambda v: (rows[v].bit_count(), v))
 
-    def extend(perm, used, code, bits, chunks):
-        nonlocal best_code, best_perm
+    def extend(perm, fields, keys, left, tie) -> bool:
+        """Search below the prefix perm, whose fields equal the best code's
+        when tie is set and are smaller otherwise. keys are the unplaced
+        vertices (the mask left) sorted by their field against perm.
+        True when the best code was replaced."""
+        nonlocal best_fields, best_perm
         j = len(perm)
-        if j == n:
-            if best_code is None or code < best_code:
-                best_code = code
-                best_perm = perm[:]
-            return
-        last = perm[-1] if perm else -1
-        cands = []
-        for v in deg_order:
-            if used >> v & 1:
-                continue
-            chunk = chunks[v] << 1 | (rows[v] >> last & 1) if j else 0
-            cands.append((chunk, v))
-        cands.sort()
-        new_chunks = chunks[:]
-        for chunk, v in cands:
-            new_chunks[v] = chunk
-        seen_rows: list[tuple[int, int]] = []
-        for chunk, v in cands:
-            ncode = code << j | chunk
-            nbits = bits + j
-            if best_code is not None:
-                if ncode > best_code >> (total_bits - nbits):
+        if tie:
+            i = 0
+            for key in keys:
+                bound, field = key >> 4 << i, best_fields[j + i]
+                if bound != field:
+                    if bound > field:
+                        return False
                     break
-            rest = ~used & ((1 << n) - 1) & ~(1 << v)
+                i += 1
+            else:
+                return False
+        if j == n - 1:
+            # past the lookahead, the one vertex left completes a better code
+            best_fields = fields + [keys[0] >> 4]
+            best_perm = perm + [keys[0] & 15]
+            return True
+        improved = False
+        top = best_fields[j] if tie else -1
+        seen_rows: list[tuple[int, int, int]] = []
+        for key in keys:
+            chunk, v = key >> 4, key & 15
+            if tie and chunk > top:
+                break
+            rest = left & ~(1 << v)
             sig = rows[v] & rest
             dup = False
             for c_prev, v_prev, s_prev in seen_rows:
@@ -445,18 +468,30 @@ def _canonical_perm(n: int, rows) -> list[int]:
                 continue
             seen_rows.append((chunk, v, sig))
             perm.append(v)
-            extend(perm, used | 1 << v, ncode, nbits, new_chunks)
+            fields.append(chunk)
+            child = sorted(
+                [(k >> 4 << 1 | sig >> (k & 15) & 1) << 4 | k & 15 for k in keys if k != key]
+            )
+            if extend(perm, fields, child, rest, chunk == top):
+                tie = improved = True
+                top = chunk
             perm.pop()
+            fields.pop()
+        return improved
 
-    extend([], 0, 0, 0, [0] * n)
-    return best_perm
+    extend([], [], list(range(n)), (1 << n) - 1, False)
+    return best_perm, best_fields
+
+
+def _check_canonical_size(g: Graph) -> None:
+    if g.n > CANONICAL_MAX_N:
+        raise TooLarge(f"canonical labeling limited to n <= {CANONICAL_MAX_N}")
 
 
 def canonical_form(g: Graph) -> Graph:
     """Relabel to the canonical representative of the isomorphism class."""
-    if g.n > CANONICAL_MAX_N:
-        raise TooLarge(f"canonical labeling limited to n <= {CANONICAL_MAX_N}")
-    perm = _canonical_perm(g.n, g.adj)
+    _check_canonical_size(g)
+    perm, _ = _canonical_perm(g.n, g.adj)
     rows = [0] * g.n
     for j in range(g.n):
         for i in range(j):
@@ -467,5 +502,14 @@ def canonical_form(g: Graph) -> Graph:
 
 
 def canonical_code(g: Graph) -> bytes:
-    """Isomorphism-invariant byte string: graph6 of the canonical form."""
-    return to_graph6(canonical_form(g)).encode("ascii")
+    """Isomorphism-invariant byte string: graph6 of the canonical form.
+
+    The minimum code's fields are graph6's bits in order, so they are
+    packed directly rather than through canonical_form.
+    """
+    _check_canonical_size(g)
+    _, fields = _canonical_perm(g.n, g.adj)
+    bits = 0
+    for j, field in enumerate(fields):
+        bits = bits << j | field
+    return _pack_graph6(g.n, bits).encode("ascii")

@@ -99,21 +99,22 @@ def _bridge_star(g: Graph) -> int:
     return max(count, default=0)
 
 
-def pc_exact(g: Graph, kmax=None) -> tuple[int, PcCertificate]:
+def pc_exact(g: Graph, kmax=None, *, lower: int = 2) -> tuple[int, PcCertificate]:
     """The exact minimum palette size with a verified witness.
 
     If b bridges meet at one vertex v, then pc(G) >= b: for two of them,
     vx and vy, the only x-y path is x v y, since a path leaves x's side of
     vx and enters y's side of vy only through those edges, so the two
-    bridges need different colors. Palettes from max(2, b) up to the k of
-    pc_upper's certificate are tried in increasing order; when b equals
-    that k, no search runs. Each is searched by the completion kernel
-    (coloring.complete) over all edges in g.edges order, colors
-    ascending, in restricted growth order (color c+1 only after color c),
-    which skips only relabelings of colorings already tried. Every node
-    checks the partial coloring with each unassigned edge given its own
-    fresh color; no completion connects a pair that this relaxation
-    leaves unconnected, so a rejection prunes the whole subtree. The
+    bridges need different colors. Palettes from max(2, b, lower) up to
+    the k of pc_upper's certificate are tried in increasing order; when
+    that start reaches k, no search runs. Each is searched by the
+    completion kernel (coloring.complete) over all edges in g.edges
+    order, colors ascending, in restricted growth order (color c+1 only
+    after color c), which skips only relabelings of colorings already
+    tried. Every node checks the partial coloring with each unassigned
+    edge given its own fresh color; no completion connects a pair that
+    this relaxation leaves unconnected, so a rejection prunes the whole
+    subtree. The
     witness is the lexicographically first proper-connecting coloring
     and passed the exact checker, and an exhausted palette is a lower
     bound. The budget clock starts when the call does and is read at
@@ -122,12 +123,16 @@ def pc_exact(g: Graph, kmax=None) -> tuple[int, PcCertificate]:
     disconnected graph and gives a complete graph its one-color
     certificate, for which no palette is searched.
     With kmax set, no palette above kmax is searched: unless the proved
-    bound meets the upper bound, the bracket [max(2, b, kmax+1), upper]
-    is raised rather than guessed.
+    bound meets the upper bound, the bracket
+    [max(2, b, lower, kmax+1), upper] is raised rather than guessed.
+    lower is a bound the caller has proved, pc(G) >= lower; no palette
+    below it is searched, and nothing here re-checks the proof (the CLI
+    never sets it). When pc_upper's k is below lower, that certificate is
+    still returned, and the caller's proof is contradicted.
     """
     deadline = _budget_deadline()
     upper = pc_upper(g)
-    for k in range(max(2, _bridge_star(g)), upper.k):
+    for k in range(max(2, lower, _bridge_star(g)), upper.k):
         if kmax is not None and k > kmax:
             raise SearchBudgetExceeded(
                 k, upper.k, f"palettes above kmax={kmax} are not searched"

@@ -35,7 +35,6 @@ from .graph import (
     _reach_mask,
     bipartition,
     canonical_code,
-    canonical_form,
     degree_stats,
     from_adj_rows,
     from_edge_list,
@@ -107,16 +106,18 @@ def _level(kind: str, n: int, t: int) -> tuple[str, ...]:
 
     (a) the attachment set has at least t vertices and holds every parent
         vertex of degree t-1 (`_attachment_sets`);
-    (b) the child is dropped when some non-cut vertex has a larger degree
-        than the new vertex (the cheap half of McKay's canonical
-        deletion, J. Algorithms 26, 1998).
+    (b) the child is dropped when some non-cut vertex has a larger key
+        than the new vertex, where a vertex's key is its degree, then
+        the sum of its neighbours' degrees, compared in that order
+        (the cheap half of McKay's canonical deletion, J. Algorithms 26,
+        1998, with an isomorphism-invariant key).
 
-    Soundness: in H delete a non-cut vertex v of maximum degree among the
+    Soundness: in H delete a non-cut vertex v of maximum key among the
     non-cut vertices. H - v is connected with minimum degree >= t-1, so
     its class is in _level(kind, n-1, max(t-1, 0)). N(v) has deg(v) >= t
     vertices and holds every vertex whose degree dropped to t-1, so (a)
     keeps it, and re-attaching v gives H back with its new vertex of
-    maximum non-cut degree, so (b) keeps it too. In the bipartite chain
+    maximum non-cut key, so (b) keeps it too. In the bipartite chain
     H - v stays bipartite and N(v) lies within one of its sides, which is
     where that chain attaches. Isomorphic children from different parents
     or sets are merged by canonical code, so no orbit computation is
@@ -130,15 +131,24 @@ def _level(kind: str, n: int, t: int) -> tuple[str, ...]:
         for code in _level(kind, n - 1, max(t - 1, 0)):
             g = from_graph6(code)
             degrees = [row.bit_count() for row in g.adj]
+            around = [sum(degrees[w] for w in g.neighbors(u)) for u in g.vertices()]
             comps = _deletion_components(g)
             for attach in _attachment_sets(kind, g, t):
                 d = attach.bit_count()
+                # keys in the child, (degree, sum of the neighbours' degrees):
+                # an attached u gains the new vertex (degree d) as a
+                # neighbour, and each attached neighbour of u gains one;
                 # u stays a non-cut vertex of the child when the new vertex
                 # touches every component of g - u
+                mine = (d, d + sum(degrees[u] for u in g.vertices() if attach >> u & 1))
                 if any(
-                    degrees[u] + (attach >> u & 1) > d
+                    (
+                        degrees[u] + (a := attach >> u & 1),
+                        around[u] + (g.adj[u] & attach).bit_count() + a * d,
+                    )
+                    > mine
                     and all(comp & attach for comp in comps[u])
-                    for u in range(g.n)
+                    for u in g.vertices()
                 ):
                     continue
                 rows = [row | (attach >> v & 1) << g.n for v, row in enumerate(g.adj)]
@@ -155,10 +165,11 @@ def enumerate_connected(n: int, min_degree: int = 0, bipartite_only: bool = Fals
 
     Built-in generation covers 2 <= n <= 9; larger orders must come from
     graph6 corpus files. A min_degree level is built from filtered levels
-    below it, so it costs far less than the full one. The full general
-    level at n=9 (261,080 classes, about 553k labelings) takes about 8
-    minutes on one core; n=8 takes about 13 s, and the whole bipartite
-    chain at n=9 about 5 s.
+    below it, so it costs far less than the full one. On one core of a
+    2-core machine under Python 3.11, the full general level at n=9
+    (261,080 classes, 403,562 labelings) takes about 2.5 minutes; n=8
+    (19,473 labelings) about 5 s, and the whole bipartite chain at n=9
+    about 1 s.
     """
     if not 2 <= n <= ENUMERATION_MAX_N:
         raise TooLarge(f"built-in enumeration covers 2 <= n <= {ENUMERATION_MAX_N}")
@@ -350,13 +361,16 @@ def write_report(report: SurveyReport, path, fmt: str = "text"):
 
 
 def _examine(code: str):
-    """Worker: settle one graph. Returns a picklable outcome tuple."""
+    """Worker: settle one graph. Returns a picklable outcome tuple.
+
+    A None from pc2_pipeline proves pc >= 3, so pc_exact starts there.
+    """
     g = from_graph6(code)
     cert = pc2_pipeline(g)
     if cert is not None:
         return ("two", None)
     try:
-        pc, witness = pc_exact(g)
+        pc, witness = pc_exact(g, lower=3)
     except SearchBudgetExceeded as exc:
         return ("unresolved", (exc.lower, exc.upper, str(exc)))
     if pc == 2:
@@ -378,11 +392,13 @@ def _map_examine(codes, jobs: int):
 
 
 def _run_survey(name, filter_desc, n_lo, n_hi, graphs_for, jobs) -> SurveyReport:
+    """Examine graphs_for(n), the canonical graph6 codes on n vertices,
+    for every n in range."""
     totals, timing = {}, {}
     exceptions, unresolved = [], []
     for n in range(n_lo, n_hi + 1):
         t0 = time.perf_counter()
-        codes = [to_graph6(g) for g in graphs_for(n)]
+        codes = graphs_for(n)
         totals[n] = len(codes)
         for code, (kind, info) in zip(codes, _map_examine(codes, jobs)):
             if kind == "exception":
@@ -396,13 +412,16 @@ def _run_survey(name, filter_desc, n_lo, n_hi, graphs_for, jobs) -> SurveyReport
     )
 
 
-def _corpus_graphs(corpus, n, predicate):
-    selected = []
-    for g in corpus:
-        if g.n == n and is_connected(g) and predicate(g):
-            selected.append(canonical_form(g))
-    dedup = {to_graph6(g): g for g in selected}
-    return [dedup[code] for code in sorted(dedup)]
+def _corpus_codes(corpus, n, predicate):
+    """Sorted canonical graph6 codes of the corpus graphs on n vertices
+    that are connected and pass the predicate, one per class."""
+    return sorted(
+        {
+            canonical_code(g).decode("ascii")
+            for g in corpus
+            if g.n == n and is_connected(g) and predicate(g)
+        }
+    )
 
 
 def survey_min_degree(n_lo: int = 5, n_hi: int = 8, jobs: int = 1, corpus=None) -> SurveyReport:
@@ -421,16 +440,13 @@ def survey_min_degree(n_lo: int = 5, n_hi: int = 8, jobs: int = 1, corpus=None) 
     def graphs_for(n):
         thr = -(-n // 4)
         if corpus is not None:
-            return _corpus_graphs(
+            return _corpus_codes(
                 corpus,
                 n,
                 lambda g: not is_complete(g) and degree_stats(g)[1] >= thr,
             )
-        return [
-            g
-            for g in enumerate_connected(n, min_degree=thr)
-            if not is_complete(g)
-        ]
+        complete = to_graph6(from_adj_rows(n, [(1 << n) - 1 & ~(1 << v) for v in range(n)]))
+        return [code for code in _level("general", n, thr) if code != complete]
 
     return _run_survey(
         "min-degree",
@@ -453,12 +469,12 @@ def survey_bipartite(n_lo: int = 4, n_hi: int = 9, jobs: int = 1, corpus=None) -
     def graphs_for(n):
         thr = -(-(n + 6) // 8)
         if corpus is not None:
-            return _corpus_graphs(
+            return _corpus_codes(
                 corpus,
                 n,
                 lambda g: bipartition(g) is not None and degree_stats(g)[1] >= thr,
             )
-        return list(enumerate_connected(n, min_degree=thr, bipartite_only=True))
+        return _level("bipartite", n, thr)
 
     return _run_survey(
         "bipartite",

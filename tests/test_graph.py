@@ -31,6 +31,8 @@ from properconn import (
 )
 from util import (
     brute_bridges,
+    brute_canonical_code,
+    complete_bipartite,
     complete_graph,
     cycle_graph,
     path_graph,
@@ -55,6 +57,32 @@ def small_graphs(draw, max_n=8, connected=True):
         if draw(st.booleans()) and n >= 3:
             v = draw(st.integers(min_value=0, max_value=n - 1))
             g = from_edge_list(n, [e for e in g.edges if v not in e])
+    return g
+
+
+@st.composite
+def twin_rich_graphs(draw, max_n=7):
+    """K_{a,b}, C_n, K_n minus a matching, and disjoint unions of two of
+    them: graphs with many twins and automorphisms."""
+
+    def family(n):
+        kind = draw(st.sampled_from(("biclique", "cycle", "cocktail")))
+        if kind == "biclique" and n >= 2:
+            a = draw(st.integers(min_value=1, max_value=n - 1))
+            return complete_bipartite(a, n - a)
+        if kind == "cycle" and n >= 3:
+            return cycle_graph(n)
+        k = draw(st.integers(min_value=0, max_value=n // 2))
+        matching = {(2 * i, 2 * i + 1) for i in range(k)}
+        return from_edge_list(
+            n, [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in matching]
+        )
+
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    g = family(n)
+    if n < max_n and draw(st.booleans()):
+        h = family(draw(st.integers(min_value=1, max_value=max_n - n)))
+        g = from_edge_list(n + h.n, g.edges + tuple((u + n, v + n) for u, v in h.edges))
     return g
 
 
@@ -188,6 +216,18 @@ def test_canonical_form_is_relabeling_invariant(g, seed):
     h = from_edge_list(g.n, [(perm[u], perm[v]) for u, v in g.edges])
     assert canonical_code(g) == canonical_code(h)
     assert canonical_form(g) == canonical_form(h)
+
+
+@given(
+    st.one_of(small_graphs(max_n=7, connected=False), twin_rich_graphs()),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@PROPERTY_SETTINGS
+def test_canonical_code_is_the_least_code_over_all_vertex_orders(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    h = from_edge_list(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+    assert canonical_code(h) == brute_canonical_code(h)
 
 
 def test_canonical_code_separates_nonisomorphic():

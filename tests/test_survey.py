@@ -3,6 +3,7 @@ and the survey drivers with their reports."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -31,12 +32,20 @@ from properconn import (
     verify_certificate,
     write_report,
 )
+from properconn import solver as solver_mod
 from properconn import survey as survey_mod
 from util import complete_graph, cycle_graph, enumerate_connected_by_sweep
 
 # connected graphs per vertex count, a classic integer sequence
 CONNECTED_COUNTS = {2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 CONNECTED_BIPARTITE_COUNTS = {4: 3, 5: 5, 6: 17, 7: 44, 8: 182}
+
+# sha256 of the newline-joined graph6 codes of two whole levels, in
+# enumeration order: any change to the canonical labeling changes them
+LEVEL_DIGESTS = {
+    (7, False): "b8b85762ca13a0273d6c1392cc500221f97df2c933be4f76664547c41f0d3f6e",
+    (8, True): "37b3e8eedf8fb535f2ace010586c6a6e069af713ffcd5169f5ef68aef83a93a8",
+}
 
 
 def test_enumeration_counts():
@@ -92,6 +101,12 @@ def test_enumeration_matches_the_networkx_atlas():
         built = [canonical_code(g) for g in enumerate_connected(n)]
         assert len(built) == len(codes) == CONNECTED_COUNTS[n]
         assert set(built) == codes
+
+
+def test_enumeration_codes_are_pinned():
+    for (n, bipartite), want in LEVEL_DIGESTS.items():
+        text = "\n".join(to_graph6(g) for g in enumerate_connected(n, bipartite_only=bipartite))
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == want, (n, bipartite)
 
 
 def test_enumeration_bipartite_counts():
@@ -218,6 +233,20 @@ def test_solver_contradicting_the_pipeline_is_a_pc_error(monkeypatch):
     with pytest.raises(VerificationFailed, match="ruled out") as info:
         survey_mod._examine(code)
     assert isinstance(info.value, PcError)
+
+
+def test_examine_searches_no_palette_the_pipeline_ruled_out(monkeypatch):
+    searched = []
+    real = solver_mod._search
+
+    def spy(g, k, *args, **kwargs):
+        searched.append(k)
+        return real(g, k, *args, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "_search", spy)
+    kind, (pc, _) = survey_mod._examine("F@QFw")
+    assert (kind, pc) == ("exception", 3)
+    assert 2 not in searched
 
 
 def test_min_degree_survey_bounds_checking():

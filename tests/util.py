@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 
 import numpy as np
 
-from properconn import Graph, TooLarge, canonical_code, from_edge_list
+from properconn import Graph, TooLarge, canonical_code, from_edge_list, to_graph6
 from properconn.graph import _reach_mask
 
 SWEEP_MAX_N = 7
@@ -150,6 +150,19 @@ def brute_bridges(g: Graph):
         if v not in seen:
             out.append((u, v))
     return out
+
+
+def brute_canonical_code(g: Graph) -> bytes:
+    """The definition of the canonical code: over all n! vertex orders,
+    the least column-major upper-triangle bit vector, as graph6."""
+    n = g.n
+    cols = [(i, j) for j in range(1, n) for i in range(j)]
+    best = min(
+        [g.adj[order[i]] >> order[j] & 1 for i, j in cols]
+        for order in permutations(range(n))
+    )
+    edges = [pair for pair, bit in zip(cols, best) if bit]
+    return to_graph6(from_edge_list(n, edges)).encode("ascii")
 
 
 # --- independent enumeration oracle: labeled sweep ----------------------------
