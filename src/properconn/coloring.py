@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import (
@@ -57,17 +58,13 @@ class EdgeColoring:
         bad = [c for c in self.colors if not 1 <= c <= self.k]
         if bad:
             raise ColoringGraphMismatch(f"colors {bad} outside 1..{self.k}")
-        lookup = {}
-        for (u, v), c in zip(self.graph.edges, self.colors):
-            lookup[u, v] = c
-            lookup[v, u] = c
-        object.__setattr__(self, "_lookup", lookup)
 
     def color(self, u: int, v: int) -> int:
-        try:
-            return self._lookup[u, v]
-        except KeyError:
-            raise ColoringGraphMismatch(f"({u},{v}) is not an edge") from None
+        edge = (min(u, v), max(u, v))
+        i = bisect_left(self.graph.edges, edge)
+        if i == len(self.colors) or self.graph.edges[i] != edge:
+            raise ColoringGraphMismatch(f"({u},{v}) is not an edge")
+        return self.colors[i]
 
 
 def make_coloring(g: Graph, k: int, assignment) -> EdgeColoring:

@@ -421,9 +421,19 @@ def _canonical_perm(n: int, rows) -> tuple[list[int], list[int]]:
     completion beats the best and the node returns. When a deeper call
     replaces the best code, the new code extends the current prefix, so
     the prefix ties it from then on.
+
+    The search runs on the vertices renumbered in ascending degree. The
+    minimum code does not depend on the numbering, but sparse vertices
+    tend to lead it, so ties tried in that order reach a near-best code
+    sooner and the bound cuts more.
     """
     if n <= 1:
         return list(range(n)), [0] * n
+    order = sorted(range(n), key=lambda v: rows[v].bit_count())
+    where = [0] * n
+    for i, v in enumerate(order):
+        where[v] = i
+    rows = [sum(1 << where[w] for w in range(n) if rows[v] >> w & 1) for v in order]
     best_fields: list[int] = []
     best_perm: list[int] = []
 
@@ -480,7 +490,7 @@ def _canonical_perm(n: int, rows) -> tuple[list[int], list[int]]:
         return improved
 
     extend([], [], list(range(n)), (1 << n) - 1, False)
-    return best_perm, best_fields
+    return [order[v] for v in best_perm], best_fields
 
 
 def _check_canonical_size(g: Graph) -> None:
@@ -513,3 +523,118 @@ def canonical_code(g: Graph) -> bytes:
     for j, field in enumerate(fields):
         bits = bits << j | field
     return _pack_graph6(g.n, bits).encode("ascii")
+
+
+# ---------------------------------------------------------------------------
+# isomorphism classes without labeling
+
+
+def _vertex_keys(rows) -> list[int]:
+    """Per-vertex invariant packed in one int: the degree, then the sum of
+    the neighbours' degrees, then the triangles through the vertex. An
+    isomorphism maps every vertex to one with the same key."""
+    degrees = [row.bit_count() for row in rows]
+    keys = []
+    for row in rows:
+        around = twice_triangles = 0
+        rest = row
+        while rest:
+            low = rest & -rest
+            w = low.bit_length() - 1
+            around += degrees[w]
+            twice_triangles += (row & rows[w]).bit_count()
+            rest ^= low
+        keys.append(row.bit_count() << 16 | around << 8 | twice_triangles >> 1)
+    return keys
+
+
+def _isomorphic(a, keys_a, b, keys_b) -> bool:
+    """Exact isomorphism test of the graphs with adjacency rows a and b.
+
+    Backtracking over every bijection that maps each vertex of a to a
+    vertex of b with the same key; since every isomorphism keeps keys,
+    none is missed. The vertex of a placed next is the one with the most
+    already-placed neighbours, ties going to the rarest key, and a vertex
+    of b is accepted only when its placed neighbours are exactly the
+    images of the placed neighbours of the vertex of a it receives.
+    """
+    n = len(a)
+    if sorted(keys_a) != sorted(keys_b):
+        return False
+    by_key: dict[int, int] = {}
+    for w, key in enumerate(keys_b):
+        by_key[key] = by_key.get(key, 0) | 1 << w
+    cands = [by_key[key] for key in keys_a]
+    counts = [mask.bit_count() for mask in cands]
+    order: list[int] = []
+    placed = 0
+    for _ in range(n):
+        v = max(
+            (u for u in range(n) if not placed >> u & 1),
+            key=lambda u: ((a[u] & placed).bit_count(), -counts[u]),
+        )
+        order.append(v)
+        placed |= 1 << v
+    back = [[j for j in range(i) if a[order[i]] >> order[j] & 1] for i in range(n)]
+    # frees[i]: candidates for position i not tried yet; needs[i]: the
+    # images of its placed neighbours, which its image's placed
+    # neighbours must equal
+    image, needs, frees = [0] * n, [0] * n, [0] * n
+    frees[0] = cands[order[0]]
+    used, i = 0, 0
+    while True:
+        free = frees[i]
+        if not free:
+            if i == 0:
+                return False
+            i -= 1
+            used ^= 1 << image[i]
+            continue
+        low = free & -free
+        frees[i] = free ^ low
+        w = low.bit_length() - 1
+        if b[w] & used != needs[i]:
+            continue
+        image[i] = w
+        used |= low
+        i += 1
+        if i == n:
+            return True
+        need = 0
+        for j in back[i]:
+            need |= 1 << image[j]
+        needs[i] = need
+        frees[i] = cands[order[i]] & ~used
+
+
+def _add_class(classes: dict, rows) -> bool:
+    """Add the graph with these adjacency rows to classes unless a graph
+    isomorphic to it is there already; True when it was added.
+
+    classes holds graphs of one order. It maps the hash of a graph's
+    sorted vertex keys (hashes of int tuples do not depend on
+    PYTHONHASHSEED) to its one representative, or to a list of them when
+    non-isomorphic graphs share the hash. A representative is stored as
+    its rows packed in one int, row v at bit n*v; its keys are recomputed
+    on a collision.
+    """
+    n = len(rows)
+    keys = _vertex_keys(rows)
+    slot = hash(tuple(sorted(keys)))
+    packed = 0
+    for row in reversed(rows):
+        packed = packed << n | row
+    held = classes.get(slot)
+    if held is None:
+        classes[slot] = packed
+        return True
+    full = (1 << n) - 1
+    for rep in [held] if type(held) is int else held:
+        rep_rows = [rep >> n * v & full for v in range(n)]
+        if _isomorphic(rows, keys, rep_rows, _vertex_keys(rep_rows)):
+            return False
+    if type(held) is int:
+        classes[slot] = [held, packed]
+    else:
+        held.append(packed)
+    return True

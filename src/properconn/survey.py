@@ -1,17 +1,20 @@
 """Isomorph-free enumeration of small connected graphs and exhaustive
 minimum-degree surveys of the two-color bound.
 
-Canonical augmentation (grow by one vertex, dedup by canonical code)
-enumerates the classes for n <= 9; the test suite cross-checks it with
-an independent labeled adjacency-mask sweep for n <= 7. The augmentation
-labels only children that pass a canonical-deletion prefilter, and a level with
-minimum degree >= t grows from levels filtered the same way, so the
-surveys never build the full levels they would discard. Surveys decide
-pc <= 2 with pc2_pipeline (a spanning path, a bipartite core, else the
-exact kernel at k = 2), whose None is a verdict; only those graphs go to
-the exact solver, and graphs whose search budget runs out are reported,
-never dropped. A solver that finds a 2-coloring there contradicts the
-pipeline and raises VerificationFailed.
+Augmentation (grow by one vertex, keep one child per class) enumerates
+the classes for n <= 9; the test suite cross-checks it with an
+independent labeled adjacency-mask sweep for n <= 7. Children are pruned
+by twin classes and a canonical-deletion prefilter, and the survivors are
+deduplicated by vertex invariants plus an exact isomorphism test, so a
+level is built without canonical labeling; enumerate_connected labels
+each class once, and a survey labels only the graphs its report prints.
+A level with minimum degree >= t grows from levels filtered the same
+way, so the surveys never build the full levels they would discard.
+Surveys decide pc <= 2 with pc2_pipeline (a spanning path, a bipartite
+core, else the exact kernel at k = 2), whose None is a verdict; only
+those graphs go to the exact solver, and graphs whose search budget runs
+out are reported, never dropped. A solver that finds a 2-coloring there
+contradicts the pipeline and raises VerificationFailed.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .errors import (
 )
 from .graph import (
     Graph,
+    _add_class,
     _reach_mask,
     bipartition,
     canonical_code,
@@ -43,7 +47,8 @@ from .graph import (
     is_connected,
     to_graph6,
 )
-from .solver import pc_exact, verify_certificate
+from .solver import pc_exact
+from .solver import verify_certificate  # noqa: F401  (perfbench/tracing.py wraps it here)
 
 ENUMERATION_MAX_N = 9
 
@@ -57,29 +62,59 @@ FIXTURE_RESOURCE = "exceptional_graphs.json"
 _LEVELS: dict[tuple[str, int, int], tuple[str, ...]] = {}
 
 
+def _twin_classes(g: Graph) -> list[list[int]]:
+    """The classes of twins, ascending: u and v are twins when
+    N(u) - v = N(v) - u. This is an equivalence, each class is a clique or
+    an independent set, and any permutation of a class that fixes every
+    other vertex is an automorphism."""
+    classes: list[list[int]] = []
+    done = 0
+    for u in g.vertices():
+        if done >> u & 1:
+            continue
+        cls = [u] + [
+            v
+            for v in range(u + 1, g.n)
+            if not done >> v & 1 and g.adj[u] & ~(1 << v) == g.adj[v] & ~(1 << u)
+        ]
+        for v in cls:
+            done |= 1 << v
+        classes.append(cls)
+    return classes
+
+
 def _attachment_sets(kind: str, g: Graph, t: int):
     """Bitmasks of the vertex sets the next vertex may attach to, when the
     child must have minimum degree >= t: at least t vertices (and at least
     one), holding every vertex of degree t-1. The bipartite chain attaches
-    within one side only, which keeps the child bipartite."""
+    within one side only, which keeps the child bipartite.
+
+    Within each twin class only a lowest-index prefix is attached to: any
+    other set maps onto such a one by an automorphism of g that permutes
+    vertices within twin classes, and that automorphism, fixing the new
+    vertex, carries one child onto the other. Twins share a degree, so
+    the vertices of degree t-1 are whole classes."""
     if kind == "general":
         sides = [(1 << g.n) - 1]
     else:
         parts = bipartition(g)
         sides = [sum(1 << v for v in side) for side in (parts.sideU, parts.sideV)]
     low = sum(1 << v for v in range(g.n) if g.degree(v) == t - 1)
+    prefixes = []
+    for cls in _twin_classes(g):
+        masks = [0]
+        for v in cls:
+            masks.append(masks[-1] | 1 << v)
+        prefixes.append(masks[-1:] if low >> cls[0] & 1 else masks)
     for side in sides:
         if low & ~side:
             continue
-        free = side & ~low
-        sub = free
-        while True:
-            attach = low | sub
-            if attach.bit_count() >= max(t, 1):
-                yield attach
-            if not sub:
-                break
-            sub = (sub - 1) & free
+        attach = [0]
+        for masks in prefixes:
+            attach = [a | m for a in attach for m in masks if not m & ~side]
+        for a in attach:
+            if a.bit_count() >= max(t, 1):
+                yield a
 
 
 def _deletion_components(g: Graph) -> list[list[int]]:
@@ -98,36 +133,54 @@ def _deletion_components(g: Graph) -> list[list[int]]:
 
 
 def _level(kind: str, n: int, t: int) -> tuple[str, ...]:
-    """Sorted canonical graph6 codes of the connected classes on n
-    vertices with minimum degree >= t (bipartite ones for that kind).
+    """Graph6 codes of one representative per connected class on n
+    vertices with minimum degree >= t (bipartite ones for that kind). The
+    representatives are not canonical forms; the order is deterministic.
 
     Each class H on n vertices is grown from one on n-1 by a new vertex
-    attached to a chosen set. Two prunes run before any labeling:
+    attached to a chosen set. Two prunes run before a child is built:
 
-    (a) the attachment set has at least t vertices and holds every parent
-        vertex of degree t-1 (`_attachment_sets`);
+    (a) the attachment set has at least t vertices, holds every parent
+        vertex of degree t-1, and meets each twin class of the parent in
+        a lowest-index prefix (`_attachment_sets`);
     (b) the child is dropped when some non-cut vertex has a larger key
         than the new vertex, where a vertex's key is its degree, then
         the sum of its neighbours' degrees, compared in that order
         (the cheap half of McKay's canonical deletion, J. Algorithms 26,
         1998, with an isomorphism-invariant key).
 
+    A surviving child is kept unless it is isomorphic to a child already
+    kept (`graph._add_class`): children are bucketed by their sorted
+    vertex invariants, and an exact isomorphism test decides within a
+    bucket, so no child is labeled.
+
     Soundness: in H delete a non-cut vertex v of maximum key among the
     non-cut vertices. H - v is connected with minimum degree >= t-1, so
-    its class is in _level(kind, n-1, max(t-1, 0)). N(v) has deg(v) >= t
-    vertices and holds every vertex whose degree dropped to t-1, so (a)
-    keeps it, and re-attaching v gives H back with its new vertex of
-    maximum non-cut key, so (b) keeps it too. In the bipartite chain
-    H - v stays bipartite and N(v) lies within one of its sides, which is
-    where that chain attaches. Isomorphic children from different parents
-    or sets are merged by canonical code, so no orbit computation is
-    needed. t = 0 is the unfiltered chain.
+    its class has a representative P in _level(kind, n-1, max(t-1, 0));
+    let f map H - v onto P. S = f(N(v)) has deg(v) >= t vertices and holds
+    every vertex whose degree dropped to t-1. An automorphism s of P that
+    permutes vertices within twin classes carries S to a set that meets
+    each class in a prefix, so (a) keeps s(S). Re-attaching v to s(S) gives a child
+    isomorphic to H by an isomorphism that fixes the new vertex, and (b)
+    depends only on that pair, so the new vertex again has maximum
+    non-cut key and (b) keeps it too. In the bipartite chain H - v stays
+    bipartite and N(v) lies within one of its sides, and automorphisms
+    keep or swap the sides of a connected bipartite graph. So every class
+    reaches the dedup, which keeps its first child and, being exact, never
+    merges two classes. t = 0 is the unfiltered chain.
+
+    On one core of a 2-core machine under Python 3.11, the min-degree
+    chain of survey_min_degree(5, 8) takes about 1 s, the full general
+    level at n=8 about 1.5 s, _level("general", 9, 3) (84,242 classes)
+    12-14 s and the full general level at n=9 (261,080 classes) about
+    35 s.
     """
     if n == 1:
         return ("@",) if t == 0 else ()
     key = (kind, n, t)
     if key not in _LEVELS:
-        seen = set()
+        classes: dict = {}
+        kept = []
         for code in _level(kind, n - 1, max(t - 1, 0)):
             g = from_graph6(code)
             degrees = [row.bit_count() for row in g.adj]
@@ -151,10 +204,11 @@ def _level(kind: str, n: int, t: int) -> tuple[str, ...]:
                     for u in g.vertices()
                 ):
                     continue
-                rows = [row | (attach >> v & 1) << g.n for v, row in enumerate(g.adj)]
-                rows.append(attach)
-                seen.add(canonical_code(from_adj_rows(n, rows)))
-        _LEVELS[key] = tuple(sorted(code.decode("ascii") for code in seen))
+                rows = tuple(row | (attach >> v & 1) << g.n for v, row in enumerate(g.adj))
+                rows += (attach,)
+                if _add_class(classes, rows):
+                    kept.append(to_graph6(from_adj_rows(n, rows)))
+        _LEVELS[key] = tuple(kept)
     return _LEVELS[key]
 
 
@@ -164,18 +218,22 @@ def enumerate_connected(n: int, min_degree: int = 0, bipartite_only: bool = Fals
     canonical-code order.
 
     Built-in generation covers 2 <= n <= 9; larger orders must come from
-    graph6 corpus files. A min_degree level is built from filtered levels
-    below it, so it costs far less than the full one. On one core of a
-    2-core machine under Python 3.11, the full general level at n=9
-    (261,080 classes, 403,562 labelings) takes about 2.5 minutes; n=8
-    (19,473 labelings) about 5 s, and the whole bipartite chain at n=9
-    about 1 s.
+    graph6 corpus files. The level is built without labeling (see
+    _level) and each representative is then labeled once. A min_degree
+    level is built from filtered levels below it, so it costs far less
+    than the full one. On one core of a 2-core machine under Python 3.11,
+    the full general level at n=9 (261,080 classes) takes about 2.5
+    minutes, n=8 (11,117 classes) about 4 s, and the whole bipartite
+    chain at n=9 under 1 s.
     """
     if not 2 <= n <= ENUMERATION_MAX_N:
         raise TooLarge(f"built-in enumeration covers 2 <= n <= {ENUMERATION_MAX_N}")
     kind = "bipartite" if bipartite_only else "general"
-    for code in _level(kind, n, max(min_degree, 0)):
-        yield from_graph6(code)
+    codes = sorted(
+        canonical_code(from_graph6(code)) for code in _level(kind, n, max(min_degree, 0))
+    )
+    for code in codes:
+        yield from_graph6(code.decode("ascii"))
 
 
 # ---------------------------------------------------------------------------
@@ -363,22 +421,24 @@ def write_report(report: SurveyReport, path, fmt: str = "text"):
 def _examine(code: str):
     """Worker: settle one graph. Returns a picklable outcome tuple.
 
-    A None from pc2_pipeline proves pc >= 3, so pc_exact starts there.
+    A None from pc2_pipeline proves pc >= 3, so pc_exact starts there, on
+    the graph relabeled to its canonical form: the witness then certifies
+    the graph a report prints, and only such graphs are ever labeled.
+    pc_exact's witness has passed the exact checker already.
     """
     g = from_graph6(code)
     cert = pc2_pipeline(g)
     if cert is not None:
         return ("two", None)
+    canon = canonical_code(g).decode("ascii")
     try:
-        pc, witness = pc_exact(g, lower=3)
+        pc, witness = pc_exact(from_graph6(canon), lower=3)
     except SearchBudgetExceeded as exc:
-        return ("unresolved", (exc.lower, exc.upper, str(exc)))
+        return ("unresolved", (canon, exc.lower, exc.upper, str(exc)))
     if pc == 2:
         raise VerificationFailed(
-            f"{code}: pc_exact found a 2-coloring that pc2_pipeline ruled out"
+            f"{canon}: pc_exact found a 2-coloring that pc2_pipeline ruled out"
         )
-    if not verify_certificate(witness):
-        raise VerificationFailed(f"unverifiable witness for {code}")
     return ("exception", (pc, witness))
 
 
@@ -392,20 +452,20 @@ def _map_examine(codes, jobs: int):
 
 
 def _run_survey(name, filter_desc, n_lo, n_hi, graphs_for, jobs) -> SurveyReport:
-    """Examine graphs_for(n), the canonical graph6 codes on n vertices,
-    for every n in range."""
+    """Examine graphs_for(n), graph6 codes of one graph per class on n
+    vertices, for every n in range. Reports print canonical codes."""
     totals, timing = {}, {}
     exceptions, unresolved = [], []
     for n in range(n_lo, n_hi + 1):
         t0 = time.perf_counter()
         codes = graphs_for(n)
         totals[n] = len(codes)
-        for code, (kind, info) in zip(codes, _map_examine(codes, jobs)):
+        for kind, info in _map_examine(codes, jobs):
             if kind == "exception":
                 pc, witness = info
-                exceptions.append(ExceptionRecord(code, pc, witness))
+                exceptions.append(ExceptionRecord(to_graph6(witness.graph), pc, witness))
             elif kind == "unresolved":
-                unresolved.append(UnresolvedRecord(code, *info))
+                unresolved.append(UnresolvedRecord(*info))
         timing[n] = time.perf_counter() - t0
     return SurveyReport(
         name, n_lo, n_hi, filter_desc, totals, exceptions, unresolved, timing
@@ -413,29 +473,27 @@ def _run_survey(name, filter_desc, n_lo, n_hi, graphs_for, jobs) -> SurveyReport
 
 
 def _corpus_codes(corpus, n, predicate):
-    """Sorted canonical graph6 codes of the corpus graphs on n vertices
-    that are connected and pass the predicate, one per class."""
-    return sorted(
-        {
-            canonical_code(g).decode("ascii")
-            for g in corpus
-            if g.n == n and is_connected(g) and predicate(g)
-        }
-    )
+    """Graph6 codes of the corpus graphs on n vertices that are connected
+    and pass the predicate, the first of each class in corpus order."""
+    classes: dict = {}
+    return [
+        to_graph6(g)
+        for g in corpus
+        if g.n == n and is_connected(g) and predicate(g) and _add_class(classes, g.adj)
+    ]
 
 
 def survey_min_degree(n_lo: int = 5, n_hi: int = 8, jobs: int = 1, corpus=None) -> SurveyReport:
     """Check every connected noncomplete graph with min degree >= ceil(n/4)
     for a verified 2-coloring; report the graphs needing more.
 
-    Built-in enumeration covers n up to 8; n = 9 requires an external
-    corpus (iterable of Graph). Budget shortfalls land in `unresolved`.
+    Built-in enumeration and corpora (iterables of Graph) both cover n up
+    to 9. Budget shortfalls land in `unresolved`.
     """
-    cap = 8 if corpus is None else ENUMERATION_MAX_N
     if not 5 <= n_lo <= n_hi:
         raise OutOfRange("need 5 <= n_lo <= n_hi")
-    if n_hi > cap:
-        raise TooLarge(f"minimum-degree survey covers n <= {cap} here")
+    if n_hi > ENUMERATION_MAX_N:
+        raise TooLarge(f"minimum-degree survey covers n <= {ENUMERATION_MAX_N}")
 
     def graphs_for(n):
         thr = -(-n // 4)

@@ -29,6 +29,7 @@ from properconn import (
     parse_edge_list_text,
     to_graph6,
 )
+from properconn.graph import _isomorphic, _vertex_keys
 from util import (
     brute_bridges,
     brute_canonical_code,
@@ -241,3 +242,51 @@ def test_canonical_form_is_idempotent():
     g = petersen()
     c = canonical_form(g)
     assert canonical_form(c) == c
+
+
+# --- isomorphism without labeling -------------------------------------------------
+
+# the connected cubic graphs on 8 vertices; the cube and the Wagner graph
+# (the first and third) have every vertex key equal, yet are not isomorphic
+CUBIC_8 = ("G?]uf?", "G@NMf?", "G@Umf?", "G@UuV?", "G@]uEC")
+
+
+def relabeled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return from_edge_list(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def isomorphic(g, h):
+    return _isomorphic(g.adj, _vertex_keys(g.adj), h.adj, _vertex_keys(h.adj))
+
+
+some_graphs = st.one_of(
+    small_graphs(max_n=8, connected=False),
+    twin_rich_graphs(max_n=8),
+    st.sampled_from(CUBIC_8).map(from_graph6),
+)
+
+
+@given(some_graphs, some_graphs, st.integers(min_value=0, max_value=2**32 - 1))
+@PROPERTY_SETTINGS
+def test_isomorphism_test_agrees_with_canonical_codes(g, other, seed):
+    h = relabeled(g, seed)
+    assert isomorphic(g, h) and isomorphic(h, g)
+    if other.n == g.n:
+        same = canonical_code(g) == canonical_code(other)
+        assert isomorphic(h, other) == same
+        assert isomorphic(other, h) == same
+
+
+def test_isomorphism_test_separates_graphs_with_equal_vertex_keys():
+    cubic = [from_graph6(code) for code in CUBIC_8]
+    assert len({canonical_code(g) for g in cubic}) == len(cubic)
+    tied = 0
+    for i, g in enumerate(cubic):
+        for j, h in enumerate(cubic):
+            h = relabeled(h, 7 * i + j)
+            if sorted(_vertex_keys(g.adj)) == sorted(_vertex_keys(h.adj)):
+                tied += 1
+                assert isomorphic(g, h) == (i == j)
+    assert tied > len(cubic)  # some non-isomorphic pair ties on every key

@@ -11,9 +11,9 @@ import pytest
 from properconn import (
     FixturesMissing,
     PcError,
+    SearchBudgetExceeded,
     TooLarge,
     VerificationFailed,
-    VerificationReport,
     canonical_code,
     degree_stats,
     enumerate_connected,
@@ -215,17 +215,6 @@ def test_min_degree_survey_finds_the_seven_vertex_exception():
     assert report.unresolved == []
 
 
-def test_unverifiable_witness_is_a_pc_error(monkeypatch):
-    monkeypatch.setattr(
-        survey_mod,
-        "verify_certificate",
-        lambda cert: VerificationReport(False, "rejected for the test"),
-    )
-    with pytest.raises(VerificationFailed, match="F@QFw") as info:
-        survey_mod._examine("F@QFw")
-    assert isinstance(info.value, PcError)
-
-
 def test_solver_contradicting_the_pipeline_is_a_pc_error(monkeypatch):
     # C5 has a 2-coloring, so a pipeline None here contradicts pc_exact
     monkeypatch.setattr(survey_mod, "pc2_pipeline", lambda g: None)
@@ -253,7 +242,7 @@ def test_min_degree_survey_bounds_checking():
     with pytest.raises(ValueError):
         survey_min_degree(6, 5)
     with pytest.raises(TooLarge):
-        survey_min_degree(5, 9)  # 9 needs an explicit corpus
+        survey_min_degree(5, 10)
 
 
 def test_bipartite_survey_clean():
@@ -271,6 +260,49 @@ def test_corpus_driven_survey():
     # K7 is complete and drops out; the cycle meets the degree bar
     assert report.totals == {7: 2}
     assert [e.graph6 for e in report.exceptions] == [to_graph6(f3)]
+
+
+def test_corpus_reports_a_relabeled_exception_by_its_canonical_code():
+    relabeled = from_edge_list(7, [(6 - u, 6 - v) for u, v in from_graph6("F@QFw").edges])
+    assert to_graph6(relabeled) != "F@QFw"
+    report = survey_min_degree(7, 7, corpus=[relabeled, cycle_graph(7)])
+    assert report.totals == {7: 2}
+    assert [e.graph6 for e in report.exceptions] == ["F@QFw"]
+    assert report.exceptions[0].certificate.graph == from_graph6("F@QFw")
+
+
+def test_report_codes_are_canonical_codes_of_the_certified_graphs():
+    report = survey_min_degree(7, 8)
+    assert sorted(e.graph6 for e in report.exceptions) == ["F@QFw", "G@LCE["]
+    for rec in report.exceptions:
+        assert rec.graph6 == canonical_code(rec.certificate.graph).decode("ascii")
+        assert verify_certificate(rec.certificate).ok
+
+
+def test_unresolved_records_carry_canonical_codes(monkeypatch):
+    def out_of_budget(g, lower):
+        raise SearchBudgetExceeded(lower, 4, "budget spent for the test")
+
+    monkeypatch.setattr(survey_mod, "pc_exact", out_of_budget)
+    relabeled = from_edge_list(8, [(7 - u, 7 - v) for u, v in from_graph6("G@LCE[").edges])
+    report = survey_min_degree(8, 8, corpus=[relabeled])
+    assert report.exceptions == []
+    assert [(r.graph6, r.lower, r.upper) for r in report.unresolved] == [("G@LCE[", 3, 4)]
+
+
+def test_twin_class_swaps_are_automorphisms():
+    for code in ("F@QFw", "G@LCE[", to_graph6(complete_graph(5)), to_graph6(cycle_graph(4))):
+        g = from_graph6(code)
+        classes = survey_mod._twin_classes(g)
+        assert sorted(v for cls in classes for v in cls) == list(range(g.n))
+        for cls in classes:
+            for u in cls:
+                for v in cls:
+                    swap = {u: v, v: u}
+                    image = {
+                        tuple(sorted((swap.get(a, a), swap.get(b, b)))) for a, b in g.edges
+                    }
+                    assert image == set(g.edges)
 
 
 def test_corpus_deduplicates_isomorphs():
