@@ -9,11 +9,15 @@ proper paths whose first colors differ and whose last colors differ.
 Everything is decided by exhaustive simple-path enumeration. The checker
 runs one depth-first search over the proper simple paths from each
 source and settles every later vertex it reaches; when that search runs
-to the end, the vertices it missed are the failing pairs. Past a fixed
-step cap, the unsettled pairs go one at a time to a per-pair search
-pruned by walk reachability (breadth-first search over (vertex, last
-color) states). Walks may revisit vertices, so walk reachability can
-overcount: it prunes and rejects, but never accepts a pair.
+to the end, the vertices it missed are the failing pairs. Every subpath
+of a proper simple path is itself proper and simple, so when the search
+steps to a vertex x, each vertex on the current path is joined to x:
+one search settles pairs for later sources too, and a source whose
+pairs are all settled runs no search. Past a fixed step cap, the
+unsettled pairs go one at a time to a per-pair search pruned by walk
+reachability (breadth-first search over (vertex, last color) states).
+Walks may revisit vertices, so walk reachability can overcount: it
+prunes and rejects, but never accepts a pair.
 
 `complete` is the one search over colorings: every exact coloring search
 in the package (minimum palettes, strong sweeps, extensions, skeleton
@@ -136,10 +140,14 @@ class _Machine:
     """Per-coloring search state: color lookups, walk transitions, caches.
 
     first_bad_pair runs one depth-first search over proper simple paths
-    per source. Only when that search passes its step cap does it fall
-    back to the per-pair search (pair_ok), which prunes with walk
-    transitions over states (vertex, last edge color), packed as
-    v*k + color-1; those tables are built on first use.
+    per source that still has an unsettled pair. Each search records in
+    linked[x] the vertices joined to x by a proper simple path: the
+    current path's vertices whenever it steps to x, since every subpath
+    of a proper simple path is proper and simple. Only when a search
+    passes its step cap does first_bad_pair fall back to the per-pair
+    search (pair_ok), which prunes with walk transitions over states
+    (vertex, last edge color), packed as v*k + color-1; those tables are
+    built on first use.
     """
 
     def __init__(self, n: int, k: int, edges, colors):
@@ -272,18 +280,19 @@ class _Machine:
         found = PathProfile(frozenset(self.profile_pairs(u, v, mode)))
         return found.has_strong_pair() if strong else found.connects()
 
-    def dfs_from(self, u: int, strong: bool) -> tuple[int, bool]:
+    def dfs_from(self, u: int, strong: bool, pending: int, linked) -> tuple[int, bool]:
         """One DFS over the proper simple paths that start at u.
 
-        Returns (pending, finished): pending is the mask of targets v > u
-        not yet known to be good (reached by a proper path, or in strong
-        mode by two paths whose first colors differ and whose last colors
-        differ), and finished says the DFS ended because no target was
+        pending is the mask of targets v > u not yet known to be good
+        (reached by a proper path, or in strong mode by two paths whose
+        first colors differ and whose last colors differ). Returns what
+        is still pending and whether the DFS ended because no target was
         pending or every proper simple path from u was seen, rather than
-        because _DFS_STEPS ran out.
+        because _DFS_STEPS ran out. Each step onto a vertex x ORs the
+        current path's vertices into linked[x]: the subpath from any of
+        them to x is a proper simple path.
         """
         rows = self.rows
-        pending = (1 << self.n) - (2 << u)
         steps = _DFS_STEPS
         ends: dict[int, set[tuple[int, int]]] = {}
 
@@ -301,6 +310,7 @@ class _Machine:
             for x, cx in rows[w].items():
                 if cx == last or visited >> x & 1:
                     continue
+                linked[x] |= visited
                 if pending >> x & 1 and (not strong or strong_pair(x, start, cx)):
                     pending ^= 1 << x
                     if not pending:
@@ -311,6 +321,7 @@ class _Machine:
             return False
 
         for w, c in rows[u].items():
+            linked[w] |= 1 << u
             if pending >> w & 1 and (not strong or strong_pair(w, c, c)):
                 pending ^= 1 << w
                 if not pending:
@@ -320,10 +331,27 @@ class _Machine:
         return pending, steps >= 0
 
     def first_bad_pair(self, strong: bool):
-        """Lexicographically first pair (u, v) that fails, or None."""
-        for u in range(self.n - 1):
-            pending, finished = self.dfs_from(u, strong)
-            for v in range(u + 1, self.n):
+        """Lexicographically first pair (u, v) that fails, or None.
+
+        Pairs are decided source by source, in order. In plain mode a
+        pair (u, v) that an earlier source's search joined by a subpath
+        is good already, so it is not pending for u, and u runs no search
+        when nothing is pending; strong mode needs two paths per pair and
+        gets no such head start.
+        """
+        n = self.n
+        linked = [0] * n
+        for u in range(n - 1):
+            pending = (1 << n) - (2 << u)
+            if not strong:
+                pending &= ~linked[u]
+                for v in range(u + 1, n):
+                    if linked[v] >> u & 1:
+                        pending &= ~(1 << v)
+                if not pending:
+                    continue
+            pending, finished = self.dfs_from(u, strong, pending, linked)
+            for v in range(u + 1, n):
                 # a finished DFS saw every proper simple path from u
                 if pending >> v & 1 and (finished or not self.pair_ok(u, v, strong)):
                     return (u, v)

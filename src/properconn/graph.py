@@ -607,34 +607,47 @@ def _isomorphic(a, keys_a, b, keys_b) -> bool:
         frees[i] = cands[order[i]] & ~used
 
 
-def _add_class(classes: dict, rows) -> bool:
+def _pack_rows(rows) -> int:
+    """Adjacency rows of an n-vertex graph packed in one int, row v at
+    bit n*v."""
+    n = len(rows)
+    packed = 0
+    for row in reversed(rows):
+        packed = packed << n | row
+    return packed
+
+
+def _unpack_rows(n: int, packed: int) -> list[int]:
+    """The adjacency rows that _pack_rows packed for an n-vertex graph."""
+    full = (1 << n) - 1
+    return [packed >> n * v & full for v in range(n)]
+
+
+def _add_class(classes: dict, rows):
     """Add the graph with these adjacency rows to classes unless a graph
-    isomorphic to it is there already; True when it was added.
+    isomorphic to it is there already. Returns its packed rows
+    (_pack_rows) when it was added, else None.
 
     classes holds graphs of one order. It maps the hash of a graph's
     sorted vertex keys (hashes of int tuples do not depend on
     PYTHONHASHSEED) to its one representative, or to a list of them when
     non-isomorphic graphs share the hash. A representative is stored as
-    its rows packed in one int, row v at bit n*v; its keys are recomputed
-    on a collision.
+    its packed rows; its keys are recomputed on a collision.
     """
     n = len(rows)
     keys = _vertex_keys(rows)
     slot = hash(tuple(sorted(keys)))
-    packed = 0
-    for row in reversed(rows):
-        packed = packed << n | row
+    packed = _pack_rows(rows)
     held = classes.get(slot)
     if held is None:
         classes[slot] = packed
-        return True
-    full = (1 << n) - 1
+        return packed
     for rep in [held] if type(held) is int else held:
-        rep_rows = [rep >> n * v & full for v in range(n)]
+        rep_rows = _unpack_rows(n, rep)
         if _isomorphic(rows, keys, rep_rows, _vertex_keys(rep_rows)):
-            return False
+            return None
     if type(held) is int:
         classes[slot] = [held, packed]
     else:
         held.append(packed)
-    return True
+    return packed

@@ -3,7 +3,9 @@
 All searches are exhaustive backtracking over bitmask states with memoized
 dead states, a reachability prune on the unvisited part, and fail-first
 candidate ordering (fewest unvisited neighbors first). Dense graphs, the
-hot case for the survey, resolve essentially without backtracking.
+hot case for the survey, resolve essentially without backtracking. On
+bipartite graphs a side count settles lopsided sides at once and fixes
+the path's ends when the sides differ by one.
 
 Cycles are returned as a vertex list whose closing edge back to the first
 vertex is implicit.
@@ -34,39 +36,86 @@ def _bits(mask: int):
 
 def _spanning_path(adj, n: int, start: int, end_mask: int):
     """Spanning simple path from start whose far end lies in end_mask,
-    as a vertex list, or None."""
+    as a vertex list, or None. n <= 32.
+
+    Candidates are tried by fewest unvisited neighbours, then by index;
+    each is packed as that count << 5 | vertex so that plain int order is
+    that order. A dead state (v, visited) is keyed as visited << 5 | v.
+    The path is built by appending on the way back, so it is reversed at
+    the end.
+    """
     full = (1 << n) - 1
     dead = set()
+    back: list[int] = []
 
-    def rec(v: int, visited: int):
+    def rec(v: int, visited: int) -> bool:
         if visited == full:
-            return [v] if end_mask >> v & 1 else None
-        key = (v, visited)
+            if end_mask >> v & 1:
+                back.append(v)
+                return True
+            return False
+        key = visited << 5 | v
         if key in dead:
-            return None
+            return False
         unvis = full & ~visited
-        if _reach_mask(adj, v, unvis | 1 << v) & unvis != unvis:
+        rest = adj[v] & unvis
+        # v adjacent to every unvisited vertex reaches them all
+        if rest != unvis and _reach_mask(adj, v, unvis | 1 << v) & unvis != unvis:
             dead.add(key)
-            return None
-        cands = sorted(
-            ((adj[w] & unvis).bit_count(), w) for w in _bits(adj[v] & unvis)
-        )
-        for _, w in cands:
-            tail = rec(w, visited | 1 << w)
-            if tail is not None:
-                return [v] + tail
+            return False
+        cands = []
+        while rest:
+            low = rest & -rest
+            w = low.bit_length() - 1
+            cands.append((adj[w] & unvis).bit_count() << 5 | w)
+            rest ^= low
+        cands.sort()
+        for packed in cands:
+            w = packed & 31
+            if rec(w, visited | 1 << w):
+                back.append(v)
+                return True
         dead.add(key)
-        return None
+        return False
 
-    return rec(start, 1 << start)
+    return back[::-1] if rec(start, 1 << start) else None
+
+
+def _sides(adj):
+    """The two sides of a connected bipartite graph as bitmasks (the
+    even and the odd breadth-first layers from vertex 0), or None.
+
+    Every edge joins two vertices of one layer or of adjacent layers, so
+    the graph is bipartite exactly when no layer holds an edge."""
+    sides = [1, 0]
+    seen = frontier = 1
+    odd = 0
+    while frontier:
+        nxt = 0
+        for v in _bits(frontier):
+            nxt |= adj[v]
+        if nxt & frontier:
+            return None
+        odd ^= 1
+        frontier = nxt & ~seen
+        seen |= frontier
+        sides[odd] |= frontier
+    return sides
 
 
 def hamilton_path(g: Graph):
     """A spanning simple path, or None.
 
-    Complete in one search: a universal helper vertex is appended and a
-    spanning path is grown from it, so every real vertex is tried as a
-    path end while dead states stay shared.
+    Complete in one search: a helper vertex joined to every possible path
+    end is appended and a spanning path is grown from it, so every such
+    vertex is tried as a path end while dead states stay shared.
+
+    On a bipartite graph with sides of a >= b vertices, consecutive path
+    vertices lie on opposite sides, so a spanning path alternates sides:
+    it exists only if a - b <= 1, and when a = b + 1 it has an odd
+    number of vertices and starts and ends on the larger side. So a gap
+    of two or more returns None at once, and a gap of one joins the
+    helper to the larger side only and requires the far end there.
     """
     _check(g)
     if g.n == 0:
@@ -76,10 +125,16 @@ def hamilton_path(g: Graph):
     if not is_connected(g):
         return None
     n = g.n
-    full = (1 << n) - 1
-    adj = list(g.adj) + [full]
-    adj = [row | 1 << n if i < n else row for i, row in enumerate(adj)]
-    found = _spanning_path(adj, n + 1, n, full)
+    ends = (1 << n) - 1
+    sides = _sides(g.adj)
+    if sides is not None:
+        gap = sides[0].bit_count() - sides[1].bit_count()
+        if abs(gap) >= 2:
+            return None
+        if gap:
+            ends = sides[0] if gap > 0 else sides[1]
+    adj = [row | (ends >> v & 1) << n for v, row in enumerate(g.adj)] + [ends]
+    found = _spanning_path(adj, n + 1, n, ends)
     return found[1:] if found else None
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 from multiprocessing import get_context
 
@@ -36,7 +37,9 @@ from .errors import (
 from .graph import (
     Graph,
     _add_class,
+    _pack_rows,
     _reach_mask,
+    _unpack_rows,
     bipartition,
     canonical_code,
     degree_stats,
@@ -59,7 +62,7 @@ FIXTURE_RESOURCE = "exceptional_graphs.json"
 # canonical augmentation
 
 
-_LEVELS: dict[tuple[str, int, int], tuple[str, ...]] = {}
+_LEVELS: dict[tuple[str, int, int], tuple[int, ...]] = {}
 
 
 def _twin_classes(g: Graph) -> list[list[int]]:
@@ -132,10 +135,11 @@ def _deletion_components(g: Graph) -> list[list[int]]:
     return out
 
 
-def _level(kind: str, n: int, t: int) -> tuple[str, ...]:
-    """Graph6 codes of one representative per connected class on n
-    vertices with minimum degree >= t (bipartite ones for that kind). The
-    representatives are not canonical forms; the order is deterministic.
+def _level(kind: str, n: int, t: int) -> tuple[int, ...]:
+    """Packed rows (graph._pack_rows) of one representative per connected
+    class on n vertices with minimum degree >= t (bipartite ones for that
+    kind). The representatives are not canonical forms; the order is
+    deterministic.
 
     Each class H on n vertices is grown from one on n-1 by a new vertex
     attached to a chosen set. Two prunes run before a child is built:
@@ -171,18 +175,18 @@ def _level(kind: str, n: int, t: int) -> tuple[str, ...]:
 
     On one core of a 2-core machine under Python 3.11, the min-degree
     chain of survey_min_degree(5, 8) takes about 1 s, the full general
-    level at n=8 about 1.5 s, _level("general", 9, 3) (84,242 classes)
-    12-14 s and the full general level at n=9 (261,080 classes) about
-    35 s.
+    level at n=8 about 1.2 s, _level("general", 9, 3) (84,242 classes)
+    about 11 s and the full general level at n=9 (261,080 classes) about
+    27 s.
     """
     if n == 1:
-        return ("@",) if t == 0 else ()
+        return (0,) if t == 0 else ()
     key = (kind, n, t)
     if key not in _LEVELS:
         classes: dict = {}
         kept = []
-        for code in _level(kind, n - 1, max(t - 1, 0)):
-            g = from_graph6(code)
+        for parent in _level(kind, n - 1, max(t - 1, 0)):
+            g = from_adj_rows(n - 1, _unpack_rows(n - 1, parent))
             degrees = [row.bit_count() for row in g.adj]
             around = [sum(degrees[w] for w in g.neighbors(u)) for u in g.vertices()]
             comps = _deletion_components(g)
@@ -206,8 +210,9 @@ def _level(kind: str, n: int, t: int) -> tuple[str, ...]:
                     continue
                 rows = tuple(row | (attach >> v & 1) << g.n for v, row in enumerate(g.adj))
                 rows += (attach,)
-                if _add_class(classes, rows):
-                    kept.append(to_graph6(from_adj_rows(n, rows)))
+                packed = _add_class(classes, rows)
+                if packed is not None:
+                    kept.append(packed)
         _LEVELS[key] = tuple(kept)
     return _LEVELS[key]
 
@@ -218,19 +223,21 @@ def enumerate_connected(n: int, min_degree: int = 0, bipartite_only: bool = Fals
     canonical-code order.
 
     Built-in generation covers 2 <= n <= 9; larger orders must come from
-    graph6 corpus files. The level is built without labeling (see
-    _level) and each representative is then labeled once. A min_degree
-    level is built from filtered levels below it, so it costs far less
-    than the full one. On one core of a 2-core machine under Python 3.11,
+    graph6 corpus files. The level, packed rows of one representative
+    per class, is built without labeling (see _level) and each
+    representative is then labeled once. A min_degree level is built
+    from filtered levels below it, so it costs far less than the full
+    one. On one core of a 2-core machine under Python 3.11,
     the full general level at n=9 (261,080 classes) takes about 2.5
-    minutes, n=8 (11,117 classes) about 4 s, and the whole bipartite
+    minutes, n=8 (11,117 classes) about 4.5 s, and the whole bipartite
     chain at n=9 under 1 s.
     """
     if not 2 <= n <= ENUMERATION_MAX_N:
         raise TooLarge(f"built-in enumeration covers 2 <= n <= {ENUMERATION_MAX_N}")
     kind = "bipartite" if bipartite_only else "general"
     codes = sorted(
-        canonical_code(from_graph6(code)) for code in _level(kind, n, max(min_degree, 0))
+        canonical_code(from_adj_rows(n, _unpack_rows(n, packed)))
+        for packed in _level(kind, n, max(min_degree, 0))
     )
     for code in codes:
         yield from_graph6(code.decode("ascii"))
@@ -418,15 +425,16 @@ def write_report(report: SurveyReport, path, fmt: str = "text"):
 # survey engines
 
 
-def _examine(code: str):
-    """Worker: settle one graph. Returns a picklable outcome tuple.
+def _examine(n: int, packed: int):
+    """Worker: settle the n-vertex graph with these packed rows
+    (graph._pack_rows). Returns a picklable outcome tuple.
 
     A None from pc2_pipeline proves pc >= 3, so pc_exact starts there, on
     the graph relabeled to its canonical form: the witness then certifies
     the graph a report prints, and only such graphs are ever labeled.
     pc_exact's witness has passed the exact checker already.
     """
-    g = from_graph6(code)
+    g = from_adj_rows(n, _unpack_rows(n, packed))
     cert = pc2_pipeline(g)
     if cert is not None:
         return ("two", None)
@@ -442,25 +450,27 @@ def _examine(code: str):
     return ("exception", (pc, witness))
 
 
-def _map_examine(codes, jobs: int):
-    if jobs <= 1 or len(codes) < 4:
-        return [_examine(code) for code in codes]
+def _map_examine(n: int, graphs, jobs: int):
+    examine = partial(_examine, n)
+    if jobs <= 1 or len(graphs) < 4:
+        return [examine(packed) for packed in graphs]
     ctx = get_context("fork")
     with ctx.Pool(jobs) as pool:
-        chunk = max(1, len(codes) // (8 * jobs))
-        return pool.map(_examine, codes, chunksize=chunk)
+        chunk = max(1, len(graphs) // (8 * jobs))
+        return pool.map(examine, graphs, chunksize=chunk)
 
 
 def _run_survey(name, filter_desc, n_lo, n_hi, graphs_for, jobs) -> SurveyReport:
-    """Examine graphs_for(n), graph6 codes of one graph per class on n
-    vertices, for every n in range. Reports print canonical codes."""
+    """Examine graphs_for(n), the packed rows (graph._pack_rows) of one
+    graph per class on n vertices, for every n in range. Reports print
+    canonical graph6 codes, the only graph6 a survey produces."""
     totals, timing = {}, {}
     exceptions, unresolved = [], []
     for n in range(n_lo, n_hi + 1):
         t0 = time.perf_counter()
-        codes = graphs_for(n)
-        totals[n] = len(codes)
-        for kind, info in _map_examine(codes, jobs):
+        graphs = graphs_for(n)
+        totals[n] = len(graphs)
+        for kind, info in _map_examine(n, graphs, jobs):
             if kind == "exception":
                 pc, witness = info
                 exceptions.append(ExceptionRecord(to_graph6(witness.graph), pc, witness))
@@ -472,15 +482,18 @@ def _run_survey(name, filter_desc, n_lo, n_hi, graphs_for, jobs) -> SurveyReport
     )
 
 
-def _corpus_codes(corpus, n, predicate):
-    """Graph6 codes of the corpus graphs on n vertices that are connected
-    and pass the predicate, the first of each class in corpus order."""
+def _corpus_rows(corpus, n, predicate):
+    """Packed rows (graph._pack_rows) of the corpus graphs on n vertices
+    that are connected and pass the predicate, the first of each class in
+    corpus order."""
     classes: dict = {}
-    return [
-        to_graph6(g)
-        for g in corpus
-        if g.n == n and is_connected(g) and predicate(g) and _add_class(classes, g.adj)
-    ]
+    kept = []
+    for g in corpus:
+        if g.n == n and is_connected(g) and predicate(g):
+            packed = _add_class(classes, g.adj)
+            if packed is not None:
+                kept.append(packed)
+    return kept
 
 
 def survey_min_degree(n_lo: int = 5, n_hi: int = 8, jobs: int = 1, corpus=None) -> SurveyReport:
@@ -498,13 +511,13 @@ def survey_min_degree(n_lo: int = 5, n_hi: int = 8, jobs: int = 1, corpus=None) 
     def graphs_for(n):
         thr = -(-n // 4)
         if corpus is not None:
-            return _corpus_codes(
+            return _corpus_rows(
                 corpus,
                 n,
                 lambda g: not is_complete(g) and degree_stats(g)[1] >= thr,
             )
-        complete = to_graph6(from_adj_rows(n, [(1 << n) - 1 & ~(1 << v) for v in range(n)]))
-        return [code for code in _level("general", n, thr) if code != complete]
+        complete = _pack_rows([(1 << n) - 1 & ~(1 << v) for v in range(n)])
+        return [packed for packed in _level("general", n, thr) if packed != complete]
 
     return _run_survey(
         "min-degree",
@@ -527,7 +540,7 @@ def survey_bipartite(n_lo: int = 4, n_hi: int = 9, jobs: int = 1, corpus=None) -
     def graphs_for(n):
         thr = -(-(n + 6) // 8)
         if corpus is not None:
-            return _corpus_codes(
+            return _corpus_rows(
                 corpus,
                 n,
                 lambda g: bipartition(g) is not None and degree_stats(g)[1] >= thr,

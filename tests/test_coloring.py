@@ -174,17 +174,35 @@ def relaxed_colorings(draw):
     return g, k + len(fresh), colors
 
 
-@pytest.mark.parametrize("steps", [0, coloring._DFS_STEPS])
+@pytest.mark.parametrize("steps", [0, 3, coloring._DFS_STEPS])
 @given(relaxed_colorings(), st.booleans())
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_first_bad_pair_matches_independent_oracles(steps, case, strong):
-    # steps=0 sends every target the DFS has not settled to the fallback
+    # steps=0 sends every target the DFS has not settled to the fallback;
+    # steps=3 cuts each DFS mid-way, after it has marked some subpaths
     g, k, colors = case
     color_of = make_coloring(g, k, colors).color
     want = brute_first_bad_pair(g, color_of, strong)
     assert per_pair_first_bad_pair(_Machine(g.n, k, g.edges, colors), strong) == want
     with mock.patch.object(coloring, "_DFS_STEPS", steps):
         assert _Machine(g.n, k, g.edges, colors).first_bad_pair(strong) == want
+
+
+def test_one_search_settles_every_pair_of_a_proper_spanning_path():
+    # every subpath of the alternating path 0-1-...-7 is proper, so the
+    # search from vertex 0 settles all 28 pairs and no other source runs one
+    g = path_graph(8)
+    machine = _Machine(g.n, 2, g.edges, [1 + i % 2 for i in range(g.m)])
+    calls = []
+    real = machine.dfs_from
+
+    def spy(u, *args):
+        calls.append(u)
+        return real(u, *args)
+
+    machine.dfs_from = spy
+    assert machine.first_bad_pair(False) is None
+    assert calls == [0]
 
 
 def test_failure_reports_are_consistent():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from properconn import hamilton
 from properconn import (
     TooLarge,
     from_edge_list,
@@ -95,5 +96,36 @@ def test_size_guard():
 def test_hamilton_path_answers_are_real_paths(seed, n):
     g = random_connected(random.Random(seed), n, 0.3)
     p = hamilton_path(g)
+    if p is not None:
+        assert is_path_of(g, p)
+
+
+@st.composite
+def near_bipartite_graphs(draw):
+    """A random graph on two sides with cross edges, plus at most two
+    edges inside a side (so some are bipartite, some not)."""
+    n = draw(st.integers(2, 10))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    share = draw(st.sampled_from([0.3, 0.5]))
+    side = [rng.random() < share for _ in range(n)]
+    p = draw(st.sampled_from([0.3, 0.5, 0.8]))
+    edges = [
+        (u, v) for u in range(n) for v in range(u + 1, n) if side[u] != side[v] and rng.random() < p
+    ]
+    inside = [(u, v) for u in range(n) for v in range(u + 1, n) if side[u] == side[v]]
+    edges += rng.sample(inside, min(len(inside), draw(st.integers(0, 2))))
+    return from_edge_list(n, edges)
+
+
+@given(near_bipartite_graphs())
+@PROPERTY_SETTINGS
+def test_side_count_tests_agree_with_the_unrestricted_search(g):
+    # the unrestricted search joins the helper vertex to every vertex
+    n = g.n
+    full = (1 << n) - 1
+    adj = [row | 1 << n for row in g.adj] + [full]
+    want = hamilton._spanning_path(adj, n + 1, n, full) is not None
+    p = hamilton_path(g)
+    assert (p is not None) == want
     if p is not None:
         assert is_path_of(g, p)

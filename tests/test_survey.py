@@ -20,6 +20,7 @@ from properconn import (
     exceptional_graphs,
     find_bridges,
     format_report_text,
+    from_adj_rows,
     from_edge_list,
     from_graph6,
     is_connected,
@@ -34,6 +35,7 @@ from properconn import (
 )
 from properconn import solver as solver_mod
 from properconn import survey as survey_mod
+from properconn.graph import _pack_rows, _unpack_rows
 from util import complete_graph, cycle_graph, enumerate_connected_by_sweep
 
 # connected graphs per vertex count, a classic integer sequence
@@ -45,6 +47,17 @@ CONNECTED_BIPARTITE_COUNTS = {4: 3, 5: 5, 6: 17, 7: 44, 8: 182}
 LEVEL_DIGESTS = {
     (7, False): "b8b85762ca13a0273d6c1392cc500221f97df2c933be4f76664547c41f0d3f6e",
     (8, True): "37b3e8eedf8fb535f2ace010586c6a6e069af713ffcd5169f5ef68aef83a93a8",
+}
+
+# sha256 of the newline-joined graph6 codes of the representatives that
+# survey_min_degree(5, 8) examines (its min-degree levels, complete graph
+# included), in level order: which representative is examined decides
+# which pipeline strategy settles it
+SURVEY_LEVEL_DIGESTS = {
+    5: "a50642565fa048132930eb72d38ddc374df84c7b0aa0cd1099085657168cf304",
+    6: "a25c26e106e9d316134d668280a72f1b0228f70094fa97b51c9cb954044022ca",
+    7: "2577617d5b637b13f13e3dee4ce74df2eb18b1af078483f4eb4c24b6d31456ac",
+    8: "642f4db44d1517547b00ba6ea86de565c64ce4d2e046244675325e22f5108e69",
 }
 
 
@@ -107,6 +120,15 @@ def test_enumeration_codes_are_pinned():
     for (n, bipartite), want in LEVEL_DIGESTS.items():
         text = "\n".join(to_graph6(g) for g in enumerate_connected(n, bipartite_only=bipartite))
         assert hashlib.sha256(text.encode("ascii")).hexdigest() == want, (n, bipartite)
+
+
+def test_survey_representatives_are_pinned():
+    for n, want in SURVEY_LEVEL_DIGESTS.items():
+        text = "\n".join(
+            to_graph6(from_adj_rows(n, _unpack_rows(n, packed)))
+            for packed in survey_mod._level("general", n, 2)
+        )
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == want, n
 
 
 def test_enumeration_bipartite_counts():
@@ -218,9 +240,9 @@ def test_min_degree_survey_finds_the_seven_vertex_exception():
 def test_solver_contradicting_the_pipeline_is_a_pc_error(monkeypatch):
     # C5 has a 2-coloring, so a pipeline None here contradicts pc_exact
     monkeypatch.setattr(survey_mod, "pc2_pipeline", lambda g: None)
-    code = to_graph6(cycle_graph(5))
+    packed = _pack_rows(cycle_graph(5).adj)
     with pytest.raises(VerificationFailed, match="ruled out") as info:
-        survey_mod._examine(code)
+        survey_mod._examine(5, packed)
     assert isinstance(info.value, PcError)
 
 
@@ -233,7 +255,7 @@ def test_examine_searches_no_palette_the_pipeline_ruled_out(monkeypatch):
         return real(g, k, *args, **kwargs)
 
     monkeypatch.setattr(solver_mod, "_search", spy)
-    kind, (pc, _) = survey_mod._examine("F@QFw")
+    kind, (pc, _) = survey_mod._examine(7, _pack_rows(from_graph6("F@QFw").adj))
     assert (kind, pc) == ("exception", 3)
     assert 2 not in searched
 
