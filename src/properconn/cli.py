@@ -153,7 +153,9 @@ def _build_parser() -> _Parser:
         help="which graph family to sweep",
     )
     p_survey.add_argument("--input", metavar="CORPUS.g6", help="graph6 corpus file")
-    p_survey.add_argument("--jobs", type=int, default=1)
+    p_survey.add_argument(
+        "--jobs", type=int, default=1, help="worker processes, at least 1"
+    )
     p_survey.add_argument("--out", metavar="PATH", help="write the report here")
     p_survey.add_argument(
         "--format", choices=("text", "structured"), default="text"

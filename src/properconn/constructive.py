@@ -154,10 +154,9 @@ def color_hamilton_path(g: Graph):
     path = hamilton_path(g)
     if path is None:
         return None
-    assignment = {e: 1 for e in g.edges}
-    for i, (a, b) in enumerate(zip(path, path[1:])):
-        assignment[min(a, b), max(a, b)] = 1 + i % 2
-    return _certify(g, 2, _assignment_to_colors(g, assignment), "hamilton_path")
+    # the path's edges alternate colors 1, 2, 1, ...; edges off it get 1
+    second = {(a, b) if a < b else (b, a) for a, b in zip(path[1::2], path[2::2])}
+    return _certify(g, 2, [2 if e in second else 1 for e in g.edges], "hamilton_path")
 
 
 # ---------------------------------------------------------------------------

@@ -548,15 +548,39 @@ def _vertex_keys(rows) -> list[int]:
     return keys
 
 
+def _child_keys(rows, keys, attach: int) -> list[int]:
+    """_vertex_keys of the graph that rows grows into when a new last
+    vertex is joined to the vertex set attach, derived from keys, the
+    _vertex_keys of rows. With d = |attach| and c_u attached neighbours
+    of u, an attached u gains degree 1, neighbour-degree sum c_u + d and
+    c_u triangles; any other u gains c_u to its neighbour-degree sum. The
+    new vertex has degree d, neighbour-degree sum d plus the attached
+    degrees, and one triangle per edge inside attach."""
+    d = attach.bit_count()
+    child = []
+    around = twice_inner = 0
+    for u, row in enumerate(rows):
+        c = (row & attach).bit_count()
+        if attach >> u & 1:
+            child.append(keys[u] + (1 << 16 | (c + d) << 8 | c))
+            around += keys[u] >> 16
+            twice_inner += c
+        else:
+            child.append(keys[u] + (c << 8))
+    child.append(d << 16 | (d + around) << 8 | twice_inner >> 1)
+    return child
+
+
 def _isomorphic(a, keys_a, b, keys_b) -> bool:
     """Exact isomorphism test of the graphs with adjacency rows a and b.
 
     Backtracking over every bijection that maps each vertex of a to a
     vertex of b with the same key; since every isomorphism keeps keys,
     none is missed. The vertex of a placed next is the one with the most
-    already-placed neighbours, ties going to the rarest key, and a vertex
-    of b is accepted only when its placed neighbours are exactly the
-    images of the placed neighbours of the vertex of a it receives.
+    already-placed neighbours, ties going to the rarest key and then to
+    the lowest index, and a vertex of b is accepted only when its placed
+    neighbours are exactly the images of the placed neighbours of the
+    vertex of a it receives.
     """
     n = len(a)
     if sorted(keys_a) != sorted(keys_b):
@@ -565,16 +589,23 @@ def _isomorphic(a, keys_a, b, keys_b) -> bool:
     for w, key in enumerate(keys_b):
         by_key[key] = by_key.get(key, 0) | 1 << w
     cands = [by_key[key] for key in keys_a]
-    counts = [mask.bit_count() for mask in cands]
+    # score[u] packs (placed neighbours, -candidates, -u) for an unplaced
+    # u, so the largest score is the next vertex; placing v adds one
+    # placed neighbour to each unplaced neighbour of v
+    s = n.bit_length() + 1
+    score = [(n - mask.bit_count()) << s | n - 1 - u for u, mask in enumerate(cands)]
     order: list[int] = []
     placed = 0
     for _ in range(n):
-        v = max(
-            (u for u in range(n) if not placed >> u & 1),
-            key=lambda u: ((a[u] & placed).bit_count(), -counts[u]),
-        )
+        v = n - 1 - (max(score) & (1 << s) - 1)
         order.append(v)
         placed |= 1 << v
+        score[v] = -1
+        rest = a[v] & ~placed
+        while rest:
+            low = rest & -rest
+            score[low.bit_length() - 1] += 1 << 2 * s
+            rest ^= low
     back = [[j for j in range(i) if a[order[i]] >> order[j] & 1] for i in range(n)]
     # frees[i]: candidates for position i not tried yet; needs[i]: the
     # images of its placed neighbours, which its image's placed
@@ -623,8 +654,9 @@ def _unpack_rows(n: int, packed: int) -> list[int]:
     return [packed >> n * v & full for v in range(n)]
 
 
-def _add_class(classes: dict, rows):
-    """Add the graph with these adjacency rows to classes unless a graph
+def _add_class(classes: dict, rows, keys):
+    """Add the graph with these adjacency rows and vertex keys
+    (_vertex_keys, which the caller supplies) to classes unless a graph
     isomorphic to it is there already. Returns its packed rows
     (_pack_rows) when it was added, else None.
 
@@ -632,10 +664,9 @@ def _add_class(classes: dict, rows):
     sorted vertex keys (hashes of int tuples do not depend on
     PYTHONHASHSEED) to its one representative, or to a list of them when
     non-isomorphic graphs share the hash. A representative is stored as
-    its packed rows; its keys are recomputed on a collision.
+    its packed rows only; its keys are recomputed on a collision.
     """
     n = len(rows)
-    keys = _vertex_keys(rows)
     slot = hash(tuple(sorted(keys)))
     packed = _pack_rows(rows)
     held = classes.get(slot)

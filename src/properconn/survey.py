@@ -5,9 +5,10 @@ Augmentation (grow by one vertex, keep one child per class) enumerates
 the classes for n <= 9; the test suite cross-checks it with an
 independent labeled adjacency-mask sweep for n <= 7. Children are pruned
 by twin classes and a canonical-deletion prefilter, and the survivors are
-deduplicated by vertex invariants plus an exact isomorphism test, so a
-level is built without canonical labeling; enumerate_connected labels
-each class once, and a survey labels only the graphs its report prints.
+deduplicated by vertex invariants (derived from the parent's) plus an
+exact isomorphism test, so a level is built without canonical labeling;
+enumerate_connected labels each class once, and a survey labels only the
+graphs its report prints.
 A level with minimum degree >= t grows from levels filtered the same
 way, so the surveys never build the full levels they would discard.
 Surveys decide pc <= 2 with pc2_pipeline (a spanning path, a bipartite
@@ -20,6 +21,7 @@ contradicts the pipeline and raises VerificationFailed.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -37,9 +39,11 @@ from .errors import (
 from .graph import (
     Graph,
     _add_class,
+    _child_keys,
     _pack_rows,
     _reach_mask,
     _unpack_rows,
+    _vertex_keys,
     bipartition,
     canonical_code,
     degree_stats,
@@ -135,6 +139,42 @@ def _deletion_components(g: Graph) -> list[list[int]]:
     return out
 
 
+def _children(kind: str, g: Graph, t: int):
+    """Yield the adjacency rows and vertex keys (graph._vertex_keys) of
+    each child of g that passes prunes (a) and (b) of _level, in
+    attachment-set order; the new vertex is the last.
+
+    The keys of g are computed once and each child's are derived from
+    them (graph._child_keys). Before that, a bitmask test drops a set
+    that (b) would drop because of a vertex u whose deletion leaves g
+    connected and whose degree in the child exceeds the new vertex's: u
+    is a non-cut vertex of the child unless the set is {u} alone."""
+    rows = g.adj
+    keys = _vertex_keys(rows)
+    comps = _deletion_components(g)
+    # solid: the vertices u with g - u connected; above[x]: the vertices
+    # of degree > x
+    solid = sum(1 << u for u, parts in enumerate(comps) if len(parts) <= 1)
+    above = [sum(1 << u for u, key in enumerate(keys) if key >> 16 > x) for x in range(g.n + 1)]
+    for attach in _attachment_sets(kind, g, t):
+        d = attach.bit_count()
+        if solid & (above[d] & ~attach | (above[d - 1] & attach if d >= 2 else 0)):
+            continue
+        # (degree, sum of the neighbours' degrees) is key >> 8; u stays a
+        # non-cut vertex of the child when the new vertex touches every
+        # component of g - u
+        child = _child_keys(rows, keys, attach)
+        mine = child[-1] >> 8
+        if any(
+            key >> 8 > mine and all(comp & attach for comp in comps[u])
+            for u, key in enumerate(child[:-1])
+        ):
+            continue
+        grown = [row | (attach >> v & 1) << g.n for v, row in enumerate(rows)]
+        grown.append(attach)
+        yield grown, child
+
+
 def _level(kind: str, n: int, t: int) -> tuple[int, ...]:
     """Packed rows (graph._pack_rows) of one representative per connected
     class on n vertices with minimum degree >= t (bipartite ones for that
@@ -153,10 +193,14 @@ def _level(kind: str, n: int, t: int) -> tuple[int, ...]:
         (the cheap half of McKay's canonical deletion, J. Algorithms 26,
         1998, with an isomorphism-invariant key).
 
-    A surviving child is kept unless it is isomorphic to a child already
-    kept (`graph._add_class`): children are bucketed by their sorted
-    vertex invariants, and an exact isomorphism test decides within a
-    bucket, so no child is labeled.
+    `_children` runs both: (b) on the child's keys, derived from the
+    parent's (`graph._child_keys`), after a bitmask test that drops at
+    once most sets (b) drops. A surviving child is kept unless it is
+    isomorphic to a child already kept (`graph._add_class`): children
+    are bucketed by their sorted vertex invariants, and an exact
+    isomorphism test decides within a bucket, so no child is labeled.
+    _vertex_keys runs once per parent and once per representative a
+    child is compared with.
 
     Soundness: in H delete a non-cut vertex v of maximum key among the
     non-cut vertices. H - v is connected with minimum degree >= t-1, so
@@ -174,10 +218,10 @@ def _level(kind: str, n: int, t: int) -> tuple[int, ...]:
     merges two classes. t = 0 is the unfiltered chain.
 
     On one core of a 2-core machine under Python 3.11, the min-degree
-    chain of survey_min_degree(5, 8) takes about 1 s, the full general
-    level at n=8 about 1.2 s, _level("general", 9, 3) (84,242 classes)
-    about 11 s and the full general level at n=9 (261,080 classes) about
-    27 s.
+    chain of survey_min_degree(5, 8) takes about 0.5 s, the full general
+    level at n=8 about 0.75 s, _level("general", 9, 3) (84,242 classes)
+    about 5.5 s and the full general level at n=9 (261,080 classes) about
+    12.5 s.
     """
     if n == 1:
         return (0,) if t == 0 else ()
@@ -187,30 +231,8 @@ def _level(kind: str, n: int, t: int) -> tuple[int, ...]:
         kept = []
         for parent in _level(kind, n - 1, max(t - 1, 0)):
             g = from_adj_rows(n - 1, _unpack_rows(n - 1, parent))
-            degrees = [row.bit_count() for row in g.adj]
-            around = [sum(degrees[w] for w in g.neighbors(u)) for u in g.vertices()]
-            comps = _deletion_components(g)
-            for attach in _attachment_sets(kind, g, t):
-                d = attach.bit_count()
-                # keys in the child, (degree, sum of the neighbours' degrees):
-                # an attached u gains the new vertex (degree d) as a
-                # neighbour, and each attached neighbour of u gains one;
-                # u stays a non-cut vertex of the child when the new vertex
-                # touches every component of g - u
-                mine = (d, d + sum(degrees[u] for u in g.vertices() if attach >> u & 1))
-                if any(
-                    (
-                        degrees[u] + (a := attach >> u & 1),
-                        around[u] + (g.adj[u] & attach).bit_count() + a * d,
-                    )
-                    > mine
-                    and all(comp & attach for comp in comps[u])
-                    for u in g.vertices()
-                ):
-                    continue
-                rows = tuple(row | (attach >> v & 1) << g.n for v, row in enumerate(g.adj))
-                rows += (attach,)
-                packed = _add_class(classes, rows)
+            for rows, keys in _children(kind, g, t):
+                packed = _add_class(classes, rows, keys)
                 if packed is not None:
                     kept.append(packed)
         _LEVELS[key] = tuple(kept)
@@ -228,8 +250,8 @@ def enumerate_connected(n: int, min_degree: int = 0, bipartite_only: bool = Fals
     representative is then labeled once. A min_degree level is built
     from filtered levels below it, so it costs far less than the full
     one. On one core of a 2-core machine under Python 3.11,
-    the full general level at n=9 (261,080 classes) takes about 2.5
-    minutes, n=8 (11,117 classes) about 4.5 s, and the whole bipartite
+    the full general level at n=9 (261,080 classes) takes about 2
+    minutes, n=8 (11,117 classes) about 3.3 s, and the whole bipartite
     chain at n=9 under 1 s.
     """
     if not 2 <= n <= ENUMERATION_MAX_N:
@@ -451,12 +473,16 @@ def _examine(n: int, packed: int):
 
 
 def _map_examine(n: int, graphs, jobs: int):
+    """_examine every graph, in order, on at most jobs worker processes:
+    never more than the machine's CPUs or the chunks there are to hand
+    out, and none for one worker or fewer than 4 graphs."""
     examine = partial(_examine, n)
-    if jobs <= 1 or len(graphs) < 4:
+    workers = min(jobs, os.cpu_count() or 1)
+    chunk = max(1, len(graphs) // (8 * workers))
+    workers = min(workers, -(-len(graphs) // chunk))
+    if workers <= 1 or len(graphs) < 4:
         return [examine(packed) for packed in graphs]
-    ctx = get_context("fork")
-    with ctx.Pool(jobs) as pool:
-        chunk = max(1, len(graphs) // (8 * jobs))
+    with get_context("fork").Pool(workers) as pool:
         return pool.map(examine, graphs, chunksize=chunk)
 
 
@@ -490,7 +516,7 @@ def _corpus_rows(corpus, n, predicate):
     kept = []
     for g in corpus:
         if g.n == n and is_connected(g) and predicate(g):
-            packed = _add_class(classes, g.adj)
+            packed = _add_class(classes, g.adj, _vertex_keys(g.adj))
             if packed is not None:
                 kept.append(packed)
     return kept
@@ -501,10 +527,13 @@ def survey_min_degree(n_lo: int = 5, n_hi: int = 8, jobs: int = 1, corpus=None) 
     for a verified 2-coloring; report the graphs needing more.
 
     Built-in enumeration and corpora (iterables of Graph) both cover n up
-    to 9. Budget shortfalls land in `unresolved`.
+    to 9. Budget shortfalls land in `unresolved`. jobs >= 1 worker
+    processes examine the graphs, at most one per CPU.
     """
     if not 5 <= n_lo <= n_hi:
         raise OutOfRange("need 5 <= n_lo <= n_hi")
+    if jobs < 1:
+        raise OutOfRange("jobs must be at least 1")
     if n_hi > ENUMERATION_MAX_N:
         raise TooLarge(f"minimum-degree survey covers n <= {ENUMERATION_MAX_N}")
 
@@ -531,9 +560,12 @@ def survey_min_degree(n_lo: int = 5, n_hi: int = 8, jobs: int = 1, corpus=None) 
 
 def survey_bipartite(n_lo: int = 4, n_hi: int = 9, jobs: int = 1, corpus=None) -> SurveyReport:
     """Check every connected bipartite graph with min degree >=
-    ceil((n+6)/8) for a verified 2-coloring; zero exceptions expected."""
+    ceil((n+6)/8) for a verified 2-coloring; zero exceptions expected.
+    jobs is as for survey_min_degree."""
     if not 4 <= n_lo <= n_hi:
         raise OutOfRange("need 4 <= n_lo <= n_hi")
+    if jobs < 1:
+        raise OutOfRange("jobs must be at least 1")
     if n_hi > ENUMERATION_MAX_N:
         raise TooLarge(f"bipartite survey covers n <= {ENUMERATION_MAX_N}")
 

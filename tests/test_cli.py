@@ -232,3 +232,9 @@ def test_survey_jobs_flag_gives_same_totals(capsys):
         return [ln.split(" seconds=")[0] for ln in text.splitlines() if "examined" in ln]
 
     assert totals(out1) == totals(out2)
+
+
+def test_survey_with_no_jobs_exits_one(capsys):
+    code, _, err = run(capsys, "survey", "--n", "6", "--jobs", "0")
+    assert code == 1
+    assert "jobs" in err

@@ -7,9 +7,12 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from properconn import (
     FixturesMissing,
+    OutOfRange,
     PcError,
     SearchBudgetExceeded,
     TooLarge,
@@ -34,8 +37,9 @@ from properconn import (
     write_report,
 )
 from properconn import solver as solver_mod
+from properconn import graph as graph_mod
 from properconn import survey as survey_mod
-from properconn.graph import _pack_rows, _unpack_rows
+from properconn.graph import _child_keys, _pack_rows, _reach_mask, _unpack_rows, _vertex_keys
 from util import complete_graph, cycle_graph, enumerate_connected_by_sweep
 
 # connected graphs per vertex count, a classic integer sequence
@@ -129,6 +133,78 @@ def test_survey_representatives_are_pinned():
             for packed in survey_mod._level("general", n, 2)
         )
         assert hashlib.sha256(text.encode("ascii")).hexdigest() == want, n
+
+
+def rejected_by_the_per_vertex_prefilter(g, attach):
+    """Prune (b) of survey._level, vertex by vertex from scratch: some
+    vertex that is non-cut in the child has a larger (degree, sum of the
+    neighbours' degrees) there than the new vertex."""
+    grown = [row | (attach >> v & 1) << g.n for v, row in enumerate(g.adj)] + [attach]
+    degrees = [row.bit_count() for row in grown]
+
+    def key(u):
+        return degrees[u], sum(degrees[w] for w in range(g.n + 1) if grown[u] >> w & 1)
+
+    full = (1 << g.n + 1) - 1
+    return any(
+        key(u) > key(g.n)
+        and _reach_mask(grown, g.n, full & ~(1 << u)) == full & ~(1 << u)
+        for u in range(g.n)
+    )
+
+
+@given(
+    st.sampled_from(("general", "bipartite")),
+    st.integers(min_value=2, max_value=8),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=2**16),
+)
+@settings(max_examples=80, deadline=None)
+def test_child_keys_and_prunes_follow_from_the_parent(kind, n, t, pick):
+    parents = survey_mod._level(kind, n - 1, max(t - 1, 0))
+    if not parents:
+        return
+    rows = _unpack_rows(n - 1, parents[pick % len(parents)])
+    g = from_adj_rows(n - 1, rows)
+    keys = _vertex_keys(rows)
+    for attach in range(1, 1 << g.n):
+        grown = [row | (attach >> v & 1) << g.n for v, row in enumerate(rows)] + [attach]
+        assert _child_keys(rows, keys, attach) == _vertex_keys(grown), (rows, attach)
+    # the bitmask pre-rejection drops no set that the per-vertex prefilter keeps
+    want = [
+        attach
+        for attach in survey_mod._attachment_sets(kind, g, t)
+        if not rejected_by_the_per_vertex_prefilter(g, attach)
+    ]
+    got = []
+    for grown, child in survey_mod._children(kind, g, t):
+        assert child == _vertex_keys(grown)
+        got.append(grown[-1])
+    assert got == want
+
+
+def test_level_computes_vertex_keys_per_parent_not_per_child(monkeypatch):
+    monkeypatch.setattr(survey_mod, "_LEVELS", {})
+    calls = {"keys": 0, "isomorphic": 0, "children": 0}
+
+    def counted(name, real):
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return call
+
+    keys = counted("keys", graph_mod._vertex_keys)
+    monkeypatch.setattr(survey_mod, "_vertex_keys", keys)
+    monkeypatch.setattr(graph_mod, "_vertex_keys", keys)
+    monkeypatch.setattr(graph_mod, "_isomorphic", counted("isomorphic", graph_mod._isomorphic))
+    monkeypatch.setattr(survey_mod, "_add_class", counted("children", survey_mod._add_class))
+    survey_mod._level("general", 8, 2)
+    parents = sum(
+        len(survey_mod._level(kind, n - 1, max(t - 1, 0))) for kind, n, t in survey_mod._LEVELS
+    )
+    # one call per parent and one per representative a child is compared with
+    assert calls["keys"] <= parents + calls["isomorphic"] < calls["children"]
 
 
 def test_enumeration_bipartite_counts():
@@ -265,6 +341,45 @@ def test_min_degree_survey_bounds_checking():
         survey_min_degree(6, 5)
     with pytest.raises(TooLarge):
         survey_min_degree(5, 10)
+
+
+def test_surveys_refuse_fewer_than_one_job():
+    for jobs in (0, -3):
+        with pytest.raises(OutOfRange):
+            survey_min_degree(5, 5, jobs=jobs)
+        with pytest.raises(OutOfRange):
+            survey_bipartite(4, 4, jobs=jobs)
+
+
+def test_worker_count_is_capped_by_cpus_and_chunks(monkeypatch):
+    # a stand-in pool records the worker count and starts no process
+    started = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, items, chunksize):
+            return [func(item) for item in items]
+
+    class Context:
+        Pool = RecordingPool
+
+    monkeypatch.setattr(survey_mod, "get_context", lambda method: Context)
+    graphs = survey_mod._level("general", 6, 2)
+    serial = survey_mod._map_examine(6, graphs, 1)
+    assert started == []
+    monkeypatch.setattr(survey_mod.os, "cpu_count", lambda: 3)
+    assert survey_mod._map_examine(6, graphs, 10**9) == serial
+    monkeypatch.setattr(survey_mod.os, "cpu_count", lambda: 64)
+    assert survey_mod._map_examine(6, graphs[:5], 10**9) == serial[:5]
+    assert started == [3, 5]
 
 
 def test_bipartite_survey_clean():
