@@ -13,7 +13,11 @@ to the end, the vertices it missed are the failing pairs. Every subpath
 of a proper simple path is itself proper and simple, so when the search
 steps to a vertex x, each vertex on the current path is joined to x:
 one search settles pairs for later sources too, and a source whose
-pairs are all settled runs no search. Past a fixed step cap, the
+pairs are all settled runs no search. A caller that knows a path may
+hand it to the plain check: the checker walks it first, as far as it is
+a proper simple path, and settles pairs the same way. An alternately
+colored spanning path settles every pair without a search, and no
+sequence can change the answer. Past a fixed step cap, the
 unsettled pairs go one at a time to a per-pair search pruned by walk
 reachability (breadth-first search over (vertex, last color) states).
 Walks may revisit vertices, so walk reachability can overcount: it
@@ -143,7 +147,10 @@ class _Machine:
     per source that still has an unsettled pair. Each search records in
     linked[x] the vertices joined to x by a proper simple path: the
     current path's vertices whenever it steps to x, since every subpath
-    of a proper simple path is proper and simple. Only when a search
+    of a proper simple path is proper and simple. In plain mode a path
+    handed to first_bad_pair is walked first and records the same way,
+    up to its first step that is not an edge, repeats the previous
+    edge's color or revisits a vertex. Only when a search
     passes its step cap does first_bad_pair fall back to the per-pair
     search (pair_ok), which prunes with walk transitions over states
     (vertex, last edge color), packed as v*k + color-1; those tables are
@@ -330,7 +337,7 @@ class _Machine:
                 break
         return pending, steps >= 0
 
-    def first_bad_pair(self, strong: bool):
+    def first_bad_pair(self, strong: bool, path=()):
         """Lexicographically first pair (u, v) that fails, or None.
 
         Pairs are decided source by source, in order. In plain mode a
@@ -338,23 +345,49 @@ class _Machine:
         is good already, so it is not pending for u, and u runs no search
         when nothing is pending; strong mode needs two paths per pair and
         gets no such head start.
+
+        In plain mode the vertex sequence `path` is walked first, up to
+        the first step that dfs_from would not take (a non-edge, a color
+        equal to the previous edge's, a visited or unknown vertex), and
+        each step marks linked as a search step does. The walk only
+        settles pairs that a proper simple path joins, so any sequence
+        leaves the answer as it is; a proper spanning path settles every
+        pair, and then no search runs.
         """
         n = self.n
         linked = [0] * n
+        if not strong and path and path[0] in range(n):
+            rows = self.rows
+            w, last, visited = path[0], 0, 1 << path[0]
+            for x in path[1:]:
+                cx = rows[w].get(x)
+                if cx is None or cx == last or visited >> x & 1:
+                    break
+                linked[x] |= visited
+                w, last = x, cx
+                visited |= 1 << x
+            if visited == (1 << n) - 1:
+                # a proper spanning path joins every pair by a subpath
+                return None
         for u in range(n - 1):
             pending = (1 << n) - (2 << u)
             if not strong:
                 pending &= ~linked[u]
-                for v in range(u + 1, n):
-                    if linked[v] >> u & 1:
-                        pending &= ~(1 << v)
+                rest = pending
+                while rest:
+                    low = rest & -rest
+                    if linked[low.bit_length() - 1] >> u & 1:
+                        pending ^= low
+                    rest ^= low
                 if not pending:
                     continue
             pending, finished = self.dfs_from(u, strong, pending, linked)
-            for v in range(u + 1, n):
+            while pending:
                 # a finished DFS saw every proper simple path from u
-                if pending >> v & 1 and (finished or not self.pair_ok(u, v, strong)):
+                v = (pending & -pending).bit_length() - 1
+                if finished or not self.pair_ok(u, v, strong):
                     return (u, v)
+                pending &= pending - 1
         return None
 
 
@@ -460,13 +493,13 @@ def path_profile(c: EdgeColoring, u: int, v: int) -> PathProfile:
     return PathProfile(frozenset(_machine_for(c).profile_pairs(u, v, "full")))
 
 
-def _scan_pairs(c: EdgeColoring, strong: bool):
+def _scan_pairs(c: EdgeColoring, strong: bool, path=()):
     g = c.graph
     if g.n > PROFILE_MAX_N:
         raise TooLarge(f"search limited to n <= {PROFILE_MAX_N}")
     if not is_connected(g):
         raise Disconnected("proper connectivity is defined on connected graphs")
-    return _machine_for(c).first_bad_pair(strong)
+    return _machine_for(c).first_bad_pair(strong, path)
 
 
 def first_improper_pair(c: EdgeColoring):
@@ -480,8 +513,14 @@ def first_weak_pair(c: EdgeColoring):
     return _scan_pairs(c, strong=True)
 
 
-def is_proper_connected(c: EdgeColoring) -> bool:
-    return first_improper_pair(c) is None
+def is_proper_connected(c: EdgeColoring, *, path=()) -> bool:
+    """True iff every vertex pair is joined by a proper simple path.
+
+    `path` is a hint, any vertex sequence: the checker walks it before it
+    searches (see _Machine.first_bad_pair), which orders its work but
+    cannot change the answer. A proper spanning path decides it at once.
+    """
+    return _scan_pairs(c, False, path) is None
 
 
 def has_strong_property(c: EdgeColoring) -> bool:

@@ -85,11 +85,16 @@ class PcCertificate:
         return self.coloring.k
 
 
-def _certify(g: Graph, k: int, colors, strategy: str):
+def _certify(g: Graph, k: int, colors, strategy: str, path=None):
     """Wrap a coloring as a plain certificate, or raise if the checker
-    refuses it."""
+    refuses it. `path`, a spanning path the coloring alternates along,
+    is handed to the checker as a hint to walk before it searches."""
     coloring = EdgeColoring(g, k, tuple(colors))
-    if not is_proper_connected(coloring):
+    if path is None:
+        ok = is_proper_connected(coloring)
+    else:
+        ok = is_proper_connected(coloring, path=path)
+    if not ok:
         raise VerificationFailed(
             f"{strategy} construction produced a non proper-connected coloring"
         )
@@ -150,13 +155,19 @@ def _tree_assignment(t: Graph) -> dict[tuple[int, int], int]:
 
 
 def color_hamilton_path(g: Graph):
-    """k=2 certificate from an alternately colored spanning path, or None."""
+    """k=2 certificate from an alternately colored spanning path, or None.
+
+    The exact checker is handed the path and walks it before it
+    searches; a proper spanning path settles every pair, so the check
+    runs no search. verify_certificate, which gets no path, checks the
+    same coloring from scratch."""
     path = hamilton_path(g)
     if path is None:
         return None
     # the path's edges alternate colors 1, 2, 1, ...; edges off it get 1
     second = {(a, b) if a < b else (b, a) for a, b in zip(path[1::2], path[2::2])}
-    return _certify(g, 2, [2 if e in second else 1 for e in g.edges], "hamilton_path")
+    colors = [2 if e in second else 1 for e in g.edges]
+    return _certify(g, 2, colors, "hamilton_path", path)
 
 
 # ---------------------------------------------------------------------------

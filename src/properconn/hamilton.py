@@ -3,7 +3,10 @@
 All searches are exhaustive backtracking over bitmask states with memoized
 dead states, a reachability prune on the unvisited part, and fail-first
 candidate ordering (fewest unvisited neighbors first). Dense graphs, the
-hot case for the survey, resolve essentially without backtracking. On
+hot case for the survey, resolve essentially without backtracking, so
+the search's first branch runs first as a plain descent that skips the
+prune, the ordering sort and the memo; only when it dead-ends does the
+full search run, and it returns the same paths either way. On
 bipartite graphs a side count settles lopsided sides at once and fixes
 the path's ends when the sides differ by one.
 
@@ -43,8 +46,35 @@ def _spanning_path(adj, n: int, start: int, end_mask: int):
     that order. A dead state (v, visited) is keyed as visited << 5 | v.
     The path is built by appending on the way back, so it is reversed at
     the end.
+
+    The search's first branch is taken first on its own, as a plain
+    descent with no reachability scan, sort or memo. The prune never cuts
+    a branch that succeeds and no state is dead before the first
+    backtrack, so when the descent ends at a spanning path it is the
+    path the search would return; only a dead end runs the search.
     """
     full = (1 << n) - 1
+    path = [start]
+    v, visited = start, 1 << start
+    while visited != full:
+        unvis = full & ~visited
+        rest = adj[v] & unvis
+        if not rest:
+            break
+        best = 1 << 30
+        while rest:
+            low = rest & -rest
+            w = low.bit_length() - 1
+            packed = (adj[w] & unvis).bit_count() << 5 | w
+            if packed < best:
+                best = packed
+            rest ^= low
+        v = best & 31
+        visited |= 1 << v
+        path.append(v)
+    if visited == full and end_mask >> v & 1:
+        return path
+
     dead = set()
     back: list[int] = []
 

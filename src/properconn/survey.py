@@ -218,10 +218,10 @@ def _level(kind: str, n: int, t: int) -> tuple[int, ...]:
     merges two classes. t = 0 is the unfiltered chain.
 
     On one core of a 2-core machine under Python 3.11, the min-degree
-    chain of survey_min_degree(5, 8) takes about 0.5 s, the full general
-    level at n=8 about 0.75 s, _level("general", 9, 3) (84,242 classes)
-    about 5.5 s and the full general level at n=9 (261,080 classes) about
-    12.5 s.
+    chain of survey_min_degree(5, 8) takes about 0.3 s, the full general
+    level at n=8 about 0.45 s, _level("general", 9, 3) (84,242 classes)
+    about 4-5 s and the full general level at n=9 (261,080 classes) about
+    12 s.
     """
     if n == 1:
         return (0,) if t == 0 else ()

@@ -20,6 +20,7 @@ from properconn import (
     first_improper_pair,
     first_weak_pair,
     from_edge_list,
+    hamilton_path,
     has_strong_property,
     is_proper_connected,
     is_proper_path,
@@ -186,6 +187,82 @@ def test_first_bad_pair_matches_independent_oracles(steps, case, strong):
     assert per_pair_first_bad_pair(_Machine(g.n, k, g.edges, colors), strong) == want
     with mock.patch.object(coloring, "_DFS_STEPS", steps):
         assert _Machine(g.n, k, g.edges, colors).first_bad_pair(strong) == want
+
+
+HINT_KINDS = ("spanning", "shuffled", "non-edge", "repeated", "out-of-range", "empty")
+
+
+def proper_walk(g, color_of, rng, simple=True):
+    """A proper walk from a random vertex, by random steps along an edge
+    of a new color onto an unvisited vertex while there is one. Unless
+    simple, it then steps back onto visited vertices too, for at most 3n
+    steps in all."""
+    seq, last = [rng.randrange(g.n)], 0
+    for _ in range(3 * g.n):
+        w = seq[-1]
+        steps = [x for x in g.neighbors(w) if color_of(w, x) != last]
+        fresh = [x for x in steps if x not in seq]
+        if simple or fresh:
+            steps = fresh
+        if not steps:
+            break
+        x = rng.choice(steps)
+        seq.append(x)
+        last = color_of(w, x)
+    return seq
+
+
+def hint_sequence(g, color_of, kind, rng):
+    """A vertex sequence of the given kind: a spanning path (when g has
+    one), a shuffle of the vertices, a proper walk that revisits a
+    vertex, or a proper simple path followed by a non-edge or an
+    out-of-range vertex; each but the spanning path ends in a shuffle,
+    and "empty" is []."""
+    if kind == "empty":
+        return []
+    shuffled = rng.sample(range(g.n), g.n)
+    if kind == "spanning":
+        return hamilton_path(g) or shuffled
+    if kind == "shuffled":
+        return shuffled
+    if kind == "repeated":
+        walk = proper_walk(g, color_of, rng, simple=False)
+        if len(set(walk)) == len(walk):
+            walk.append(rng.choice(walk))
+        return walk + shuffled
+    walk = proper_walk(g, color_of, rng)
+    if kind == "non-edge":
+        off = [x for x in range(g.n) if x not in walk and not g.has_edge(walk[-1], x)]
+        bad = [rng.choice(off)] if off else []
+    else:
+        bad = [rng.choice([-1, g.n, g.n + 3])]
+    return walk + bad + shuffled
+
+
+@pytest.mark.parametrize("steps", [0, 3, coloring._DFS_STEPS])
+@given(relaxed_colorings(), st.sampled_from(HINT_KINDS), st.integers(0, 2**32 - 1))
+@settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_a_path_hint_cannot_change_the_first_bad_pair(steps, case, kind, seed):
+    # the walk settles only pairs a proper simple path joins, whatever
+    # the sequence; strong mode ignores it
+    g, k, colors = case
+    color_of = make_coloring(g, k, colors).color
+    path = hint_sequence(g, color_of, kind, random.Random(seed))
+    with mock.patch.object(coloring, "_DFS_STEPS", steps):
+        for strong in (False, True):
+            got = _Machine(g.n, k, g.edges, colors).first_bad_pair(strong, path)
+            assert got == brute_first_bad_pair(g, color_of, strong), (kind, path, strong)
+
+
+def test_a_path_hint_stops_at_a_repeated_vertex():
+    # 5-3-6-0-3-2-1 is a proper walk, but it returns to 3 before its step
+    # 3-2, and no proper simple path joins 5 and 2: from 5-3 (color 1)
+    # the path goes on in color 2 and never reaches 2
+    g = from_edge_list(7, [(0, 1), (0, 3), (0, 6), (1, 2), (1, 4), (2, 3), (3, 5), (3, 6), (4, 6)])
+    colors = [3, 2, 3, 3, 3, 1, 1, 2, 2]
+    walk = [5, 3, 6, 0, 3, 2, 1]
+    assert brute_first_bad_pair(g, make_coloring(g, 3, colors).color, False) == (2, 5)
+    assert _Machine(g.n, 3, g.edges, colors).first_bad_pair(False, walk) == (2, 5)
 
 
 def test_one_search_settles_every_pair_of_a_proper_spanning_path():

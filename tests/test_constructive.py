@@ -11,6 +11,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from properconn import coloring
+from properconn import survey as survey_mod
 from properconn import (
     BadPartition,
     DegreeTooLow,
@@ -32,6 +34,7 @@ from properconn import (
     extend_two_vertices,
     extend_vertex,
     find_bridges,
+    from_adj_rows,
     from_edge_list,
     from_graph6,
     glue_across_bridge,
@@ -43,6 +46,7 @@ from properconn import (
     to_graph6,
     verify_certificate,
 )
+from properconn.graph import _unpack_rows
 from util import (
     complete_bipartite,
     complete_graph,
@@ -115,6 +119,30 @@ def test_hamilton_path_coloring():
 def test_hamilton_path_coloring_single_edge():
     cert = color_hamilton_path(from_edge_list(2, [(0, 1)]))
     check(cert, k=2)  # palette is 2 even when one color suffices
+
+
+def test_a_path_coloring_is_checked_without_a_search(monkeypatch):
+    # the checker walks the alternating path it is handed, which settles
+    # every pair; verify_certificate, given no path, still passes it
+    searches = []
+    real = coloring._Machine.dfs_from
+
+    def spy(self, *args):
+        searches.append(args[0])
+        return real(self, *args)
+
+    monkeypatch.setattr(coloring._Machine, "dfs_from", spy)
+    checked = 0
+    for packed in survey_mod._level("general", 8, 2):
+        g = from_adj_rows(8, _unpack_rows(8, packed))
+        cert = color_hamilton_path(g)
+        if cert is None:
+            continue
+        assert searches == []
+        assert verify_certificate(cert).ok
+        searches.clear()
+        checked += 1
+    assert checked == 7299
 
 
 # --- bridgeless strong colorings ----------------------------------------------

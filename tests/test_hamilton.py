@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -9,13 +10,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from properconn import hamilton
+from properconn import survey as survey_mod
 from properconn import (
     TooLarge,
+    from_adj_rows,
     from_edge_list,
     hamilton_cycle,
     hamilton_path,
     hamilton_path_from,
 )
+from properconn.graph import _unpack_rows
 from util import (
     complete_bipartite,
     complete_graph,
@@ -25,6 +29,12 @@ from util import (
     random_connected,
     star_graph,
 )
+
+# sha256 of hamilton_path over every representative of the general levels
+# n = 1..7 and the bipartite levels n = 1..9 (minimum degree 0), one line
+# per graph in level order: the path as comma-joined vertices, "-" for
+# None. The survey's witnesses are colored along these paths.
+SPANNING_PATHS_DIGEST = "ce606821e81514d3a928fc3d47c61085cf61c02a687ee483e0ba4a8f0e07d9d7"
 
 PROPERTY_SETTINGS = settings(
     max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -129,3 +139,15 @@ def test_side_count_tests_agree_with_the_unrestricted_search(g):
     assert (p is not None) == want
     if p is not None:
         assert is_path_of(g, p)
+
+
+def test_spanning_paths_are_pinned():
+    lines = []
+    for kind, top in (("general", 7), ("bipartite", 9)):
+        for n in range(1, top + 1):
+            for packed in survey_mod._level(kind, n, 0):
+                p = hamilton_path(from_adj_rows(n, _unpack_rows(n, packed)))
+                lines.append("-" if p is None else ",".join(map(str, p)))
+    assert len(lines) == 1980
+    digest = hashlib.sha256("\n".join(lines).encode("ascii")).hexdigest()
+    assert digest == SPANNING_PATHS_DIGEST
