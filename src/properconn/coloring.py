@@ -335,6 +335,9 @@ class _Machine:
                     break
             if rec(w, 1 << u | 1 << w, c, c):
                 break
+        # rec holds itself through its closure cell; unbinding it frees the
+        # search's state now rather than at the next cyclic collection
+        del rec
         return pending, steps >= 0
 
     def first_bad_pair(self, strong: bool, path=()):

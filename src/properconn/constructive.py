@@ -8,8 +8,10 @@ pipeline checks its bipartite-core candidates on g, never on the core.
 Colorings that are searched for come from the completion kernel
 `coloring.complete`, whose passing leaf check is that one check.
 Searches are deterministic: fixed candidate orders, and any sampled
-candidates come from a seeded generator. pc2_pipeline returns None only
-after the kernel has exhausted every 2-coloring.
+candidates come from a seeded generator. pc2_pipeline tries a path that
+spans g or 2-dominates it (every vertex off it has two neighbours on it)
+first, then a bipartite core, and returns None only after the kernel has
+exhausted every 2-coloring.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ from .hamilton import hamilton_cycle, hamilton_path, hamilton_path_from
 STRONG_SEARCH_MAX_N = 10
 PIPELINE_MAX_N = 16
 _PHASE_CAP = 4096
+_DFS_STEPS = 1024
 
 
 @dataclass(frozen=True)
@@ -87,8 +90,8 @@ class PcCertificate:
 
 def _certify(g: Graph, k: int, colors, strategy: str, path=None):
     """Wrap a coloring as a plain certificate, or raise if the checker
-    refuses it. `path`, a spanning path the coloring alternates along,
-    is handed to the checker as a hint to walk before it searches."""
+    refuses it. `path`, a path the coloring alternates along, is
+    handed to the checker as a hint to walk before it searches."""
     coloring = EdgeColoring(g, k, tuple(colors))
     if path is None:
         ok = is_proper_connected(coloring)
@@ -164,10 +167,100 @@ def color_hamilton_path(g: Graph):
     path = hamilton_path(g)
     if path is None:
         return None
-    # the path's edges alternate colors 1, 2, 1, ...; edges off it get 1
-    second = {(a, b) if a < b else (b, a) for a, b in zip(path[1::2], path[2::2])}
-    colors = [2 if e in second else 1 for e in g.edges]
-    return _certify(g, 2, colors, "hamilton_path", path)
+    return _color_path(g, path)
+
+
+def _dominating_path(g: Graph):
+    """A path P of g that spans it or 2-dominates it (every vertex off P
+    has at least two neighbours on P), as a vertex list, or None.
+
+    One fail-first depth-first search over simple paths. Start vertices
+    are tried by degree, then index; candidates by fewest unvisited
+    neighbours, then index, each packed as that count << 5 | vertex so
+    that plain int order is that order. `one` and `two` are the vertices
+    with at least one and at least two neighbours on the path. A path is
+    accepted when it spans, or when it dead-ends with every vertex off it
+    in `two`. The empty graph has the empty path.
+
+    The search stops after _DFS_STEPS steps, so None is not a verdict:
+    the pipeline's later steps decide those graphs.
+    """
+    if g.n == 0:
+        return []
+    left = [_DFS_STEPS]
+    for packed in sorted(row.bit_count() << 5 | v for v, row in enumerate(g.adj)):
+        v = packed & 31
+        tail = _extend(g.adj, (1 << g.n) - 1, v, 1 << v, g.adj[v], 0, left)
+        if tail is not None:
+            return tail[::-1]
+    return None
+
+
+def _extend(adj, full: int, v: int, visited: int, one: int, two: int, left):
+    """_dominating_path's search from the path ending at v: the rest of
+    an accepted path from v, reversed, or None. left[0] is the steps
+    left. (A module function, not a closure: a closure that calls itself
+    is a reference cycle, which only the cyclic collector frees.)"""
+    if left[0] <= 0:
+        return None
+    left[0] -= 1
+    unvis = full & ~visited
+    rest = adj[v] & unvis
+    if not rest:
+        return None if unvis & ~two else [v]
+    cands = []
+    while rest:
+        low = rest & -rest
+        w = low.bit_length() - 1
+        cands.append((adj[w] & unvis).bit_count() << 5 | w)
+        rest ^= low
+    cands.sort()
+    for packed in cands:
+        w = packed & 31
+        tail = _extend(adj, full, w, visited | 1 << w, one | adj[w], two | one & adj[w], left)
+        if tail is not None:
+            tail.append(v)
+            return tail
+    return None
+
+
+def _path_colors(g: Graph, path) -> tuple[int, ...]:
+    """2-coloring of g along a path P = p_0 .. p_l that spans or
+    2-dominates g: P alternates 1, 2, 1, ...; an off-path vertex x with
+    lowest and highest neighbours p_i and p_j on P gets x p_i in the
+    color of p_{i-1} p_i (2 when i = 0) and x p_j in the color of
+    p_j p_{j+1} (the color p_{l-1} p_l lacks when j = l); every other
+    edge gets 1. When P spans, that is P's alternation alone.
+
+    This coloring properly connects g. Pairs on P are joined by subpaths
+    of P. From x, leaving through p_i continues rightwards along P and
+    leaving through p_j continues leftwards, so x reaches every p_k. For
+    off-path x and y, with y's neighbours on P running from p_i' to
+    p_j', x p_i .. p_j' y is proper when i < j', and x p_j .. p_i' y when
+    i' < j. If neither held, then i' < j' <= i < j <= i', a
+    contradiction. Off-path vertices have two neighbours on P, so i < j
+    and the two legs are distinct edges.
+    """
+    at = {v: i for i, v in enumerate(path)}
+    color = {}
+    for i, (a, b) in enumerate(zip(path, path[1:])):
+        color[(a, b) if a < b else (b, a)] = 1 + i % 2
+    off = [x for x in g.vertices() if x not in at] if len(path) < g.n else ()
+    for x in off:
+        on = [at[w] for w in g.neighbors(x) if w in at]
+        i, j = min(on), max(on)
+        for k, c in ((i, 2 - i % 2), (j, 1 + j % 2)):
+            w = path[k]
+            color[(x, w) if x < w else (w, x)] = c
+    return tuple([color.get(e, 1) for e in g.edges])
+
+
+def _color_path(g: Graph, path) -> PcCertificate:
+    """Checked k=2 certificate from _path_colors along path; the checker
+    walks path before it searches. Strategy "hamilton_path" when the
+    path spans, else "dominating_path"."""
+    strategy = "hamilton_path" if len(path) == g.n else "dominating_path"
+    return _certify(g, 2, _path_colors(g, path), strategy, path)
 
 
 # ---------------------------------------------------------------------------
@@ -539,24 +632,27 @@ def color_hub_branches(g: Graph, hub: int, parts):
 def pc2_pipeline(g: Graph):
     """A checked 2-color certificate, or None when g has no 2-coloring.
 
-    Three steps. A spanning path, colored alternately. Else the bipartite
+    Three steps. A path that spans g or 2-dominates it (every vertex off
+    it has two neighbours on it), from one capped search
+    (`_dominating_path`) and colored by `_path_colors`, whose docstring
+    proves that the coloring properly connects g. Else the bipartite
     core: when the spanning bipartite subgraph h is connected and
     bridgeless, each ear pattern of h, with every other edge at color 1,
     gets one exact check on g. Borozan et al. guarantee h a strong
     2-coloring, which lifts this way to a proper connected one of g, but
     the patterns need not contain it, so none passing is no verdict. Else
     the completion kernel over every 2-coloring of g, whose exhaustion is
-    the verdict. (A connected graph on at most 2 vertices has a spanning
-    path, so h has n >= 3.)
+    the verdict. (A connected graph on at most 2 vertices, the empty one
+    included, has a spanning path, so h has n >= 3.)
     """
     if g.n > PIPELINE_MAX_N:
         raise TooLarge(f"pipeline limited to n <= {PIPELINE_MAX_N}")
     if not is_connected(g):
         raise Disconnected("only connected graphs have a connection number")
 
-    cert = color_hamilton_path(g)
-    if cert is not None:
-        return cert
+    path = _dominating_path(g)
+    if path is not None:
+        return _color_path(g, path)
 
     h, _ = max_bipartite_spanning_subgraph(g)
     if is_connected(h) and not find_bridges(h):

@@ -69,8 +69,11 @@ def from_edge_list(n: int, pairs) -> Graph:
 
 def from_adj_rows(n: int, rows) -> Graph:
     """Internal-friendly constructor from trusted bitmask rows."""
+    # from a list, tuple() takes a tuple of the exact size off CPython's
+    # free list; from a generator it grows a new one, which is parked on
+    # that free list when freed, so a survey's graphs piled up about 1 MB
     edges = tuple(
-        (u, v) for u in range(n) for v in range(u + 1, n) if rows[u] >> v & 1
+        [(u, v) for u in range(n) for v in range(u + 1, n) if rows[u] >> v & 1]
     )
     return Graph(n, edges, tuple(rows))
 

@@ -2,11 +2,13 @@
 
 All searches are exhaustive backtracking over bitmask states with memoized
 dead states, a reachability prune on the unvisited part, and fail-first
-candidate ordering (fewest unvisited neighbors first). Dense graphs, the
-hot case for the survey, resolve essentially without backtracking, so
-the search's first branch runs first as a plain descent that skips the
-prune, the ordering sort and the memo; only when it dead-ends does the
-full search run, and it returns the same paths either way. On
+candidate ordering (fewest unvisited neighbors first). Dense graphs,
+the common input of pc_upper, resolve essentially without backtracking,
+so the search's first branch runs first as a plain descent that skips
+the prune, the ordering sort and the memo; only when it dead-ends does
+the full search run, and it returns the same paths either way. (The
+2-color pipeline, and so the surveys, use constructive's capped
+2-dominating-path search instead.) On
 bipartite graphs a side count settles lopsided sides at once and fixes
 the path's ends when the sides differ by one.
 

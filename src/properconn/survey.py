@@ -11,11 +11,12 @@ enumerate_connected labels each class once, and a survey labels only the
 graphs its report prints.
 A level with minimum degree >= t grows from levels filtered the same
 way, so the surveys never build the full levels they would discard.
-Surveys decide pc <= 2 with pc2_pipeline (a spanning path, a bipartite
-core, else the exact kernel at k = 2), whose None is a verdict; only
-those graphs go to the exact solver, and graphs whose search budget runs
-out are reported, never dropped. A solver that finds a 2-coloring there
-contradicts the pipeline and raises VerificationFailed.
+Surveys decide pc <= 2 with pc2_pipeline (a spanning or 2-dominating
+path, a bipartite core, else the exact kernel at k = 2), whose None is a
+verdict; only those graphs go to the exact solver, and graphs whose
+search budget runs out are reported, never dropped. A solver that finds
+a 2-coloring there contradicts the pipeline and raises
+VerificationFailed.
 """
 
 from __future__ import annotations
@@ -90,11 +91,13 @@ def _twin_classes(g: Graph) -> list[list[int]]:
     return classes
 
 
-def _attachment_sets(kind: str, g: Graph, t: int):
+def _attachment_sets(kind: str, g: Graph, t: int, least: int = 0):
     """Bitmasks of the vertex sets the next vertex may attach to, when the
     child must have minimum degree >= t: at least t vertices (and at least
     one), holding every vertex of degree t-1. The bipartite chain attaches
-    within one side only, which keeps the child bipartite.
+    within one side only, which keeps the child bipartite. Sets of 2 to
+    least-1 vertices are left out: a partial union that the classes still
+    to come cannot grow to `least` vertices is dropped once it has 2.
 
     Within each twin class only a lowest-index prefix is attached to: any
     other set maps onto such a one by an automorphism of g that permutes
@@ -116,9 +119,14 @@ def _attachment_sets(kind: str, g: Graph, t: int):
     for side in sides:
         if low & ~side:
             continue
+        options = [[m for m in masks if not m & ~side] for masks in prefixes]
+        # room: the most vertices the classes not yet taken can add
+        room = sum(opts[-1].bit_count() for opts in options)
         attach = [0]
-        for masks in prefixes:
-            attach = [a | m for a in attach for m in masks if not m & ~side]
+        for opts in options:
+            room -= opts[-1].bit_count()
+            grown = (a | m for a in attach for m in opts)
+            attach = [b for b in grown if b.bit_count() < 2 or b.bit_count() + room >= least]
         for a in attach:
             if a.bit_count() >= max(t, 1):
                 yield a
@@ -148,7 +156,10 @@ def _children(kind: str, g: Graph, t: int):
     them (graph._child_keys). Before that, a bitmask test drops a set
     that (b) would drop because of a vertex u whose deletion leaves g
     connected and whose degree in the child exceeds the new vertex's: u
-    is a non-cut vertex of the child unless the set is {u} alone."""
+    is a non-cut vertex of the child unless the set is {u} alone. With D
+    the largest degree of such a u, the test drops every set of 2 to D-1
+    vertices (u has degree D > d outside the set and D >= d inside it),
+    so `_attachment_sets` does not build them."""
     rows = g.adj
     keys = _vertex_keys(rows)
     comps = _deletion_components(g)
@@ -156,7 +167,8 @@ def _children(kind: str, g: Graph, t: int):
     # of degree > x
     solid = sum(1 << u for u, parts in enumerate(comps) if len(parts) <= 1)
     above = [sum(1 << u for u, key in enumerate(keys) if key >> 16 > x) for x in range(g.n + 1)]
-    for attach in _attachment_sets(kind, g, t):
+    most = max((key >> 16 for u, key in enumerate(keys) if solid >> u & 1), default=0)
+    for attach in _attachment_sets(kind, g, t, most):
         d = attach.bit_count()
         if solid & (above[d] & ~attach | (above[d - 1] & attach if d >= 2 else 0)):
             continue

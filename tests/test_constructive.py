@@ -11,16 +11,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from properconn import coloring
+from properconn import coloring, constructive
 from properconn import survey as survey_mod
 from properconn import (
     BadPartition,
     DegreeTooLow,
+    EdgeColoring,
     HasBridge,
     IsolatedNewVertex,
     NotABridge,
     NotATree,
     OverlappingSets,
+    PcCertificate,
     PcError,
     RequiresStrongProperty,
     TooLarge,
@@ -40,6 +42,7 @@ from properconn import (
     glue_across_bridge,
     has_strong_property,
     is_connected,
+    make_star_of_bicliques,
     pc2_pipeline,
     pc_exact,
     strong_coloring_bridgeless,
@@ -143,6 +146,67 @@ def test_a_path_coloring_is_checked_without_a_search(monkeypatch):
         searches.clear()
         checked += 1
     assert checked == 7299
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(2, 9),
+    st.integers(0, 5),
+)
+def test_a_two_dominating_path_coloring_connects_the_graph(seed, length, off):
+    # a random path, each other vertex joined to two or more of its
+    # vertices, random extra edges, then a random relabeling
+    rng = random.Random(seed)
+    n = length + off
+    edges = {(i, i + 1) for i in range(length - 1)}
+    for x in range(length, n):
+        for p in rng.sample(range(length), rng.randint(2, length)):
+            edges.add((p, x))
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < 0.15:
+                edges.add((u, v))
+    label = list(range(n))
+    rng.shuffle(label)
+    g = from_edge_list(n, [(label[u], label[v]) for u, v in edges])
+    path = label[:length]
+    colors = constructive._path_colors(g, path)
+    cert = PcCertificate(EdgeColoring(g, 2, colors), "dominating_path", False)
+    assert verify_certificate(cert).ok, (g.edges, path, colors)
+
+
+def test_the_path_step_colors_a_spanning_path_as_color_hamilton_path():
+    for g in [cycle_graph(6), petersen(), complete_bipartite(3, 4), path_graph(5)]:
+        cert = pc2_pipeline(g)
+        assert cert.strategy == "hamilton_path"
+        path = constructive._dominating_path(g)
+        assert sorted(path) == list(g.vertices())
+        hamilton = [2 if i % 2 else 1 for i in range(len(path) - 1)]
+        on_path = {tuple(sorted(e)): c for e, c in zip(zip(path, path[1:]), hamilton)}
+        assert cert.coloring.colors == tuple(on_path.get(e, 1) for e in g.edges)
+
+
+def test_no_two_dominating_path_in_three_color_graphs():
+    for g in [make_star_of_bicliques(2), friendship_graph()]:
+        assert pc_exact(g)[0] == 3
+        assert constructive._dominating_path(g) is None
+
+
+def test_a_capped_path_search_leaves_the_graph_to_the_kernel(monkeypatch):
+    # the first descent from vertex 2 runs 2 0 1 3 5 and dead-ends with 4
+    # touching the path at 3 alone; a later branch finds a path
+    g = from_edge_list(7, [(0, 1), (0, 2), (0, 6), (1, 3), (3, 4), (3, 5), (3, 6), (4, 6)])
+    assert constructive._dominating_path(g) is not None
+    monkeypatch.setattr(constructive, "_DFS_STEPS", g.n)
+    assert constructive._dominating_path(g) is None
+    check(pc2_pipeline(g), k=2, strategy="exhaustive")
+
+
+def test_the_empty_graph_gets_the_vacuous_certificate():
+    for n in (0, 1):
+        cert = check(pc2_pipeline(from_edge_list(n, [])), k=2, strategy="hamilton_path")
+        assert cert.coloring.colors == ()
 
 
 # --- bridgeless strong colorings ----------------------------------------------
@@ -395,10 +459,12 @@ def test_hub_branches_stays_none_when_two_colors_fail():
 
 
 def test_pipeline_stage_exemplars():
-    # one frozen graph per step: spanning path, bipartite core, kernel
+    # one frozen graph per step: spanning path, 2-dominating path,
+    # bipartite core, kernel
     cases = {
         "BW": "hamilton_path",
-        "E?~o": "bipartite_bridgeless",  # complete bipartite 2x4
+        "E?~o": "dominating_path",  # complete bipartite 2x4
+        "IqD?I?@Ig": "bipartite_bridgeless",
         "E?No": "exhaustive",
     }
     for code, tag in cases.items():

@@ -183,6 +183,25 @@ def test_child_keys_and_prunes_follow_from_the_parent(kind, n, t, pick):
     assert got == want
 
 
+@given(
+    st.sampled_from(("general", "bipartite")),
+    st.integers(min_value=2, max_value=8),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=2**16),
+)
+@settings(max_examples=60, deadline=None)
+def test_attachment_sets_leave_out_exactly_the_sizes_below_least(kind, n, t, pick):
+    # pruning partial unions keeps the other sets and their order
+    parents = survey_mod._level(kind, n - 1, max(t - 1, 0))
+    if not parents:
+        return
+    g = from_adj_rows(n - 1, _unpack_rows(n - 1, parents[pick % len(parents)]))
+    every = list(survey_mod._attachment_sets(kind, g, t))
+    for least in range(n + 1):
+        want = [a for a in every if not 2 <= a.bit_count() < least]
+        assert list(survey_mod._attachment_sets(kind, g, t, least)) == want
+
+
 def test_level_computes_vertex_keys_per_parent_not_per_child(monkeypatch):
     monkeypatch.setattr(survey_mod, "_LEVELS", {})
     calls = {"keys": 0, "isomorphic": 0, "children": 0}
