@@ -9,7 +9,6 @@ minimum-degree surveys over all small graph isomorphism classes.
 
 from .coloring import (
     EdgeColoring,
-    PathProfile,
     coloring_from_json,
     coloring_to_json,
     first_improper_pair,
@@ -18,29 +17,24 @@ from .coloring import (
     is_proper_connected,
     is_proper_path,
     make_coloring,
-    path_profile,
 )
 from .constructive import (
     PcCertificate,
     certificate_from_json,
     certificate_to_json,
     color_hamilton_path,
-    color_hub_branches,
     color_tree,
-    extend_two_vertices,
     extend_vertex,
     glue_across_bridge,
     pc2_pipeline,
     strong_coloring_bridgeless,
 )
 from .errors import (
-    BadPartition,
     ColoringGraphMismatch,
     DegreeTooLow,
     Disconnected,
     FixturesMissing,
     HasBridge,
-    IsolatedNewVertex,
     LoopEdge,
     MalformedGraph6,
     NotABridge,
@@ -49,8 +43,6 @@ from .errors import (
     OutOfRange,
     OverlappingSets,
     PcError,
-    RequiresStrongProperty,
-    SameVertex,
     SearchBudgetExceeded,
     TooLarge,
     TooSmall,
@@ -61,10 +53,8 @@ from .errors import (
 )
 from .graph import (
     Bipartition,
-    BridgeBlockTree,
     Graph,
     bipartition,
-    bridge_block_tree,
     canonical_code,
     canonical_form,
     degree_stats,
@@ -73,7 +63,6 @@ from .graph import (
     from_adj_rows,
     from_edge_list,
     from_graph6,
-    induced_subgraph,
     is_complete,
     is_connected,
     is_tree,

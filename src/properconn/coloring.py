@@ -24,8 +24,8 @@ Walks may revisit vertices, so walk reachability can overcount: it
 prunes and rejects, but never accepts a pair.
 
 `complete` is the one search over colorings: every exact coloring search
-in the package (minimum palettes, strong sweeps, extensions, skeleton
-fallbacks) extends a partial coloring through it.
+in the package (minimum palettes, strong sweeps, the 2-color pipeline's
+last step, vertex extensions) extends a partial coloring through it.
 """
 
 from __future__ import annotations
@@ -35,14 +35,7 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .errors import (
-    ColoringGraphMismatch,
-    Disconnected,
-    NotAPath,
-    SameVertex,
-    TooLarge,
-    VertexOutOfRange,
-)
+from .errors import ColoringGraphMismatch, Disconnected, NotAPath, TooLarge
 from .graph import Graph, from_edge_list, is_connected
 
 PROFILE_MAX_N = 16
@@ -98,21 +91,9 @@ def _colors_by_edge(g: Graph, pairs) -> tuple[int, ...]:
     return tuple(normalized[e] for e in g.edges)
 
 
-@dataclass(frozen=True)
-class PathProfile:
-    """All (first color, last color) pairs over proper simple u-v paths."""
-
-    pairs: frozenset[tuple[int, int]]
-
-    def connects(self) -> bool:
-        return bool(self.pairs)
-
-    def has_strong_pair(self) -> bool:
-        for s1, e1 in self.pairs:
-            for s2, e2 in self.pairs:
-                if s1 != s2 and e1 != e2:
-                    return True
-        return False
+def _has_strong_pair(pairs) -> bool:
+    """True when two (first color, last color) pairs differ in both."""
+    return any(s1 != s2 and e1 != e2 for s1, e1 in pairs for s2, e2 in pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -229,63 +210,48 @@ class _Machine:
         self._good[v] = mask
         return mask
 
-    def profile_pairs(self, u: int, v: int, mode: str) -> set[tuple[int, int]]:
+    def profile_pairs(self, u: int, v: int, strong: bool) -> set[tuple[int, int]]:
         """DFS over proper simple u-v paths collecting (start, end) colors.
 
-        mode "any" stops at the first pair, "strong" once two pairs differ
-        in both coordinates, "full" collects the complete set. Branches
-        whose (vertex, color) state cannot reach v even by a walk are cut.
+        It stops at the first pair, or with strong set once two pairs
+        differ in both coordinates. Branches whose (vertex, color) state
+        cannot reach v even by a walk are cut.
         """
         k = self.k
         rows = self.rows
         good = self.good_states(v)
         pairs: set[tuple[int, int]] = set()
-        done = False
-        cap = k * k
 
-        def satisfied() -> bool:
-            if mode == "any":
-                return bool(pairs)
-            if mode == "strong":
-                return PathProfile(frozenset(pairs)).has_strong_pair()
-            return len(pairs) == cap
-
-        def rec(w: int, visited: int, last: int, start: int):
-            nonlocal done
+        def rec(w: int, visited: int, last: int, start: int) -> bool:
             for x, cx in rows[w].items():
-                if done:
-                    return
                 if cx == last or visited >> x & 1:
                     continue
                 if x == v:
                     if (start, cx) not in pairs:
                         pairs.add((start, cx))
-                        if satisfied():
-                            done = True
-                            return
+                        if not strong or _has_strong_pair(pairs):
+                            return True
                     continue
-                if not good >> (x * k + cx - 1) & 1:
-                    continue
-                rec(x, visited | 1 << x, cx, start)
+                if good >> (x * k + cx - 1) & 1 and rec(x, visited | 1 << x, cx, start):
+                    return True
+            return False
 
         for w, c in sorted(rows[u].items()):
-            if done:
-                break
             if w == v:
                 pairs.add((c, c))
-                if satisfied():
+                if not strong or _has_strong_pair(pairs):
                     break
-                continue
-            if good >> (w * k + c - 1) & 1:
-                rec(w, 1 << u | 1 << w, c, c)
+            elif good >> (w * k + c - 1) & 1 and rec(w, 1 << u | 1 << w, c, c):
+                break
+        # unbound for the same reason as in dfs_from
+        del rec
         return pairs
 
     def pair_ok(self, u: int, v: int, strong: bool) -> bool:
         if not self.walk_mask(u) >> v & 1:
             return False
-        mode = "strong" if strong else "any"
-        found = PathProfile(frozenset(self.profile_pairs(u, v, mode)))
-        return found.has_strong_pair() if strong else found.connects()
+        pairs = self.profile_pairs(u, v, strong)
+        return _has_strong_pair(pairs) if strong else bool(pairs)
 
     def dfs_from(self, u: int, strong: bool, pending: int, linked) -> tuple[int, bool]:
         """One DFS over the proper simple paths that start at u.
@@ -457,7 +423,12 @@ def complete(g: Graph, k: int, fixed, free, strong: bool = False, deadline=None)
                 return True
         return False
 
-    return tuple(colors) if rec(0, 0) else None
+    try:
+        return tuple(colors) if rec(0, 0) else None
+    finally:
+        # unbound for the same reason as in _Machine.dfs_from, on every way
+        # out, since _OutOfTime leaves through rec
+        del rec
 
 
 # ---------------------------------------------------------------------------
@@ -481,19 +452,6 @@ def is_proper_path(c: EdgeColoring, path) -> bool:
             raise NotAPath(f"({a},{b}) is not an edge")
     cols = [c.color(a, b) for a, b in zip(seq, seq[1:])]
     return all(c1 != c2 for c1, c2 in zip(cols, cols[1:]))
-
-
-def path_profile(c: EdgeColoring, u: int, v: int) -> PathProfile:
-    """Exact profile of proper simple u-v paths; empty when none exist."""
-    g = c.graph
-    if g.n > PROFILE_MAX_N:
-        raise TooLarge(f"profile search limited to n <= {PROFILE_MAX_N}")
-    for w in (u, v):
-        if not 0 <= w < g.n:
-            raise VertexOutOfRange(f"vertex {w} outside 0..{g.n - 1}")
-    if u == v:
-        raise SameVertex(f"profile endpoints must differ, both are {u}")
-    return PathProfile(frozenset(_machine_for(c).profile_pairs(u, v, "full")))
 
 
 def _scan_pairs(c: EdgeColoring, strong: bool, path=()):
@@ -549,7 +507,11 @@ def coloring_from_json(text: str) -> EdgeColoring:
 
 
 def _coloring_document(text: str):
-    """The coloring a JSON document describes, and the parsed document."""
+    """The coloring a JSON document describes, and the parsed document.
+
+    n, k, the edge ends and the colors must be JSON integers (not
+    booleans, not floats) and each edge a pair.
+    """
     try:
         payload = json.loads(text)
         n = payload["n"]
@@ -558,6 +520,13 @@ def _coloring_document(text: str):
         raw_colors = list(payload["colors"])
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise ColoringGraphMismatch(f"bad coloring document: {exc}") from exc
+    if any(len(e) != 2 for e in raw_edges):
+        raise ColoringGraphMismatch("bad coloring document: an edge is not a pair")
+    numbers = [n, k, *raw_colors, *(x for e in raw_edges for x in e)]
+    if any(type(x) is not int for x in numbers):
+        raise ColoringGraphMismatch(
+            "bad coloring document: n, k, edge ends and colors must be integers"
+        )
     if len(raw_edges) != len(raw_colors):
         raise ColoringGraphMismatch(
             f"{len(raw_colors)} colors for {len(raw_edges)} edges"

@@ -43,10 +43,6 @@ class OutOfRange(PcError, ValueError):
     """A size, length or order range argument lies outside its domain."""
 
 
-class SameVertex(PcError):
-    """Two distinct vertices were required."""
-
-
 class NotAPath(PcError):
     """A vertex sequence is not a simple path of the graph."""
 
@@ -75,20 +71,8 @@ class VerificationExhausted(PcError):
     """Bounded search over extensions found no verifiable coloring."""
 
 
-class IsolatedNewVertex(PcError):
-    """A new vertex must attach with at least one edge."""
-
-
 class UnsuitableBase(PcError, ValueError):
     """The base certificate has the wrong palette size."""
-
-
-class RequiresStrongProperty(PcError):
-    """The base certificate must carry the strong property."""
-
-
-class BadPartition(PcError):
-    """The given parts do not partition the expected vertex set."""
 
 
 class FixturesMissing(PcError):

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
-    Disconnected,
     LoopEdge,
     MalformedGraph6,
     TooLarge,
@@ -76,20 +75,6 @@ def from_adj_rows(n: int, rows) -> Graph:
         [(u, v) for u in range(n) for v in range(u + 1, n) if rows[u] >> v & 1]
     )
     return Graph(n, edges, tuple(rows))
-
-
-def induced_subgraph(g: Graph, vertices) -> tuple[Graph, tuple[int, ...]]:
-    """Induced subgraph on the given vertices.
-
-    Returns the subgraph (relabeled 0..k-1 in ascending order of the
-    original labels) together with the tuple mapping new label -> old.
-    """
-    keep = sorted(set(vertices))
-    index = {old: new for new, old in enumerate(keep)}
-    pairs = [
-        (index[u], index[v]) for u, v in g.edges if u in index and v in index
-    ]
-    return from_edge_list(len(keep), pairs), tuple(keep)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +210,7 @@ def is_tree(g: Graph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# bridges and the bridge-block tree
+# bridges
 
 
 def find_bridges(g: Graph) -> list[tuple[int, int]]:
@@ -272,49 +257,6 @@ def find_bridges(g: Graph) -> list[tuple[int, int]]:
         if order[v] == -1:
             dfs(v)
     return sorted(bridges)
-
-
-@dataclass(frozen=True)
-class BridgeBlockTree:
-    """2-edge-connected components, the bridge set, and the contracted tree."""
-
-    components: tuple[frozenset[int], ...]
-    bridges: tuple[tuple[int, int], ...]
-    tree_adj: tuple[tuple[int, ...], ...]
-
-
-def bridge_block_tree(g: Graph) -> BridgeBlockTree:
-    """Contract the 2-edge-connected components; tree edges are the bridges."""
-    if not is_connected(g):
-        raise Disconnected("bridge-block tree requires a connected graph")
-    bridges = find_bridges(g)
-    bridge_set = set(bridges)
-    parent = list(range(g.n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for u, v in g.edges:
-        if (u, v) not in bridge_set:
-            parent[find(u)] = find(v)
-    roots = sorted({find(v) for v in range(g.n)})
-    comp_index = {root: idx for idx, root in enumerate(roots)}
-    members: list[set[int]] = [set() for _ in roots]
-    for v in range(g.n):
-        members[comp_index[find(v)]].add(v)
-    adjacency: list[set[int]] = [set() for _ in roots]
-    for u, v in bridges:
-        cu, cv = comp_index[find(u)], comp_index[find(v)]
-        adjacency[cu].add(cv)
-        adjacency[cv].add(cu)
-    return BridgeBlockTree(
-        components=tuple(frozenset(c) for c in members),
-        bridges=tuple(bridges),
-        tree_adj=tuple(tuple(sorted(a)) for a in adjacency),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +435,9 @@ def _canonical_perm(n: int, rows) -> tuple[list[int], list[int]]:
         return improved
 
     extend([], [], list(range(n)), (1 << n) - 1, False)
+    # extend holds itself through its closure cell; unbinding it leaves no
+    # reference cycle for the cyclic collector
+    del extend
     return [order[v] for v in best_perm], best_fields
 
 

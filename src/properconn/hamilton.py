@@ -110,7 +110,11 @@ def _spanning_path(adj, n: int, start: int, end_mask: int):
         dead.add(key)
         return False
 
-    return back[::-1] if rec(start, 1 << start) else None
+    found = rec(start, 1 << start)
+    # rec holds itself, and through it dead, in its closure cell; unbinding
+    # it frees them now rather than at the next cyclic collection
+    del rec
+    return back[::-1] if found else None
 
 
 def _sides(adj):

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from properconn import (
     coloring_to_json,
     from_edge_list,
@@ -114,6 +116,33 @@ def test_verify_graph_mismatch(tmp_path, capsys):
     code, _, err = run(capsys, "verify", "--graph6", "Bw", str(path))
     assert code == 1
     assert "different graph" in err
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"n": "4"},
+        {"n": True},
+        {"k": "2"},
+        {"k": 2.0},
+        {"colors": [1, "2", 1]},
+        {"colors": [1, 2.0, 1]},
+        {"colors": [1, True, 1]},
+        {"edges": [[0, "1"], [1, 2], [2, 3]]},
+        {"edges": [[0, 1, 2], [1, 2], [2, 3]]},
+        {"edges": [[0], [1, 2], [2, 3]]},
+    ],
+)
+def test_verify_rejects_malformed_documents(tmp_path, capsys, change):
+    # the unchanged document colors the path "Ch" properly
+    doc = {"n": 4, "k": 2, "edges": [[0, 1], [1, 2], [2, 3]], "colors": [1, 2, 1]}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "verify", "--graph6", "Ch", str(path))[0] == 0
+    path.write_text(json.dumps({**doc, **change}))
+    code, _, err = run(capsys, "verify", "--graph6", "Ch", str(path))
+    assert code == 1
+    assert err.startswith("pc: error:") and "Traceback" not in err
 
 
 def test_compute_kmax_bracket_is_inconclusive(capsys):

@@ -1,7 +1,8 @@
-"""Edge colorings, proper-path profiles, and the connectivity checkers."""
+"""Edge colorings and the connectivity checkers."""
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 import time
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from properconn import (
     ColoringGraphMismatch,
-    SameVertex,
+    canonical_code,
     coloring_from_json,
     coloring_to_json,
     first_improper_pair,
@@ -25,7 +26,7 @@ from properconn import (
     is_proper_connected,
     is_proper_path,
     make_coloring,
-    path_profile,
+    pc_exact,
 )
 from properconn import coloring
 from properconn.coloring import _Machine, _OutOfTime, complete
@@ -36,8 +37,10 @@ from util import (
     brute_profile,
     complete_graph,
     cycle_graph,
+    friendship_graph,
     path_graph,
     per_pair_first_bad_pair,
+    petersen,
     random_connected,
 )
 
@@ -115,48 +118,11 @@ def test_monochromatic_complete_graph():
     assert first_weak_pair(c) == (0, 1)
 
 
-def test_profile_collects_endpoint_colors():
-    c = colored(4, [(0, 1), (0, 3), (1, 2), (2, 3)], [1, 2, 2, 1])
-    prof = path_profile(c, 0, 2)
-    assert prof.pairs == frozenset({(1, 2), (2, 1)})
-    lonely = path_profile(colored(3, [(0, 1), (1, 2)], [1, 1], k=2), 0, 2)
-    assert lonely.pairs == frozenset()
-
-
-def test_profile_rejects_equal_endpoints():
-    c = colored(3, [(0, 1), (1, 2)], [1, 2])
-    with pytest.raises(SameVertex):
-        path_profile(c, 1, 1)
-
-
 @given(random_colorings())
 @PROPERTY_SETTINGS
 def test_checker_agrees_with_path_enumeration(c):
     assert is_proper_connected(c) == brute_is_proper_connected(c.graph, c.color)
     assert has_strong_property(c) == brute_has_strong(c.graph, c.color)
-
-
-@given(random_colorings(max_n=5))
-@PROPERTY_SETTINGS
-def test_profile_agrees_with_path_enumeration(c):
-    g = c.graph
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            assert path_profile(c, u, v).pairs == frozenset(
-                brute_profile(g, c.color, u, v)
-            )
-
-
-@given(random_colorings(max_n=5))
-@PROPERTY_SETTINGS
-def test_profile_is_reverse_symmetric(c):
-    g = c.graph
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            fwd = path_profile(c, u, v).pairs
-            assert path_profile(c, v, u).pairs == frozenset(
-                (b, a) for a, b in fwd
-            )
 
 
 @st.composite
@@ -286,7 +252,7 @@ def test_failure_reports_are_consistent():
     c = colored(3, [(0, 1), (1, 2)], [1, 1], k=2)
     pair = first_improper_pair(c)
     assert pair is not None
-    assert not path_profile(c, *pair).pairs
+    assert not brute_profile(c.graph, c.color, *pair)
 
 
 def test_json_round_trip():
@@ -391,3 +357,29 @@ def test_kernel_reads_the_clock_at_the_first_node():
     g = cycle_graph(5)
     with pytest.raises(_OutOfTime):
         complete(g, 2, {}, g.edges, deadline=time.monotonic() - 1.0)
+
+
+def test_searches_leave_no_reference_cycles():
+    # a recursive closure holds itself through its cell, so each search
+    # must unbind its own or every call leaves garbage for the cyclic
+    # collector
+    g = friendship_graph()
+    cert = pc_exact(g)[1]
+    c5 = cycle_graph(5)
+    calls = {
+        "hamilton_path": lambda: hamilton_path(g),
+        "complete": lambda: complete(c5, 2, {}, c5.edges),
+        "pc_exact": lambda: pc_exact(g),
+        "canonical_code": lambda: canonical_code(petersen()),
+        "pair_ok": lambda: _Machine(g.n, 3, g.edges, cert.coloring.colors).pair_ok(
+            1, 3, True
+        ),
+    }
+    gc.collect()
+    gc.disable()
+    try:
+        for name, call in calls.items():
+            call()
+            assert (name, gc.collect()) == (name, 0)
+    finally:
+        gc.enable()

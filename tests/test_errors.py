@@ -12,7 +12,6 @@ from properconn import (
     TooLarge,
     TooSmall,
     UnsuitableBase,
-    extend_two_vertices,
     extend_vertex,
     from_edge_list,
     make_star_of_bicliques,
@@ -38,7 +37,6 @@ def test_bad_argument_values_raise_pc_errors():
         (TooSmall, lambda: strong_coloring_bridgeless(from_edge_list(1, []))),
         (UnsuitableBase, lambda: extend_vertex(pc_exact(star_graph(3))[1], [(4, 0), (4, 1)])),
         (UnsuitableBase, lambda: extend_vertex(forged(cycle_graph(4)), [(4, 0), (4, 2)])),
-        (UnsuitableBase, lambda: extend_two_vertices(forged(path_graph(4)), [(4, 0), (4, 5)])),
     ]
     for kind, call in cases:
         with pytest.raises(kind) as info:

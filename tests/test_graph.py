@@ -13,7 +13,6 @@ from properconn import (
     MalformedGraph6,
     VertexOutOfRange,
     bipartition,
-    bridge_block_tree,
     canonical_code,
     canonical_form,
     degree_stats,
@@ -21,7 +20,6 @@ from properconn import (
     format_edge_list_text,
     from_edge_list,
     from_graph6,
-    induced_subgraph,
     is_complete,
     is_connected,
     is_tree,
@@ -164,21 +162,6 @@ def test_bridges_match_deletion_oracle(g):
     assert sorted(find_bridges(g)) == sorted(brute_bridges(g))
 
 
-def test_bridge_block_tree_two_triangles():
-    # triangles joined by a bridge: two components, one bridge between them
-    g = from_edge_list(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)])
-    t = bridge_block_tree(g)
-    assert sorted(sorted(c) for c in t.components) == [[0, 1, 2], [3, 4, 5]]
-    assert tuple(t.bridges) == ((2, 3),)
-    assert sorted(len(nbrs) for nbrs in t.tree_adj) == [1, 1]
-
-
-def test_bridge_block_tree_of_tree_is_all_singletons():
-    t = bridge_block_tree(path_graph(5))
-    assert all(len(c) == 1 for c in t.components)
-    assert len(t.bridges) == 4
-
-
 def test_bipartition():
     b = bipartition(cycle_graph(6))
     assert b is not None
@@ -199,14 +182,6 @@ def test_bipartite_spanning_subgraph_keeps_half_the_degree(g):
     for v in range(g.n):
         assert 2 * h.degree(v) >= g.degree(v)
     assert len(sides.sideU) + len(sides.sideV) == g.n
-
-
-def test_induced_subgraph_relabels_compactly():
-    g = cycle_graph(5)
-    h, labels = induced_subgraph(g, [1, 2, 4])
-    assert h.n == 3
-    assert labels == (1, 2, 4)
-    assert h.edges == ((0, 1),)  # only the 1-2 edge survives
 
 
 @given(small_graphs(max_n=8), st.integers(min_value=0, max_value=2**32 - 1))
