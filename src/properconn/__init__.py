@@ -22,7 +22,6 @@ from .constructive import (
     PcCertificate,
     certificate_from_json,
     certificate_to_json,
-    color_hamilton_path,
     color_tree,
     extend_vertex,
     glue_across_bridge,
@@ -66,7 +65,6 @@ from .graph import (
     is_complete,
     is_connected,
     is_tree,
-    max_bipartite_spanning_subgraph,
     parse_edge_list_text,
     to_graph6,
 )

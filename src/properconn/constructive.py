@@ -3,15 +3,15 @@ one-vertex extensions, and the 2-color decision pc2_pipeline.
 
 Every operation checks its output with the exact checker before
 returning it, exactly once and on the graph it certifies; a certificate
-is never trusted on the strength of the construction alone. The 2-color
-pipeline checks its bipartite-core candidates on g, never on the core.
+is never trusted on the strength of the construction alone. A path
+coloring's check is handed the path, which the checker walks first.
 Colorings that are searched for come from the completion kernel
 `coloring.complete`, whose passing leaf check is that one check.
 Searches are deterministic: fixed candidate orders, and any sampled
 candidates come from a seeded generator. pc2_pipeline tries a path that
 spans g or 2-dominates it (every vertex off it has two neighbours on it)
-first, then a bipartite core, and returns None only after the kernel has
-exhausted every 2-coloring.
+first, and returns None only after the kernel has exhausted every
+2-coloring.
 """
 
 from __future__ import annotations
@@ -51,10 +51,9 @@ from .graph import (
     from_edge_list,
     is_connected,
     is_tree,
-    max_bipartite_spanning_subgraph,
 )
 from .hamilton import hamilton_cycle  # noqa: F401  (perfbench/tracing.py wraps it here)
-from .hamilton import hamilton_path
+from .hamilton import hamilton_path  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .hamilton import hamilton_path_from  # noqa: F401  (perfbench/tracing.py wraps it here)
 
 STRONG_SEARCH_MAX_N = 10
@@ -120,7 +119,7 @@ def _assignment_to_colors(g: Graph, assignment: dict) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# trees and Hamilton paths
+# trees and paths that span or 2-dominate
 
 
 def color_tree(t: Graph) -> PcCertificate:
@@ -156,19 +155,6 @@ def _tree_assignment(t: Graph) -> dict[tuple[int, int], int]:
     return assignment
 
 
-def color_hamilton_path(g: Graph):
-    """k=2 certificate from an alternately colored spanning path, or None.
-
-    The exact checker is handed the path and walks it before it
-    searches; a proper spanning path settles every pair, so the check
-    runs no search. verify_certificate, which gets no path, checks the
-    same coloring from scratch."""
-    path = hamilton_path(g)
-    if path is None:
-        return None
-    return _color_path(g, path)
-
-
 def _dominating_path(g: Graph):
     """A path P of g that spans it or 2-dominates it (every vertex off P
     has at least two neighbours on P), as a vertex list, or None.
@@ -182,7 +168,7 @@ def _dominating_path(g: Graph):
     in `two`. The empty graph has the empty path.
 
     The search stops after _DFS_STEPS steps, so None is not a verdict:
-    the pipeline's later steps decide those graphs.
+    the pipeline's kernel decides those graphs.
     """
     if g.n == 0:
         return []
@@ -256,8 +242,8 @@ def _path_colors(g: Graph, path) -> tuple[int, ...]:
 
 def _color_path(g: Graph, path) -> PcCertificate:
     """Checked k=2 certificate from _path_colors along path; the checker
-    walks path before it searches. Strategy "hamilton_path" when the
-    path spans, else "dominating_path"."""
+    walks path first, so a spanning path's check runs no search. Strategy
+    "hamilton_path" when the path spans, else "dominating_path"."""
     strategy = "hamilton_path" if len(path) == g.n else "dominating_path"
     return _certify(g, 2, _path_colors(g, path), strategy, path)
 
@@ -554,18 +540,11 @@ def extend_vertex(cert: PcCertificate, new_edges) -> PcCertificate:
 def pc2_pipeline(g: Graph):
     """A checked 2-color certificate, or None when g has no 2-coloring.
 
-    Three steps. A path that spans g or 2-dominates it (every vertex off
+    Two steps. A path that spans g or 2-dominates it (every vertex off
     it has two neighbours on it), from one capped search
     (`_dominating_path`) and colored by `_path_colors`, whose docstring
-    proves that the coloring properly connects g. Else the bipartite
-    core: when the spanning bipartite subgraph h is connected and
-    bridgeless, each ear pattern of h, with every other edge at color 1,
-    gets one exact check on g. Borozan et al. guarantee h a strong
-    2-coloring, which lifts this way to a proper connected one of g, but
-    the patterns need not contain it, so none passing is no verdict. Else
-    the completion kernel over every 2-coloring of g, whose exhaustion is
-    the verdict. (A connected graph on at most 2 vertices, the empty one
-    included, has a spanning path, so h has n >= 3.)
+    proves that the coloring properly connects g. Else the completion
+    kernel over every 2-coloring of g, whose exhaustion is the verdict.
     """
     if g.n > PIPELINE_MAX_N:
         raise TooLarge(f"pipeline limited to n <= {PIPELINE_MAX_N}")
@@ -575,15 +554,6 @@ def pc2_pipeline(g: Graph):
     path = _dominating_path(g)
     if path is not None:
         return _color_path(g, path)
-
-    h, _ = max_bipartite_spanning_subgraph(g)
-    if is_connected(h) and not find_bridges(h):
-        lifted = {e: 1 for e in g.edges}
-        for colors in _ear_patterns(h):
-            lifted.update(zip(h.edges, colors))
-            cert = _search(g, 2, lifted, (), "bipartite_bridgeless")
-            if cert is not None:
-                return cert
     return _search(g, 2, {}, g.edges, "exhaustive")
 
 

@@ -60,21 +60,23 @@ def from_edge_list(n: int, pairs) -> Graph:
             raise LoopEdge(f"loop at vertex {u}")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    edges = tuple(
-        (u, v) for u in range(n) for v in range(u + 1, n) if rows[u] >> v & 1
-    )
-    return Graph(n, edges, tuple(rows))
+    return from_adj_rows(n, rows)
 
 
 def from_adj_rows(n: int, rows) -> Graph:
     """Internal-friendly constructor from trusted bitmask rows."""
-    # from a list, tuple() takes a tuple of the exact size off CPython's
-    # free list; from a generator it grows a new one, which is parked on
-    # that free list when freed, so a survey's graphs piled up about 1 MB
-    edges = tuple(
-        [(u, v) for u in range(n) for v in range(u + 1, n) if rows[u] >> v & 1]
-    )
-    return Graph(n, edges, tuple(rows))
+    # the set bits above the diagonal, not all n(n-1)/2 pairs, so a large
+    # n with few edges is cheap. From a list, tuple() takes a tuple of the
+    # exact size off CPython's free list; from a generator it grows a new
+    # one, parked on that free list when freed (a survey piled up 1 MB)
+    edges = []
+    for u in range(n):
+        rest = rows[u] >> (u + 1)
+        while rest:
+            low = rest & -rest
+            edges.append((u, u + low.bit_length()))
+            rest ^= low
+    return Graph(n, tuple(edges), tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -292,48 +294,6 @@ def bipartition(g: Graph):
     side_u = frozenset(v for v in range(g.n) if color[v] == 0)
     side_v = frozenset(v for v in range(g.n) if color[v] == 1)
     return Bipartition(side_u, side_v)
-
-
-def max_bipartite_spanning_subgraph(g: Graph) -> tuple[Graph, Bipartition]:
-    """Spanning bipartite subgraph keeping at least half of every degree.
-
-    Greedy side assignment followed by single-vertex local search (scan
-    ascending, move the first improving vertex, repeat to fixpoint). At
-    the fixpoint no vertex has more neighbors on its own side than
-    across, so 2*d_H(v) >= d_G(v) for every vertex. The cut is a local
-    maximum, not necessarily a global one.
-    """
-    n = g.n
-    side = [0] * n
-    for v in range(n):
-        to_u = to_v = 0
-        for w in g.neighbors(v):
-            if w < v:
-                if side[w] == 0:
-                    to_u += 1
-                else:
-                    to_v += 1
-        side[v] = 0 if to_v >= to_u else 1
-    improved = True
-    while improved:
-        improved = False
-        for v in range(n):
-            same = cross = 0
-            for w in g.neighbors(v):
-                if side[w] == side[v]:
-                    same += 1
-                else:
-                    cross += 1
-            if same > cross:
-                side[v] = 1 - side[v]
-                improved = True
-                break
-    crossing = [(u, v) for u, v in g.edges if side[u] != side[v]]
-    part = Bipartition(
-        frozenset(v for v in range(n) if side[v] == 0),
-        frozenset(v for v in range(n) if side[v] == 1),
-    )
-    return from_edge_list(n, crossing), part
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,17 @@
 
 All searches are exhaustive backtracking over bitmask states with memoized
 dead states, a reachability prune on the unvisited part, and fail-first
-candidate ordering (fewest unvisited neighbors first). Dense graphs,
-the common input of pc_upper, resolve essentially without backtracking,
-so the search's first branch runs first as a plain descent that skips
-the prune, the ordering sort and the memo; only when it dead-ends does
-the full search run, and it returns the same paths either way. (The
-2-color pipeline, and so the surveys, use constructive's capped
-2-dominating-path search instead.) On
-bipartite graphs a side count settles lopsided sides at once and fixes
-the path's ends when the sides differ by one.
+candidate ordering (fewest unvisited neighbors first). Dense graphs
+resolve essentially without backtracking, so the search's first branch
+runs first as a plain descent that skips the prune, the ordering sort
+and the memo; only when it dead-ends does the full search run, and it
+returns the same paths either way. On bipartite graphs a side count
+settles lopsided sides at once and fixes the path's ends when the sides
+differ by one.
+
+No library code calls these searches (pc_upper and the pipeline use
+constructive's capped path search); tests use them as the exact
+reference, and constructive imports them only for the benchmark's tracer.
 
 Cycles are returned as a vertex list whose closing edge back to the first
 vertex is implicit.

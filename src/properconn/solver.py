@@ -1,11 +1,12 @@
 """Exact computation of the minimum palette for proper connectivity.
 
-Upper bounds come from constructions (complete, spanning path, spanning
-tree). Lower bounds are proved: the most bridges at any one vertex, and
-every palette that the exhaustive search ran out of, plus the
-definitional fact that only complete graphs work with one color. The
-search budget is wall-clock capped (PC_BUDGET_MS); running out is
-reported as a bracketing interval, never as a silent wrong answer.
+Upper bounds come from constructions (complete, a spanning or
+2-dominating path, spanning tree). Lower bounds are proved: the most
+bridges at any one vertex, and every palette that the exhaustive search
+ran out of, plus the definitional fact that only complete graphs work
+with one color. The search budget is wall-clock capped (PC_BUDGET_MS);
+running out is reported as a bracketing interval, never as a silent
+wrong answer.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import time
 from dataclasses import dataclass
 
 from .coloring import (
+    PROFILE_MAX_N,
     _OutOfTime,
     first_improper_pair,
     first_weak_pair,
@@ -25,11 +27,12 @@ from .constructive import (
     PcCertificate,
     _assignment_to_colors,
     _certify,
+    _color_path,
+    _dominating_path,
     _search,
     _tree_assignment,
-    color_hamilton_path,
 )
-from .errors import Disconnected, OutOfRange, PcError, SearchBudgetExceeded
+from .errors import Disconnected, OutOfRange, PcError, SearchBudgetExceeded, TooLarge
 from .graph import Graph, degree_stats, find_bridges, from_edge_list, is_complete, is_connected
 
 
@@ -66,19 +69,24 @@ def _bfs_tree(g: Graph, root: int):
 def pc_upper(g: Graph) -> PcCertificate:
     """A verified certificate bounding the palette from above.
 
-    Complete graphs get one color; otherwise a spanning path gives two;
-    the fallback colors the breadth-first spanning tree with the fewest
-    colors over all roots, filling non-tree edges with color 1. Each
-    certificate gets one exact check, on g: the tree's coloring alone is
-    never checked, since a proper path of the tree is one of g.
+    Complete graphs get one color; otherwise a path that spans g or
+    2-dominates it, from the pipeline's capped search (`_dominating_path`),
+    gives two; the fallback colors the breadth-first spanning tree with
+    the fewest colors over all roots, filling non-tree edges with color 1.
+    The capped search is no verdict, so the tree's k may exceed pc(G).
+    Each certificate gets one exact check, on g, capped at PROFILE_MAX_N
+    vertices: the tree's coloring alone is never checked, since a proper
+    path of the tree is one of g.
     """
     if not is_connected(g):
         raise Disconnected("upper bounds are defined for connected graphs")
+    if g.n > PROFILE_MAX_N:
+        raise TooLarge(f"search limited to n <= {PROFILE_MAX_N}")
     if is_complete(g):
         return _certify(g, 1, (1,) * g.m, "complete")
-    cert = color_hamilton_path(g)
-    if cert is not None:
-        return cert
+    path = _dominating_path(g)
+    if path is not None:
+        return _color_path(g, path)
     best_tree, best_delta = None, g.n
     for root in range(g.n):
         tree = from_edge_list(g.n, _bfs_tree(g, root))

@@ -12,7 +12,7 @@ graphs its report prints.
 A level with minimum degree >= t grows from levels filtered the same
 way, so the surveys never build the full levels they would discard.
 Surveys decide pc <= 2 with pc2_pipeline (a spanning or 2-dominating
-path, a bipartite core, else the exact kernel at k = 2), whose None is a
+path, else the exact kernel at k = 2), whose None is a
 verdict; only those graphs go to the exact solver, and graphs whose
 search budget runs out are reported, never dropped. A solver that finds
 a 2-coloring there contradicts the pipeline and raises

@@ -145,6 +145,15 @@ def test_verify_rejects_malformed_documents(tmp_path, capsys, change):
     assert err.startswith("pc: error:") and "Traceback" not in err
 
 
+def test_verify_reports_a_document_with_a_large_n_as_an_error(tmp_path, capsys):
+    doc = {"n": 20000, "k": 1, "edges": [[0, 1]], "colors": [1]}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "verify", "--graph6", "Bw", str(path))
+    assert code == 1
+    assert err.startswith("pc: error:") and "Traceback" not in err
+
+
 def test_compute_kmax_bracket_is_inconclusive(capsys):
     # the 4-star's four bridges prove pc=4, which kmax cannot hide
     code, out, _ = run(capsys, "compute", "--graph6", "D?{", "--kmax", "2")

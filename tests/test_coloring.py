@@ -272,6 +272,16 @@ def test_json_mismatch_detected():
         coloring_from_json(json.dumps(doc))
 
 
+def test_json_with_a_large_n_reads_in_time_linear_in_the_edges():
+    # the edge tuple comes from the set bits of the rows, not from all
+    # n(n-1)/2 vertex pairs
+    doc = {"n": 20000, "k": 1, "edges": [[0, 1]], "colors": [1]}
+    t0 = time.perf_counter()
+    c = coloring_from_json(json.dumps(doc))
+    assert time.perf_counter() - t0 < 1.0
+    assert c.graph.n == 20000 and c.graph.edges == ((0, 1),)
+
+
 # --- the completion kernel ---------------------------------------------------
 
 # free edges per palette size, so the plain enumeration stays small

@@ -28,7 +28,6 @@ from properconn import (
     bipartition,
     certificate_from_json,
     certificate_to_json,
-    color_hamilton_path,
     color_tree,
     enumerate_connected,
     extend_vertex,
@@ -42,6 +41,7 @@ from properconn import (
     make_star_of_bicliques,
     pc2_pipeline,
     pc_exact,
+    pc_upper,
     strong_coloring_bridgeless,
     to_graph6,
     verify_certificate,
@@ -111,14 +111,17 @@ def test_tree_coloring_is_proper_at_every_vertex(seed, n):
 
 
 def test_hamilton_path_coloring():
-    check(color_hamilton_path(cycle_graph(6)), k=2, strategy="hamilton_path")
-    check(color_hamilton_path(petersen()), k=2)
-    assert color_hamilton_path(star_graph(3)) is None
+    check(pc_upper(cycle_graph(6)), k=2, strategy="hamilton_path")
+    check(pc_upper(petersen()), k=2, strategy="hamilton_path")
+    check(pc_upper(star_graph(3)), strategy="tree")
 
 
 def test_hamilton_path_coloring_single_edge():
-    cert = color_hamilton_path(from_edge_list(2, [(0, 1)]))
-    check(cert, k=2)  # palette is 2 even when one color suffices
+    # pc_upper gives K2 its one-color "complete" certificate; the path
+    # coloring's palette is 2 even when one color suffices
+    g = from_edge_list(2, [(0, 1)])
+    cert = constructive._color_path(g, constructive._dominating_path(g))
+    check(cert, k=2, strategy="hamilton_path")
 
 
 def test_a_path_coloring_is_checked_without_a_search(monkeypatch):
@@ -135,14 +138,15 @@ def test_a_path_coloring_is_checked_without_a_search(monkeypatch):
     checked = 0
     for packed in survey_mod._level("general", 8, 2):
         g = from_adj_rows(8, _unpack_rows(8, packed))
-        cert = color_hamilton_path(g)
-        if cert is None:
+        path = constructive._dominating_path(g)
+        if path is None or len(path) < g.n:
             continue
+        cert = constructive._color_path(g, path)
         assert searches == []
         assert verify_certificate(cert).ok
         searches.clear()
         checked += 1
-    assert checked == 7299
+    assert checked == 7214
 
 
 @PROPERTY_SETTINGS
@@ -332,7 +336,7 @@ def test_tampered_inputs_give_errors_or_checked_certificates():
     # raises a PcError or returns a certificate the checker passes
     ca, cb = two_triangle_halves()
     c4 = strong_coloring_bridgeless(cycle_graph(4))
-    path = color_hamilton_path(path_graph(4))
+    path = pc_upper(path_graph(4))
     embedding = ([0, 1, 2, 3], [3, 4, 5, 2])
     calls = []
     for forged in tampered(ca):
@@ -428,12 +432,11 @@ def test_extend_vertex_takes_bases_that_are_not_strong(seed, n, extra):
 
 
 def test_pipeline_stage_exemplars():
-    # one frozen graph per step: spanning path, 2-dominating path,
-    # bipartite core, kernel
+    # one frozen graph per outcome: spanning path, 2-dominating path,
+    # kernel
     cases = {
         "BW": "hamilton_path",
         "E?~o": "dominating_path",  # complete bipartite 2x4
-        "IqD?I?@Ig": "bipartite_bridgeless",
         "E?No": "exhaustive",
     }
     for code, tag in cases.items():
@@ -456,7 +459,7 @@ def test_pipeline_none_is_the_verdict_pc_above_two():
 
 
 def test_pipeline_runs_no_strong_search(monkeypatch):
-    # the bipartite core's ear patterns get plain checks on g itself
+    # the kernel step searches plain 2-colorings of g itself
     from properconn import constructive
 
     kernel = constructive.complete

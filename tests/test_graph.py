@@ -23,7 +23,6 @@ from properconn import (
     is_complete,
     is_connected,
     is_tree,
-    max_bipartite_spanning_subgraph,
     parse_edge_list_text,
     to_graph6,
 )
@@ -170,18 +169,6 @@ def test_bipartition():
         frozenset({1, 3, 5}),
     }
     assert bipartition(cycle_graph(5)) is None
-
-
-@given(small_graphs(max_n=8))
-@PROPERTY_SETTINGS
-def test_bipartite_spanning_subgraph_keeps_half_the_degree(g):
-    h, sides = max_bipartite_spanning_subgraph(g)
-    assert h.n == g.n
-    assert bipartition(h) is not None
-    assert set(h.edges) <= set(g.edges)
-    for v in range(g.n):
-        assert 2 * h.degree(v) >= g.degree(v)
-    assert len(sides.sideU) + len(sides.sideV) == g.n
 
 
 @given(small_graphs(max_n=8), st.integers(min_value=0, max_value=2**32 - 1))

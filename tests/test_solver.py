@@ -12,10 +12,13 @@ from properconn import (
     Disconnected,
     PcCertificate,
     SearchBudgetExceeded,
+    TooLarge,
     constructive,
     find_bridges,
+    from_adj_rows,
     from_edge_list,
     from_graph6,
+    hamilton_path,
     is_tree,
     make_coloring,
     make_star_of_bicliques,
@@ -25,7 +28,9 @@ from properconn import (
     strong_coloring_bridgeless,
     verify_certificate,
 )
+from properconn import survey as survey_mod
 from properconn.coloring import complete
+from properconn.graph import _unpack_rows
 from util import (
     complete_bipartite,
     complete_graph,
@@ -71,6 +76,37 @@ def test_upper_bound_is_always_verified():
     for g in [complete_graph(3), star_graph(5), cycle_graph(7), friendship_graph()]:
         cert = pc_upper(g)
         assert verify_certificate(cert).ok
+
+
+def test_upper_bound_takes_a_two_dominating_path():
+    # K_{2,4} has no spanning path; a longest one misses one vertex of the
+    # side of 4, whose two neighbours are both on it
+    cert = pc_upper(from_graph6("E?~o"))
+    assert cert.k == 2 and cert.strategy == "dominating_path"
+    assert verify_certificate(cert).ok
+
+
+def test_upper_bound_stops_at_the_checker_cap_before_the_path_search():
+    # _dominating_path packs a vertex into 5 bits, so past 31 vertices it
+    # misreads the graph (on C33 it hit the recursion limit); pc_upper
+    # refuses n > 16 before it runs
+    with pytest.raises(TooLarge):
+        pc_upper(cycle_graph(33))
+
+
+def test_upper_bound_is_two_wherever_the_exact_search_finds_a_spanning_path():
+    # every connected graph on 2..8 vertices; the exact Hamilton search is
+    # the reference for pc_upper's capped path search
+    graphs = 0
+    for n in range(2, 9):
+        for packed in survey_mod._level("general", n, 0):
+            g = from_adj_rows(n, _unpack_rows(n, packed))
+            cert = pc_upper(g)
+            assert verify_certificate(cert).ok
+            if cert.k > 2:
+                assert cert.strategy == "tree" and hamilton_path(g) is None
+            graphs += 1
+    assert graphs == 12112
 
 
 def test_exact_on_complete_graphs():
