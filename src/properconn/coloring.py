@@ -135,7 +135,9 @@ class _Machine:
     passes its step cap does first_bad_pair fall back to the per-pair
     search (pair_ok), which prunes with walk transitions over states
     (vertex, last edge color), packed as v*k + color-1; those tables are
-    built on first use.
+    built on first use. recolor changes one edge's color in place and
+    drops those tables, which is how the completion kernel moves one
+    machine from search node to search node.
     """
 
     def __init__(self, n: int, k: int, edges, colors):
@@ -150,6 +152,13 @@ class _Machine:
         self._rtrans = None
         self._walk: dict[int, int] = {}
         self._good: dict[int, int] = {}
+
+    def recolor(self, u: int, v: int, c: int) -> None:
+        """Give edge uv color c and drop the tables built from old colors."""
+        self.rows[u][v] = self.rows[v][u] = c
+        self._trans = self._rtrans = None
+        self._walk.clear()
+        self._good.clear()
 
     def transitions(self) -> list[int]:
         """trans[s]: states one proper step away from state s."""
@@ -379,17 +388,20 @@ def complete(g: Graph, k: int, fixed, free, strong: bool = False, deadline=None)
 
     fixed maps edges to colors; free lists the other edges in the order
     they are assigned, and the first witness is the first in that order
-    that plain enumeration (colors ascending) would reach. Each search
-    node gives every still-free edge its own fresh color above k and runs
-    the exact checker on that relaxation. A proper path of any completion
-    stays proper there (a fresh color differs from every other color), and
-    two paths whose first or last colors differ still differ, so a
-    rejected relaxation rules out the whole subtree; subtrees of at most
-    _PLAIN_LEAVES leaves skip that check. At a leaf nothing is free and
-    the same call is the exact check of the witness. With nothing fixed
-    the palette is symmetric, so colors appear in restricted growth order
-    (color c+1 only after color c). The clock is read at every node;
-    passing `deadline` (a time.monotonic() value) raises _OutOfTime.
+    that plain enumeration (colors ascending) would reach. The j-th free
+    edge holds its own fresh color k+1+j until it is assigned and again
+    after backtracking, so one machine over k + len(free) colors, built
+    once per call and recolored in place, is the relaxation at every
+    search node; each node runs the exact checker on it. A proper path of
+    any completion stays proper there (a fresh color differs from every
+    other color), and two paths whose first or last colors differ still
+    differ, so a rejected relaxation rules out the whole subtree;
+    subtrees of at most _PLAIN_LEAVES leaves skip that check. At a leaf
+    nothing is free and the same call is the exact check of the witness.
+    With nothing fixed the palette is symmetric, so colors appear in
+    restricted growth order (color c+1 only after color c). The clock is
+    read at every node; passing `deadline` (a time.monotonic() value)
+    raises _OutOfTime.
     """
     index = {e: i for i, e in enumerate(g.edges)}
     slots = [index[e] for e in free]
@@ -399,32 +411,37 @@ def complete(g: Graph, k: int, fixed, free, strong: bool = False, deadline=None)
     bad = sorted({c for c in fixed.values() if not 1 <= c <= k})
     if bad:
         raise ColoringGraphMismatch(f"fixed colors {bad} outside 1..{k}")
+    edges, r = g.edges, len(slots)
     colors = [0] * g.m
     for e, c in fixed.items():
         colors[index[e]] = c
-    n, edges, r = g.n, g.edges, len(slots)
+    for j, i in enumerate(slots):
+        colors[i] = k + 1 + j
+    relaxed = _Machine(g.n, k + r, edges, colors)
+    ends = [edges[i] for i in slots]
     symmetric = not fixed
 
     def rec(depth: int, top: int) -> bool:
         if deadline is not None and time.monotonic() > deadline:
             raise _OutOfTime
         if depth == r or k ** (r - depth) > _PLAIN_LEAVES:
-            for j in range(depth, r):
-                colors[slots[j]] = k + 1 + j - depth
-            relaxed = _Machine(n, k + r - depth, edges, colors)
             if relaxed.first_bad_pair(strong) is not None:
                 return False
             if depth == r:
                 return True
-        slot = slots[depth]
+        u, v = ends[depth]
         for c in range(1, (min(k, top + 1) if symmetric else k) + 1):
-            colors[slot] = c
+            relaxed.recolor(u, v, c)
             if rec(depth + 1, max(top, c)):
                 return True
+        relaxed.recolor(u, v, k + 1 + depth)
         return False
 
     try:
-        return tuple(colors) if rec(0, 0) else None
+        if not rec(0, 0):
+            return None
+        rows = relaxed.rows
+        return tuple([rows[u][v] for u, v in edges])
     finally:
         # unbound for the same reason as in _Machine.dfs_from, on every way
         # out, since _OutOfTime leaves through rec

@@ -26,11 +26,13 @@ from .coloring import (
 from .constructive import (
     PcCertificate,
     _assignment_to_colors,
+    _bfs_order,
     _certify,
     _color_path,
     _dominating_path,
     _search,
     _tree_assignment,
+    color_tree,
 )
 from .errors import Disconnected, OutOfRange, PcError, SearchBudgetExceeded, TooLarge
 from .graph import Graph, degree_stats, find_bridges, from_edge_list, is_complete, is_connected
@@ -69,14 +71,18 @@ def _bfs_tree(g: Graph, root: int):
 def pc_upper(g: Graph) -> PcCertificate:
     """A verified certificate bounding the palette from above.
 
-    Complete graphs get one color; otherwise a path that spans g or
-    2-dominates it, from the pipeline's capped search (`_dominating_path`),
-    gives two; the fallback colors the breadth-first spanning tree with
-    the fewest colors over all roots, filling non-tree edges with color 1.
-    The capped search is no verdict, so the tree's k may exceed pc(G).
-    Each certificate gets one exact check, on g, capped at PROFILE_MAX_N
-    vertices: the tree's coloring alone is never checked, since a proper
-    path of the tree is one of g.
+    Complete graphs get one color. A tree (m = n-1) of max degree >= 3
+    gets `color_tree`'s proper coloring with max-degree many colors: it
+    has no cycle, so a path 2-dominates it only by spanning it, which
+    only a path graph allows, and it is its own breadth-first tree from
+    every root, so neither search below could do better. Otherwise a path
+    that spans g or 2-dominates it, from the pipeline's capped search
+    (`_dominating_path`), gives two; the fallback colors the
+    breadth-first spanning tree with the fewest colors over all roots,
+    filling non-tree edges with color 1. The capped search is no verdict,
+    so the tree's k may exceed pc(G). Each certificate gets one exact
+    check, on g, capped at PROFILE_MAX_N vertices: the tree's coloring
+    alone is never checked, since a proper path of the tree is one of g.
     """
     if not is_connected(g):
         raise Disconnected("upper bounds are defined for connected graphs")
@@ -84,6 +90,8 @@ def pc_upper(g: Graph) -> PcCertificate:
         raise TooLarge(f"search limited to n <= {PROFILE_MAX_N}")
     if is_complete(g):
         return _certify(g, 1, (1,) * g.m, "complete")
+    if g.m == g.n - 1 and degree_stats(g)[2] >= 3:
+        return color_tree(g)
     path = _dominating_path(g)
     if path is not None:
         return _color_path(g, path)
@@ -115,16 +123,17 @@ def pc_exact(g: Graph, kmax=None, *, lower: int = 2) -> tuple[int, PcCertificate
     vx and enters y's side of vy only through those edges, so the two
     bridges need different colors. Palettes from max(2, b, lower) up to
     the k of pc_upper's certificate are tried in increasing order; when
-    that start reaches k, no search runs. Each is searched by the
-    completion kernel (coloring.complete) over all edges in g.edges
-    order, colors ascending, in restricted growth order (color c+1 only
-    after color c), which skips only relabelings of colorings already
-    tried. Every node checks the partial coloring with each unassigned
-    edge given its own fresh color; no completion connects a pair that
-    this relaxation leaves unconnected, so a rejection prunes the whole
-    subtree. The
-    witness is the lexicographically first proper-connecting coloring
-    and passed the exact checker, and an exhausted palette is a lower
+    that start reaches k, no search runs, and b is computed only when
+    max(2, lower) leaves a palette to search. Each is searched by the
+    completion kernel (coloring.complete) over all edges in breadth-first
+    order from a vertex of maximum degree (`_bfs_order`), colors
+    ascending, in restricted growth order (color c+1 only after color
+    c), which skips only relabelings of colorings already tried. Every
+    node checks the partial coloring with each unassigned edge given its
+    own fresh color; no completion connects a pair that this relaxation
+    leaves unconnected, so a rejection prunes the whole subtree. The
+    witness is the first proper-connecting coloring in that order and
+    passed the exact checker, and an exhausted palette is a lower
     bound. The budget clock starts when the call does and is read at
     every search node; an invalid PC_BUDGET_MS raises OutOfRange on every
     call, complete graphs included. pc_upper raises Disconnected on a
@@ -140,13 +149,16 @@ def pc_exact(g: Graph, kmax=None, *, lower: int = 2) -> tuple[int, PcCertificate
     """
     deadline = _budget_deadline()
     upper = pc_upper(g)
+    if max(2, lower) >= upper.k:
+        return upper.k, upper
+    order = _bfs_order(g)
     for k in range(max(2, lower, _bridge_star(g)), upper.k):
         if kmax is not None and k > kmax:
             raise SearchBudgetExceeded(
                 k, upper.k, f"palettes above kmax={kmax} are not searched"
             )
         try:
-            cert = _search(g, k, {}, g.edges, "exhaustive", deadline=deadline)
+            cert = _search(g, k, {}, order, "exhaustive", deadline=deadline)
         except _OutOfTime:
             raise SearchBudgetExceeded(
                 k, upper.k, f"budget hit while searching palette {k}"

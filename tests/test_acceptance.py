@@ -18,6 +18,7 @@ from properconn import (
     enumerate_connected,
     extend_vertex,
     find_bridges,
+    from_adj_rows,
     from_edge_list,
     glue_across_bridge,
     is_proper_connected,
@@ -32,6 +33,8 @@ from properconn import (
     to_graph6,
     verify_certificate,
 )
+from properconn import survey as survey_mod
+from properconn.graph import _unpack_rows
 from util import (
     brute_is_proper_connected,
     complete_graph,
@@ -140,12 +143,18 @@ def test_criterion_5_closed_forms_for_complete_graphs_stars_and_trees():
         assert pc_exact(complete_graph(n))[0] == 1
     for m in range(2, 7):
         assert pc_exact(star_graph(m))[0] == m
+    # every tree has minimum degree 1, so the level of min degree >= 1
+    # holds them all
+    trees = 0
     for n in range(2, 9):
-        for g in enumerate_connected(n):
+        for packed in survey_mod._level("general", n, 1):
+            g = from_adj_rows(n, _unpack_rows(n, packed))
             if not is_tree(g):
                 continue
             top = max(g.degree(v) for v in range(g.n))
             assert pc_exact(g)[0] == top
+            trees += 1
+    assert trees == 47
 
 
 def test_criterion_6_construction_suites_hold_on_small_graphs():

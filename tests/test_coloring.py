@@ -7,6 +7,7 @@ import json
 import random
 import time
 from itertools import product
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -367,6 +368,20 @@ def test_kernel_reads_the_clock_at_the_first_node():
     g = cycle_graph(5)
     with pytest.raises(_OutOfTime):
         complete(g, 2, {}, g.edges, deadline=time.monotonic() - 1.0)
+
+
+def test_kernel_calls_share_no_state(monkeypatch):
+    # each call builds its own relaxation machine and recolors it in
+    # place, so a call cut short by the clock leaves nothing behind
+    g = friendship_graph()
+    first = complete(g, 3, {}, g.edges)
+    assert first is not None and complete(g, 3, {}, g.edges) == first
+    ticks = iter(range(10**6))
+    monkeypatch.setattr(coloring, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
+    with pytest.raises(_OutOfTime):
+        complete(g, 3, {}, g.edges, deadline=3)
+    monkeypatch.undo()
+    assert complete(g, 3, {}, g.edges) == first
 
 
 def test_searches_leave_no_reference_cycles():

@@ -177,7 +177,7 @@ def test_a_two_dominating_path_coloring_connects_the_graph(seed, length, off):
     assert verify_certificate(cert).ok, (g.edges, path, colors)
 
 
-def test_the_path_step_colors_a_spanning_path_as_color_hamilton_path():
+def test_the_path_step_alternates_colors_along_a_spanning_path():
     for g in [cycle_graph(6), petersen(), complete_bipartite(3, 4), path_graph(5)]:
         cert = pc2_pipeline(g)
         assert cert.strategy == "hamilton_path"
@@ -186,6 +186,40 @@ def test_the_path_step_colors_a_spanning_path_as_color_hamilton_path():
         hamilton = [2 if i % 2 else 1 for i in range(len(path) - 1)]
         on_path = {tuple(sorted(e)): c for e, c in zip(zip(path, path[1:]), hamilton)}
         assert cert.coloring.colors == tuple(on_path.get(e, 1) for e in g.edges)
+
+
+def test_breadth_first_order_is_a_connected_permutation_of_the_edges():
+    rng = random.Random(18)
+    graphs = [star_graph(4), path_graph(6), petersen(), friendship_graph()]
+    graphs += [random_connected(rng, n, p) for n in range(2, 11) for p in (0.0, 0.3, 0.7)]
+    for g in graphs:
+        order = constructive._bfs_order(g)
+        assert sorted(order) == list(g.edges)
+        top = max(g.degree(v) for v in g.vertices())
+        assert top in (g.degree(order[0][0]), g.degree(order[0][1]))
+        touched = set(order[0])
+        for u, v in order[1:]:
+            # each edge meets the ones before it, so every prefix is connected
+            assert u in touched or v in touched
+            touched.update((u, v))
+
+
+@st.composite
+def small_connected_graphs(draw):
+    n = draw(st.integers(min_value=2, max_value=8))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    return random_connected(rng, n, draw(st.sampled_from([0.0, 0.15, 0.3, 0.6])))
+
+
+@given(small_connected_graphs(), st.sampled_from([2, 3]))
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_breadth_first_order_keeps_the_kernel_verdict(g, k):
+    by_bfs = coloring.complete(g, k, {}, constructive._bfs_order(g))
+    by_index = coloring.complete(g, k, {}, g.edges)
+    assert (by_bfs is None) == (by_index is None)
+    for colors in (by_bfs, by_index):
+        if colors is not None:
+            assert coloring.is_proper_connected(EdgeColoring(g, k, colors))
 
 
 def test_no_two_dominating_path_in_three_color_graphs():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -13,6 +14,7 @@ from properconn import (
     PcCertificate,
     SearchBudgetExceeded,
     TooLarge,
+    color_tree,
     constructive,
     find_bridges,
     from_adj_rows,
@@ -87,11 +89,52 @@ def test_upper_bound_takes_a_two_dominating_path():
 
 
 def test_upper_bound_stops_at_the_checker_cap_before_the_path_search():
-    # _dominating_path packs a vertex into 5 bits, so past 31 vertices it
-    # misreads the graph (on C33 it hit the recursion limit); pc_upper
-    # refuses n > 16 before it runs
+    # pc_upper refuses n > 16 before any search; the path search it
+    # calls carries the same cap of its own
     with pytest.raises(TooLarge):
         pc_upper(cycle_graph(33))
+
+
+def test_path_search_refuses_graphs_past_its_packing():
+    # a vertex is packed into 5 bits; without the cap C33 hit the
+    # recursion limit and C40 gave None although the cycle spans
+    for n in (33, 40):
+        with pytest.raises(TooLarge):
+            constructive._dominating_path(cycle_graph(n))
+
+
+def test_upper_bound_colors_a_tree_without_a_path_or_bfs_search(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a tree needs no path or breadth-first search")
+
+    trees = [star_graph(3), from_edge_list(7, [(0, 1), (1, 2), (1, 3), (3, 4), (3, 5), (5, 6)])]
+    expected = [color_tree(t) for t in trees]
+    monkeypatch.setattr(solver, "_dominating_path", refuse)
+    monkeypatch.setattr(solver, "_bfs_tree", refuse)
+    for t, cert in zip(trees, expected):
+        got = pc_upper(t)
+        assert (got.k, got.strategy, got.coloring) == (cert.k, "tree", cert.coloring)
+    monkeypatch.undo()
+    assert pc_upper(path_graph(5)).strategy == "hamilton_path"
+
+
+def test_exact_skips_the_bridge_bound_when_two_colors_suffice(monkeypatch):
+    def refuse(g):
+        raise AssertionError("no palette is searched, so b is not needed")
+
+    monkeypatch.setattr(solver, "_bridge_star", refuse)
+    for g in [cycle_graph(6), from_graph6("E?~o")]:
+        assert pc_exact(g)[0] == 2
+
+
+def test_exact_settles_a_sparse_fifteen_vertex_graph_quickly():
+    # a tree plus 2 edges with pc_upper k=4: in g.edges order the kernel
+    # took about 10 s to reach its first 3-coloring
+    g = from_graph6("NkC_ODAG@?G??_@?Ca?")
+    t0 = time.monotonic()
+    pc, cert = pc_exact(g)
+    assert time.monotonic() - t0 < 2.0
+    assert pc == 3 and verify_certificate(cert).ok
 
 
 def test_upper_bound_is_two_wherever_the_exact_search_finds_a_spanning_path():
