@@ -39,6 +39,10 @@ from .errors import ColoringGraphMismatch, Disconnected, NotAPath, TooLarge
 from .graph import Graph, from_edge_list, is_connected
 
 PROFILE_MAX_N = 16
+# the most vertices a coloring document may name: its rows are built
+# before the graph is compared with anything, and past about 2**60 they
+# cannot even be allocated
+DOCUMENT_MAX_N = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -527,7 +531,8 @@ def _coloring_document(text: str):
     """The coloring a JSON document describes, and the parsed document.
 
     n, k, the edge ends and the colors must be JSON integers (not
-    booleans, not floats) and each edge a pair.
+    booleans, not floats) and each edge a pair; n is at most
+    DOCUMENT_MAX_N.
     """
     try:
         payload = json.loads(text)
@@ -548,5 +553,7 @@ def _coloring_document(text: str):
         raise ColoringGraphMismatch(
             f"{len(raw_colors)} colors for {len(raw_edges)} edges"
         )
+    if n > DOCUMENT_MAX_N:
+        raise TooLarge(f"coloring documents name at most {DOCUMENT_MAX_N} vertices, got {n}")
     g = from_edge_list(n, raw_edges)
     return EdgeColoring(g, k, _colors_by_edge(g, zip(raw_edges, raw_colors))), payload

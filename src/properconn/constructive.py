@@ -155,9 +155,11 @@ def _tree_assignment(t: Graph) -> dict[tuple[int, int], int]:
     return assignment
 
 
-def _dominating_path(g: Graph):
-    """A path P of g that spans it or 2-dominates it (every vertex off P
-    has at least two neighbours on P), as a vertex list, or None.
+def _dominating_path(adj):
+    """A path P of the graph with adjacency rows adj (n = len(adj)) that
+    spans it or 2-dominates it (every vertex off P has at least two
+    neighbours on P), as a vertex list, or None. It reads only the rows,
+    so the survey runs it before it builds a Graph.
 
     One fail-first depth-first search over simple paths. Start vertices
     are tried by degree, then index; candidates by fewest unvisited
@@ -171,14 +173,15 @@ def _dominating_path(g: Graph):
     the pipeline's kernel decides those graphs. The 5 bits of the packing
     hold any n <= PIPELINE_MAX_N; larger graphs raise TooLarge.
     """
-    if g.n > PIPELINE_MAX_N:
+    n = len(adj)
+    if n > PIPELINE_MAX_N:
         raise TooLarge(f"path search limited to n <= {PIPELINE_MAX_N}")
-    if g.n == 0:
+    if n == 0:
         return []
     left = [_DFS_STEPS]
-    for packed in sorted(row.bit_count() << 5 | v for v, row in enumerate(g.adj)):
+    for packed in sorted(row.bit_count() << 5 | v for v, row in enumerate(adj)):
         v = packed & 31
-        tail = _extend(g.adj, (1 << g.n) - 1, v, 1 << v, g.adj[v], 0, left)
+        tail = _extend(adj, (1 << n) - 1, v, 1 << v, adj[v], 0, left)
         if tail is not None:
             return tail[::-1]
     return None
@@ -273,6 +276,30 @@ def _path_colors(g: Graph, path) -> tuple[int, ...]:
             w = path[k]
             color[(x, w) if x < w else (w, x)] = c
     return tuple([color.get(e, 1) for e in g.edges])
+
+
+def _spans(adj, path) -> bool:
+    """True iff path lists every vertex of the graph with adjacency rows
+    adj exactly once and consecutive vertices are adjacent.
+
+    This is the exact checker's path walk (`_Machine.first_bad_pair`)
+    for the coloring `_path_colors` gives a spanning path. That coloring
+    alternates 1, 2 along P, so the walk's color test always passes, and
+    every subpath of an alternately colored path is proper: a walk that
+    spans joins every pair by a proper path, so pc <= 2 with no search
+    (Borozan et al., Discrete Math. 312, 2012: a graph with a Hamiltonian
+    path has pc <= 2).
+    """
+    n = len(adj)
+    visited, last = 0, None
+    for x in path:
+        if not 0 <= x < n or visited >> x & 1:
+            return False
+        if last is not None and not adj[last] >> x & 1:
+            return False
+        visited |= 1 << x
+        last = x
+    return visited == (1 << n) - 1
 
 
 def _color_path(g: Graph, path) -> PcCertificate:
@@ -576,19 +603,25 @@ def pc2_pipeline(g: Graph):
     """A checked 2-color certificate, or None when g has no 2-coloring.
 
     Two steps. A path that spans g or 2-dominates it (every vertex off
-    it has two neighbours on it), from one capped search
+    it has two neighbours on it), from one capped search on g's rows
     (`_dominating_path`) and colored by `_path_colors`, whose docstring
     proves that the coloring properly connects g. Else the completion
     kernel over every 2-coloring of g, assigned in `_bfs_order`, whose
     exhaustion is the verdict; its witness is the first passing
-    coloring in that order.
+    coloring in that order. Both steps are `_pc2_from_path`, which the
+    survey calls with the path it has already searched for.
     """
     if g.n > PIPELINE_MAX_N:
         raise TooLarge(f"pipeline limited to n <= {PIPELINE_MAX_N}")
     if not is_connected(g):
         raise Disconnected("only connected graphs have a connection number")
+    return _pc2_from_path(g, _dominating_path(g.adj))
 
-    path = _dominating_path(g)
+
+def _pc2_from_path(g: Graph, path):
+    """pc2_pipeline's two steps on connected g, given the result of
+    `_dominating_path(g.adj)`: the checked path coloring when path is a
+    path, else the kernel's first 2-coloring or None."""
     if path is not None:
         return _color_path(g, path)
     return _search(g, 2, {}, _bfs_order(g), "exhaustive")

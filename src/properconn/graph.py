@@ -16,7 +16,7 @@ from .errors import (
     VertexOutOfRange,
 )
 
-CANONICAL_MAX_N = 12
+CANONICAL_MAX_N = 13
 
 
 @dataclass(frozen=True)
@@ -310,7 +310,7 @@ def _canonical_perm(n: int, rows) -> tuple[list[int], list[int]]:
     The code is the concatenation of the fields, so codes compare field by
     field. Candidates are tried in ascending field order, and candidates
     that are interchangeable by a transposition automorphism are explored
-    only once. A candidate is packed as field << 4 | vertex (n <= 12).
+    only once. A candidate is packed as field << 4 | vertex (n <= 16).
 
     A node whose prefix is below the best code's leads to a better code.
     One whose prefix ties it is cut by a lookahead bound. Let c(w) be the

@@ -45,11 +45,14 @@ def _budget_deadline():
     raw = os.environ.get("PC_BUDGET_MS", "")
     if not raw:
         return None
+    problem = f"PC_BUDGET_MS must be a non-negative integer of milliseconds, got {raw!r}"
     if not (raw.isascii() and raw.isdigit()):
-        raise OutOfRange(
-            f"PC_BUDGET_MS must be a non-negative integer of milliseconds, got {raw!r}"
-        )
-    return time.monotonic() + int(raw) / 1000.0
+        raise OutOfRange(problem)
+    try:
+        return time.monotonic() + int(raw) / 1000.0
+    except (OverflowError, ValueError):
+        # past 4,300 digits the value is no int, past about 10**308 ms no float
+        raise OutOfRange(problem) from None
 
 
 def _bfs_tree(g: Graph, root: int):
@@ -92,7 +95,7 @@ def pc_upper(g: Graph) -> PcCertificate:
         return _certify(g, 1, (1,) * g.m, "complete")
     if g.m == g.n - 1 and degree_stats(g)[2] >= 3:
         return color_tree(g)
-    path = _dominating_path(g)
+    path = _dominating_path(g.adj)
     if path is not None:
         return _color_path(g, path)
     best_tree, best_delta = None, g.n

@@ -6,9 +6,15 @@ search, 3 survey result contradicting the frozen expectations.
 
 from __future__ import annotations
 
+import io
 import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from properconn import (
     coloring_to_json,
@@ -17,7 +23,7 @@ from properconn import (
     strong_coloring_bridgeless,
 )
 from properconn import solver
-from properconn.cli import main
+from properconn.cli import _parse_range, main
 from util import cycle_graph
 
 
@@ -276,3 +282,101 @@ def test_survey_with_no_jobs_exits_one(capsys):
     code, _, err = run(capsys, "survey", "--n", "6", "--jobs", "0")
     assert code == 1
     assert "jobs" in err
+
+
+# --- fuzzing the exit-code contract ---------------------------------------------
+
+SMALL_GRAPHS = ["A_", "Bw", "Ch", "CF"]
+
+
+def fuzz_main(argv, budget="200"):
+    """main(argv) in this process with PC_BUDGET_MS set to budget: the
+    exit code is in 0-3 and stderr holds no traceback. 200 ms keeps a
+    16-vertex graph6 draw from stalling the suite."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = os.environ.get("PC_BUDGET_MS")
+    os.environ["PC_BUDGET_MS"] = budget
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    finally:
+        if saved is None:
+            del os.environ["PC_BUDGET_MS"]
+        else:
+            os.environ["PC_BUDGET_MS"] = saved
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv
+
+
+FUZZ = settings(max_examples=60, deadline=None)
+
+
+@FUZZ
+@given(st.text(st.characters(min_codepoint=1, max_codepoint=127), max_size=24))
+def test_fuzzed_graph6_keeps_the_exit_codes(code):
+    fuzz_main(["compute", f"--graph6={code}"])
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=6,
+)
+edge_lists = st.lists(st.lists(st.integers(-2, 5), min_size=2, max_size=2), max_size=5)
+documents = st.fixed_dictionaries(
+    {},
+    optional={
+        "n": json_values | st.sampled_from([-1, -(10**6), 10**18, 10**30, 2**64]),
+        "k": json_values | st.integers(-3, 4),
+        "edges": json_values | edge_lists | st.sampled_from([[[0, 1], [0, 1]], [[1, 1]]]),
+        "colors": json_values | st.lists(st.integers(-1, 4), max_size=5),
+        "meta": json_values,
+    },
+)
+
+
+@FUZZ
+@given(
+    documents.map(json.dumps) | st.text(max_size=20),
+    st.sampled_from(SMALL_GRAPHS),
+    st.booleans(),
+)
+def test_fuzzed_coloring_documents_keep_the_exit_codes(text, graph, strong):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        fuzz_main(["verify", "--graph6", graph, path] + (["--strong"] if strong else []))
+
+
+@FUZZ
+@given(
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), max_size=8)
+    | st.sampled_from(["-1", "1.5", "9" * 400, "9" * 5000, " 5", "0x10"]),
+    st.sampled_from(SMALL_GRAPHS),
+)
+def test_fuzzed_budgets_keep_the_exit_codes(budget, graph):
+    fuzz_main(["compute", "--graph6", graph], budget=budget)
+
+
+def refused_or_small(text):
+    """A range every survey refuses at once, or one up to n=7; the
+    others take seconds (bipartite n=13 about 45 s)."""
+    try:
+        lo, hi = _parse_range(text)
+    except ValueError:
+        return True
+    return not 4 <= lo <= hi or hi <= 7 or hi > 13
+
+
+@FUZZ
+@given(
+    (
+        st.text("0123456789.-+ _x", max_size=8)
+        | st.sampled_from(["", "..", "5..", "..5", "9..5", "3..4", "5..6..7", "4..14", "-1..5"])
+    ).filter(refused_or_small),
+    st.sampled_from(["min-degree", "bipartite"]),
+)
+def test_fuzzed_survey_ranges_keep_the_exit_codes(text, family):
+    fuzz_main(["survey", f"--n={text}", "--family", family])

@@ -120,7 +120,7 @@ def test_hamilton_path_coloring_single_edge():
     # pc_upper gives K2 its one-color "complete" certificate; the path
     # coloring's palette is 2 even when one color suffices
     g = from_edge_list(2, [(0, 1)])
-    cert = constructive._color_path(g, constructive._dominating_path(g))
+    cert = constructive._color_path(g, constructive._dominating_path(g.adj))
     check(cert, k=2, strategy="hamilton_path")
 
 
@@ -138,7 +138,7 @@ def test_a_path_coloring_is_checked_without_a_search(monkeypatch):
     checked = 0
     for packed in survey_mod._level("general", 8, 2):
         g = from_adj_rows(8, _unpack_rows(8, packed))
-        path = constructive._dominating_path(g)
+        path = constructive._dominating_path(g.adj)
         if path is None or len(path) < g.n:
             continue
         cert = constructive._color_path(g, path)
@@ -181,11 +181,30 @@ def test_the_path_step_alternates_colors_along_a_spanning_path():
     for g in [cycle_graph(6), petersen(), complete_bipartite(3, 4), path_graph(5)]:
         cert = pc2_pipeline(g)
         assert cert.strategy == "hamilton_path"
-        path = constructive._dominating_path(g)
+        path = constructive._dominating_path(g.adj)
         assert sorted(path) == list(g.vertices())
         hamilton = [2 if i % 2 else 1 for i in range(len(path) - 1)]
         on_path = {tuple(sorted(e)): c for e, c in zip(zip(path, path[1:]), hamilton)}
         assert cert.coloring.colors == tuple(on_path.get(e, 1) for e in g.edges)
+
+
+def test_the_rows_walk_accepts_exactly_the_spanning_paths():
+    for g in [cycle_graph(6), petersen(), from_edge_list(2, [(0, 1)]), from_edge_list(1, [])]:
+        path = constructive._dominating_path(g.adj)
+        assert constructive._spans(g.adj, path)
+    adj = cycle_graph(6).adj
+    assert constructive._spans(adj, [0, 1, 2, 3, 4, 5])
+    refused = [
+        [0, 1, 2, 4, 3, 5],  # 2 4 is not an edge
+        [0, 1, 2, 3, 4, 5, 0],  # 0 again
+        [0, 1, 2, 3, 4],  # one vertex short
+        [0, 1, 2, 3, 4, 5, 6],  # 6 is out of range
+        [-1, 0, 1, 2, 3, 4, 5],
+        [],
+    ]
+    for path in refused:
+        assert not constructive._spans(adj, path), path
+    assert not constructive._spans(from_edge_list(1, []).adj, [])
 
 
 def test_breadth_first_order_is_a_connected_permutation_of_the_edges():
@@ -225,16 +244,16 @@ def test_breadth_first_order_keeps_the_kernel_verdict(g, k):
 def test_no_two_dominating_path_in_three_color_graphs():
     for g in [make_star_of_bicliques(2), friendship_graph()]:
         assert pc_exact(g)[0] == 3
-        assert constructive._dominating_path(g) is None
+        assert constructive._dominating_path(g.adj) is None
 
 
 def test_a_capped_path_search_leaves_the_graph_to_the_kernel(monkeypatch):
     # the first descent from vertex 2 runs 2 0 1 3 5 and dead-ends with 4
     # touching the path at 3 alone; a later branch finds a path
     g = from_edge_list(7, [(0, 1), (0, 2), (0, 6), (1, 3), (3, 4), (3, 5), (3, 6), (4, 6)])
-    assert constructive._dominating_path(g) is not None
+    assert constructive._dominating_path(g.adj) is not None
     monkeypatch.setattr(constructive, "_DFS_STEPS", g.n)
-    assert constructive._dominating_path(g) is None
+    assert constructive._dominating_path(g.adj) is None
     check(pc2_pipeline(g), k=2, strategy="exhaustive")
 
 

@@ -100,7 +100,7 @@ def test_path_search_refuses_graphs_past_its_packing():
     # recursion limit and C40 gave None although the cycle spans
     for n in (33, 40):
         with pytest.raises(TooLarge):
-            constructive._dominating_path(cycle_graph(n))
+            constructive._dominating_path(cycle_graph(n).adj)
 
 
 def test_upper_bound_colors_a_tree_without_a_path_or_bfs_search(monkeypatch):

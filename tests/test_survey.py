@@ -28,6 +28,7 @@ from properconn import (
     from_graph6,
     is_connected,
     make_star_of_bicliques,
+    pc2_pipeline,
     read_graph6_file,
     report_to_json,
     survey_bipartite,
@@ -36,6 +37,7 @@ from properconn import (
     verify_certificate,
     write_report,
 )
+from properconn import constructive as constructive_mod
 from properconn import solver as solver_mod
 from properconn import graph as graph_mod
 from properconn import survey as survey_mod
@@ -333,8 +335,10 @@ def test_min_degree_survey_finds_the_seven_vertex_exception():
 
 
 def test_solver_contradicting_the_pipeline_is_a_pc_error(monkeypatch):
-    # C5 has a 2-coloring, so a pipeline None here contradicts pc_exact
-    monkeypatch.setattr(survey_mod, "pc2_pipeline", lambda g: None)
+    # C5 has a 2-coloring, so a None from the path search and the kernel
+    # step here contradicts pc_exact
+    monkeypatch.setattr(survey_mod, "_dominating_path", lambda rows: None)
+    monkeypatch.setattr(constructive_mod, "_search", lambda *args: None)
     packed = _pack_rows(cycle_graph(5).adj)
     with pytest.raises(VerificationFailed, match="ruled out") as info:
         survey_mod._examine(5, packed)
@@ -355,11 +359,69 @@ def test_examine_searches_no_palette_the_pipeline_ruled_out(monkeypatch):
     assert 2 not in searched
 
 
+def test_examine_settles_each_survey_graph_as_the_pipeline_does(monkeypatch):
+    # one path search per graph; a graph settled on its rows also gets a
+    # path certificate that the checker passes with no path hint
+    searches = []
+    real = survey_mod._dominating_path
+
+    def spy(rows):
+        searches.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(survey_mod, "_dominating_path", spy)
+    levels = [("general", n, -(-n // 4)) for n in range(5, 9)]
+    levels += [("bipartite", n, -(-(n + 6) // 8)) for n in range(4, 10)]
+    on_rows = 0
+    for kind, n, t in levels:
+        for packed in survey_mod._level(kind, n, t):
+            searches.clear()
+            outcome = survey_mod._examine(n, packed)[0]
+            assert len(searches) == 1
+            g = from_adj_rows(n, _unpack_rows(n, packed))
+            assert outcome == ("two" if pc2_pipeline(g) is not None else "exception")
+            path = real(g.adj)
+            if path is not None and constructive_mod._spans(g.adj, path):
+                assert verify_certificate(constructive_mod._color_path(g, path)).ok
+                on_rows += 1
+    # 7,769 survey graphs and the 4 complete graphs the min-degree survey
+    # skips; 129 of the 221 bipartite graphs
+    assert on_rows == 7769 + 4 + 129
+
+
+def test_min_degree_survey_certifies_only_graphs_without_a_spanning_path(monkeypatch):
+    calls = {"search": 0, "path": 0, "kernel": 0, "exact": 0}
+
+    def count(name, module, attr):
+        fn = getattr(module, attr)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, wrapper)
+
+    count("search", survey_mod, "_dominating_path")
+    count("path", constructive_mod, "_color_path")
+    count("kernel", constructive_mod, "_search")
+    count("exact", survey_mod, "pc_exact")
+    report = survey_min_degree(5, 8)
+    assert sum(report.totals.values()) == 8017
+    assert calls == {"search": 8017, "path": 242, "kernel": 6, "exact": 2}
+
+
 def test_min_degree_survey_bounds_checking():
     with pytest.raises(ValueError):
         survey_min_degree(6, 5)
     with pytest.raises(TooLarge):
         survey_min_degree(5, 10)
+
+
+def test_bipartite_survey_stops_at_thirteen_vertices():
+    # its own cap, past the enumeration's 9; both refuse before any level
+    for lo, hi in ((14, 14), (4, 14)):
+        with pytest.raises(TooLarge, match="n <= 13"):
+            survey_bipartite(lo, hi)
 
 
 def test_surveys_refuse_fewer_than_one_job():
