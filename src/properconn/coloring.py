@@ -36,13 +36,9 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import ColoringGraphMismatch, Disconnected, NotAPath, TooLarge
-from .graph import Graph, from_edge_list, is_connected
+from .graph import DOCUMENT_MAX_N, Graph, from_edge_list, is_connected
 
 PROFILE_MAX_N = 16
-# the most vertices a coloring document may name: its rows are built
-# before the graph is compared with anything, and past about 2**60 they
-# cannot even be allocated
-DOCUMENT_MAX_N = 1 << 20
 
 
 @dataclass(frozen=True)

@@ -278,28 +278,28 @@ def _path_colors(g: Graph, path) -> tuple[int, ...]:
     return tuple([color.get(e, 1) for e in g.edges])
 
 
-def _spans(adj, path) -> bool:
-    """True iff path lists every vertex of the graph with adjacency rows
-    adj exactly once and consecutive vertices are adjacent.
+def _dominates(adj, path) -> bool:
+    """True iff path is a simple path of the graph with adjacency rows
+    adj (vertices in range, none repeated, consecutive ones adjacent) and
+    every vertex off it has at least two neighbours on it.
 
-    This is the exact checker's path walk (`_Machine.first_bad_pair`)
-    for the coloring `_path_colors` gives a spanning path. That coloring
-    alternates 1, 2 along P, so the walk's color test always passes, and
-    every subpath of an alternately colored path is proper: a walk that
-    spans joins every pair by a proper path, so pc <= 2 with no search
-    (Borozan et al., Discrete Math. 312, 2012: a graph with a Hamiltonian
-    path has pc <= 2).
+    That is the hypothesis of `_path_colors`' lemma, so the graph has
+    pc <= 2 and the survey needs no coloring to know it. A spanning path
+    is the case with no vertex off it (Borozan et al., Discrete Math. 312,
+    2012: a graph with a Hamiltonian path has pc <= 2).
     """
     n = len(adj)
-    visited, last = 0, None
+    visited, one, two, last = 0, 0, 0, None
     for x in path:
         if not 0 <= x < n or visited >> x & 1:
             return False
         if last is not None and not adj[last] >> x & 1:
             return False
         visited |= 1 << x
+        two |= one & adj[x]
+        one |= adj[x]
         last = x
-    return visited == (1 << n) - 1
+    return not (1 << n) - 1 & ~visited & ~two
 
 
 def _color_path(g: Graph, path) -> PcCertificate:
@@ -608,20 +608,14 @@ def pc2_pipeline(g: Graph):
     proves that the coloring properly connects g. Else the completion
     kernel over every 2-coloring of g, assigned in `_bfs_order`, whose
     exhaustion is the verdict; its witness is the first passing
-    coloring in that order. Both steps are `_pc2_from_path`, which the
-    survey calls with the path it has already searched for.
+    coloring in that order. The survey takes the same two steps but
+    keeps only the verdict (`survey._examine`).
     """
     if g.n > PIPELINE_MAX_N:
         raise TooLarge(f"pipeline limited to n <= {PIPELINE_MAX_N}")
     if not is_connected(g):
         raise Disconnected("only connected graphs have a connection number")
-    return _pc2_from_path(g, _dominating_path(g.adj))
-
-
-def _pc2_from_path(g: Graph, path):
-    """pc2_pipeline's two steps on connected g, given the result of
-    `_dominating_path(g.adj)`: the checked path coloring when path is a
-    path, else the kernel's first 2-coloring or None."""
+    path = _dominating_path(g.adj)
     if path is not None:
         return _color_path(g, path)
     return _search(g, 2, {}, _bfs_order(g), "exhaustive")

@@ -17,6 +17,10 @@ from .errors import (
 )
 
 CANONICAL_MAX_N = 13
+# the most vertices an edge-list file or a coloring document may name:
+# its rows are built before the graph is compared with anything, and
+# past about 2**60 they cannot even be allocated
+DOCUMENT_MAX_N = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -152,6 +156,8 @@ def format_edge_list_text(g: Graph) -> str:
 
 
 def parse_edge_list_text(text: str) -> Graph:
+    """The graph of an edge-list text: an "n <count>" line, then one
+    "u v" line per edge; count is at most DOCUMENT_MAX_N."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("n "):
         raise VertexOutOfRange('edge-list text must start with "n <count>"')
@@ -159,6 +165,8 @@ def parse_edge_list_text(text: str) -> Graph:
         n = int(lines[0][2:])
     except ValueError as exc:
         raise VertexOutOfRange(f"bad vertex count line {lines[0]!r}") from exc
+    if n > DOCUMENT_MAX_N:
+        raise TooLarge(f"edge lists name at most {DOCUMENT_MAX_N} vertices, got {n}")
     pairs = []
     for ln in lines[1:]:
         parts = ln.split()

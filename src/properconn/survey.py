@@ -12,16 +12,15 @@ enumerate_connected labels each class once, and a survey labels only the
 graphs its report prints.
 A level with minimum degree >= t grows from levels filtered the same
 way, so the surveys never build the full levels they would discard.
-Surveys decide pc <= 2 with pc2_pipeline's steps (a spanning or
-2-dominating path, else the exact kernel at k = 2), whose None is a
-verdict. The path search runs once per graph, on its packed rows: a
-path that the checker's walk confirms spans the graph settles it with
-no Graph and no certificate, since an alternately colored spanning path
-properly connects it (_examine). Only the other graphs are built, and
-get a checked certificate from the same path or from the kernel; those
-the kernel rules out go to the exact solver, and graphs whose search
-budget runs out are reported, never dropped. A solver that finds a
-2-coloring there contradicts the pipeline and raises VerificationFailed.
+Surveys decide pc <= 2 with pc2_pipeline's two steps and keep only the
+verdict (_examine). The path search runs once per graph, on its packed
+rows: a path that spans the graph or 2-dominates it settles it with no
+Graph and no coloring, by the lemma that _path_colors proves. Only the
+other graphs are built, and go to the exact kernel at k = 2, whose None
+is a verdict; those it rules out go to the exact solver, and graphs
+whose search budget runs out are reported, never dropped. A solver that
+finds a 2-coloring there contradicts the pipeline and raises
+VerificationFailed.
 """
 
 from __future__ import annotations
@@ -34,11 +33,12 @@ from functools import partial
 from importlib import resources
 from multiprocessing import get_context
 
+from .coloring import complete
 from .constructive import (
     PcCertificate,
+    _bfs_order,
+    _dominates,
     _dominating_path,
-    _pc2_from_path,
-    _spans,
     certificate_to_json,
 )
 from .constructive import pc2_pipeline  # noqa: F401  (perfbench/tracing.py wraps it here)
@@ -317,17 +317,10 @@ def make_star_of_bicliques(t: int) -> Graph:
     return from_edge_list(8 * t, edges)
 
 
-def _splits_into_attached_pairs(g: Graph, v: int):
+def _splits_into_attached_pairs(g: Graph, v: int, comps) -> bool:
     """True when removing v leaves exactly three 2-vertex components,
-    each adjacent to each other and to v (three triangles sharing v)."""
-    rest = (1 << g.n) - 1 & ~(1 << v)
-    comps = []
-    left = rest
-    while left:
-        start = (left & -left).bit_length() - 1
-        comp = _reach_mask(g.adj, start, rest)
-        comps.append(comp)
-        left &= ~comp
+    each adjacent to each other and to v (three triangles sharing v);
+    comps are the components of g - v as bitmasks."""
     if len(comps) != 3:
         return False
     for comp in comps:
@@ -366,7 +359,8 @@ def exceptional_graphs() -> tuple[Graph, Graph]:
         raise FixturesMissing("fixture file must hold exactly the n=7 and n=8 graphs")
     g7 = from_graph6(entries[0]["graph6"])
     g8 = from_graph6(entries[1]["graph6"])
-    if not any(_splits_into_attached_pairs(g7, v) for v in range(7)):
+    comps = _deletion_components(g7)
+    if not any(_splits_into_attached_pairs(g7, v, comps[v]) for v in range(7)):
         raise FixturesMissing(
             "the stored 7-vertex graph lost its three-triangles-at-a-cut-vertex shape"
         )
@@ -476,14 +470,12 @@ def _examine(n: int, packed: int):
     """Worker: settle the connected n-vertex graph with these packed rows
     (graph._pack_rows). Returns a picklable outcome tuple.
 
-    The path search (`_dominating_path`) runs once, on the rows. When
-    its path passes the checker's walk (`_spans`), the graph has pc <= 2
-    with no Graph and no certificate built: every subpath of the
-    alternately colored spanning path is proper (Borozan et al., a graph
-    with a Hamiltonian path has pc <= 2), and the survey keeps only the
-    verdict. Every other graph is built once and gets pc2_pipeline's
-    steps from that same path (`_pc2_from_path`): a checked certificate
-    of its 2-dominating path, else the kernel at k = 2.
+    Two routes, pc2_pipeline's two steps with only the verdict kept. The
+    path search (`_dominating_path`) runs once, on the rows; when its
+    path spans the graph or 2-dominates it (`_dominates`), the graph has
+    pc <= 2 by `_path_colors`' lemma, with no Graph and no coloring
+    built. Every other graph is built once and goes to the completion
+    kernel at k = 2, in `_bfs_order`, whose exhaustion is the verdict.
 
     A None from the kernel proves pc >= 3, so pc_exact starts there, on
     the graph relabeled to its canonical form: the witness then certifies
@@ -492,10 +484,10 @@ def _examine(n: int, packed: int):
     """
     rows = _unpack_rows(n, packed)
     path = _dominating_path(rows)
-    if path is not None and _spans(rows, path):
+    if path is not None and _dominates(rows, path):
         return ("two", None)
     g = from_adj_rows(n, rows)
-    if _pc2_from_path(g, path) is not None:
+    if complete(g, 2, {}, _bfs_order(g)) is not None:
         return ("two", None)
     canon = canonical_code(g).decode("ascii")
     try:
@@ -582,8 +574,8 @@ def survey_min_degree(n_lo: int = 5, n_hi: int = 8, jobs: int = 1, corpus=None) 
                 n,
                 lambda g: not is_complete(g) and degree_stats(g)[1] >= thr,
             )
-        complete = _pack_rows([(1 << n) - 1 & ~(1 << v) for v in range(n)])
-        return [packed for packed in _level("general", n, thr) if packed != complete]
+        kn = _pack_rows([(1 << n) - 1 & ~(1 << v) for v in range(n)])
+        return [packed for packed in _level("general", n, thr) if packed != kn]
 
     return _run_survey(
         "min-degree",

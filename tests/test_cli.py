@@ -160,6 +160,18 @@ def test_verify_reports_a_document_with_a_large_n_as_an_error(tmp_path, capsys):
     assert err.startswith("pc: error:") and "Traceback" not in err
 
 
+def test_an_edge_file_with_a_huge_n_is_an_error(tmp_path, capsys):
+    # refused before a row is built, not a MemoryError traceback
+    edges = tmp_path / "huge.txt"
+    edges.write_text("n 1000000000000000\n0 1\n")
+    doc = tmp_path / "c.json"
+    doc.write_text(json.dumps({"n": 2, "k": 1, "edges": [[0, 1]], "colors": [1]}))
+    for argv in (["compute"], ["verify", str(doc)]):
+        code, _, err = run(capsys, *argv, "--edges", str(edges))
+        assert code == 1
+        assert err.startswith("pc: error:") and "Traceback" not in err
+
+
 def test_compute_kmax_bracket_is_inconclusive(capsys):
     # the 4-star's four bridges prove pc=4, which kmax cannot hide
     code, out, _ = run(capsys, "compute", "--graph6", "D?{", "--kmax", "2")

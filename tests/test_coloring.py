@@ -101,6 +101,19 @@ def test_two_edge_path_one_color_fails():
     assert first_improper_pair(c) == (0, 2)
 
 
+def test_the_step_cap_keeps_a_crafted_rejection_cheap():
+    # K15 on 0..14 plus vertex 15 joined to 1 and 2; every edge at 1 or 2
+    # has color 1, so no proper path enters 15, yet the rest of K15 holds
+    # a great many proper paths for an uncapped search from 0 to walk
+    edges = sorted([(u, v) for u in range(15) for v in range(u + 1, 15)] + [(1, 15), (2, 15)])
+    rng = random.Random(0)
+    cols = [1 if 1 in e or 2 in e else rng.choice((1, 2)) for e in edges]
+    c = colored(16, edges, cols, k=2)
+    t0 = time.perf_counter()
+    assert first_improper_pair(c) == (0, 15)
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_alternating_cycle_is_strongly_good():
     c = colored(4, [(0, 1), (0, 3), (1, 2), (2, 3)], [1, 2, 2, 1])
     assert is_proper_connected(c)

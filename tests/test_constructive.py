@@ -38,6 +38,7 @@ from properconn import (
     glue_across_bridge,
     has_strong_property,
     is_connected,
+    is_proper_connected,
     make_star_of_bicliques,
     pc2_pipeline,
     pc_exact,
@@ -188,23 +189,52 @@ def test_the_path_step_alternates_colors_along_a_spanning_path():
         assert cert.coloring.colors == tuple(on_path.get(e, 1) for e in g.edges)
 
 
-def test_the_rows_walk_accepts_exactly_the_spanning_paths():
+def test_the_rows_check_accepts_exactly_the_two_dominating_paths():
     for g in [cycle_graph(6), petersen(), from_edge_list(2, [(0, 1)]), from_edge_list(1, [])]:
         path = constructive._dominating_path(g.adj)
-        assert constructive._spans(g.adj, path)
+        assert constructive._dominates(g.adj, path)
     adj = cycle_graph(6).adj
-    assert constructive._spans(adj, [0, 1, 2, 3, 4, 5])
+    assert constructive._dominates(adj, [0, 1, 2, 3, 4, 5])
+    # 5, the one vertex off it, has both 0 and 4 on it
+    assert constructive._dominates(adj, [0, 1, 2, 3, 4])
     refused = [
         [0, 1, 2, 4, 3, 5],  # 2 4 is not an edge
         [0, 1, 2, 3, 4, 5, 0],  # 0 again
-        [0, 1, 2, 3, 4],  # one vertex short
+        [0, 1, 2, 3],  # 4 and 5 each have one neighbour on it
         [0, 1, 2, 3, 4, 5, 6],  # 6 is out of range
         [-1, 0, 1, 2, 3, 4, 5],
         [],
     ]
     for path in refused:
-        assert not constructive._spans(adj, path), path
-    assert not constructive._spans(from_edge_list(1, []).adj, [])
+        assert not constructive._dominates(adj, path), path
+    assert not constructive._dominates(from_edge_list(1, []).adj, [])
+
+
+def test_every_path_the_rows_check_accepts_gets_a_proper_connected_coloring():
+    # every simple path of every connected graph on 2..6 vertices; each
+    # is also followed by a vertex off it that its last vertex is not
+    # adjacent to, which no path check may accept
+    paths = accepted = 0
+    for n in range(2, 7):
+        for g in enumerate_connected(n):
+            stack = [[v] for v in g.vertices()]
+            while stack:
+                path = stack.pop()
+                paths += 1
+                on = set(path)
+                off = [x for x in g.vertices() if x not in on]
+                dominates = all(sum(g.has_edge(x, p) for p in path) >= 2 for x in off)
+                assert constructive._dominates(g.adj, path) == dominates, (g.edges, path)
+                if dominates:
+                    accepted += 1
+                    colors = constructive._path_colors(g, path)
+                    assert is_proper_connected(EdgeColoring(g, 2, colors)), (g.edges, path)
+                for w in off:
+                    if g.has_edge(path[-1], w):
+                        stack.append(path + [w])
+                    else:
+                        assert not constructive._dominates(g.adj, path + [w]), (g.edges, path, w)
+    assert (paths, accepted) == (31135, 21168)
 
 
 def test_breadth_first_order_is_a_connected_permutation_of_the_edges():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from properconn import (
     LoopEdge,
     MalformedGraph6,
+    TooLarge,
     VertexOutOfRange,
     bipartition,
     canonical_code,
@@ -138,6 +139,13 @@ def test_parse_edge_list_text_rejects_junk():
     for junk in ["", "n x\n0 1\n", "n 3\n0 1 2\n", "n 3\n0 a\n"]:
         with pytest.raises(VertexOutOfRange):
             parse_edge_list_text(junk)
+
+
+def test_edge_list_text_names_at_most_two_to_the_twentieth_vertices():
+    with pytest.raises(TooLarge):
+        parse_edge_list_text("n 1048577\n")
+    g = parse_edge_list_text("n 1048576\n")
+    assert (g.n, g.m) == (1 << 20, 0)
 
 
 def test_degree_stats():

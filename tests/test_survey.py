@@ -338,7 +338,7 @@ def test_solver_contradicting_the_pipeline_is_a_pc_error(monkeypatch):
     # C5 has a 2-coloring, so a None from the path search and the kernel
     # step here contradicts pc_exact
     monkeypatch.setattr(survey_mod, "_dominating_path", lambda rows: None)
-    monkeypatch.setattr(constructive_mod, "_search", lambda *args: None)
+    monkeypatch.setattr(survey_mod, "complete", lambda *args: None)
     packed = _pack_rows(cycle_graph(5).adj)
     with pytest.raises(VerificationFailed, match="ruled out") as info:
         survey_mod._examine(5, packed)
@@ -381,15 +381,15 @@ def test_examine_settles_each_survey_graph_as_the_pipeline_does(monkeypatch):
             g = from_adj_rows(n, _unpack_rows(n, packed))
             assert outcome == ("two" if pc2_pipeline(g) is not None else "exception")
             path = real(g.adj)
-            if path is not None and constructive_mod._spans(g.adj, path):
+            if path is not None and constructive_mod._dominates(g.adj, path):
                 assert verify_certificate(constructive_mod._color_path(g, path)).ok
                 on_rows += 1
-    # 7,769 survey graphs and the 4 complete graphs the min-degree survey
-    # skips; 129 of the 221 bipartite graphs
-    assert on_rows == 7769 + 4 + 129
+    # 8,011 survey graphs and the 4 complete graphs the min-degree survey
+    # skips; all 221 bipartite graphs
+    assert on_rows == 8011 + 4 + 221
 
 
-def test_min_degree_survey_certifies_only_graphs_without_a_spanning_path(monkeypatch):
+def test_min_degree_survey_certifies_only_with_the_kernel(monkeypatch):
     calls = {"search": 0, "path": 0, "kernel": 0, "exact": 0}
 
     def count(name, module, attr):
@@ -403,11 +403,11 @@ def test_min_degree_survey_certifies_only_graphs_without_a_spanning_path(monkeyp
 
     count("search", survey_mod, "_dominating_path")
     count("path", constructive_mod, "_color_path")
-    count("kernel", constructive_mod, "_search")
+    count("kernel", survey_mod, "complete")
     count("exact", survey_mod, "pc_exact")
     report = survey_min_degree(5, 8)
     assert sum(report.totals.values()) == 8017
-    assert calls == {"search": 8017, "path": 242, "kernel": 6, "exact": 2}
+    assert calls == {"search": 8017, "path": 0, "kernel": 6, "exact": 2}
 
 
 def test_min_degree_survey_bounds_checking():
