@@ -285,23 +285,38 @@ def bipartition(g: Graph):
     Each component's lowest vertex lands in sideU, so the result is
     deterministic even on disconnected input.
     """
-    color = [-1] * g.n
-    for start in range(g.n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for w in g.neighbors(v):
-                if color[w] == -1:
-                    color[w] = 1 - color[v]
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return None
-    side_u = frozenset(v for v in range(g.n) if color[v] == 0)
-    side_v = frozenset(v for v in range(g.n) if color[v] == 1)
-    return Bipartition(side_u, side_v)
+    sides = _bipartite_sides(g.adj)
+    if sides is None:
+        return None
+    return Bipartition(*(frozenset(v for v in g.vertices() if side >> v & 1) for side in sides))
+
+
+def _bipartite_sides(rows):
+    """bipartition on adjacency rows: the two sides as bitmasks, each
+    component's lowest vertex in the first, or None.
+
+    Breadth-first layers from each component's lowest vertex alternate
+    between the sides. A graph is bipartite iff no edge joins two
+    vertices of one layer, and an edge from a layer to the vertices
+    already on its side can only be such an edge.
+    """
+    sides = [0, 0]
+    left = (1 << len(rows)) - 1
+    while left:
+        frontier, i = left & -left, 0
+        while frontier:
+            sides[i] |= frontier
+            left &= ~frontier
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= rows[low.bit_length() - 1]
+                frontier ^= low
+            if reach & sides[i]:
+                return None
+            frontier = reach & left
+            i ^= 1
+    return sides
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +460,11 @@ def canonical_code(g: Graph) -> bytes:
 # isomorphism classes without labeling
 
 
+# bits per vertex key in a _class_entry: a key is below 2**24 for n <= 13
+_KEY_BITS = 24
+_KEY_MASK = (1 << _KEY_BITS) - 1
+
+
 def _vertex_keys(rows) -> list[int]:
     """Per-vertex invariant packed in one int: the degree, then the sum of
     the neighbours' degrees, then the triangles through the vertex. An
@@ -464,39 +484,16 @@ def _vertex_keys(rows) -> list[int]:
     return keys
 
 
-def _child_keys(rows, keys, attach: int) -> list[int]:
-    """_vertex_keys of the graph that rows grows into when a new last
-    vertex is joined to the vertex set attach, derived from keys, the
-    _vertex_keys of rows. With d = |attach| and c_u attached neighbours
-    of u, an attached u gains degree 1, neighbour-degree sum c_u + d and
-    c_u triangles; any other u gains c_u to its neighbour-degree sum. The
-    new vertex has degree d, neighbour-degree sum d plus the attached
-    degrees, and one triangle per edge inside attach."""
-    d = attach.bit_count()
-    child = []
-    around = twice_inner = 0
-    for u, row in enumerate(rows):
-        c = (row & attach).bit_count()
-        if attach >> u & 1:
-            child.append(keys[u] + (1 << 16 | (c + d) << 8 | c))
-            around += keys[u] >> 16
-            twice_inner += c
-        else:
-            child.append(keys[u] + (c << 8))
-    child.append(d << 16 | (d + around) << 8 | twice_inner >> 1)
-    return child
-
-
 def _isomorphic(a, keys_a, b, keys_b) -> bool:
     """Exact isomorphism test of the graphs with adjacency rows a and b.
 
     Backtracking over every bijection that maps each vertex of a to a
     vertex of b with the same key; since every isomorphism keeps keys,
-    none is missed. The vertex of a placed next is the one with the most
-    already-placed neighbours, ties going to the rarest key and then to
-    the lowest index, and a vertex of b is accepted only when its placed
-    neighbours are exactly the images of the placed neighbours of the
-    vertex of a it receives.
+    none is missed. The vertices of a are placed in breadth-first order
+    from one of the rarest key (lowest index on ties), each component in
+    turn, so every vertex but a component's first has a placed neighbour.
+    A vertex of b is accepted only when its placed neighbours are exactly
+    the images of the placed neighbours of the vertex of a it receives.
     """
     n = len(a)
     if sorted(keys_a) != sorted(keys_b):
@@ -505,29 +502,35 @@ def _isomorphic(a, keys_a, b, keys_b) -> bool:
     for w, key in enumerate(keys_b):
         by_key[key] = by_key.get(key, 0) | 1 << w
     cands = [by_key[key] for key in keys_a]
-    # score[u] packs (placed neighbours, -candidates, -u) for an unplaced
-    # u, so the largest score is the next vertex; placing v adds one
-    # placed neighbour to each unplaced neighbour of v
-    s = n.bit_length() + 1
-    score = [(n - mask.bit_count()) << s | n - 1 - u for u, mask in enumerate(cands)]
-    order: list[int] = []
-    placed = 0
-    for _ in range(n):
-        v = n - 1 - (max(score) & (1 << s) - 1)
-        order.append(v)
-        placed |= 1 << v
-        score[v] = -1
-        rest = a[v] & ~placed
-        while rest:
-            low = rest & -rest
-            score[low.bit_length() - 1] += 1 << 2 * s
-            rest ^= low
-    back = [[j for j in range(i) if a[order[i]] >> order[j] & 1] for i in range(n)]
-    # frees[i]: candidates for position i not tried yet; needs[i]: the
-    # images of its placed neighbours, which its image's placed
-    # neighbours must equal
+    sizes = [mask.bit_count() for mask in cands]
+    start = sizes.index(min(sizes))
+    # before[i]: the neighbours of order[i] placed ahead of it
+    order, before = [start], [0]
+    full = (1 << n) - 1
+    seen, k = 1 << start, 0
+    while True:
+        while k < len(order):
+            rest = a[order[k]] & ~seen
+            k += 1
+            while rest:
+                low = rest & -rest
+                w = low.bit_length() - 1
+                order.append(w)
+                before.append(a[w] & seen)
+                seen |= low
+                rest ^= low
+        if seen == full:
+            break
+        rest = full & ~seen
+        low = rest & -rest
+        order.append(low.bit_length() - 1)
+        before.append(0)
+        seen |= low
+    # image[v]: the bit of v's image in b; frees[i]: candidates for
+    # position i not tried yet; needs[i]: the images of its placed
+    # neighbours, which its image's placed neighbours must equal
     image, needs, frees = [0] * n, [0] * n, [0] * n
-    frees[0] = cands[order[0]]
+    frees[0] = cands[start]
     used, i = 0, 0
     while True:
         free = frees[i]
@@ -535,21 +538,23 @@ def _isomorphic(a, keys_a, b, keys_b) -> bool:
             if i == 0:
                 return False
             i -= 1
-            used ^= 1 << image[i]
+            used ^= image[order[i]]
             continue
         low = free & -free
         frees[i] = free ^ low
-        w = low.bit_length() - 1
-        if b[w] & used != needs[i]:
+        if b[low.bit_length() - 1] & used != needs[i]:
             continue
-        image[i] = w
+        image[order[i]] = low
         used |= low
         i += 1
         if i == n:
             return True
         need = 0
-        for j in back[i]:
-            need |= 1 << image[j]
+        rest = before[i]
+        while rest:
+            bit = rest & -rest
+            need |= image[bit.bit_length() - 1]
+            rest ^= bit
         needs[i] = need
         frees[i] = cands[order[i]] & ~used
 
@@ -570,31 +575,47 @@ def _unpack_rows(n: int, packed: int) -> list[int]:
     return [packed >> n * v & full for v in range(n)]
 
 
-def _add_class(classes: dict, rows, keys):
-    """Add the graph with these adjacency rows and vertex keys
-    (_vertex_keys, which the caller supplies) to classes unless a graph
-    isomorphic to it is there already. Returns its packed rows
-    (_pack_rows) when it was added, else None.
+def _class_entry(rows, keys) -> int:
+    """The graph with these adjacency rows and vertex keys (_vertex_keys)
+    as one int: its packed rows (_pack_rows) in the low n*n bits, which
+    _unpack_rows reads from it as they are, and above them the keys,
+    _KEY_BITS bits each, vertex 0's lowest."""
+    packed = 0
+    for key in reversed(keys):
+        packed = packed << _KEY_BITS | key
+    return packed << len(rows) ** 2 | _pack_rows(rows)
+
+
+def _entry_keys(n: int, entry: int) -> list[int]:
+    """The vertex keys of an n-vertex graph's _class_entry."""
+    top = n * n
+    return [entry >> at & _KEY_MASK for at in range(top, top + _KEY_BITS * n, _KEY_BITS)]
+
+
+def _add_class(classes: dict, n: int, entry: int):
+    """Add the n-vertex graph of this entry (_class_entry) to classes
+    unless a graph isomorphic to it is there already. Returns its packed
+    rows (_pack_rows) when it was added, else None.
 
     classes holds graphs of one order. It maps the hash of a graph's
     sorted vertex keys (hashes of int tuples do not depend on
-    PYTHONHASHSEED) to its one representative, or to a list of them when
-    non-isomorphic graphs share the hash. A representative is stored as
-    its packed rows only; its keys are recomputed on a collision.
+    PYTHONHASHSEED) to its one representative's entry, or to a list of
+    them when non-isomorphic graphs share the hash, so a collision reads
+    the keys it compares with instead of recomputing them.
     """
-    n = len(rows)
+    keys = _entry_keys(n, entry)
     slot = hash(tuple(sorted(keys)))
-    packed = _pack_rows(rows)
+    packed = entry & (1 << n * n) - 1
     held = classes.get(slot)
     if held is None:
-        classes[slot] = packed
+        classes[slot] = entry
         return packed
+    rows = _unpack_rows(n, entry)
     for rep in [held] if type(held) is int else held:
-        rep_rows = _unpack_rows(n, rep)
-        if _isomorphic(rows, keys, rep_rows, _vertex_keys(rep_rows)):
+        if _isomorphic(rows, keys, _unpack_rows(n, rep), _entry_keys(n, rep)):
             return None
     if type(held) is int:
-        classes[slot] = [held, packed]
+        classes[slot] = [held, entry]
     else:
-        held.append(packed)
+        held.append(entry)
     return packed

@@ -11,12 +11,18 @@ exact isomorphism test, so a level is built without canonical labeling;
 enumerate_connected labels each class once, and a survey labels only the
 graphs its report prints.
 A level with minimum degree >= t grows from levels filtered the same
-way, so the surveys never build the full levels they would discard.
+way; the minimum-degree 1 level is the full level, and the minimum-degree
+2 level is filtered from the full level once that is built. A survey
+takes its top order first, so its lower orders filter what the top one
+grew.
 Surveys decide pc <= 2 with pc2_pipeline's two steps and keep only the
-verdict (_examine). The path search runs once per graph, on its packed
-rows: a path that spans the graph or 2-dominates it settles it with no
-Graph and no coloring, by the lemma that _path_colors proves. Only the
-other graphs are built, and go to the exact kernel at k = 2, whose None
+verdict (_examine). The path search runs on packed rows, once per parent
+whose children a level lists together (_examine_families): a parent's
+path that 2-dominates it settles each child whose new vertex has two
+neighbours on it. Every other graph gets its own search, and a path that
+spans it or 2-dominates it settles it with no Graph and no coloring, by
+the lemma that _path_colors proves. Only the other graphs are built, and
+go to the exact kernel at k = 2, whose None
 is a verdict; those it rules out go to the exact solver, and graphs
 whose search budget runs out are reported, never dropped. A solver that
 finds a 2-coloring there contradicts the pipeline and raises
@@ -31,7 +37,7 @@ import time
 from dataclasses import dataclass
 from functools import partial
 from importlib import resources
-from multiprocessing import get_context
+from itertools import chain, groupby, product
 
 from .coloring import complete
 from .constructive import (
@@ -50,9 +56,12 @@ from .errors import (
     VerificationFailed,
 )
 from .graph import (
+    _KEY_BITS,
+    _KEY_MASK,
     Graph,
     _add_class,
-    _child_keys,
+    _bipartite_sides,
+    _class_entry,
     _pack_rows,
     _reach_mask,
     _unpack_rows,
@@ -83,20 +92,21 @@ FIXTURE_RESOURCE = "exceptional_graphs.json"
 _LEVELS: dict[tuple[str, int, int], tuple[int, ...]] = {}
 
 
-def _twin_classes(g: Graph) -> list[list[int]]:
-    """The classes of twins, ascending: u and v are twins when
-    N(u) - v = N(v) - u. This is an equivalence, each class is a clique or
-    an independent set, and any permutation of a class that fixes every
-    other vertex is an automorphism."""
+def _twin_classes(rows) -> list[list[int]]:
+    """The classes of twins of the graph with adjacency rows `rows`,
+    ascending: u and v are twins when N(u) - v = N(v) - u. This is an
+    equivalence, each class is a clique or an independent set, and any
+    permutation of a class that fixes every other vertex is an
+    automorphism."""
     classes: list[list[int]] = []
     done = 0
-    for u in g.vertices():
+    for u, row in enumerate(rows):
         if done >> u & 1:
             continue
         cls = [u] + [
             v
-            for v in range(u + 1, g.n)
-            if not done >> v & 1 and g.adj[u] & ~(1 << v) == g.adj[v] & ~(1 << u)
+            for v in range(u + 1, len(rows))
+            if not done >> v & 1 and row & ~(1 << v) == rows[v] & ~(1 << u)
         ]
         for v in cls:
             done |= 1 << v
@@ -104,100 +114,136 @@ def _twin_classes(g: Graph) -> list[list[int]]:
     return classes
 
 
-def _attachment_sets(kind: str, g: Graph, t: int, least: int = 0):
-    """Bitmasks of the vertex sets the next vertex may attach to, when the
-    child must have minimum degree >= t: at least t vertices (and at least
-    one), holding every vertex of degree t-1. The bipartite chain attaches
-    within one side only, which keeps the child bipartite. Sets of 2 to
-    least-1 vertices are left out: a partial union that the classes still
-    to come cannot grow to `least` vertices is dropped once it has 2.
+def _attachment_sets(kind: str, rows, t: int, weight, least: int = 0):
+    """The vertex sets the next vertex may attach to, in the graph with
+    adjacency rows `rows`, when the child must have minimum degree >= t:
+    at least t vertices (and at least one), holding every vertex of
+    degree t-1. The bipartite chain attaches within one side only, which
+    keeps the child bipartite. Sets of 2 to least-1 vertices are left
+    out.
+
+    Each set is yielded as the sum of weight[v] over its vertices v. A
+    weight must hold 1 << v in its low len(rows) bits, so the low bits of
+    a sum are the set; weights of 1 << v yield the sets' bitmasks.
 
     Within each twin class only a lowest-index prefix is attached to: any
-    other set maps onto such a one by an automorphism of g that permutes
-    vertices within twin classes, and that automorphism, fixing the new
-    vertex, carries one child onto the other. Twins share a degree, so
-    the vertices of degree t-1 are whole classes."""
-    if kind == "general":
-        sides = [(1 << g.n) - 1]
-    else:
-        parts = bipartition(g)
-        sides = [sum(1 << v for v in side) for side in (parts.sideU, parts.sideV)]
-    low = sum(1 << v for v in range(g.n) if g.degree(v) == t - 1)
+    other set maps onto such a one by an automorphism of the graph that
+    permutes vertices within twin classes, and that automorphism, fixing
+    the new vertex, carries one child onto the other. Twins share a
+    degree, so the vertices of degree t-1 are whole classes. The sets are
+    the unions of one prefix per class, which are disjoint, taken in
+    itertools.product order."""
+    full = (1 << len(rows)) - 1
+    sides = [full] if kind == "general" else _bipartite_sides(rows)
+    low = sum(1 << v for v, row in enumerate(rows) if row.bit_count() == t - 1)
     prefixes = []
-    for cls in _twin_classes(g):
-        masks = [0]
+    for cls in _twin_classes(rows):
+        sums = [0]
         for v in cls:
-            masks.append(masks[-1] | 1 << v)
-        prefixes.append(masks[-1:] if low >> cls[0] & 1 else masks)
+            sums.append(sums[-1] + weight[v])
+        prefixes.append(sums[-1:] if low >> cls[0] & 1 else sums)
+    fewest = max(t, 1)
     for side in sides:
         if low & ~side:
             continue
-        options = [[m for m in masks if not m & ~side] for masks in prefixes]
-        # room: the most vertices the classes not yet taken can add
-        room = sum(opts[-1].bit_count() for opts in options)
-        attach = [0]
-        for opts in options:
-            room -= opts[-1].bit_count()
-            grown = (a | m for a in attach for m in opts)
-            attach = [b for b in grown if b.bit_count() < 2 or b.bit_count() + room >= least]
-        for a in attach:
-            if a.bit_count() >= max(t, 1):
-                yield a
+        options = [[s for s in sums if not s & full & ~side] for sums in prefixes]
+        for s in map(sum, product(*options)):
+            d = (s & full).bit_count()
+            if d >= fewest and not 2 <= d < least:
+                yield s
 
 
-def _deletion_components(g: Graph) -> list[list[int]]:
-    """For every vertex u, the components of g - u as bitmasks."""
-    full = (1 << g.n) - 1
+def _deletion_components(rows) -> list[list[int]]:
+    """For every vertex u of the graph with adjacency rows `rows`, the
+    components of the graph minus u as bitmasks."""
+    full = (1 << len(rows)) - 1
     out = []
-    for u in range(g.n):
+    for u in range(len(rows)):
         left = full & ~(1 << u)
         comps = []
         while left:
-            comp = _reach_mask(g.adj, (left & -left).bit_length() - 1, left)
+            comp = _reach_mask(rows, (left & -left).bit_length() - 1, left)
             comps.append(comp)
             left &= ~comp
         out.append(comps)
     return out
 
 
-def _children(kind: str, g: Graph, t: int):
-    """Yield the adjacency rows and vertex keys (graph._vertex_keys) of
-    each child of g that passes prunes (a) and (b) of _level, in
-    attachment-set order; the new vertex is the last.
+def _children(kind: str, rows, t: int):
+    """Yield the class entry (graph._class_entry) of each child of the
+    graph with adjacency rows `rows` that passes prunes (a) and (b) of
+    _level, in attachment-set order; the new vertex is the last.
 
-    The keys of g are computed once and each child's are derived from
-    them (graph._child_keys). Before that, a bitmask test drops a set
-    that (b) would drop because of a vertex u whose deletion leaves g
-    connected and whose degree in the child exceeds the new vertex's: u
-    is a non-cut vertex of the child unless the set is {u} alone. With D
-    the largest degree of such a u, the test drops every set of 2 to D-1
-    vertices (u has degree D > d outside the set and D >= d inside it),
-    so `_attachment_sets` does not build them."""
-    rows = g.adj
+    Nothing is built per child but a few ints. What a set A changes is a
+    sum over its vertices, so each vertex v gets one weight and
+    `_attachment_sets` sums the weights of a set's vertices. Low to high,
+    a weight holds v's bit; v's degree in 8 bits (the sum is the degree
+    sum of A, below 256 for n <= 13); the spread of v's row, one _KEY_BITS field per vertex
+    holding 1 at v's neighbours (the sum holds c_u = |N(u) & A| in field
+    u); 1 in field v (the sum marks A's fields); and the two bits v adds
+    to the child's packed rows. From these the keys of the old vertices
+    in the child, packed as in a class entry, are one expression
+    (graph._vertex_keys): an attached u gains degree 1, neighbour-degree
+    sum c_u + |A| and c_u triangles, any other u gains c_u to its
+    neighbour-degree sum.
+
+    Prune (b) then runs on all fields at once. A key's top 16 bits are
+    the (degree, neighbour-degree sum) that (b) compares, so u outranks
+    the new vertex, whose pair is mine = |A| << 8 | (|A| + the degree sum
+    of A), when its key is at least (mine + 1) << 8; setting each
+    field's top bit (a guard) and subtracting that threshold from every
+    field leaves the guard set exactly there. A u whose deletion
+    leaves the parent connected is a non-cut vertex of the child, except
+    when A = {u}: then u separates the new vertex. Any other u is a
+    non-cut vertex of the child when A meets every component of the
+    parent minus u. With D the largest degree of a u of the first kind,
+    every set of 2 to D-1 vertices is dropped (u outranks the new vertex
+    outside or inside A), so `_attachment_sets` leaves them out."""
+    m, n = len(rows), len(rows) + 1
+    f = _KEY_BITS
     keys = _vertex_keys(rows)
-    comps = _deletion_components(g)
-    # solid: the vertices u with g - u connected; above[x]: the vertices
-    # of degree > x
-    solid = sum(1 << u for u, parts in enumerate(comps) if len(parts) <= 1)
-    above = [sum(1 << u for u, key in enumerate(keys) if key >> 16 > x) for x in range(g.n + 1)]
-    most = max((key >> 16 for u, key in enumerate(keys) if solid >> u & 1), default=0)
-    for attach in _attachment_sets(kind, g, t, most):
+    comps = _deletion_components(rows)
+    ones = sum(1 << f * u for u in range(m))
+    guard = ones << f - 1
+    solid = sum(1 << f * u + f - 1 for u, parts in enumerate(comps) if len(parts) <= 1)
+    cuts = [(1 << f * u + f - 1, parts) for u, parts in enumerate(comps) if len(parts) > 1]
+    most = max((keys[u] >> 16 for u in range(m) if solid >> f * u + f - 1 & 1), default=0)
+    full, fields = (1 << m) - 1, (1 << f * m) - 1
+    c_at = m + 8
+    a_at = c_at + f * m
+    r_at = a_at + f * m
+    weight = []
+    for v, row in enumerate(rows):
+        spread = sum(1 << f * u for u in range(m) if row >> u & 1)
+        grow = 1 << n * v + m | 1 << n * m + v
+        weight.append(
+            1 << v | row.bit_count() << m | spread << c_at | 1 << a_at + f * v | grow << r_at
+        )
+    base = sum(key << f * u for u, key in enumerate(keys))
+    base_rows = sum(row << n * v for v, row in enumerate(rows))
+    for s in _attachment_sets(kind, rows, t, weight, most):
+        attach = s & full
         d = attach.bit_count()
-        if solid & (above[d] & ~attach | (above[d - 1] & attach if d >= 2 else 0)):
+        around = d + (s >> m & 255)
+        c = s >> c_at & fields
+        on = s >> a_at & fields
+        # the keys without the triangles the attached vertices gain: (b)
+        # does not compare them, and a triangle count stays below 256, so
+        # adding them later carries into no compared bit
+        child = base + (c << 8) + on * (1 << 16 | d << 8)
+        over = ((child | guard) - ((d << 8 | around) + 1 << 8) * ones) & guard
+        if over & (solid & ~(on << f - 1) if d == 1 else solid):
             continue
-        # (degree, sum of the neighbours' degrees) is key >> 8; u stays a
-        # non-cut vertex of the child when the new vertex touches every
-        # component of g - u
-        child = _child_keys(rows, keys, attach)
-        mine = child[-1] >> 8
-        if any(
-            key >> 8 > mine and all(comp & attach for comp in comps[u])
-            for u, key in enumerate(child[:-1])
+        if over & ~solid and any(
+            over & bit and all(comp & attach for comp in parts) for bit, parts in cuts
         ):
             continue
-        grown = [row | (attach >> v & 1) << g.n for v, row in enumerate(rows)]
-        grown.append(attach)
-        yield grown, child
+        inner = c & on * _KEY_MASK
+        # the new vertex's triangles: half of the sum of inner's fields,
+        # which the product with ones gathers in field m-1
+        tri = (inner * ones >> f * (m - 1) & _KEY_MASK) >> 1
+        top = child + inner | (d << 16 | around << 8 | tri) << f * m
+        yield top << n * n | base_rows + (s >> r_at)
 
 
 def _level(kind: str, n: int, t: int) -> tuple[int, ...]:
@@ -207,7 +253,7 @@ def _level(kind: str, n: int, t: int) -> tuple[int, ...]:
     deterministic.
 
     Each class H on n vertices is grown from one on n-1 by a new vertex
-    attached to a chosen set. Two prunes run before a child is built:
+    attached to a chosen set. Two prunes run before a child is kept:
 
     (a) the attachment set has at least t vertices, holds every parent
         vertex of degree t-1, and meets each twin class of the parent in
@@ -218,14 +264,13 @@ def _level(kind: str, n: int, t: int) -> tuple[int, ...]:
         (the cheap half of McKay's canonical deletion, J. Algorithms 26,
         1998, with an isomorphism-invariant key).
 
-    `_children` runs both: (b) on the child's keys, derived from the
-    parent's (`graph._child_keys`), after a bitmask test that drops at
-    once most sets (b) drops. A surviving child is kept unless it is
-    isomorphic to a child already kept (`graph._add_class`): children
-    are bucketed by their sorted vertex invariants, and an exact
-    isomorphism test decides within a bucket, so no child is labeled.
-    _vertex_keys runs once per parent and once per representative a
-    child is compared with.
+    `_children` runs both, (b) on the child's keys packed in one int. A
+    surviving child is kept unless it is isomorphic to a child already
+    kept (`graph._add_class`): children are bucketed by their sorted
+    vertex invariants, and an exact isomorphism test decides within a
+    bucket, so no child is labeled. _vertex_keys runs once per parent: a
+    child's keys follow from its parent's, and a kept child's are stored
+    with it for the comparisons to come.
 
     Soundness: in H delete a non-cut vertex v of maximum key among the
     non-cut vertices. H - v is connected with minimum degree >= t-1, so
@@ -242,25 +287,49 @@ def _level(kind: str, n: int, t: int) -> tuple[int, ...]:
     reaches the dedup, which keeps its first child and, being exact, never
     merges two classes. t = 0 is the unfiltered chain.
 
+    Shared levels. For n >= 2 the t = 1 level is the t = 0 level: both
+    ask for a nonempty set, and the only vertex of degree 0 a parent can
+    have is the one of the one-vertex graph, whose one nonempty set holds
+    it, so the two builds are one. The t = 2 level is the t = 0
+    level filtered to minimum degree >= 2, with the same representatives
+    in the same order, so it is filtered when the t = 0 level is built
+    already:
+    - the parents are the same, since (n-1, 1) is (n-1, 0);
+    - a parent's t = 2 sets are exactly its t <= 1 sets whose child has
+      minimum degree >= 2 (two vertices or more, every vertex of degree
+      1 among them), in the same relative order: a class of degree-1
+      vertices keeps only its whole-class option, and the product of the
+      fewer options runs in the same order;
+    - prune (b) does not depend on t;
+    - the dedup keeps the first child of each class, and minimum degree
+      is a class invariant.
+
     On one core of a 2-core machine under Python 3.11, the min-degree
-    chain of survey_min_degree(5, 8) takes about 0.3 s, the full general
-    level at n=8 about 0.45 s, _level("general", 9, 3) (84,242 classes)
-    about 4-5 s and the full general level at n=9 (261,080 classes) about
-    12 s.
+    chain of survey_min_degree(5, 8) takes about 0.25 s, the full general
+    level at n=8 about 0.35 s, _level("general", 9, 3) (84,242 classes)
+    about 3.5 s and the full general level at n=9 (261,080 classes) about
+    9 s.
     """
     if n == 1:
         return (0,) if t == 0 else ()
+    if t == 1:
+        t = 0
     key = (kind, n, t)
     if key not in _LEVELS:
-        classes: dict = {}
-        kept = []
-        for parent in _level(kind, n - 1, max(t - 1, 0)):
-            g = from_adj_rows(n - 1, _unpack_rows(n - 1, parent))
-            for rows, keys in _children(kind, g, t):
-                packed = _add_class(classes, rows, keys)
-                if packed is not None:
-                    kept.append(packed)
-        _LEVELS[key] = tuple(kept)
+        full = _LEVELS.get((kind, n, 0))
+        if t == 2 and full is not None:
+            _LEVELS[key] = tuple(
+                packed for packed in full if min(map(int.bit_count, _unpack_rows(n, packed))) >= 2
+            )
+        else:
+            classes: dict = {}
+            kept = []
+            for parent in _level(kind, n - 1, max(t - 1, 0)):
+                for entry in _children(kind, _unpack_rows(n - 1, parent), t):
+                    packed = _add_class(classes, n, entry)
+                    if packed is not None:
+                        kept.append(packed)
+            _LEVELS[key] = tuple(kept)
     return _LEVELS[key]
 
 
@@ -275,9 +344,9 @@ def enumerate_connected(n: int, min_degree: int = 0, bipartite_only: bool = Fals
     representative is then labeled once. A min_degree level is built
     from filtered levels below it, so it costs far less than the full
     one. On one core of a 2-core machine under Python 3.11,
-    the full general level at n=9 (261,080 classes) takes about 2
-    minutes, n=8 (11,117 classes) about 3.3 s, and the whole bipartite
-    chain at n=9 under 1 s.
+    the full general level at n=9 (261,080 classes) takes about 2.5
+    minutes, n=8 (11,117 classes) about 3.5 s, and the whole bipartite
+    chain at n=9 under 1 s; labeling is nearly all of it.
     """
     if not 2 <= n <= ENUMERATION_MAX_N:
         raise TooLarge(f"built-in enumeration covers 2 <= n <= {ENUMERATION_MAX_N}")
@@ -359,7 +428,7 @@ def exceptional_graphs() -> tuple[Graph, Graph]:
         raise FixturesMissing("fixture file must hold exactly the n=7 and n=8 graphs")
     g7 = from_graph6(entries[0]["graph6"])
     g8 = from_graph6(entries[1]["graph6"])
-    comps = _deletion_components(g7)
+    comps = _deletion_components(g7.adj)
     if not any(_splits_into_attached_pairs(g7, v, comps[v]) for v in range(7)):
         raise FixturesMissing(
             "the stored 7-vertex graph lost its three-triangles-at-a-cut-vertex shape"
@@ -501,37 +570,82 @@ def _examine(n: int, packed: int):
     return ("exception", (pc, witness))
 
 
+def _examine_families(n: int, graphs) -> list:
+    """_examine every graph, in order, with one path search per family:
+    a run of two or more graphs that share their first n-1 rows once bit
+    n-1 is masked off, that is, a parent P = G - x for the last vertex x.
+    A level lists the children of one parent together.
+
+    Lemma: if a path p of P 2-dominates P (`_dominates`) and x has at
+    least two neighbours on p, then p 2-dominates G. It is a path of G,
+    since P is G - x; a vertex of P off p keeps its two neighbours on p;
+    and x is the one vertex of G not in P. So the parent's path is
+    searched once, and a child whose last row meets it twice is settled;
+    every other graph, and a family of one, takes _examine's route.
+    """
+    shift = n * (n - 1)
+    parent_bits = sum(((1 << n - 1) - 1) << n * v for v in range(n - 1))
+    out = []
+    for parent, family in groupby(graphs, parent_bits.__and__):
+        family = list(family)
+        on_path = 0
+        if len(family) > 1:
+            rows = _unpack_rows(n, parent)[:-1]
+            path = _dominating_path(rows)
+            if path is not None and _dominates(rows, path):
+                on_path = sum(1 << v for v in path)
+        for packed in family:
+            if (packed >> shift & on_path).bit_count() >= 2:
+                out.append(("two", None))
+            else:
+                out.append(_examine(n, packed))
+    return out
+
+
 def _map_examine(n: int, graphs, jobs: int):
-    """_examine every graph, in order, on at most jobs worker processes:
-    never more than the machine's CPUs or the chunks there are to hand
-    out, and none for one worker or fewer than 4 graphs."""
-    examine = partial(_examine, n)
+    """_examine every graph, in order, by families (_examine_families),
+    on at most jobs worker processes: never more than the machine's CPUs
+    or the chunks there are to hand out, and none for one worker or fewer
+    than 4 graphs. A chunk boundary may split a family, which costs that
+    family one more path search."""
     workers = min(jobs, os.cpu_count() or 1)
     chunk = max(1, len(graphs) // (8 * workers))
     workers = min(workers, -(-len(graphs) // chunk))
     if workers <= 1 or len(graphs) < 4:
-        return [examine(packed) for packed in graphs]
+        return _examine_families(n, graphs)
+    from multiprocessing import get_context
+
+    chunks = [graphs[i : i + chunk] for i in range(0, len(graphs), chunk)]
     with get_context("fork").Pool(workers) as pool:
-        return pool.map(examine, graphs, chunksize=chunk)
+        outcomes = pool.map(partial(_examine_families, n), chunks, chunksize=1)
+    return list(chain.from_iterable(outcomes))
 
 
 def _run_survey(name, filter_desc, n_lo, n_hi, graphs_for, jobs) -> SurveyReport:
     """Examine graphs_for(n), the packed rows (graph._pack_rows) of one
     graph per class on n vertices, for every n in range. Reports print
-    canonical graph6 codes, the only graph6 a survey produces."""
-    totals, timing = {}, {}
-    exceptions, unresolved = [], []
-    for n in range(n_lo, n_hi + 1):
+    canonical graph6 codes, the only graph6 a survey produces.
+
+    The orders run from the top down, so the top level builds the levels
+    below it that it grows from, and the lower orders filter those
+    (_level's shared levels); timing[n] is the time spent on order n,
+    building included. The report lists every order ascending."""
+    totals, timing, found = {}, {}, {}
+    for n in range(n_hi, n_lo - 1, -1):
         t0 = time.perf_counter()
         graphs = graphs_for(n)
         totals[n] = len(graphs)
-        for kind, info in _map_examine(n, graphs, jobs):
+        found[n] = [out for out in _map_examine(n, graphs, jobs) if out[0] != "two"]
+        timing[n] = time.perf_counter() - t0
+    exceptions, unresolved = [], []
+    for n in range(n_lo, n_hi + 1):
+        for kind, info in found[n]:
             if kind == "exception":
                 pc, witness = info
                 exceptions.append(ExceptionRecord(to_graph6(witness.graph), pc, witness))
-            elif kind == "unresolved":
+            else:
                 unresolved.append(UnresolvedRecord(*info))
-        timing[n] = time.perf_counter() - t0
+    totals, timing = dict(sorted(totals.items())), dict(sorted(timing.items()))
     return SurveyReport(
         name, n_lo, n_hi, filter_desc, totals, exceptions, unresolved, timing
     )
@@ -545,7 +659,7 @@ def _corpus_rows(corpus, n, predicate):
     kept = []
     for g in corpus:
         if g.n == n and is_connected(g) and predicate(g):
-            packed = _add_class(classes, g.adj, _vertex_keys(g.adj))
+            packed = _add_class(classes, n, _class_entry(g.adj, _vertex_keys(g.adj)))
             if packed is not None:
                 kept.append(packed)
     return kept
@@ -593,7 +707,7 @@ def survey_bipartite(n_lo: int = 4, n_hi: int = 9, jobs: int = 1, corpus=None) -
 
     Built-in enumeration and corpora cover n up to BIPARTITE_MAX_N = 13,
     past the general chain's 9: the n=13 level (75,624 classes) takes
-    about 45 s. jobs is as for survey_min_degree.
+    about 35 s. jobs is as for survey_min_degree.
     """
     if not 4 <= n_lo <= n_hi:
         raise OutOfRange("need 4 <= n_lo <= n_hi")

@@ -27,7 +27,7 @@ from properconn import (
     parse_edge_list_text,
     to_graph6,
 )
-from properconn.graph import _isomorphic, _vertex_keys
+from properconn.graph import _isomorphic, _reach_mask, _vertex_keys
 from util import (
     brute_bridges,
     brute_canonical_code,
@@ -177,6 +177,22 @@ def test_bipartition():
         frozenset({1, 3, 5}),
     }
     assert bipartition(cycle_graph(5)) is None
+
+
+@given(small_graphs(max_n=8, connected=False))
+@PROPERTY_SETTINGS
+def test_bipartition_is_the_2_coloring_with_each_lowest_vertex_in_side_u(g):
+    colorable = any(
+        all((mask >> u ^ mask >> v) & 1 for u, v in g.edges) for mask in range(1 << g.n)
+    )
+    b = bipartition(g)
+    assert (b is not None) == colorable
+    if b is not None:
+        assert b.sideU | b.sideV == set(g.vertices()) and not b.sideU & b.sideV
+        assert not any({u, v} <= b.sideU or {u, v} <= b.sideV for u, v in g.edges)
+        # each component's lowest vertex is in sideU
+        comps = {_reach_mask(g.adj, v, (1 << g.n) - 1) for v in g.vertices()}
+        assert all((comp & -comp).bit_length() - 1 in b.sideU for comp in comps)
 
 
 @given(small_graphs(max_n=8), st.integers(min_value=0, max_value=2**32 - 1))

@@ -4,13 +4,21 @@ and the survey drivers with their reports."""
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+from itertools import groupby
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from properconn import (
+    EdgeColoring,
     FixturesMissing,
     OutOfRange,
     PcError,
@@ -27,6 +35,7 @@ from properconn import (
     from_edge_list,
     from_graph6,
     is_connected,
+    is_proper_connected,
     make_star_of_bicliques,
     pc2_pipeline,
     read_graph6_file,
@@ -41,8 +50,8 @@ from properconn import constructive as constructive_mod
 from properconn import solver as solver_mod
 from properconn import graph as graph_mod
 from properconn import survey as survey_mod
-from properconn.graph import _child_keys, _pack_rows, _reach_mask, _unpack_rows, _vertex_keys
-from util import complete_graph, cycle_graph, enumerate_connected_by_sweep
+from properconn.graph import _class_entry, _pack_rows, _reach_mask, _unpack_rows, _vertex_keys
+from util import complete_bipartite, complete_graph, cycle_graph, enumerate_connected_by_sweep
 
 # connected graphs per vertex count, a classic integer sequence
 CONNECTED_COUNTS = {2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
@@ -65,6 +74,12 @@ SURVEY_LEVEL_DIGESTS = {
     7: "2577617d5b637b13f13e3dee4ce74df2eb18b1af078483f4eb4c24b6d31456ac",
     8: "642f4db44d1517547b00ba6ea86de565c64ce4d2e046244675325e22f5108e69",
 }
+
+# sha256 over the packed rows of every level _level(kind, n, t) for
+# general n <= 8 and bipartite n <= 10, t = 0..3: one line
+# "kind n t: packed packed ..." per level, so the representatives and
+# their order are pinned, not only their classes
+SMALL_LEVELS_DIGEST = "e57853371039b45410a2c453f89679d09db2e1f96f03970db006658f4fe9b2bf"
 
 
 def test_enumeration_counts():
@@ -137,6 +152,59 @@ def test_survey_representatives_are_pinned():
         assert hashlib.sha256(text.encode("ascii")).hexdigest() == want, n
 
 
+def min_degree_at_least(n, t, level):
+    return tuple(p for p in level if min(map(int.bit_count, _unpack_rows(n, p))) >= t)
+
+
+def test_every_small_level_is_pinned(monkeypatch):
+    monkeypatch.setattr(survey_mod, "_LEVELS", {})
+    digest = hashlib.sha256()
+    for kind, top in (("general", 8), ("bipartite", 10)):
+        for n in range(1, top + 1):
+            for t in range(4):
+                level = survey_mod._level(kind, n, t)
+                digest.update(f"{kind} {n} {t}: {' '.join(map(str, level))}\n".encode("ascii"))
+    assert digest.hexdigest() == SMALL_LEVELS_DIGEST
+
+
+def test_levels_one_and_two_follow_from_the_full_level(monkeypatch):
+    # a t = 2 level grown by augmentation is the full level filtered, in the
+    # same order, so it can be filtered from the full level; the t = 1
+    # level is the full level
+    for kind, top in (("general", 8), ("bipartite", 10)):
+        for n in range(2, top + 1):
+            monkeypatch.setattr(survey_mod, "_LEVELS", {})
+            built = survey_mod._level(kind, n, 2)
+            full = survey_mod._level(kind, n, 0)
+            assert built == min_degree_at_least(n, 2, full), (kind, n)
+            assert survey_mod._level(kind, n, 1) == full, (kind, n)
+
+
+def test_min_degree_survey_builds_only_its_top_chain(monkeypatch):
+    monkeypatch.setattr(survey_mod, "_LEVELS", {})
+    grown = []
+    real = survey_mod._children
+
+    def children(kind, rows, t):
+        grown.append(len(rows))
+        return real(kind, rows, t)
+
+    monkeypatch.setattr(survey_mod, "_children", children)
+    survey_min_degree(5, 8)
+    # the n=8 level grows the full levels below it, each once, and the
+    # lower orders filter those: no t = 1 or lower t = 2 level is grown
+    want = [("general", n, 0) for n in range(2, 8)] + [("general", n, 2) for n in range(5, 9)]
+    assert sorted(survey_mod._LEVELS) == sorted(want)
+    assert len(grown) == sum(len(survey_mod._level("general", n, 0)) for n in range(1, 8))
+
+
+def test_importing_the_package_starts_no_multiprocessing():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(survey_mod.__file__)))
+    code = "import sys, properconn; print('multiprocessing' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.stdout.strip() == "False", proc.stderr
+
+
 def rejected_by_the_per_vertex_prefilter(g, attach):
     """Prune (b) of survey._level, vertex by vertex from scratch: some
     vertex that is non-cut in the child has a larger (degree, sum of the
@@ -168,20 +236,21 @@ def test_child_keys_and_prunes_follow_from_the_parent(kind, n, t, pick):
         return
     rows = _unpack_rows(n - 1, parents[pick % len(parents)])
     g = from_adj_rows(n - 1, rows)
-    keys = _vertex_keys(rows)
-    for attach in range(1, 1 << g.n):
-        grown = [row | (attach >> v & 1) << g.n for v, row in enumerate(rows)] + [attach]
-        assert _child_keys(rows, keys, attach) == _vertex_keys(grown), (rows, attach)
-    # the bitmask pre-rejection drops no set that the per-vertex prefilter keeps
+    # the packed prune drops exactly the sets the per-vertex prefilter drops
+    masks = [1 << v for v in range(n - 1)]
     want = [
         attach
-        for attach in survey_mod._attachment_sets(kind, g, t)
+        for attach in survey_mod._attachment_sets(kind, rows, t, masks)
         if not rejected_by_the_per_vertex_prefilter(g, attach)
     ]
     got = []
-    for grown, child in survey_mod._children(kind, g, t):
-        assert child == _vertex_keys(grown)
-        got.append(grown[-1])
+    for entry in survey_mod._children(kind, rows, t):
+        grown = _unpack_rows(n, entry)
+        attach = grown[-1]
+        assert grown[:-1] == [row | (attach >> v & 1) << g.n for v, row in enumerate(rows)]
+        # the derived keys are the child's fresh _vertex_keys
+        assert entry == _class_entry(grown, _vertex_keys(grown)), (rows, attach)
+        got.append(attach)
     assert got == want
 
 
@@ -197,11 +266,12 @@ def test_attachment_sets_leave_out_exactly_the_sizes_below_least(kind, n, t, pic
     parents = survey_mod._level(kind, n - 1, max(t - 1, 0))
     if not parents:
         return
-    g = from_adj_rows(n - 1, _unpack_rows(n - 1, parents[pick % len(parents)]))
-    every = list(survey_mod._attachment_sets(kind, g, t))
+    rows = _unpack_rows(n - 1, parents[pick % len(parents)])
+    masks = [1 << v for v in range(n - 1)]
+    every = list(survey_mod._attachment_sets(kind, rows, t, masks))
     for least in range(n + 1):
         want = [a for a in every if not 2 <= a.bit_count() < least]
-        assert list(survey_mod._attachment_sets(kind, g, t, least)) == want
+        assert list(survey_mod._attachment_sets(kind, rows, t, masks, least)) == want
 
 
 def test_level_computes_vertex_keys_per_parent_not_per_child(monkeypatch):
@@ -224,8 +294,10 @@ def test_level_computes_vertex_keys_per_parent_not_per_child(monkeypatch):
     parents = sum(
         len(survey_mod._level(kind, n - 1, max(t - 1, 0))) for kind, n, t in survey_mod._LEVELS
     )
-    # one call per parent and one per representative a child is compared with
-    assert calls["keys"] <= parents + calls["isomorphic"] < calls["children"]
+    # one call per parent: a child's keys follow from its parent's, and a
+    # representative's are stored with it for the children compared with it
+    assert calls["keys"] == parents
+    assert 0 < calls["isomorphic"] < calls["children"]
 
 
 def test_enumeration_bipartite_counts():
@@ -359,34 +431,125 @@ def test_examine_searches_no_palette_the_pipeline_ruled_out(monkeypatch):
     assert 2 not in searched
 
 
+SURVEY_LEVELS = [("general", n, -(-n // 4)) for n in range(5, 9)]
+SURVEY_LEVELS += [("bipartite", n, -(-(n + 6) // 8)) for n in range(4, 10)]
+
+
+def families(n, graphs):
+    """The runs of graphs that share their first n-1 rows with bit n-1
+    masked off, that is, their parent."""
+    parent_bits = sum(((1 << n - 1) - 1) << n * v for v in range(n - 1))
+    return [list(run) for _, run in groupby(graphs, parent_bits.__and__)]
+
+
 def test_examine_settles_each_survey_graph_as_the_pipeline_does(monkeypatch):
-    # one path search per graph; a graph settled on its rows also gets a
+    # one path search per family of two or more, plus one per graph that
+    # takes _examine's route; a graph settled on its own rows also gets a
     # path certificate that the checker passes with no path hint
-    searches = []
-    real = survey_mod._dominating_path
+    searches, routed = [], []
+    real_search, real_examine = survey_mod._dominating_path, survey_mod._examine
 
-    def spy(rows):
+    def search(rows):
         searches.append(rows)
-        return real(rows)
+        return real_search(rows)
 
-    monkeypatch.setattr(survey_mod, "_dominating_path", spy)
-    levels = [("general", n, -(-n // 4)) for n in range(5, 9)]
-    levels += [("bipartite", n, -(-(n + 6) // 8)) for n in range(4, 10)]
-    on_rows = 0
-    for kind, n, t in levels:
-        for packed in survey_mod._level(kind, n, t):
-            searches.clear()
-            outcome = survey_mod._examine(n, packed)[0]
-            assert len(searches) == 1
+    def examine(n, packed):
+        before = len(searches)
+        outcome = real_examine(n, packed)
+        assert len(searches) == before + 1
+        routed.append(packed)
+        return outcome
+
+    monkeypatch.setattr(survey_mod, "_dominating_path", search)
+    monkeypatch.setattr(survey_mod, "_examine", examine)
+    on_rows = total = 0
+    for kind, n, t in SURVEY_LEVELS:
+        graphs = survey_mod._level(kind, n, t)
+        searches.clear()
+        routed.clear()
+        outcomes = survey_mod._examine_families(n, graphs)
+        parents = sum(1 for family in families(n, graphs) if len(family) > 1)
+        assert len(searches) == parents + len(routed)
+        total += len(searches)
+        for packed, (outcome, _) in zip(graphs, outcomes, strict=True):
             g = from_adj_rows(n, _unpack_rows(n, packed))
             assert outcome == ("two" if pc2_pipeline(g) is not None else "exception")
-            path = real(g.adj)
+            path = real_search(g.adj)
             if path is not None and constructive_mod._dominates(g.adj, path):
                 assert verify_certificate(constructive_mod._color_path(g, path)).ok
                 on_rows += 1
     # 8,011 survey graphs and the 4 complete graphs the min-degree survey
     # skips; all 221 bipartite graphs
     assert on_rows == 8011 + 4 + 221
+    assert total < 8015 + 221
+
+
+def parent_path_settlements(examine_families, n, family):
+    """Run examine_families (survey._examine_families or a copy) on one
+    family with _examine stubbed out. Returns the graphs its parent's
+    path settled, and those of them that the path does not 2-dominate or
+    whose coloring (_path_colors) does not properly connect them."""
+    paths = []
+
+    def search(rows):
+        paths.append(constructive_mod._dominating_path(rows))
+        return paths[-1]
+
+    stubs = {"_dominating_path": search, "_examine": lambda n, packed: ("routed", None)}
+    with mock.patch.dict(examine_families.__globals__, stubs):
+        outcomes = examine_families(n, family)
+    settled = [packed for packed, (kind, _) in zip(family, outcomes) if kind == "two"]
+    failures = []
+    for packed in settled:
+        (path,) = paths
+        g = from_adj_rows(n, _unpack_rows(n, packed))
+        if not (
+            constructive_mod._dominates(g.adj, path)
+            and is_proper_connected(EdgeColoring(g, 2, constructive_mod._path_colors(g, path)))
+        ):
+            failures.append(packed)
+    return settled, failures
+
+
+def loose_examine_families():
+    """A copy of survey._examine_families that settles a child with one
+    neighbour on its parent's path, not two."""
+    source = inspect.getsource(survey_mod._examine_families)
+    assert source.count(".bit_count() >= 2") == 1
+    namespace = dict(vars(survey_mod))
+    exec(source.replace(".bit_count() >= 2", ".bit_count() >= 1"), namespace)
+    return namespace["_examine_families"]
+
+
+def test_parent_paths_settle_only_children_they_two_dominate():
+    settled = 0
+    for kind, n, t in SURVEY_LEVELS:
+        for family in families(n, survey_mod._level(kind, n, t)):
+            done, failures = parent_path_settlements(survey_mod._examine_families, n, family)
+            assert failures == []
+            settled += len(done)
+    assert settled > 7000
+    # K_{2,4} has no spanning path, and a longest path 2-dominates it. A
+    # new vertex joined to one vertex on that path and to the one it
+    # leaves off has two neighbours but is not 2-dominated by the path
+    parent = complete_bipartite(2, 4)
+    path = constructive_mod._dominating_path(parent.adj)
+    (off,) = set(range(6)) - set(path)
+    child = from_edge_list(7, list(parent.edges) + [(path[0], 6), (off, 6)])
+    family = [_pack_rows(child.adj)] * 2
+    assert parent_path_settlements(survey_mod._examine_families, 7, family) == ([], [])
+    assert parent_path_settlements(loose_examine_families(), 7, family) == (family, family)
+
+
+@given(st.integers(min_value=3, max_value=9), st.data())
+@settings(max_examples=150, deadline=None)
+def test_parent_paths_settle_random_children_they_two_dominate(n, data):
+    # a family of two copies of a graph whose last vertex has degree >= 2
+    edges = data.draw(st.sets(st.tuples(st.integers(0, n - 2), st.integers(0, n - 2))))
+    attach = data.draw(st.sets(st.integers(0, n - 2), min_size=2))
+    g = from_edge_list(n, [(u, v) for u, v in edges if u != v] + [(v, n - 1) for v in attach])
+    packed = _pack_rows(g.adj)
+    assert parent_path_settlements(survey_mod._examine_families, n, [packed, packed])[1] == []
 
 
 def test_min_degree_survey_certifies_only_with_the_kernel(monkeypatch):
@@ -407,7 +570,9 @@ def test_min_degree_survey_certifies_only_with_the_kernel(monkeypatch):
     count("exact", survey_mod, "pc_exact")
     report = survey_min_degree(5, 8)
     assert sum(report.totals.values()) == 8017
-    assert calls == {"search": 8017, "path": 0, "kernel": 6, "exact": 2}
+    # one search per parent with two or more children, and one per graph
+    # its parent's path does not settle
+    assert calls == {"search": 1742, "path": 0, "kernel": 6, "exact": 2}
 
 
 def test_min_degree_survey_bounds_checking():
@@ -452,7 +617,7 @@ def test_worker_count_is_capped_by_cpus_and_chunks(monkeypatch):
     class Context:
         Pool = RecordingPool
 
-    monkeypatch.setattr(survey_mod, "get_context", lambda method: Context)
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: Context)
     graphs = survey_mod._level("general", 6, 2)
     serial = survey_mod._map_examine(6, graphs, 1)
     assert started == []
@@ -511,7 +676,7 @@ def test_unresolved_records_carry_canonical_codes(monkeypatch):
 def test_twin_class_swaps_are_automorphisms():
     for code in ("F@QFw", "G@LCE[", to_graph6(complete_graph(5)), to_graph6(cycle_graph(4))):
         g = from_graph6(code)
-        classes = survey_mod._twin_classes(g)
+        classes = survey_mod._twin_classes(g.adj)
         assert sorted(v for cls in classes for v in cls) == list(range(g.n))
         for cls in classes:
             for u in cls:
