@@ -7,25 +7,25 @@ is never trusted on the strength of the construction alone. A path
 coloring's check is handed the path, which the checker walks first.
 Colorings that are searched for come from the completion kernel
 `coloring.complete`, whose passing leaf check is that one check.
-Searches are deterministic: fixed candidate orders, and any sampled
-candidates come from a seeded generator. pc2_pipeline tries a path that
-spans g or 2-dominates it (every vertex off it has two neighbours on it)
-first, and returns None only after the kernel has exhausted every
-2-coloring.
+Searches are deterministic: fixed candidate orders, with no sampling.
+A strong 2-coloring of a bipartite bridgeless graph is constructed, not
+searched for. pc2_pipeline tries a path that spans g or 2-dominates it
+(every vertex off it has two neighbours on it) first, and returns None
+only after the kernel has exhausted every 2-coloring.
 """
 
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 
 from .coloring import (
+    PROFILE_MAX_N,
     EdgeColoring,
     _coloring_document,
     complete,
-    has_strong_property,  # noqa: F401  (perfbench/tracing.py wraps it here)
+    has_strong_property,
     is_proper_connected,
 )
 from .errors import (
@@ -416,43 +416,74 @@ def _ear_edge_runs(ears):
 
 
 def _ear_patterns(g: Graph):
-    """Deterministic stream of 2-color tuples that alternate colors 1 and
-    2 along each ear of an ear decomposition, one phase per ear; seeded
-    phases stand in for all of them when there are too many."""
+    """2-color tuples that alternate 1, 2, 1, ... along each ear of
+    `_ear_decomposition(g)`, one phase per ear: the first _PHASE_CAP
+    phase vectors in `product` order, so all phases 0 come first."""
     edge_index = {e: i for i, e in enumerate(g.edges)}
     runs = _ear_edge_runs(_ear_decomposition(g))
-
-    def from_phases(phases):
+    for phases in islice(product((0, 1), repeat=len(runs)), _PHASE_CAP):
         colors = [1] * g.m
         for run, phase in zip(runs, phases):
             for i, e in enumerate(run):
                 colors[edge_index[e]] = 1 + (i + phase) % 2
-        return tuple(colors)
-
-    n_runs = len(runs)
-    if (1 << n_runs) <= _PHASE_CAP:
-        for phases in product((0, 1), repeat=n_runs):
-            yield from_phases(phases)
-    else:
-        rng = random.Random(0x0EA5 ^ (g.n << 16) ^ g.m)
-        for _ in range(_PHASE_CAP):
-            yield from_phases([rng.randrange(2) for _ in range(n_runs)])
+        yield tuple(colors)
 
 
 def strong_coloring_bridgeless(g: Graph) -> PcCertificate:
     """Checked strong certificate for a connected bridgeless graph:
-    2 colors when bipartite, at most 3 otherwise.
+    2 colors when bipartite, for n <= PROFILE_MAX_N, and at most 3
+    otherwise, for n <= STRONG_SEARCH_MAX_N. The caps are tested before
+    the ear decomposition is built, since its shortest cycle costs
+    O(m (n + m)).
 
-    The ear-decomposition patterns are tried first, then the completion
-    kernel searches every coloring of the palette; there is no sampling
-    and no volume guard, only the n <= STRONG_SEARCH_MAX_N cap. Each
-    candidate is checked exactly, so the patterns never affect soundness.
-    Borozan et al., "Proper connection of graphs", Discrete Math. 312
-    (2012), guarantee such a coloring, so an exhausted search is a bug,
-    not a result, and raises.
+    Bipartite input is constructed, not searched: the first of
+    `_ear_patterns`, which alternates 1, 2, 1, ... along every ear, is
+    checked once, and a failed check raises VerificationFailed as a bug.
+    The lemma below rules that out for any phase on each ear, not only
+    for phase 0. Induction over the ears shows that every pair of
+    vertices of the covered part H has proper paths in H that leave
+    either end in both colors; the ears partition g's edges, so H ends
+    as g. Paths in H avoid the interior of a new ear, so joining them to
+    pieces of that ear keeps them simple.
+    - Parity lemma. In a bipartite graph colored 1 and 2 a proper path
+      alternates, so its last color is fixed by its first color and by
+      whether its ends lie on the same side. Two proper u-v paths with
+      different first colors thus have different last colors, so a
+      pair is strong exactly when proper u-v paths leave u in both
+      colors, and then they also leave v in both.
+    - Base. The first ear is an even cycle colored alternately. Its two
+      arcs between any two of its vertices leave each in different
+      colors.
+    - New ear x = a_0 ... a_l = y, with a new interior (x = y is allowed,
+      and then l is even). For an inner vertex w and an old vertex z,
+      one path runs along the ear to x, then takes an old x-z path that
+      leaves x in the color other than that of a_0 a_1 (none when
+      z = x). The other runs along the ear to y, then takes an old y-z
+      path that leaves y in the color other than that of a_{l-1} a_l
+      (none when z = y). The two leave w by its two ear edges, which
+      have different colors.
+    - Two inner vertices. One path runs along the ear between them. The
+      other leaves the ear at x and crosses by an old x-y path Q that
+      leaves x in the color other than that of a_0 a_1, then re-enters
+      the ear at y. Q and the ear are proper x-y paths whose first
+      colors differ, so by the parity lemma Q's last color differs from
+      that of a_{l-1} a_l.
+    - Closed ears. When x = y the two ear edges at x have different
+      colors, since l is even, so the second path needs no Q.
+    - Chords (l = 1) add no new pair, whatever their color.
+
+    Non-bipartite input is searched: the ear patterns with two colors,
+    then the completion kernel over every 3-coloring. Each candidate is
+    checked exactly, so the patterns never affect soundness. Borozan et
+    al., "Proper connection of graphs", Discrete Math. 312 (2012),
+    guarantee a strong 3-coloring of every bridgeless graph, so an
+    exhausted search is a bug, not a result, and raises.
     """
-    if g.n > STRONG_SEARCH_MAX_N:
-        raise TooLarge(f"strong search limited to n <= {STRONG_SEARCH_MAX_N}")
+    bipartite = bipartition(g) is not None
+    cap = PROFILE_MAX_N if bipartite else STRONG_SEARCH_MAX_N
+    if g.n > cap:
+        kind = "bipartite" if bipartite else "non-bipartite"
+        raise TooLarge(f"strong coloring of {kind} graphs limited to n <= {cap}")
     if not is_connected(g):
         raise Disconnected("strong coloring needs a connected graph")
     bridges = find_bridges(g)
@@ -460,17 +491,22 @@ def strong_coloring_bridgeless(g: Graph) -> PcCertificate:
         raise HasBridge(f"graph has bridge {bridges[0]}")
     if g.n < 3:
         raise TooSmall("bridgeless coloring needs n >= 3")
-    bipartite = bipartition(g) is not None
-    strategy = "bipartite_bridgeless" if bipartite else "bridgeless_3"
-    for colors in _ear_patterns(g):
-        cert = _search(g, 2, dict(zip(g.edges, colors)), (), strategy, strong=True)
+    patterns = _ear_patterns(g)
+    if bipartite:
+        coloring = EdgeColoring(g, 2, next(patterns))
+        if not has_strong_property(coloring):
+            raise VerificationFailed(
+                "bipartite_bridgeless construction produced a coloring that is not strong"
+            )
+        return PcCertificate(coloring, "bipartite_bridgeless", True)
+    for colors in patterns:
+        cert = _search(g, 2, dict(zip(g.edges, colors)), (), "bridgeless_3", strong=True)
         if cert is not None:
             return cert
-    k = 2 if bipartite else 3
-    cert = _search(g, k, {}, g.edges, strategy, strong=True)
+    cert = _search(g, 3, {}, g.edges, "bridgeless_3", strong=True)
     if cert is None:
         raise VerificationExhausted(
-            f"no strong {k}-coloring exists for n={g.n}, m={g.m}; "
+            f"no strong 3-coloring exists for n={g.n}, m={g.m}; "
             "this contradicts the guarantee for bridgeless graphs"
         )
     return cert

@@ -319,9 +319,9 @@ def test_strong_coloring_on_complete_bipartite():
     assert cert.k == 2
 
 
-def random_bipartite_bridgeless(rng, n):
+def random_bipartite_bridgeless(rng, n, sides=(3, 4, 5)):
     while True:
-        a = rng.choice([3, 4, 5])
+        a = rng.choice(sides)
         p = rng.choice([0.35, 0.5, 0.7])
         edges = [(u, v) for u in range(a) for v in range(a, n) if rng.random() < p]
         g = from_edge_list(n, edges)
@@ -364,6 +364,116 @@ def test_strong_coloring_guards():
         strong_coloring_bridgeless(from_edge_list(1, []))
     with pytest.raises(TooLarge):
         strong_coloring_bridgeless(cycle_graph(11))
+
+
+def glued_blocks(rng, sizes, block):
+    """Graphs block(rng, size), each after the first glued at one vertex
+    of the part built so far, under a random relabeling. The result is
+    bridgeless, and not 2-connected when there are two blocks or more;
+    bipartite blocks give a bipartite result."""
+    edges, n = [], 0
+    for size in sizes:
+        names = [rng.randrange(n), *range(n, n + size - 1)] if n else range(size)
+        edges += [(names[u], names[v]) for u, v in block(rng, size).edges]
+        n = max(names) + 1
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return from_edge_list(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def alternating_ear_colors(g, ears, phases):
+    """Colors 1, 2, 1, ... along each ear (the first one closed), shifted
+    by that ear's phase."""
+    color = {}
+    for idx, (ear, phase) in enumerate(zip(ears, phases)):
+        seq = ear + [ear[0]] if idx == 0 else ear
+        for i, (a, b) in enumerate(zip(seq, seq[1:])):
+            color[min(a, b), max(a, b)] = 1 + (i + phase) % 2
+    return tuple(color[e] for e in g.edges)
+
+
+def block_sizes(low, high, max_n):
+    return st.lists(st.integers(low, high), min_size=1, max_size=3).filter(
+        lambda sizes: 1 + sum(s - 1 for s in sizes) <= max_n
+    )
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), block_sizes(3, 6, 9))
+@PROPERTY_SETTINGS
+def test_ear_decomposition_partitions_the_edges_into_ears(seed, sizes):
+    # the contract strong_coloring_bridgeless's lemma rests on, also on
+    # bridgeless graphs with cut vertices
+    rng = random.Random(seed)
+    for g in (glued_blocks(rng, sizes, random_bridgeless), friendship_graph()):
+        ears = constructive._ear_decomposition(g)
+        cycle = ears[0]
+        assert len(cycle) >= 3 and len(set(cycle)) == len(cycle)
+        runs = [list(zip(cycle, cycle[1:] + cycle[:1]))]
+        covered = set(cycle)
+        for ear in ears[1:]:
+            assert len(ear) >= 2 and ear[0] in covered and ear[-1] in covered
+            inner = ear[1:-1]
+            assert len(set(inner)) == len(inner) and not covered & set(inner)
+            if ear[0] == ear[-1]:
+                assert len(ear) - 1 >= 3
+            covered.update(inner)
+            runs.append(list(zip(ear, ear[1:])))
+        used = sorted((min(a, b), max(a, b)) for run in runs for a, b in run)
+        assert used == list(g.edges)
+
+
+def test_bipartite_bridgeless_classes_are_constructed_without_search(monkeypatch):
+    # every class up to n=10 gets the phase-0 ear coloring, checked once,
+    # and never reaches the kernel
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("the kernel ran on bipartite input")
+
+    checks = []
+
+    def counted(c):
+        checks.append(c.graph)
+        return has_strong_property(c)
+
+    monkeypatch.setattr(constructive, "complete", no_kernel)
+    monkeypatch.setattr(constructive, "has_strong_property", counted)
+    graphs = 0
+    for n in range(4, 11):
+        for packed in survey_mod._level("bipartite", n, 2):
+            g = from_adj_rows(n, _unpack_rows(n, packed))
+            if find_bridges(g):
+                continue
+            graphs += 1
+            cert = check(strong_coloring_bridgeless(g), 2, "bipartite_bridgeless", strong=True)
+            assert checks[-1] is g
+            ears = constructive._ear_decomposition(g)
+            assert cert.coloring.colors == alternating_ear_colors(g, ears, [0] * len(ears))
+    assert graphs == len(checks) == 1221
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), block_sizes(4, 8, 12))
+@PROPERTY_SETTINGS
+def test_every_ear_phase_gives_a_strong_bipartite_coloring(seed, sizes):
+    # the lemma in strong_coloring_bridgeless's docstring covers any
+    # phase on each ear, not only the phase 0 that it builds
+    rng = random.Random(seed)
+    g = glued_blocks(rng, sizes, lambda rng, n: random_bipartite_bridgeless(rng, n, range(2, n - 1)))
+    ears = constructive._ear_decomposition(g)
+    phases = [rng.randrange(2) for _ in ears]
+    assert has_strong_property(EdgeColoring(g, 2, alternating_ear_colors(g, ears, phases)))
+
+
+def test_bipartite_strong_colorings_reach_the_checker_cap(monkeypatch):
+    cube = from_edge_list(16, [(a, a | 1 << b) for a in range(16) for b in range(4) if not a >> b & 1])
+    for g in (cube, cycle_graph(16), complete_bipartite(8, 8)):
+        check(strong_coloring_bridgeless(g), 2, "bipartite_bridgeless", strong=True)
+
+    def no_decomposition(g):
+        raise AssertionError("an ear decomposition was built past the cap")
+
+    monkeypatch.setattr(constructive, "_ear_decomposition", no_decomposition)
+    for g in (cycle_graph(18), cycle_graph(11)):
+        with pytest.raises(TooLarge):
+            strong_coloring_bridgeless(g)
 
 
 # --- gluing ------------------------------------------------------------------

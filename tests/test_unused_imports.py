@@ -1,7 +1,8 @@
 """Every name a library module imports is used there, so a deletion leaves
 no dead import behind. No linter is required: each module is parsed with
 ast. The one exception is an import marked for the benchmark's tracer,
-which wraps the name at that module; the mark must name a real wrap."""
+which wraps the name at that module; the mark must name a real wrap, and
+it goes once the module uses the name itself."""
 
 from __future__ import annotations
 
@@ -43,9 +44,10 @@ def _traced_names() -> dict[str, set[str]]:
     return wrapped
 
 
-def _unused_imports(source: str):
-    """(line, name, marked) for each imported name the module never reads;
-    marked is whether the name's line carries the tracer mark."""
+def _imports(source: str):
+    """(line, name, used, marked) for each name the module imports: used
+    is whether the module reads it, marked whether the name's line
+    carries the tracer mark."""
     tree = ast.parse(source)
     lines = source.splitlines()
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
@@ -56,23 +58,27 @@ def _unused_imports(source: str):
             continue
         for alias in node.names:
             name = (alias.asname or alias.name).split(".")[0]
-            if name not in used:
-                yield alias.lineno, name, TRACER_MARK in lines[alias.lineno - 1]
+            yield alias.lineno, name, name in used, TRACER_MARK in lines[alias.lineno - 1]
 
 
 def test_library_modules_use_every_name_they_import():
     traced = _traced_names()
-    unused, stray_marks = [], []
+    unused, stray_marks, stale_marks = [], [], []
     for filename in sorted(os.listdir(PACKAGE)):
         if not filename.endswith(".py") or filename == "__init__.py":
             continue
         module = filename[:-3]
         with open(os.path.join(PACKAGE, filename), encoding="utf-8") as fh:
             source = fh.read()
-        for line, name, marked in _unused_imports(source):
-            if not marked:
-                unused.append(f"{filename}:{line} {name}")
+        for line, name, used, marked in _imports(source):
+            where = f"{filename}:{line} {name}"
+            if used:
+                if marked:
+                    stale_marks.append(where)
+            elif not marked:
+                unused.append(where)
             elif name not in traced.get(module, set()):
-                stray_marks.append(f"{filename}:{line} {name}")
+                stray_marks.append(where)
     assert unused == [], "imported but never used"
     assert stray_marks == [], "marked for the tracer, which does not wrap it there"
+    assert stale_marks == [], "marked for the tracer, but the module uses it itself"
