@@ -199,6 +199,13 @@ def _extend(adj, full: int, v: int, visited: int, one: int, two: int, left):
     rest = adj[v] & unvis
     if not rest:
         return None if unvis & ~two else [v]
+    if not rest & rest - 1:
+        # one candidate: no list to build or sort
+        w = rest.bit_length() - 1
+        tail = _extend(adj, full, w, visited | rest, one | adj[w], two | one & adj[w], left)
+        if tail is not None:
+            tail.append(v)
+        return tail
     cands = []
     while rest:
         low = rest & -rest

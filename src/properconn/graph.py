@@ -204,6 +204,22 @@ def _reach_mask(adj, start: int, allowed: int) -> int:
     return seen
 
 
+def _deletion_components(rows) -> list[list[int]]:
+    """For every vertex u of the graph with adjacency rows `rows`, the
+    components of the graph minus u as bitmasks."""
+    full = (1 << len(rows)) - 1
+    out = []
+    for u in range(len(rows)):
+        left = full & ~(1 << u)
+        comps = []
+        while left:
+            comp = _reach_mask(rows, (left & -left).bit_length() - 1, left)
+            comps.append(comp)
+            left &= ~comp
+        out.append(comps)
+    return out
+
+
 def is_connected(g: Graph) -> bool:
     if g.n <= 1:
         return True
@@ -484,6 +500,34 @@ def _vertex_keys(rows) -> list[int]:
     return keys
 
 
+def _twin_classes(rows) -> list[list[int]]:
+    """The classes of twins of the graph with adjacency rows `rows`,
+    ascending: u and v are twins when N(u) - v = N(v) - u. This is an
+    equivalence, each class is a clique or an independent set, and any
+    permutation of a class that fixes every other vertex is an
+    automorphism.
+
+    Twins that are not adjacent have equal rows, and adjacent twins have
+    equal closed rows (row | 1 << u), so the classes are the groups of
+    equal rows and of equal closed rows. They share one dict, as no row
+    equals a closed row N[v]: a row holding v is the row of a neighbour
+    w of v, and N[v] holds w while w's row does not. No vertex has twins
+    of both kinds: N(u) = N(v) and N[u] = N[w] put w in N(v), so v in
+    N[w] = N[u], yet u and v are not adjacent."""
+    groups: dict[int, list[int]] = {}
+    for u, row in enumerate(rows):
+        groups.setdefault(row, []).append(u)
+        groups.setdefault(row | 1 << u, []).append(u)
+    classes = []
+    for u, row in enumerate(rows):
+        cls = groups[row]
+        if len(cls) == 1:
+            cls = groups[row | 1 << u]
+        if cls[0] == u:
+            classes.append(cls)
+    return classes
+
+
 def _isomorphic(a, keys_a, b, keys_b) -> bool:
     """Exact isomorphism test of the graphs with adjacency rows a and b.
 
@@ -597,7 +641,10 @@ def _add_class(classes: dict, n: int, entry: int):
     unless a graph isomorphic to it is there already. Returns its packed
     rows (_pack_rows) when it was added, else None.
 
-    classes holds graphs of one order. It maps the hash of a graph's
+    classes holds graphs of one order: survey._level keeps one for the
+    children that can meet an isomorph anywhere in the level and one per
+    parent for those that can meet one only among their siblings. It
+    maps the hash of a graph's
     sorted vertex keys (hashes of int tuples do not depend on
     PYTHONHASHSEED) to its one representative's entry, or to a list of
     them when non-isomorphic graphs share the hash, so a collision reads

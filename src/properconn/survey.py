@@ -5,9 +5,11 @@ Augmentation (grow by one vertex, keep one child per class) enumerates
 the classes for n <= 9, and the bipartite survey's classes for n <= 13;
 the test suite cross-checks it with an independent labeled
 adjacency-mask sweep for n <= 7. Children are pruned
-by twin classes and a canonical-deletion prefilter, and the survivors are
-deduplicated by vertex invariants (derived from the parent's) plus an
-exact isomorphism test, so a level is built without canonical labeling;
+by twin classes and a canonical-deletion prefilter. The prefilter also
+shows which survivors can meet an isomorph only among their siblings, or
+none at all; the others are deduplicated level-wide, each by vertex
+invariants (derived from the parent's) plus an exact isomorphism test,
+so a level is built without canonical labeling;
 enumerate_connected labels each class once, and a survey labels only the
 graphs its report prints.
 A level with minimum degree >= t grows from levels filtered the same
@@ -35,7 +37,7 @@ import json
 import os
 import time
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from importlib import resources
 from itertools import chain, groupby, product
 
@@ -62,8 +64,9 @@ from .graph import (
     _add_class,
     _bipartite_sides,
     _class_entry,
+    _deletion_components,
     _pack_rows,
-    _reach_mask,
+    _twin_classes,
     _unpack_rows,
     _vertex_keys,
     bipartition,
@@ -92,44 +95,26 @@ FIXTURE_RESOURCE = "exceptional_graphs.json"
 _LEVELS: dict[tuple[str, int, int], tuple[int, ...]] = {}
 
 
-def _twin_classes(rows) -> list[list[int]]:
-    """The classes of twins of the graph with adjacency rows `rows`,
-    ascending: u and v are twins when N(u) - v = N(v) - u. This is an
-    equivalence, each class is a clique or an independent set, and any
-    permutation of a class that fixes every other vertex is an
-    automorphism."""
-    classes: list[list[int]] = []
-    done = 0
-    for u, row in enumerate(rows):
-        if done >> u & 1:
-            continue
-        cls = [u] + [
-            v
-            for v in range(u + 1, len(rows))
-            if not done >> v & 1 and row & ~(1 << v) == rows[v] & ~(1 << u)
-        ]
-        for v in cls:
-            done |= 1 << v
-        classes.append(cls)
-    return classes
-
-
-def _attachment_sets(kind: str, rows, t: int, weight, least: int = 0):
+def _attachment_sets(
+    kind: str, rows, t: int, weight, least: int = 0, meet: int = 0, classes=None
+):
     """The vertex sets the next vertex may attach to, in the graph with
     adjacency rows `rows`, when the child must have minimum degree >= t:
     at least t vertices (and at least one), holding every vertex of
     degree t-1. The bipartite chain attaches within one side only, which
     keeps the child bipartite. Sets of 2 to least-1 vertices are left
-    out.
+    out, and so are the sets of exactly least vertices that meet the
+    vertex mask `meet`.
 
     Each set is yielded as the sum of weight[v] over its vertices v. A
     weight must hold 1 << v in its low len(rows) bits, so the low bits of
     a sum are the set; weights of 1 << v yield the sets' bitmasks.
 
-    Within each twin class only a lowest-index prefix is attached to: any
-    other set maps onto such a one by an automorphism of the graph that
-    permutes vertices within twin classes, and that automorphism, fixing
-    the new vertex, carries one child onto the other. Twins share a
+    Within each twin class (`classes`, by default _twin_classes(rows))
+    only a lowest-index prefix is attached to: any other set maps onto
+    such a one by an automorphism of the graph that permutes vertices
+    within twin classes, and that automorphism, fixing the new vertex,
+    carries one child onto the other. Twins share a
     degree, so the vertices of degree t-1 are whole classes. The sets are
     the unions of one prefix per class, which are disjoint, taken in
     itertools.product order."""
@@ -137,7 +122,7 @@ def _attachment_sets(kind: str, rows, t: int, weight, least: int = 0):
     sides = [full] if kind == "general" else _bipartite_sides(rows)
     low = sum(1 << v for v, row in enumerate(rows) if row.bit_count() == t - 1)
     prefixes = []
-    for cls in _twin_classes(rows):
+    for cls in _twin_classes(rows) if classes is None else classes:
         sums = [0]
         for v in cls:
             sums.append(sums[-1] + weight[v])
@@ -149,30 +134,41 @@ def _attachment_sets(kind: str, rows, t: int, weight, least: int = 0):
         options = [[s for s in sums if not s & full & ~side] for sums in prefixes]
         for s in map(sum, product(*options)):
             d = (s & full).bit_count()
-            if d >= fewest and not 2 <= d < least:
+            if d >= fewest and not (2 <= d < least or d == least and s & meet):
                 yield s
 
 
-def _deletion_components(rows) -> list[list[int]]:
-    """For every vertex u of the graph with adjacency rows `rows`, the
-    components of the graph minus u as bitmasks."""
-    full = (1 << len(rows)) - 1
-    out = []
-    for u in range(len(rows)):
-        left = full & ~(1 << u)
-        comps = []
-        while left:
-            comp = _reach_mask(rows, (left & -left).bit_length() - 1, left)
-            comps.append(comp)
-            left &= ~comp
-        out.append(comps)
-    return out
+@cache
+def _order_tables(m: int) -> tuple:
+    """The parts of _children's layout for parents of order m, built once
+    per m: the offsets c_at, a_at and r_at of a weight's fields; ones (1 in
+    every _KEY_BITS field), guard (every field's top bit) and fields (all
+    their bits); by_row[row], the degree and spread bits of a vertex with
+    that row, for all 2**m rows; and fixed[v], the bits of v's weight that
+    do not depend on the parent. A vertex v with row `row` then weighs
+    fixed[v] + by_row[row]."""
+    f, n = _KEY_BITS, m + 1
+    c_at = m + 8
+    a_at = c_at + f * m
+    r_at = a_at + f * m
+    ones = sum(1 << f * u for u in range(m))
+    by_row = [0]
+    for row in range(1, 1 << m):
+        u = (row & -row).bit_length() - 1
+        by_row.append(by_row[row & row - 1] + (1 << m | 1 << c_at + f * u))
+    fixed = [
+        1 << v | 1 << a_at + f * v | (1 << n * v + m | 1 << n * m + v) << r_at for v in range(m)
+    ]
+    return c_at, a_at, r_at, ones, ones << f - 1, (1 << f * m) - 1, by_row, fixed
 
 
 def _children(kind: str, rows, t: int):
-    """Yield the class entry (graph._class_entry) of each child of the
-    graph with adjacency rows `rows` that passes prunes (a) and (b) of
-    _level, in attachment-set order; the new vertex is the last.
+    """Yield (route, entry) for each child of the graph with adjacency
+    rows `rows` that passes prunes (a) and (b) of _level, in
+    attachment-set order: entry is its class entry (graph._class_entry),
+    with the new vertex last, and route is what (b) proves about the
+    isomorphs it can meet (_level): 0 none, 1 only its siblings, 2 any
+    child of the level.
 
     Nothing is built per child but a few ints. What a set A changes is a
     sum over its vertices, so each vertex v gets one weight and
@@ -181,8 +177,9 @@ def _children(kind: str, rows, t: int):
     sum of A, below 256 for n <= 13); the spread of v's row, one _KEY_BITS field per vertex
     holding 1 at v's neighbours (the sum holds c_u = |N(u) & A| in field
     u); 1 in field v (the sum marks A's fields); and the two bits v adds
-    to the child's packed rows. From these the keys of the old vertices
-    in the child, packed as in a class entry, are one expression
+    to the child's packed rows. All but the degree and the spread are
+    fixed per order (_order_tables). From these the keys of the old
+    vertices in the child, packed as in a class entry, are one expression
     (graph._vertex_keys): an attached u gains degree 1, neighbour-degree
     sum c_u + |A| and c_u triangles, any other u gains c_u to its
     neighbour-degree sum.
@@ -198,30 +195,29 @@ def _children(kind: str, rows, t: int):
     non-cut vertex of the child when A meets every component of the
     parent minus u. With D the largest degree of a u of the first kind,
     every set of 2 to D-1 vertices is dropped (u outranks the new vertex
-    outside or inside A), so `_attachment_sets` leaves them out."""
+    outside or inside A), and so is every set of exactly D >= 2 vertices
+    that holds such a u of degree D (it has degree D + 1 in the child),
+    so `_attachment_sets` leaves them out. The same test at threshold
+    mine << 8 finds the old vertices whose pair ties the new vertex's;
+    a child with none goes by its parent's route, 0 when the parent is
+    rigid (as many distinct keys as twin classes) and 1 otherwise."""
     m, n = len(rows), len(rows) + 1
     f = _KEY_BITS
+    c_at, a_at, r_at, ones, guard, fields, by_row, fixed = _order_tables(m)
     keys = _vertex_keys(rows)
     comps = _deletion_components(rows)
-    ones = sum(1 << f * u for u in range(m))
-    guard = ones << f - 1
-    solid = sum(1 << f * u + f - 1 for u, parts in enumerate(comps) if len(parts) <= 1)
+    classes = _twin_classes(rows)
+    alone = 0 if len(set(keys)) == len(classes) else 1
+    solids = [u for u, parts in enumerate(comps) if len(parts) <= 1]
     cuts = [(1 << f * u + f - 1, parts) for u, parts in enumerate(comps) if len(parts) > 1]
-    most = max((keys[u] >> 16 for u in range(m) if solid >> f * u + f - 1 & 1), default=0)
-    full, fields = (1 << m) - 1, (1 << f * m) - 1
-    c_at = m + 8
-    a_at = c_at + f * m
-    r_at = a_at + f * m
-    weight = []
-    for v, row in enumerate(rows):
-        spread = sum(1 << f * u for u in range(m) if row >> u & 1)
-        grow = 1 << n * v + m | 1 << n * m + v
-        weight.append(
-            1 << v | row.bit_count() << m | spread << c_at | 1 << a_at + f * v | grow << r_at
-        )
+    most = max((keys[u] >> 16 for u in solids), default=0)
+    meet = sum(1 << u for u in solids if keys[u] >> 16 == most) if most >= 2 else 0
+    solid = sum(1 << f * u + f - 1 for u in solids)
+    full = (1 << m) - 1
+    weight = [fixed[v] + by_row[row] for v, row in enumerate(rows)]
     base = sum(key << f * u for u, key in enumerate(keys))
     base_rows = sum(row << n * v for v, row in enumerate(rows))
-    for s in _attachment_sets(kind, rows, t, weight, most):
+    for s in _attachment_sets(kind, rows, t, weight, most, meet, classes):
         attach = s & full
         d = attach.bit_count()
         around = d + (s >> m & 255)
@@ -231,19 +227,21 @@ def _children(kind: str, rows, t: int):
         # does not compare them, and a triangle count stays below 256, so
         # adding them later carries into no compared bit
         child = base + (c << 8) + on * (1 << 16 | d << 8)
-        over = ((child | guard) - ((d << 8 | around) + 1 << 8) * ones) & guard
+        mine = d << 8 | around
+        over = ((child | guard) - (mine + 1 << 8) * ones) & guard
         if over & (solid & ~(on << f - 1) if d == 1 else solid):
             continue
         if over & ~solid and any(
             over & bit and all(comp & attach for comp in parts) for bit, parts in cuts
         ):
             continue
+        tied = ((child | guard) - (mine << 8) * ones) & guard != over
         inner = c & on * _KEY_MASK
         # the new vertex's triangles: half of the sum of inner's fields,
         # which the product with ones gathers in field m-1
         tri = (inner * ones >> f * (m - 1) & _KEY_MASK) >> 1
-        top = child + inner | (d << 16 | around << 8 | tri) << f * m
-        yield top << n * n | base_rows + (s >> r_at)
+        top = child + inner | (mine << 8 | tri) << f * m
+        yield 2 if tied else alone, top << n * n | base_rows + (s >> r_at)
 
 
 def _level(kind: str, n: int, t: int) -> tuple[int, ...]:
@@ -266,11 +264,38 @@ def _level(kind: str, n: int, t: int) -> tuple[int, ...]:
 
     `_children` runs both, (b) on the child's keys packed in one int. A
     surviving child is kept unless it is isomorphic to a child already
-    kept (`graph._add_class`): children are bucketed by their sorted
-    vertex invariants, and an exact isomorphism test decides within a
-    bucket, so no child is labeled. _vertex_keys runs once per parent: a
-    child's keys follow from its parent's, and a kept child's are stored
-    with it for the comparisons to come.
+    kept. Where it may meet one (the routes below), `graph._add_class`
+    decides: children are bucketed by their sorted vertex invariants, and
+    an exact isomorphism test decides within a bucket, so no child is
+    labeled. _vertex_keys runs once per parent: a child's keys follow
+    from its parent's, and a kept child's are stored with it for the
+    comparisons to come.
+
+    Routes. Call the new vertex x of a child top when no other vertex has
+    its (degree, neighbour-degree sum) pair.
+
+    Lemma (unique top). A kept child isomorphic to a child C with top x
+    is a sibling of C. An isomorphism g from C onto a kept child C' keeps
+    pairs and non-cut vertices. x is non-cut and (b) gave it the largest
+    pair among C's non-cut vertices, so g(x), the one vertex of C' with
+    that pair, has the largest among those of C'; (b) gave the new vertex
+    x' of C', also non-cut, the largest too, so x' = g(x). So C - x and
+    C' - x' are isomorphic parents, hence one parent P (a level holds
+    one per class), and g restricted to P is an automorphism of P that
+    carries one attachment set onto the other. C' is top too.
+
+    Lemma (rigid parent). If P has as many distinct keys (_vertex_keys)
+    as twin classes, each key class is a twin class, so every
+    automorphism of P permutes vertices within twin classes and maps no
+    set of (a), a union of class prefixes, onto another. So a top child
+    of a rigid P has no isomorph among the other kept children.
+
+    So `_children` routes each child: a top child of a rigid parent is
+    kept with no dict, another top child goes through a dict for its
+    parent alone, and a tied child through the level-wide dict. A class
+    takes one route and every route keeps its first child, so the level
+    is the one a single dict would give. At _level("general", 8, 2) the
+    routes take 2,683, 3,679 and 3,493 of the 9,855 children.
 
     Soundness: in H delete a non-cut vertex v of maximum key among the
     non-cut vertices. H - v is connected with minimum degree >= t-1, so
@@ -307,8 +332,9 @@ def _level(kind: str, n: int, t: int) -> tuple[int, ...]:
     On one core of a 2-core machine under Python 3.11, the min-degree
     chain of survey_min_degree(5, 8) takes about 0.25 s, the full general
     level at n=8 about 0.35 s, _level("general", 9, 3) (84,242 classes)
-    about 3.5 s and the full general level at n=9 (261,080 classes) about
-    9 s.
+    about 2.6 s at 24 MB peak RSS, the full general level at n=9 (261,080
+    classes) about 6.5 s and _level("bipartite", 12, 2) (67,704 classes)
+    about 7.3 s.
     """
     if n == 1:
         return (0,) if t == 0 else ()
@@ -324,9 +350,12 @@ def _level(kind: str, n: int, t: int) -> tuple[int, ...]:
         else:
             classes: dict = {}
             kept = []
+            rows_mask = (1 << n * n) - 1
             for parent in _level(kind, n - 1, max(t - 1, 0)):
-                for entry in _children(kind, _unpack_rows(n - 1, parent), t):
-                    packed = _add_class(classes, n, entry)
+                # by route: no dict, the siblings' dict, the level's dict
+                dedup = (None, {}, classes)
+                for route, entry in _children(kind, _unpack_rows(n - 1, parent), t):
+                    packed = _add_class(dedup[route], n, entry) if route else entry & rows_mask
                     if packed is not None:
                         kept.append(packed)
             _LEVELS[key] = tuple(kept)

@@ -3,6 +3,7 @@ gluing, vertex absorption, and the 2-color decision pc2_pipeline."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import time
@@ -285,6 +286,31 @@ def test_a_capped_path_search_leaves_the_graph_to_the_kernel(monkeypatch):
     monkeypatch.setattr(constructive, "_DFS_STEPS", g.n)
     assert constructive._dominating_path(g.adj) is None
     check(pc2_pipeline(g), k=2, strategy="exhaustive")
+
+
+# sha256 of one line "kind n path steps" per graph of _level("general", n, 2)
+# for n = 5..8 and _level("bipartite", n, 0) for n = 2..9, in level order:
+# the path _dominating_path returns and the _extend calls it took
+PATH_SEARCH_DIGEST = "049f08074df176c23fb42d3e9532f592f9ada9a9914f89d2d49397f1759423fe"
+
+
+def test_path_search_paths_and_steps_are_pinned(monkeypatch):
+    steps = [0]
+    real = constructive._extend
+
+    def counted(*args):
+        steps[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(constructive, "_extend", counted)
+    digest = hashlib.sha256()
+    for kind, orders, t in (("general", range(5, 9), 2), ("bipartite", range(2, 10), 0)):
+        for n in orders:
+            for packed in survey_mod._level(kind, n, t):
+                steps[0] = 0
+                path = constructive._dominating_path(_unpack_rows(n, packed))
+                digest.update(f"{kind} {n} {path} {steps[0]}\n".encode())
+    assert digest.hexdigest() == PATH_SEARCH_DIGEST
 
 
 def test_the_empty_graph_gets_the_vacuous_certificate():

@@ -10,6 +10,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+from collections import Counter
 from itertools import groupby
 from unittest import mock
 
@@ -51,7 +52,13 @@ from properconn import solver as solver_mod
 from properconn import graph as graph_mod
 from properconn import survey as survey_mod
 from properconn.graph import _class_entry, _pack_rows, _reach_mask, _unpack_rows, _vertex_keys
-from util import complete_bipartite, complete_graph, cycle_graph, enumerate_connected_by_sweep
+from util import (
+    complete_bipartite,
+    complete_graph,
+    cycle_graph,
+    enumerate_connected_by_sweep,
+    level_through_one_dict,
+)
 
 # connected graphs per vertex count, a classic integer sequence
 CONNECTED_COUNTS = {2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
@@ -244,7 +251,7 @@ def test_child_keys_and_prunes_follow_from_the_parent(kind, n, t, pick):
         if not rejected_by_the_per_vertex_prefilter(g, attach)
     ]
     got = []
-    for entry in survey_mod._children(kind, rows, t):
+    for _, entry in survey_mod._children(kind, rows, t):
         grown = _unpack_rows(n, entry)
         attach = grown[-1]
         assert grown[:-1] == [row | (attach >> v & 1) << g.n for v, row in enumerate(rows)]
@@ -259,9 +266,10 @@ def test_child_keys_and_prunes_follow_from_the_parent(kind, n, t, pick):
     st.integers(min_value=2, max_value=8),
     st.integers(min_value=0, max_value=3),
     st.integers(min_value=0, max_value=2**16),
+    st.integers(min_value=0, max_value=2**8),
 )
 @settings(max_examples=60, deadline=None)
-def test_attachment_sets_leave_out_exactly_the_sizes_below_least(kind, n, t, pick):
+def test_attachment_sets_leave_out_exactly_the_sizes_below_least(kind, n, t, pick, meet_pick):
     # pruning partial unions keeps the other sets and their order
     parents = survey_mod._level(kind, n - 1, max(t - 1, 0))
     if not parents:
@@ -272,6 +280,11 @@ def test_attachment_sets_leave_out_exactly_the_sizes_below_least(kind, n, t, pic
     for least in range(n + 1):
         want = [a for a in every if not 2 <= a.bit_count() < least]
         assert list(survey_mod._attachment_sets(kind, rows, t, masks, least)) == want
+        # with a mask to meet, the sets of exactly least vertices that meet
+        # it go too, and the rest keep their order
+        meet = meet_pick % (1 << n - 1)
+        want = [a for a in want if not (a.bit_count() == least and a & meet)]
+        assert list(survey_mod._attachment_sets(kind, rows, t, masks, least, meet)) == want
 
 
 def test_level_computes_vertex_keys_per_parent_not_per_child(monkeypatch):
@@ -686,6 +699,85 @@ def test_twin_class_swaps_are_automorphisms():
                         tuple(sorted((swap.get(a, a), swap.get(b, b)))) for a, b in g.edges
                     }
                     assert image == set(g.edges)
+
+
+def pairwise_twin_classes(rows):
+    """The twin classes by their definition, pair by pair: v joins u's
+    class when N(u) - v = N(v) - u; classes ascending by least vertex."""
+    classes, done = [], 0
+    for u in range(len(rows)):
+        if not done >> u & 1:
+            cls = [
+                v
+                for v in range(u, len(rows))
+                if not done >> v & 1 and rows[u] & ~(1 << v) == rows[v] & ~(1 << u)
+            ]
+            done |= sum(1 << v for v in cls)
+            classes.append(cls)
+    return classes
+
+
+@st.composite
+def graphs_with_twins(draw):
+    """Rows of a graph on 0..12 vertices: a random graph, then copies of
+    its vertices, each adjacent to its original (a closed twin) or not
+    (an open twin), then a random relabeling."""
+    n = draw(st.integers(min_value=0, max_value=6))
+    rows = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if draw(st.booleans()):
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    for _ in range(draw(st.integers(min_value=0, max_value=12 - n)) if n else 0):
+        v, closed, w = draw(st.integers(0, len(rows) - 1)), draw(st.booleans()), len(rows)
+        row = rows[v] | closed << v
+        for u in range(w):
+            if row >> u & 1:
+                rows[u] |= 1 << w
+        rows.append(row)
+    label = draw(st.permutations(range(len(rows))))
+    relabeled = [0] * len(rows)
+    for u, row in enumerate(rows):
+        relabeled[label[u]] = sum(1 << label[v] for v in range(len(rows)) if row >> v & 1)
+    return relabeled
+
+
+@given(graphs_with_twins())
+@settings(max_examples=200, deadline=None)
+def test_grouped_twin_classes_follow_the_pairwise_definition(rows):
+    assert survey_mod._twin_classes(rows) == pairwise_twin_classes(rows)
+
+
+def test_grouped_twin_classes_on_small_and_complete_graphs():
+    # empty rows, K1, K2, K5 and a graph with both kinds of twins: 0 1
+    # are adjacent twins and 2 3 twins that are not, all joined to 4
+    both = from_edge_list(5, [(0, 1), (0, 4), (1, 4), (2, 4), (3, 4)])
+    cases = [[], [0] * 4, complete_graph(1).adj, complete_graph(2).adj, complete_graph(5).adj]
+    for rows in cases + [both.adj]:
+        assert survey_mod._twin_classes(rows) == pairwise_twin_classes(rows), rows
+    assert survey_mod._twin_classes([0] * 4) == [[0, 1, 2, 3]]
+    assert survey_mod._twin_classes(both.adj) == [[0, 1], [2, 3], [4]]
+
+
+def test_routed_levels_equal_one_dict_for_all(monkeypatch):
+    # each level is grown with its routes and compared with the same
+    # children deduplicated in one dict; t = 2 goes first, so it is grown
+    # rather than filtered from the t = 0 level
+    monkeypatch.setattr(survey_mod, "_LEVELS", {})
+    for kind, top in (("general", 8), ("bipartite", 10)):
+        for n in range(2, top + 1):
+            for t in (2, 0):
+                want = level_through_one_dict(kind, n, t)
+                assert survey_mod._level(kind, n, t) == want, (kind, n, t)
+    routes = Counter(
+        route
+        for parent in survey_mod._level("general", 7, 1)
+        for route, _ in survey_mod._children("general", _unpack_rows(7, parent), 2)
+    )
+    # at n = 8 some children are kept with no dict, some meet only their
+    # siblings' dict and some the level's
+    assert sorted(routes) == [0, 1, 2] and min(routes.values()) > 0, routes
 
 
 def test_corpus_deduplicates_isomorphs():
