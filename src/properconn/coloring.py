@@ -18,10 +18,15 @@ hand it to the plain check: the checker walks it first, as far as it is
 a proper simple path, and settles pairs the same way. An alternately
 colored spanning path settles every pair without a search, and no
 sequence can change the answer. Past a fixed step cap, the
-unsettled pairs go one at a time to a per-pair search pruned by walk
-reachability (breadth-first search over (vertex, last color) states).
-Walks may revisit vertices, so walk reachability can overcount: it
-prunes and rejects, but never accepts a pair.
+unsettled pairs go one at a time to a per-pair search: one depth-first
+search over the proper simple paths from the pair's first vertex, cut
+wherever its (vertex, last color) state cannot reach the second vertex
+by a proper walk. One reverse walk table, searched breadth-first,
+gives those states. Walks may revisit vertices, so the table can
+overcount: it cuts branches, but never accepts a pair. The table has
+one state per vertex and color in use; the declared palette size k
+does not size it, since a coloring whose k exceeds its edge count is
+checked with its colors ranked 1..d.
 
 `complete` is the one search over colorings: every exact coloring search
 in the package (minimum palettes, strong sweeps, the 2-color pipeline's
@@ -36,7 +41,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import ColoringGraphMismatch, Disconnected, NotAPath, TooLarge
-from .graph import DOCUMENT_MAX_N, Graph, from_edge_list, is_connected
+from .graph import DOCUMENT_MAX_N, Graph, _reach_mask, from_edge_list, is_connected
 
 PROFILE_MAX_N = 16
 
@@ -91,11 +96,6 @@ def _colors_by_edge(g: Graph, pairs) -> tuple[int, ...]:
     return tuple(normalized[e] for e in g.edges)
 
 
-def _has_strong_pair(pairs) -> bool:
-    """True when two (first color, last color) pairs differ in both."""
-    return any(s1 != s2 and e1 != e2 for s1, e1 in pairs for s2, e2 in pairs)
-
-
 # ---------------------------------------------------------------------------
 # internal machinery on primitive data (the checker behind every public
 # predicate and every node of the completion kernel)
@@ -106,23 +106,8 @@ def _has_strong_pair(pairs) -> bool:
 _DFS_STEPS = 256
 
 
-def _spread_states(trans, init: int) -> int:
-    seen = init
-    frontier = init
-    while frontier:
-        nxt = 0
-        m = frontier
-        while m:
-            low = m & -m
-            nxt |= trans[low.bit_length() - 1]
-            m ^= low
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen
-
-
 class _Machine:
-    """Per-coloring search state: color lookups, walk transitions, caches.
+    """Per-coloring search state: color lookups, a reverse walk table, caches.
 
     first_bad_pair runs one depth-first search over proper simple paths
     per source that still has an unsettled pair. Each search records in
@@ -133,11 +118,12 @@ class _Machine:
     up to its first step that is not an edge, repeats the previous
     edge's color or revisits a vertex. Only when a search
     passes its step cap does first_bad_pair fall back to the per-pair
-    search (pair_ok), which prunes with walk transitions over states
-    (vertex, last edge color), packed as v*k + color-1; those tables are
-    built on first use. recolor changes one edge's color in place and
-    drops those tables, which is how the completion kernel moves one
-    machine from search node to search node.
+    search (pair_ok), one DFS cut by good_states: the states (vertex,
+    last edge color), packed as v*k + color-1, from which a proper walk
+    reaches the target, read off one reverse step table built on first
+    use. recolor changes one edge's color in place and drops that
+    table, which is how the completion kernel moves one machine from
+    search node to search node.
     """
 
     def __init__(self, n: int, k: int, edges, colors):
@@ -148,119 +134,72 @@ class _Machine:
             rows[u][v] = c
             rows[v][u] = c
         self.rows = rows
-        self._trans = None
         self._rtrans = None
-        self._walk: dict[int, int] = {}
         self._good: dict[int, int] = {}
 
     def recolor(self, u: int, v: int, c: int) -> None:
         """Give edge uv color c and drop the tables built from old colors."""
         self.rows[u][v] = self.rows[v][u] = c
-        self._trans = self._rtrans = None
-        self._walk.clear()
+        self._rtrans = None
         self._good.clear()
 
-    def transitions(self) -> list[int]:
-        """trans[s]: states one proper step away from state s."""
-        if self._trans is None:
-            n, k, rows = self.n, self.k, self.rows
-            trans = [0] * (n * k)
-            for v in range(n):
-                out = sorted(rows[v].items())
-                for c in range(1, k + 1):
-                    mask = 0
-                    for w, cw in out:
-                        if cw != c:
-                            mask |= 1 << (w * k + cw - 1)
-                    trans[v * k + c - 1] = mask
-            self._trans = trans
-        return self._trans
-
-    def walk_mask(self, u: int) -> int:
-        """Vertices reachable from u by a proper walk of >= 1 edge."""
-        cached = self._walk.get(u)
-        if cached is not None:
-            return cached
-        k = self.k
-        init = 0
-        for w, c in self.rows[u].items():
-            init |= 1 << (w * k + c - 1)
-        states = _spread_states(self.transitions(), init)
-        vmask = 0
-        while states:
-            low = states & -states
-            vmask |= 1 << ((low.bit_length() - 1) // k)
-            states &= states - 1
-        self._walk[u] = vmask
-        return vmask
-
     def good_states(self, v: int) -> int:
-        """States (w, last color) from which some proper walk ends at v."""
+        """States (w, last color) from which some proper walk ends at v,
+        and v's own states, which pair_ok never looks up."""
         cached = self._good.get(v)
         if cached is not None:
             return cached
-        if self._rtrans is None:
-            trans = self.transitions()
-            rtrans = [0] * len(trans)
-            for s in range(len(trans)):
-                m = trans[s]
-                while m:
-                    low = m & -m
-                    rtrans[low.bit_length() - 1] |= 1 << s
-                    m ^= low
-            self._rtrans = rtrans
         k = self.k
-        init = 0
-        for w, cw in self.rows[v].items():
-            for c in range(1, k + 1):
-                if c != cw:
-                    init |= 1 << (w * k + c - 1)
-        mask = _spread_states(self._rtrans, init)
+        block = (1 << k) - 1
+        if self._rtrans is None:
+            # rtrans[s]: the states one proper step before state s; a
+            # step from x to w over color c follows any last color but c
+            rtrans = [0] * (self.n * k)
+            for w, row in enumerate(self.rows):
+                for x, c in row.items():
+                    rtrans[w * k + c - 1] |= (block ^ 1 << c - 1) << x * k
+            self._rtrans = rtrans
+        mask = _reach_mask(self._rtrans, block << v * k, -1)
         self._good[v] = mask
         return mask
 
-    def profile_pairs(self, u: int, v: int, strong: bool) -> set[tuple[int, int]]:
-        """DFS over proper simple u-v paths collecting (start, end) colors.
+    def pair_ok(self, u: int, v: int, strong: bool) -> bool:
+        """True when u and v are joined by a proper simple path, or in
+        strong mode by two whose first colors differ and whose last
+        colors differ.
 
-        It stops at the first pair, or with strong set once two pairs
-        differ in both coordinates. Branches whose (vertex, color) state
-        cannot reach v even by a walk are cut.
+        One DFS over the proper simple paths from u; a branch whose state
+        (vertex, last color) cannot reach v even by a walk is cut, so a
+        pair with no proper walk fails at the first step.
         """
         k = self.k
         rows = self.rows
         good = self.good_states(v)
-        pairs: set[tuple[int, int]] = set()
+        ends: set[tuple[int, int]] = set()
 
         def rec(w: int, visited: int, last: int, start: int) -> bool:
             for x, cx in rows[w].items():
                 if cx == last or visited >> x & 1:
                     continue
+                first = start or cx
                 if x == v:
-                    if (start, cx) not in pairs:
-                        pairs.add((start, cx))
-                        if not strong or _has_strong_pair(pairs):
-                            return True
-                    continue
-                if good >> (x * k + cx - 1) & 1 and rec(x, visited | 1 << x, cx, start):
+                    if not strong:
+                        return True
+                    if (first, cx) in ends:
+                        continue
+                    # as in dfs_from, only the new pair can complete one
+                    if any(s != first and e != cx for s, e in ends):
+                        return True
+                    ends.add((first, cx))
+                elif good >> (x * k + cx - 1) & 1 and rec(x, visited | 1 << x, cx, first):
                     return True
             return False
 
-        for w, c in sorted(rows[u].items()):
-            if w == v:
-                pairs.add((c, c))
-                if not strong or _has_strong_pair(pairs):
-                    break
-            elif good >> (w * k + c - 1) & 1 and rec(w, 1 << u | 1 << w, c, c):
-                break
+        # colors are >= 1, so 0 stands for "no edge yet"
+        ok = rec(u, 1 << u, 0, 0)
         # unbound for the same reason as in dfs_from
         del rec
-        return pairs
-
-    def pair_ok(self, u: int, v: int, strong: bool) -> bool:
-        if not self.walk_mask(u) >> v & 1:
-            return False
-        pairs = self.profile_pairs(u, v, strong)
-        return _has_strong_pair(pairs) if strong else bool(pairs)
+        return ok
 
     def dfs_from(self, u: int, strong: bool, pending: int, linked) -> tuple[int, bool]:
         """One DFS over the proper simple paths that start at u.
@@ -370,7 +309,13 @@ class _Machine:
 
 
 def _machine_for(c: EdgeColoring) -> _Machine:
-    return _Machine(c.graph.n, c.k, c.graph.edges, c.colors)
+    g, k, colors = c.graph, c.k, c.colors
+    if k > g.m:
+        # the walk table grows with k, which a document declares freely;
+        # only equality of colors matters, so rank those in use as 1..d
+        rank = {x: i for i, x in enumerate(sorted(set(colors)), 1)}
+        k, colors = len(rank), [rank[x] for x in colors]
+    return _Machine(g.n, k, g.edges, colors)
 
 
 class _OutOfTime(Exception):

@@ -104,9 +104,8 @@ def _certify(g: Graph, k: int, colors, strategy: str, path=None):
 
 def _search(g: Graph, k: int, fixed, free, strategy: str, strong=False, deadline=None):
     """Certificate for the first completion of `fixed` over `free` that
-    passes the exact check, or None when none does; with nothing free,
-    one exact check of `fixed`. The kernel's passing leaf check is the
-    certificate's check, so it is not run again."""
+    passes the exact check, or None when none does. The kernel's passing
+    leaf check is the certificate's check, so it is not run again."""
     colors = complete(g, k, fixed, free, strong, deadline)
     if colors is None:
         return None
@@ -479,12 +478,13 @@ def strong_coloring_bridgeless(g: Graph) -> PcCertificate:
       colors, since l is even, so the second path needs no Q.
     - Chords (l = 1) add no new pair, whatever their color.
 
-    Non-bipartite input is searched: the ear patterns with two colors,
-    then the completion kernel over every 3-coloring. Each candidate is
-    checked exactly, so the patterns never affect soundness. Borozan et
-    al., "Proper connection of graphs", Discrete Math. 312 (2012),
-    guarantee a strong 3-coloring of every bridgeless graph, so an
-    exhausted search is a bug, not a result, and raises.
+    Non-bipartite input is searched: each ear pattern with two colors
+    goes to the exact checker, and only then does the completion kernel
+    run, over every 3-coloring. Every candidate is checked exactly, so
+    the patterns never affect soundness. Borozan et al., "Proper
+    connection of graphs", Discrete Math. 312 (2012), guarantee a strong
+    3-coloring of every bridgeless graph, so an exhausted search is a
+    bug, not a result, and raises.
     """
     bipartite = bipartition(g) is not None
     cap = PROFILE_MAX_N if bipartite else STRONG_SEARCH_MAX_N
@@ -498,18 +498,15 @@ def strong_coloring_bridgeless(g: Graph) -> PcCertificate:
         raise HasBridge(f"graph has bridge {bridges[0]}")
     if g.n < 3:
         raise TooSmall("bridgeless coloring needs n >= 3")
-    patterns = _ear_patterns(g)
-    if bipartite:
-        coloring = EdgeColoring(g, 2, next(patterns))
-        if not has_strong_property(coloring):
+    for colors in _ear_patterns(g):
+        coloring = EdgeColoring(g, 2, colors)
+        if has_strong_property(coloring):
+            strategy = "bipartite_bridgeless" if bipartite else "bridgeless_3"
+            return PcCertificate(coloring, strategy, True)
+        if bipartite:
             raise VerificationFailed(
                 "bipartite_bridgeless construction produced a coloring that is not strong"
             )
-        return PcCertificate(coloring, "bipartite_bridgeless", True)
-    for colors in patterns:
-        cert = _search(g, 2, dict(zip(g.edges, colors)), (), "bridgeless_3", strong=True)
-        if cert is not None:
-            return cert
     cert = _search(g, 3, {}, g.edges, "bridgeless_3", strong=True)
     if cert is None:
         raise VerificationExhausted(

@@ -188,9 +188,11 @@ def degree_stats(g: Graph) -> tuple[tuple[int, ...], int, int]:
     return degrees, min(degrees), max(degrees)
 
 
-def _reach_mask(adj, start: int, allowed: int) -> int:
-    """Bitmask of vertices reachable from start inside the allowed mask."""
-    seen = 1 << start & allowed
+def _reach_mask(adj, seeds: int, allowed: int) -> int:
+    """Bitmask of the nodes reachable from the seed mask inside the
+    allowed mask, where -1 allows every node; adj[x] is the mask of x's
+    successors."""
+    seen = seeds & allowed
     frontier = seen
     while frontier:
         nxt = 0
@@ -213,7 +215,7 @@ def _deletion_components(rows) -> list[list[int]]:
         left = full & ~(1 << u)
         comps = []
         while left:
-            comp = _reach_mask(rows, (left & -left).bit_length() - 1, left)
+            comp = _reach_mask(rows, left & -left, left)
             comps.append(comp)
             left &= ~comp
         out.append(comps)
@@ -224,7 +226,7 @@ def is_connected(g: Graph) -> bool:
     if g.n <= 1:
         return True
     full = (1 << g.n) - 1
-    return _reach_mask(g.adj, 0, full) == full
+    return _reach_mask(g.adj, 1, full) == full
 
 
 def is_complete(g: Graph) -> bool:

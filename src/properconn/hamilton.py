@@ -94,7 +94,7 @@ def _spanning_path(adj, n: int, start: int, end_mask: int):
         unvis = full & ~visited
         rest = adj[v] & unvis
         # v adjacent to every unvisited vertex reaches them all
-        if rest != unvis and _reach_mask(adj, v, unvis | 1 << v) & unvis != unvis:
+        if rest != unvis and _reach_mask(adj, 1 << v, unvis | 1 << v) & unvis != unvis:
             dead.add(key)
             return False
         cands = []

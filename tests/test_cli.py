@@ -21,8 +21,9 @@ from properconn import (
     from_edge_list,
     make_coloring,
     strong_coloring_bridgeless,
+    to_graph6,
 )
-from properconn import solver
+from properconn import coloring, solver
 from properconn.cli import _parse_range, main
 from util import cycle_graph
 
@@ -113,6 +114,32 @@ def test_verify_runs_one_check_on_a_passing_coloring(tmp_path, capsys, monkeypat
     calls.clear()
     code, out, _ = run(capsys, "verify", "--graph6", "EhEG", str(path), "--strong")
     assert (code, out.strip(), calls) == (0, "ok strong", ["has_strong_property"])
+
+
+def test_verify_sizes_the_checker_by_the_colors_in_use(tmp_path, capsys, monkeypatch):
+    # K11 on 0..10 with every edge at 10 colored 1, and 11 hanging off 10
+    # by a color-1 edge, so only 10 reaches 11 properly. The declared k
+    # is far past the 3 colors in use and must not size the walk table
+    # of the per-pair search, which a step cap of 0 sends every pair to.
+    edges = [(u, v) for u in range(11) for v in range(u + 1, 11)] + [(10, 11)]
+    colors = [1 if v >= 10 else 1 + (u + v) % 3 for u, v in edges]
+    built = []
+
+    class Recorded(coloring._Machine):
+        def __init__(self, n, k, edges, colors):
+            built.append(k)
+            assert k <= len(colors), f"the checker was built over the declared k={k}"
+            super().__init__(n, k, edges, colors)
+
+    monkeypatch.setattr(coloring, "_DFS_STEPS", 0)
+    monkeypatch.setattr(coloring, "_Machine", Recorded)
+    doc = {"n": 12, "k": 10**6, "edges": [list(e) for e in edges], "colors": colors}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    graph6 = to_graph6(from_edge_list(12, edges))
+    code, out, _ = run(capsys, "verify", "--graph6", graph6, str(path))
+    assert (code, out.strip()) == (1, "no proper path for pair (0, 11)")
+    assert built and max(built) == 3
 
 
 def test_verify_graph_mismatch(tmp_path, capsys):

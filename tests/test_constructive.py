@@ -345,6 +345,22 @@ def test_strong_coloring_on_complete_bipartite():
     assert cert.k == 2
 
 
+# sha256 of one line "k strategy colors" per certificate that
+# strong_coloring_bridgeless gives the bridgeless classes with 3-7
+# vertices, in enumerate_connected order
+STRONG_CERTIFICATE_DIGEST = "f5c6bd90750cb5c0f47a82db711a7549967911db5756802532df84b85b8b871e"
+
+
+def test_strong_certificates_are_pinned():
+    digest = hashlib.sha256()
+    for n in range(3, 8):
+        for g in enumerate_connected(n):
+            if not find_bridges(g):
+                cert = strong_coloring_bridgeless(g)
+                digest.update(f"{cert.k} {cert.strategy} {cert.coloring.colors}\n".encode())
+    assert digest.hexdigest() == STRONG_CERTIFICATE_DIGEST
+
+
 def random_bipartite_bridgeless(rng, n, sides=(3, 4, 5)):
     while True:
         a = rng.choice(sides)

@@ -179,9 +179,13 @@ def test_bipartition():
     assert bipartition(cycle_graph(5)) is None
 
 
-@given(small_graphs(max_n=8, connected=False))
+@given(
+    small_graphs(max_n=8, connected=False),
+    st.integers(min_value=0, max_value=255),
+    st.integers(min_value=0, max_value=255),
+)
 @PROPERTY_SETTINGS
-def test_bipartition_is_the_2_coloring_with_each_lowest_vertex_in_side_u(g):
+def test_bipartition_is_the_2_coloring_with_each_lowest_vertex_in_side_u(g, seeds, allowed):
     colorable = any(
         all((mask >> u ^ mask >> v) & 1 for u, v in g.edges) for mask in range(1 << g.n)
     )
@@ -191,8 +195,16 @@ def test_bipartition_is_the_2_coloring_with_each_lowest_vertex_in_side_u(g):
         assert b.sideU | b.sideV == set(g.vertices()) and not b.sideU & b.sideV
         assert not any({u, v} <= b.sideU or {u, v} <= b.sideV for u, v in g.edges)
         # each component's lowest vertex is in sideU
-        comps = {_reach_mask(g.adj, v, (1 << g.n) - 1) for v in g.vertices()}
+        comps = {_reach_mask(g.adj, 1 << v, (1 << g.n) - 1) for v in g.vertices()}
         assert all((comp & -comp).bit_length() - 1 in b.sideU for comp in comps)
+    # a seed mask reaches the union of what its single seeds reach
+    seeds &= (1 << g.n) - 1
+    for inside in (allowed, -1):
+        union = 0
+        for v in g.vertices():
+            if seeds >> v & 1:
+                union |= _reach_mask(g.adj, 1 << v, inside)
+        assert _reach_mask(g.adj, seeds, inside) == union
 
 
 @given(small_graphs(max_n=8), st.integers(min_value=0, max_value=2**32 - 1))

@@ -225,7 +225,7 @@ def rejected_by_the_per_vertex_prefilter(g, attach):
     full = (1 << g.n + 1) - 1
     return any(
         key(u) > key(g.n)
-        and _reach_mask(grown, g.n, full & ~(1 << u)) == full & ~(1 << u)
+        and _reach_mask(grown, 1 << g.n, full & ~(1 << u)) == full & ~(1 << u)
         for u in range(g.n)
     )
 

@@ -124,8 +124,9 @@ def brute_first_bad_pair(g: Graph, color_of, strong: bool):
 
 
 def per_pair_first_bad_pair(machine, strong: bool):
-    """The checker's per-pair search (walk and good-state pruning) run on
-    every pair in order, with no per-source DFS in front of it."""
+    """The checker's per-pair search (one DFS cut by the reverse walk
+    table) run on every pair in order, with no per-source DFS in front
+    of it."""
     for u in range(machine.n - 1):
         for v in range(u + 1, machine.n):
             if not machine.pair_ok(u, v, strong):
@@ -224,7 +225,7 @@ def enumerate_connected_by_sweep(n: int):
             if mask >> idx & 1:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-        if _reach_mask(adj, 0, full) != full:
+        if _reach_mask(adj, 1, full) != full:
             continue
         codes.add(canonical_code(from_edge_list(n, [p for idx, p in enumerate(pairs) if mask >> idx & 1])))
     return sorted(code.decode("ascii") for code in codes)
