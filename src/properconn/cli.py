@@ -56,6 +56,10 @@ def _load_graph(args):
 
 
 def _parse_range(text: str) -> tuple[int, int]:
+    if not isinstance(text, str):
+        # argparse reads a value of "--" as its end-of-options mark and
+        # hands --n=-- over as []
+        raise ValueError("--n takes LO..HI")
     lo, sep, hi = text.partition("..")
     return (int(lo), int(hi)) if sep else (int(lo), int(lo))
 

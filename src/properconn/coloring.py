@@ -6,9 +6,11 @@ predicates here answer two questions about a colored graph: is every
 vertex pair joined by a proper simple path, and does every pair have two
 proper paths whose first colors differ and whose last colors differ.
 
-Everything is decided by exhaustive simple-path enumeration. The checker
-runs one depth-first search over the proper simple paths from each
-source and settles every later vertex it reaches; when that search runs
+Everything is decided by exhaustive simple-path enumeration, all of it
+by one depth-first search over the proper simple paths from a source,
+which settles the targets it reaches and takes an optional step cap and
+an optional cut. The checker runs it once from each source, under the
+cap, and settles every later vertex it reaches; when that search runs
 to the end, the vertices it missed are the failing pairs. Every subpath
 of a proper simple path is itself proper and simple, so when the search
 steps to a vertex x, each vertex on the current path is joined to x:
@@ -17,16 +19,15 @@ pairs are all settled runs no search. A caller that knows a path may
 hand it to the plain check: the checker walks it first, as far as it is
 a proper simple path, and settles pairs the same way. An alternately
 colored spanning path settles every pair without a search, and no
-sequence can change the answer. Past a fixed step cap, the
-unsettled pairs go one at a time to a per-pair search: one depth-first
-search over the proper simple paths from the pair's first vertex, cut
-wherever its (vertex, last color) state cannot reach the second vertex
-by a proper walk. One reverse walk table, searched breadth-first,
-gives those states. Walks may revisit vertices, so the table can
-overcount: it cuts branches, but never accepts a pair. The table has
-one state per vertex and color in use; the declared palette size k
-does not size it, since a coloring whose k exceeds its edge count is
-checked with its colors ranked 1..d.
+sequence can change the answer. Past the step cap, the unsettled pairs
+go one at a time to the same search, now with one target, no cap and a
+cut: it takes only the steps onto a (vertex, last color) state from
+which a proper walk reaches the target. One reverse walk table,
+searched breadth-first, gives those states. Walks may revisit vertices,
+so the table can overcount: it cuts branches, but never accepts a pair.
+The table has one state per vertex and color in use; the declared
+palette size k does not size it, since a coloring whose k exceeds its
+edge count is checked with its colors ranked 1..d.
 
 `complete` is the one search over colorings: every exact coloring search
 in the package (minimum palettes, strong sweeps, the 2-color pipeline's
@@ -36,6 +37,7 @@ last step, vertex extensions) extends a partial coloring through it.
 from __future__ import annotations
 
 import json
+import math
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -101,29 +103,30 @@ def _colors_by_edge(g: Graph, pairs) -> tuple[int, ...]:
 # predicate and every node of the completion kernel)
 
 
-# Steps (edges followed) one source's DFS in _Machine.dfs_from may take
-# before the targets it has not settled go to the per-pair search.
+# Steps (edges followed) one source's capped DFS in _Machine.first_bad_pair
+# may take before the targets it has not settled go to _Machine.pair_ok.
 _DFS_STEPS = 256
 
 
 class _Machine:
     """Per-coloring search state: color lookups, a reverse walk table, caches.
 
-    first_bad_pair runs one depth-first search over proper simple paths
-    per source that still has an unsettled pair. Each search records in
-    linked[x] the vertices joined to x by a proper simple path: the
-    current path's vertices whenever it steps to x, since every subpath
-    of a proper simple path is proper and simple. In plain mode a path
-    handed to first_bad_pair is walked first and records the same way,
-    up to its first step that is not an edge, repeats the previous
-    edge's color or revisits a vertex. Only when a search
-    passes its step cap does first_bad_pair fall back to the per-pair
-    search (pair_ok), one DFS cut by good_states: the states (vertex,
-    last edge color), packed as v*k + color-1, from which a proper walk
-    reaches the target, read off one reverse step table built on first
-    use. recolor changes one edge's color in place and drops that
-    table, which is how the completion kernel moves one machine from
-    search node to search node.
+    dfs_from is the one search over proper simple paths, and
+    first_bad_pair runs it in two passes. The first runs it once per
+    source that still has an unsettled pair, under the step cap. Each
+    such search records in linked[x] the vertices joined to x by a
+    proper simple path: the current path's vertices whenever it steps to
+    x, since every subpath of a proper simple path is proper and simple.
+    In plain mode a path handed to first_bad_pair is walked first and
+    records the same way, up to its first step that is not an edge,
+    repeats the previous edge's color or revisits a vertex. The second
+    pass, only for targets a capped search left unsettled, is pair_ok:
+    the same search with one target, no cap, and its steps cut to those
+    onto good_states, the states (vertex, last edge color), packed as
+    v*k + color-1, from which a proper walk reaches the target, read off
+    one reverse step table built on first use. recolor changes one
+    edge's color in place and drops that table, which is how the
+    completion kernel moves one machine from search node to search node.
     """
 
     def __init__(self, n: int, k: int, edges, colors):
@@ -145,7 +148,7 @@ class _Machine:
 
     def good_states(self, v: int) -> int:
         """States (w, last color) from which some proper walk ends at v,
-        and v's own states, which pair_ok never looks up."""
+        v's own states included."""
         cached = self._good.get(v)
         if cached is not None:
             return cached
@@ -168,53 +171,40 @@ class _Machine:
         strong mode by two whose first colors differ and whose last
         colors differ.
 
-        One DFS over the proper simple paths from u; a branch whose state
-        (vertex, last color) cannot reach v even by a walk is cut, so a
-        pair with no proper walk fails at the first step.
+        dfs_from with v the only target and no step cap, over the steps
+        onto a state (vertex, last color) that can still reach v by a
+        walk: the walk table cuts the rest, and every step out of v, so a
+        pair with no proper walk fails at once.
         """
         k = self.k
-        rows = self.rows
         good = self.good_states(v)
-        ends: set[tuple[int, int]] = set()
+        rows = [
+            {} if w == v else {x: c for x, c in row.items() if good >> (x * k + c - 1) & 1}
+            for w, row in enumerate(self.rows)
+        ]
+        return not self.dfs_from(u, strong, 1 << v, [0] * self.n, rows, math.inf)[0]
 
-        def rec(w: int, visited: int, last: int, start: int) -> bool:
-            for x, cx in rows[w].items():
-                if cx == last or visited >> x & 1:
-                    continue
-                first = start or cx
-                if x == v:
-                    if not strong:
-                        return True
-                    if (first, cx) in ends:
-                        continue
-                    # as in dfs_from, only the new pair can complete one
-                    if any(s != first and e != cx for s, e in ends):
-                        return True
-                    ends.add((first, cx))
-                elif good >> (x * k + cx - 1) & 1 and rec(x, visited | 1 << x, cx, first):
-                    return True
-            return False
-
-        # colors are >= 1, so 0 stands for "no edge yet"
-        ok = rec(u, 1 << u, 0, 0)
-        # unbound for the same reason as in dfs_from
-        del rec
-        return ok
-
-    def dfs_from(self, u: int, strong: bool, pending: int, linked) -> tuple[int, bool]:
+    def dfs_from(
+        self, u: int, strong: bool, pending: int, linked, rows=None, steps=None
+    ) -> tuple[int, bool]:
         """One DFS over the proper simple paths that start at u.
 
-        pending is the mask of targets v > u not yet known to be good
-        (reached by a proper path, or in strong mode by two paths whose
-        first colors differ and whose last colors differ). Returns what
-        is still pending and whether the DFS ended because no target was
+        pending is the mask of targets not yet known to be good (reached
+        by a proper path, or in strong mode by two paths whose first
+        colors differ and whose last colors differ). Returns what is
+        still pending and whether the DFS ended because no target was
         pending or every proper simple path from u was seen, rather than
-        because _DFS_STEPS ran out. Each step onto a vertex x ORs the
-        current path's vertices into linked[x]: the subpath from any of
-        them to x is a proper simple path.
+        because its steps ran out: _DFS_STEPS, read at each call, unless
+        `steps` is given. Each step onto a vertex x ORs the current
+        path's vertices into linked[x]: the subpath from any of them to x
+        is a proper simple path. The search follows `rows` (per vertex,
+        {neighbor: color}): the coloring's own, or a cut of them, which
+        costs the capped pass nothing per step.
         """
-        rows = self.rows
-        steps = _DFS_STEPS
+        if rows is None:
+            rows = self.rows
+        if steps is None:
+            steps = _DFS_STEPS
         ends: dict[int, set[tuple[int, int]]] = {}
 
         def strong_pair(x: int, start: int, last: int) -> bool:
@@ -232,23 +222,18 @@ class _Machine:
                 if cx == last or visited >> x & 1:
                     continue
                 linked[x] |= visited
-                if pending >> x & 1 and (not strong or strong_pair(x, start, cx)):
+                # colors are >= 1, so a start of 0 means no edge yet
+                first = start or cx
+                if pending >> x & 1 and (not strong or strong_pair(x, first, cx)):
                     pending ^= 1 << x
                     if not pending:
                         return True
                 steps -= 1
-                if steps < 0 or rec(x, visited | 1 << x, cx, start):
+                if steps < 0 or rec(x, visited | 1 << x, cx, first):
                     return True
             return False
 
-        for w, c in rows[u].items():
-            linked[w] |= 1 << u
-            if pending >> w & 1 and (not strong or strong_pair(w, c, c)):
-                pending ^= 1 << w
-                if not pending:
-                    break
-            if rec(w, 1 << u | 1 << w, c, c):
-                break
+        rec(u, 1 << u, 0, 0)
         # rec holds itself through its closure cell; unbinding it frees the
         # search's state now rather than at the next cyclic collection
         del rec

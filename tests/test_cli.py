@@ -13,7 +13,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from properconn import (
@@ -123,13 +123,17 @@ def test_verify_sizes_the_checker_by_the_colors_in_use(tmp_path, capsys, monkeyp
     # of the per-pair search, which a step cap of 0 sends every pair to.
     edges = [(u, v) for u in range(11) for v in range(u + 1, 11)] + [(10, 11)]
     colors = [1 if v >= 10 else 1 + (u + v) % 3 for u, v in edges]
-    built = []
+    built, searched = [], []
 
     class Recorded(coloring._Machine):
         def __init__(self, n, k, edges, colors):
             built.append(k)
             assert k <= len(colors), f"the checker was built over the declared k={k}"
             super().__init__(n, k, edges, colors)
+
+        def good_states(self, v):
+            searched.append(v)
+            return super().good_states(v)
 
     monkeypatch.setattr(coloring, "_DFS_STEPS", 0)
     monkeypatch.setattr(coloring, "_Machine", Recorded)
@@ -140,6 +144,9 @@ def test_verify_sizes_the_checker_by_the_colors_in_use(tmp_path, capsys, monkeyp
     code, out, _ = run(capsys, "verify", "--graph6", graph6, str(path))
     assert (code, out.strip()) == (1, "no proper path for pair (0, 11)")
     assert built and max(built) == 3
+    # source 0's search takes one step, onto 1, so the walk table is read
+    # for every other target; a cap of 256 would leave it only 11
+    assert set(searched) == set(range(2, 12))
 
 
 def test_verify_graph_mismatch(tmp_path, capsys):
@@ -417,5 +424,6 @@ def refused_or_small(text):
     ).filter(refused_or_small),
     st.sampled_from(["min-degree", "bipartite"]),
 )
+@example("--", "min-degree")
 def test_fuzzed_survey_ranges_keep_the_exit_codes(text, family):
     fuzz_main(["survey", f"--n={text}", "--family", family])

@@ -242,7 +242,34 @@ def test_a_path_hint_stops_at_a_repeated_vertex():
     colors = [3, 2, 3, 3, 3, 1, 1, 2, 2]
     walk = [5, 3, 6, 0, 3, 2, 1]
     assert brute_first_bad_pair(g, make_coloring(g, 3, colors).color, False) == (2, 5)
-    assert _Machine(g.n, 3, g.edges, colors).first_bad_pair(False, walk) == (2, 5)
+    # the walk 3-6-0-3-5 puts the state (3, color 1) that 2-3 enters into
+    # the walk table of 5, so with a step cap of 0 the per-pair search
+    # rejects (2, 5) only by running its cut DFS to the end
+    assert _Machine(g.n, 3, g.edges, colors).good_states(5) >> (3 * 3 + 1 - 1) & 1
+    for steps in (coloring._DFS_STEPS, 0):
+        with mock.patch.object(coloring, "_DFS_STEPS", steps):
+            assert _Machine(g.n, 3, g.edges, colors).first_bad_pair(False, walk) == (2, 5)
+
+
+def test_a_zero_step_cap_sends_the_pending_pairs_to_the_per_pair_search(monkeypatch):
+    # the cap is read at each call: under the default one search from 0
+    # settles the alternating path, and under 0 it takes one step, so
+    # pair_ok, the only caller of good_states, decides 0's other targets
+    g = path_graph(8)
+    colors = [1 + i % 2 for i in range(g.m)]
+    targets = []
+    real = _Machine.good_states
+
+    def spy(self, v):
+        targets.append(v)
+        return real(self, v)
+
+    monkeypatch.setattr(_Machine, "good_states", spy)
+    assert _Machine(g.n, 2, g.edges, colors).first_bad_pair(False) is None
+    assert targets == []
+    monkeypatch.setattr(coloring, "_DFS_STEPS", 0)
+    assert _Machine(g.n, 2, g.edges, colors).first_bad_pair(False) is None
+    assert set(targets) == set(range(2, 8))
 
 
 def test_one_search_settles_every_pair_of_a_proper_spanning_path():
@@ -404,6 +431,12 @@ def test_searches_leave_no_reference_cycles():
     g = friendship_graph()
     cert = pc_exact(g)[1]
     c5 = cycle_graph(5)
+
+    def first_bad_pair_uncapped():
+        # both passes: one step per source, then pair_ok for the rest
+        with mock.patch.object(coloring, "_DFS_STEPS", 0):
+            return _Machine(g.n, 3, g.edges, cert.coloring.colors).first_bad_pair(False)
+
     calls = {
         "hamilton_path": lambda: hamilton_path(g),
         "complete": lambda: complete(c5, 2, {}, c5.edges),
@@ -412,6 +445,7 @@ def test_searches_leave_no_reference_cycles():
         "pair_ok": lambda: _Machine(g.n, 3, g.edges, cert.coloring.colors).pair_ok(
             1, 3, True
         ),
+        "first_bad_pair, step cap 0": first_bad_pair_uncapped,
     }
     gc.collect()
     gc.disable()

@@ -1,8 +1,9 @@
-"""Every name a library module imports is used there, so a deletion leaves
-no dead import behind. No linter is required: each module is parsed with
-ast. The one exception is an import marked for the benchmark's tracer,
-which wraps the name at that module; the mark must name a real wrap, and
-it goes once the module uses the name itself."""
+"""Every name a library module imports is used there, and every private
+helper is used somewhere in the package, so a deletion leaves no dead
+import or orphaned helper behind. No linter is required: each module is
+parsed with ast. The one exception is an import marked for the
+benchmark's tracer, which wraps the name at that module; the mark must
+name a real wrap, and it goes once the module uses the name itself."""
 
 from __future__ import annotations
 
@@ -82,3 +83,40 @@ def test_library_modules_use_every_name_they_import():
     assert unused == [], "imported but never used"
     assert stray_marks == [], "marked for the tracer, which does not wrap it there"
     assert stale_marks == [], "marked for the tracer, but the module uses it itself"
+
+
+def test_every_private_helper_is_referenced_outside_its_definition():
+    # the helpers: module-level functions named _*, and the methods of
+    # the checker's _Machine other than dunders
+    trees = []
+    for filename in sorted(os.listdir(PACKAGE)):
+        if filename.endswith(".py"):
+            with open(os.path.join(PACKAGE, filename), encoding="utf-8") as fh:
+                trees.append((filename, ast.parse(fh.read())))
+    helpers = []
+    for filename, tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+                helpers.append((filename, node))
+            if isinstance(node, ast.ClassDef) and node.name == "_Machine":
+                helpers += [
+                    (filename, item)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("__")
+                ]
+    refs = [
+        (filename, node.lineno, node.id if isinstance(node, ast.Name) else node.attr)
+        for filename, tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    ]
+    assert any(node.name == "dfs_from" for _, node in helpers)
+    orphans = [
+        f"{filename}:{node.lineno} {node.name}"
+        for filename, node in helpers
+        if not any(
+            name == node.name and not (where == filename and node.lineno <= line <= node.end_lineno)
+            for where, line, name in refs
+        )
+    ]
+    assert orphans == [], "defined but referenced only inside its own definition"

@@ -124,9 +124,9 @@ def brute_first_bad_pair(g: Graph, color_of, strong: bool):
 
 
 def per_pair_first_bad_pair(machine, strong: bool):
-    """The checker's per-pair search (one DFS cut by the reverse walk
-    table) run on every pair in order, with no per-source DFS in front
-    of it."""
+    """The checker's per-pair search (its one DFS with one target, cut
+    by the reverse walk table) run on every pair in order, with no
+    capped per-source pass in front of it."""
     for u in range(machine.n - 1):
         for v in range(u + 1, machine.n):
             if not machine.pair_ok(u, v, strong):
