@@ -57,15 +57,19 @@ class EdgeColoring:
     colors: tuple[int, ...]
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ColoringGraphMismatch(f"palette size must be >= 1, got {self.k}")
+        # floats and bools compare like ints, but the checker indexes and
+        # shifts by colors, so only ints are colors
+        if type(self.k) is not int or self.k < 1:
+            raise ColoringGraphMismatch(
+                f"palette size must be an integer >= 1, got {self.k!r}"
+            )
         if len(self.colors) != self.graph.m:
             raise ColoringGraphMismatch(
                 f"{len(self.colors)} colors for {self.graph.m} edges"
             )
-        bad = [c for c in self.colors if not 1 <= c <= self.k]
+        bad = [c for c in self.colors if type(c) is not int or not 1 <= c <= self.k]
         if bad:
-            raise ColoringGraphMismatch(f"colors {bad} outside 1..{self.k}")
+            raise ColoringGraphMismatch(f"colors {bad} are not integers in 1..{self.k}")
 
     def color(self, u: int, v: int) -> int:
         edge = (min(u, v), max(u, v))

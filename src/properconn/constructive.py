@@ -130,27 +130,30 @@ def color_tree(t: Graph) -> PcCertificate:
     if not is_tree(t):
         raise NotATree(f"graph with n={t.n}, m={t.m} is not a tree")
     _, _, delta = degree_stats(t)
-    colors = _assignment_to_colors(t, _tree_assignment(t))
+    colors = _assignment_to_colors(t, _tree_assignment(t.adj))
     return _certify(t, max(delta, 1), colors, "tree")
 
 
-def _tree_assignment(t: Graph) -> dict[tuple[int, int], int]:
-    """Colors 1..max degree on the edges of tree t, proper at every vertex."""
+def _tree_assignment(rows) -> dict[tuple[int, int], int]:
+    """Colors 1..max degree on the edges of the tree with adjacency rows
+    rows, proper at every vertex."""
     assignment: dict[tuple[int, int], int] = {}
-    seen = {0}
+    seen = 1
     stack = [(0, 0)]  # (vertex, color of its parent edge; 0 at the root)
     while stack:
         v, parent_color = stack.pop()
+        rest = rows[v] & ~seen
+        seen |= rest
         color = 1
-        for w in t.neighbors(v):
-            if w in seen:
-                continue
+        while rest:
+            low = rest & -rest
+            w = low.bit_length() - 1
             if color == parent_color:
                 color += 1
             assignment[min(v, w), max(v, w)] = color
-            seen.add(w)
             stack.append((w, color))
             color += 1
+            rest ^= low
     return assignment
 
 
@@ -320,31 +323,45 @@ def _color_path(g: Graph, path) -> PcCertificate:
 # strong colorings of bridgeless graphs
 
 
+def _bfs_path(adj, start: int, away: int, stop: int):
+    """The path [start, ..., z] that breadth-first search from start
+    takes to the first vertex z of the mask stop it meets, not using the
+    edge from start to away, or None. Vertices of stop are not expanded.
+    Each vertex hangs from the first vertex in queue order adjacent to
+    it, neighbours are met in index order, and z is the lowest vertex of
+    stop adjacent to the first vertex in queue order that has one."""
+    prev = [0] * len(adj)
+    seen = 1 << start
+    queue = [start]
+    for v in queue:
+        row = adj[v] & ~(1 << away) if v == start else adj[v]
+        hit = row & stop
+        if hit:
+            path = [(hit & -hit).bit_length() - 1, v]
+            while v != start:
+                v = prev[v]
+                path.append(v)
+            return path[::-1]
+        rest = row & ~seen
+        seen |= rest
+        while rest:
+            low = rest & -rest
+            w = low.bit_length() - 1
+            prev[w] = v
+            queue.append(w)
+            rest ^= low
+    return None
+
+
 def _shortest_cycle(g: Graph):
-    """Vertex list of a shortest cycle, or None in a forest."""
+    """Vertex list of a shortest cycle, or None in a forest. Each edge
+    uv closes the cycle from v back along `_bfs_path` from u to v
+    without the edge uv; the first shortest in g.edges order wins."""
     best = None
     for u, v in g.edges:
-        # BFS u -> v avoiding the edge uv itself
-        prev = {u: -1}
-        queue = [u]
-        while queue:
-            nxt = []
-            for x in queue:
-                for y in g.neighbors(x):
-                    if (x, y) in ((u, v), (v, u)) or y in prev:
-                        continue
-                    prev[y] = x
-                    nxt.append(y)
-            queue = nxt
-            if v in prev:
-                break
-        if v not in prev:
-            continue
-        path = [v]
-        while path[-1] != u:
-            path.append(prev[path[-1]])
-        if best is None or len(path) < len(best):
-            best = path
+        path = _bfs_path(g.adj, u, v, 1 << v)
+        if path is not None and (best is None or len(path) < len(best)):
+            best = path[::-1]
     return best
 
 
@@ -354,63 +371,46 @@ def _ear_decomposition(g: Graph):
     Returns a list of vertex sequences: the first is a closed cycle, each
     later one a path whose endpoints already lie in the covered part and
     whose interior is new. Chords appear as two-vertex ears.
+
+    The cycle is `_shortest_cycle`'s. Each ear starts with the first
+    uncovered edge in g.edges order that has a covered end x; from its
+    other end y, when not covered, it runs along `_bfs_path` back to the
+    cover, not by the edge yx. The cover is a vertex mask and, per
+    vertex, the mask of neighbours joined to it by a covered edge.
     """
+    adj = g.adj
     cycle = _shortest_cycle(g)
     ears = [cycle]
-    covered_v = set(cycle)
-    covered_e = {
-        (min(a, b), max(a, b))
-        for a, b in zip(cycle, cycle[1:] + [cycle[0]])
-    }
+    covered, done = 0, [0] * g.n
+    seq = cycle + cycle[:1]
     while True:
-        remaining = [e for e in g.edges if e not in covered_e]
-        if not remaining:
-            return ears
-        ear = None
-        for x, y in remaining:
-            if y in covered_v and x not in covered_v:
-                x, y = y, x
-            if x not in covered_v:
-                continue
-            if y in covered_v:
-                ear = [x, y]
+        for a, b in zip(seq, seq[1:]):
+            covered |= 1 << a | 1 << b
+            done[a] |= 1 << b
+            done[b] |= 1 << a
+        for x, row in enumerate(adj):
+            # neighbours above x across an uncovered edge, with a covered end
+            rest = row & ~done[x] & -(2 << x)
+            if not covered >> x & 1:
+                rest &= covered
+            if rest:
                 break
-            # walk from y through fresh vertices until re-hitting the cover
-            prev = {y: x}
-            queue = [y]
-            hit = None
-            while queue and hit is None:
-                nxt = []
-                for a in queue:
-                    for b in g.neighbors(a):
-                        if b in prev or (a == y and b == x):
-                            continue
-                        prev[b] = a
-                        if b in covered_v:
-                            hit = b
-                            break
-                        nxt.append(b)
-                    if hit is not None:
-                        break
-                queue = nxt
-            if hit is None:
+        else:
+            if tuple(done) != adj:
+                raise Disconnected("uncovered edges unreachable from the cover")
+            return ears
+        y = (rest & -rest).bit_length() - 1
+        if not covered >> x & 1:
+            x, y = y, x
+        if covered >> y & 1:
+            ear = [x, y]
+        else:
+            path = _bfs_path(adj, y, x, covered)
+            if path is None:
                 raise HasBridge(f"edge ({x}, {y}) is a bridge; no ear returns")
-            # hit == x means a closed ear: walk back through the fresh
-            # interior, not straight into the hit vertex
-            tail = [hit]
-            cur = prev[hit]
-            while cur != x:
-                tail.append(cur)
-                cur = prev[cur]
-            tail.append(x)
-            ear = tail[::-1]
-            break
-        if ear is None:
-            raise Disconnected("uncovered edges unreachable from the cover")
+            ear = [x] + path
         ears.append(ear)
-        covered_v.update(ear)
-        for a, b in zip(ear, ear[1:]):
-            covered_e.add((min(a, b), max(a, b)))
+        seq = ear
 
 
 def _ear_edge_runs(ears):

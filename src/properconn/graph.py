@@ -242,48 +242,47 @@ def is_tree(g: Graph) -> bool:
 
 
 def find_bridges(g: Graph) -> list[tuple[int, int]]:
-    """All cut-edges, via one DFS with low-links. Sorted pairs, sorted list."""
-    n = g.n
-    order = [-1] * n
-    low = [0] * n
+    """All cut-edges, via one iterative DFS with low-links. Sorted pairs,
+    sorted list.
+
+    A frame is (v, the neighbours of v not tried yet). A child's frame
+    leaves out its parent: in a simple graph, that is exactly the tree
+    edge it came by. Every other visited neighbour bounds low[v] by its
+    order, and a finished child bounds its parent's low by its own; the
+    edge between them is a bridge when the child's low is above the
+    parent's order.
+    """
+    adj = g.adj
+    order = [-1] * g.n
+    low = [0] * g.n
     bridges = []
     counter = 0
-
-    def dfs(root):
-        nonlocal counter
-        stack = [(root, -1, iter_neighbors(root))]
+    for root in range(g.n):
+        if order[root] >= 0:
+            continue
         order[root] = low[root] = counter
         counter += 1
+        stack = [(root, adj[root])]
         while stack:
-            v, parent, it = stack[-1]
-            advanced = False
-            for w in it:
-                if order[w] == -1:
+            v, rest = stack[-1]
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                w = bit.bit_length() - 1
+                if order[w] < 0:
+                    stack[-1] = (v, rest)
                     order[w] = low[w] = counter
                     counter += 1
-                    stack.append((w, v, iter_neighbors(w)))
-                    advanced = True
+                    stack.append((w, adj[w] & ~(1 << v)))
                     break
-                elif w != parent:
-                    low[v] = min(low[v], order[w])
-                else:
-                    parent = -2  # ignore exactly one parent edge
-                    stack[-1] = (v, -2, it)
-            if not advanced:
+                low[v] = min(low[v], order[w])
+            else:
                 stack.pop()
                 if stack:
                     p = stack[-1][0]
                     low[p] = min(low[p], low[v])
                     if low[v] > order[p]:
-                        bridges.append((min(p, v), max(p, v)))
-
-    def iter_neighbors(v):
-        # each DFS frame owns a resumable iterator, never a restarting list
-        return iter(list(Graph.neighbors(g, v)))
-
-    for v in range(n):
-        if order[v] == -1:
-            dfs(v)
+                        bridges.append((p, v) if p < v else (v, p))
     return sorted(bridges)
 
 

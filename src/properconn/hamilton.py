@@ -21,7 +21,7 @@ vertex is implicit.
 from __future__ import annotations
 
 from .errors import TooLarge, VertexOutOfRange
-from .graph import Graph, _reach_mask, find_bridges, is_connected
+from .graph import Graph, _bipartite_sides, _reach_mask, find_bridges, is_connected
 
 HAMILTON_MAX_N = 16
 
@@ -32,13 +32,6 @@ def _check(g: Graph, *vertices):
     for v in vertices:
         if not 0 <= v < g.n:
             raise VertexOutOfRange(f"vertex {v} outside 0..{g.n - 1}")
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _spanning_path(adj, n: int, start: int, end_mask: int):
@@ -119,28 +112,6 @@ def _spanning_path(adj, n: int, start: int, end_mask: int):
     return back[::-1] if found else None
 
 
-def _sides(adj):
-    """The two sides of a connected bipartite graph as bitmasks (the
-    even and the odd breadth-first layers from vertex 0), or None.
-
-    Every edge joins two vertices of one layer or of adjacent layers, so
-    the graph is bipartite exactly when no layer holds an edge."""
-    sides = [1, 0]
-    seen = frontier = 1
-    odd = 0
-    while frontier:
-        nxt = 0
-        for v in _bits(frontier):
-            nxt |= adj[v]
-        if nxt & frontier:
-            return None
-        odd ^= 1
-        frontier = nxt & ~seen
-        seen |= frontier
-        sides[odd] |= frontier
-    return sides
-
-
 def hamilton_path(g: Graph):
     """A spanning simple path, or None.
 
@@ -164,7 +135,7 @@ def hamilton_path(g: Graph):
         return None
     n = g.n
     ends = (1 << n) - 1
-    sides = _sides(g.adj)
+    sides = _bipartite_sides(g.adj)
     if sides is not None:
         gap = sides[0].bit_count() - sides[1].bit_count()
         if abs(gap) >= 2:

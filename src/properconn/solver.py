@@ -35,7 +35,7 @@ from .constructive import (
     color_tree,
 )
 from .errors import Disconnected, OutOfRange, PcError, SearchBudgetExceeded, TooLarge
-from .graph import Graph, degree_stats, find_bridges, from_edge_list, is_complete, is_connected
+from .graph import Graph, degree_stats, find_bridges, is_complete, is_connected
 
 
 def _budget_deadline():
@@ -55,20 +55,24 @@ def _budget_deadline():
         raise OutOfRange(problem) from None
 
 
-def _bfs_tree(g: Graph, root: int):
-    seen = {root}
+def _bfs_tree(adj, root: int) -> list[int]:
+    """The adjacency rows of the breadth-first spanning tree from root of
+    the connected graph with rows adj: every other vertex hangs from the
+    first vertex in queue order adjacent to it."""
+    tree = [0] * len(adj)
+    seen = 1 << root
     queue = [root]
-    edges = []
-    while queue:
-        nxt = []
-        for v in queue:
-            for w in g.neighbors(v):
-                if w not in seen:
-                    seen.add(w)
-                    edges.append((min(v, w), max(v, w)))
-                    nxt.append(w)
-        queue = nxt
-    return edges
+    for v in queue:
+        rest = adj[v] & ~seen
+        seen |= rest
+        tree[v] |= rest
+        while rest:
+            low = rest & -rest
+            w = low.bit_length() - 1
+            tree[w] |= 1 << v
+            queue.append(w)
+            rest ^= low
+    return tree
 
 
 def pc_upper(g: Graph) -> PcCertificate:
@@ -98,15 +102,14 @@ def pc_upper(g: Graph) -> PcCertificate:
     path = _dominating_path(g.adj)
     if path is not None:
         return _color_path(g, path)
-    best_tree, best_delta = None, g.n
-    for root in range(g.n):
-        tree = from_edge_list(g.n, _bfs_tree(g, root))
-        delta = degree_stats(tree)[2]
-        if delta < best_delta:
-            best_tree, best_delta = tree, delta
+    tree = min(
+        (_bfs_tree(g.adj, root) for root in range(g.n)),
+        key=lambda rows: max(row.bit_count() for row in rows),
+    )
     assignment = {e: 1 for e in g.edges}
-    assignment.update(_tree_assignment(best_tree))
-    return _certify(g, best_delta, _assignment_to_colors(g, assignment), "tree")
+    assignment.update(_tree_assignment(tree))
+    delta = max(row.bit_count() for row in tree)
+    return _certify(g, delta, _assignment_to_colors(g, assignment), "tree")
 
 
 def _bridge_star(g: Graph) -> int:

@@ -19,6 +19,7 @@ from properconn import (
     canonical_code,
     coloring_from_json,
     coloring_to_json,
+    find_bridges,
     first_improper_pair,
     first_weak_pair,
     from_edge_list,
@@ -27,7 +28,10 @@ from properconn import (
     is_proper_connected,
     is_proper_path,
     make_coloring,
+    make_star_of_bicliques,
     pc_exact,
+    pc_upper,
+    strong_coloring_bridgeless,
 )
 from properconn import coloring
 from properconn.coloring import _Machine, _OutOfTime, complete
@@ -75,6 +79,11 @@ def test_make_coloring_validation():
         make_coloring(g, 2, {(0, 1): 1, (1, 2): 3})  # color beyond palette
     with pytest.raises(ColoringGraphMismatch):
         make_coloring(g, 0, {})
+    # floats and bools compare like ints, but the checker indexes its
+    # tables by colors
+    for k, colors in ((2, [1.0, 2.0]), (2.0, [1, 2]), (2.5, [1, 2]), (True, [1, 1]), (2, [True, 2])):
+        with pytest.raises(ColoringGraphMismatch, match="integer"):
+            make_coloring(g, k, colors)
     seq = make_coloring(g, 2, [1, 2])
     assert seq.colors == (1, 2)
 
@@ -431,6 +440,7 @@ def test_searches_leave_no_reference_cycles():
     g = friendship_graph()
     cert = pc_exact(g)[1]
     c5 = cycle_graph(5)
+    star = make_star_of_bicliques(2)
 
     def first_bad_pair_uncapped():
         # both passes: one step per source, then pair_ok for the rest
@@ -446,6 +456,9 @@ def test_searches_leave_no_reference_cycles():
             1, 3, True
         ),
         "first_bad_pair, step cap 0": first_bad_pair_uncapped,
+        "find_bridges": lambda: find_bridges(star),
+        "strong_coloring_bridgeless (ears)": lambda: strong_coloring_bridgeless(petersen()),
+        "pc_upper (tree fallback)": lambda: pc_upper(star),
     }
     gc.collect()
     gc.disable()

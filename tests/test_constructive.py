@@ -464,6 +464,26 @@ def test_ear_decomposition_partitions_the_edges_into_ears(seed, sizes):
         assert used == list(g.edges)
 
 
+# sha256 of one line "kind n ears" per bridgeless graph of
+# _level("general", n, 2) for n = 3..7 and _level("bipartite", n, 2) for
+# n = 4..10, in level order: the ears _ear_decomposition returns
+EAR_DECOMPOSITION_DIGEST = "a5556701c1a741e88012169c61d46791d99a1ed9bc53cbd5b3dc8dfd0e70d3a9"
+
+
+def test_ear_decompositions_are_pinned():
+    digest = hashlib.sha256()
+    graphs = 0
+    for kind, orders in (("general", range(3, 8)), ("bipartite", range(4, 11))):
+        for n in orders:
+            for packed in survey_mod._level(kind, n, 2):
+                g = from_adj_rows(n, _unpack_rows(n, packed))
+                if not find_bridges(g):
+                    graphs += 1
+                    digest.update(f"{kind} {n} {constructive._ear_decomposition(g)}\n".encode())
+    assert graphs == 1798
+    assert digest.hexdigest() == EAR_DECOMPOSITION_DIGEST
+
+
 def test_bipartite_bridgeless_classes_are_constructed_without_search(monkeypatch):
     # every class up to n=10 gets the phase-0 ear coloring, checked once,
     # and never reaches the kernel

@@ -33,7 +33,7 @@ from util import (
 # sha256 of hamilton_path over every representative of the general levels
 # n = 1..7 and the bipartite levels n = 1..9 (minimum degree 0), one line
 # per graph in level order: the path as comma-joined vertices, "-" for
-# None. The survey's witnesses are colored along these paths.
+# None.
 SPANNING_PATHS_DIGEST = "ce606821e81514d3a928fc3d47c61085cf61c02a687ee483e0ba4a8f0e07d9d7"
 
 PROPERTY_SETTINGS = settings(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 import time
 
@@ -16,6 +17,7 @@ from properconn import (
     TooLarge,
     color_tree,
     constructive,
+    enumerate_connected,
     find_bridges,
     from_adj_rows,
     from_edge_list,
@@ -101,6 +103,25 @@ def test_path_search_refuses_graphs_past_its_packing():
     for n in (33, 40):
         with pytest.raises(TooLarge):
             constructive._dominating_path(cycle_graph(n).adj)
+
+
+# sha256 of one line "k strategy colors" per certificate that pc_upper
+# gives the connected classes with 2-7 vertices, in enumerate_connected
+# order; 82 of them are non-trees colored along a breadth-first tree
+UPPER_CERTIFICATE_DIGEST = "852a1baf1c351ea59a2a6fb72d91b74179905f2a021271caea213359b326c12a"
+
+
+def test_upper_bound_certificates_are_pinned():
+    digest = hashlib.sha256()
+    graphs = fallbacks = 0
+    for n in range(2, 8):
+        for g in enumerate_connected(n):
+            cert = pc_upper(g)
+            graphs += 1
+            fallbacks += cert.strategy == "tree" and not is_tree(g)
+            digest.update(f"{cert.k} {cert.strategy} {cert.coloring.colors}\n".encode())
+    assert (graphs, fallbacks) == (995, 82)
+    assert digest.hexdigest() == UPPER_CERTIFICATE_DIGEST
 
 
 def test_upper_bound_colors_a_tree_without_a_path_or_bfs_search(monkeypatch):

@@ -1,9 +1,10 @@
 """Every name a library module imports is used there, and every private
-helper is used somewhere in the package, so a deletion leaves no dead
-import or orphaned helper behind. No linter is required: each module is
-parsed with ast. The one exception is an import marked for the
-benchmark's tracer, which wraps the name at that module; the mark must
-name a real wrap, and it goes once the module uses the name itself."""
+helper and module-level constant is used somewhere in the package, so a
+deletion leaves no dead import, orphaned helper or unread constant
+behind. No linter is required: each module is parsed with ast. The one
+exception is an import marked for the benchmark's tracer, which wraps
+the name at that module; the mark must name a real wrap, and it goes
+once the module uses the name itself."""
 
 from __future__ import annotations
 
@@ -86,8 +87,9 @@ def test_library_modules_use_every_name_they_import():
 
 
 def test_every_private_helper_is_referenced_outside_its_definition():
-    # the helpers: module-level functions named _*, and the methods of
-    # the checker's _Machine other than dunders
+    # the helpers: module-level functions named _*, module-level
+    # constants named _* (read outside their assignment), and the methods
+    # of the checker's _Machine other than dunders
     trees = []
     for filename in sorted(os.listdir(PACKAGE)):
         if filename.endswith(".py"):
@@ -97,10 +99,17 @@ def test_every_private_helper_is_referenced_outside_its_definition():
     for filename, tree in trees:
         for node in tree.body:
             if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
-                helpers.append((filename, node))
+                helpers.append((filename, node.name, node))
+            if isinstance(node, ast.Assign):
+                helpers += [
+                    (filename, target.id, node)
+                    for target in node.targets
+                    if isinstance(target, ast.Name) and target.id.startswith("_")
+                    and not target.id.startswith("__")
+                ]
             if isinstance(node, ast.ClassDef) and node.name == "_Machine":
                 helpers += [
-                    (filename, item)
+                    (filename, item.name, item)
                     for item in node.body
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("__")
                 ]
@@ -108,15 +117,16 @@ def test_every_private_helper_is_referenced_outside_its_definition():
         (filename, node.lineno, node.id if isinstance(node, ast.Name) else node.attr)
         for filename, tree in trees
         for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute))
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
     ]
-    assert any(node.name == "dfs_from" for _, node in helpers)
+    names = {name for _, name, _ in helpers}
+    assert {"dfs_from", "_DFS_STEPS", "_PHASE_CAP"} <= names
     orphans = [
-        f"{filename}:{node.lineno} {node.name}"
-        for filename, node in helpers
+        f"{filename}:{node.lineno} {name}"
+        for filename, name, node in helpers
         if not any(
-            name == node.name and not (where == filename and node.lineno <= line <= node.end_lineno)
-            for where, line, name in refs
+            ref == name and not (where == filename and node.lineno <= line <= node.end_lineno)
+            for where, line, ref in refs
         )
     ]
     assert orphans == [], "defined but referenced only inside its own definition"
