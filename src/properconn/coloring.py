@@ -40,36 +40,39 @@ import json
 import math
 import time
 from bisect import bisect_left
-from dataclasses import dataclass
 
 from .errors import ColoringGraphMismatch, Disconnected, NotAPath, TooLarge
-from .graph import DOCUMENT_MAX_N, Graph, _reach_mask, from_edge_list, is_connected
+from .graph import (
+    DOCUMENT_MAX_N,
+    Graph,
+    _reach_mask,
+    _set,
+    _Value,
+    from_edge_list,
+    is_connected,
+)
 
 PROFILE_MAX_N = 16
 
 
-@dataclass(frozen=True)
-class EdgeColoring:
+class EdgeColoring(_Value):
     """A total edge coloring: colors[i] in 1..k colors graph.edges[i]."""
 
-    graph: Graph
-    k: int
-    colors: tuple[int, ...]
+    __slots__ = ("graph", "k", "colors")
 
-    def __post_init__(self):
+    def __init__(self, graph: Graph, k: int, colors: tuple[int, ...]):
         # floats and bools compare like ints, but the checker indexes and
         # shifts by colors, so only ints are colors
-        if type(self.k) is not int or self.k < 1:
-            raise ColoringGraphMismatch(
-                f"palette size must be an integer >= 1, got {self.k!r}"
-            )
-        if len(self.colors) != self.graph.m:
-            raise ColoringGraphMismatch(
-                f"{len(self.colors)} colors for {self.graph.m} edges"
-            )
-        bad = [c for c in self.colors if type(c) is not int or not 1 <= c <= self.k]
+        if type(k) is not int or k < 1:
+            raise ColoringGraphMismatch(f"palette size must be an integer >= 1, got {k!r}")
+        if len(colors) != graph.m:
+            raise ColoringGraphMismatch(f"{len(colors)} colors for {graph.m} edges")
+        bad = [c for c in colors if type(c) is not int or not 1 <= c <= k]
         if bad:
-            raise ColoringGraphMismatch(f"colors {bad} are not integers in 1..{self.k}")
+            raise ColoringGraphMismatch(f"colors {bad} are not integers in 1..{k}")
+        _set(self, "graph", graph)
+        _set(self, "k", k)
+        _set(self, "colors", colors)
 
     def color(self, u: int, v: int) -> int:
         edge = (min(u, v), max(u, v))

@@ -17,7 +17,6 @@ only after the kernel has exhausted every 2-coloring.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import islice, product
 
 from .coloring import (
@@ -45,6 +44,8 @@ from .errors import (
 )
 from .graph import (
     Graph,
+    _set,
+    _Value,
     bipartition,
     degree_stats,
     find_bridges,
@@ -62,8 +63,7 @@ _PHASE_CAP = 4096
 _DFS_STEPS = 1024
 
 
-@dataclass(frozen=True)
-class PcCertificate:
+class PcCertificate(_Value):
     """A coloring with its claims: proper connected, and strong when
     `strong` is set; strategy records how it was built. The graph and the
     palette size are the coloring's own, so they cannot disagree with it.
@@ -73,9 +73,12 @@ class PcCertificate:
     only a claim until verify_certificate passes it.
     """
 
-    coloring: EdgeColoring
-    strategy: str
-    strong: bool
+    __slots__ = ("coloring", "strategy", "strong")
+
+    def __init__(self, coloring: EdgeColoring, strategy: str, strong: bool):
+        _set(self, "coloring", coloring)
+        _set(self, "strategy", strategy)
+        _set(self, "strong", strong)
 
     @property
     def graph(self) -> Graph:

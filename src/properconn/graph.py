@@ -2,12 +2,12 @@
 
 Vertices are 0..n-1. Adjacency is kept as one bitmask row per vertex, so
 edge tests are O(1) and graphs are cheap to copy and hash. All functions
-here are pure; Graph values are safe to share between workers.
+here are pure. The package's record classes, Graph among them, are
+_Value classes: frozen, and pickled through __reduce__, which rebuilds
+a value from its fields, so they are safe to send to workers.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import (
     LoopEdge,
@@ -22,14 +22,75 @@ CANONICAL_MAX_N = 13
 # past about 2**60 they cannot even be allocated
 DOCUMENT_MAX_N = 1 << 20
 
+# stores a field of a _Value past its blocking __setattr__; bound once, it
+# saves each store the lookup of object.__setattr__
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class Graph:
+
+class _Value:
+    """Base of the package's record classes. A subclass names its fields
+    in __slots__ and stores them in its own __init__ with _set
+    (object.__setattr__). It gets:
+
+    - == against its own class only (NotImplemented otherwise), and hash
+    - the repr Name(field=value, ...)
+    - __match_args__, the field names
+    - pickling and copying through __reduce__, which calls the class
+      with the fields again, so __init__ checks them again
+    - AttributeError on assigning or deleting any attribute
+
+    A subclass that defines __eq__ or __hash__ itself keeps its own; a
+    mutable one also puts object's __setattr__ and __delattr__ back.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls.__match_args__ = cls.__slots__
+        mine = "".join(f"self.{name}, " for name in cls.__slots__)
+        theirs = mine.replace("self.", "other.")
+        # compiled per class, as dataclasses does, so that == and hash read
+        # the fields with plain attribute loads: an operator.attrgetter
+        # made them 30-80% slower per call
+        methods: dict = {}
+        exec(
+            "def __eq__(self, other):\n"
+            "    if other.__class__ is self.__class__:\n"
+            f"        return ({mine}) == ({theirs})\n"
+            "    return NotImplemented\n"
+            "def __hash__(self):\n"
+            f"    return hash(({mine}))\n",
+            {},
+            methods,
+        )
+        for name, method in methods.items():
+            if name not in cls.__dict__:
+                setattr(cls, name, method)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Graph(_Value):
     """Simple undirected graph: vertex count, sorted edge list, bit rows."""
 
-    n: int
-    edges: tuple[tuple[int, int], ...]
-    adj: tuple[int, ...]
+    __slots__ = ("n", "edges", "adj")
+
+    def __init__(self, n: int, edges: tuple[tuple[int, int], ...], adj: tuple[int, ...]):
+        _set(self, "n", n)
+        _set(self, "edges", edges)
+        _set(self, "adj", adj)
 
     @property
     def m(self) -> int:
@@ -170,7 +231,8 @@ def parse_edge_list_text(text: str) -> Graph:
     pairs = []
     for ln in lines[1:]:
         parts = ln.split()
-        if len(parts) != 2 or not all(p.isdigit() for p in parts):
+        # isdigit alone accepts digits such as "²" that int() rejects
+        if len(parts) != 2 or not all(p.isascii() and p.isdigit() for p in parts):
             raise VertexOutOfRange(f"bad edge line {ln!r}")
         pairs.append((int(parts[0]), int(parts[1])))
     return from_edge_list(n, pairs)
@@ -290,10 +352,12 @@ def find_bridges(g: Graph) -> list[tuple[int, int]]:
 # bipartite structure
 
 
-@dataclass(frozen=True)
-class Bipartition:
-    sideU: frozenset[int]
-    sideV: frozenset[int]
+class Bipartition(_Value):
+    __slots__ = ("sideU", "sideV")
+
+    def __init__(self, sideU: frozenset[int], sideV: frozenset[int]):
+        _set(self, "sideU", sideU)
+        _set(self, "sideV", sideV)
 
 
 def bipartition(g: Graph):

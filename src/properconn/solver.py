@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
 
 from .coloring import (
     PROFILE_MAX_N,
@@ -35,7 +34,15 @@ from .constructive import (
     color_tree,
 )
 from .errors import Disconnected, OutOfRange, PcError, SearchBudgetExceeded, TooLarge
-from .graph import Graph, degree_stats, find_bridges, is_complete, is_connected
+from .graph import (
+    Graph,
+    _set,
+    _Value,
+    degree_stats,
+    find_bridges,
+    is_complete,
+    is_connected,
+)
 
 
 def _budget_deadline():
@@ -174,10 +181,12 @@ def pc_exact(g: Graph, kmax=None, *, lower: int = 2) -> tuple[int, PcCertificate
     return upper.k, upper
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    ok: bool
-    reason: str = ""
+class VerificationReport(_Value):
+    __slots__ = ("ok", "reason")
+
+    def __init__(self, ok: bool, reason: str = ""):
+        _set(self, "ok", ok)
+        _set(self, "reason", reason)
 
     def __bool__(self) -> bool:
         return self.ok

@@ -36,9 +36,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass
 from functools import cache, partial
-from importlib import resources
 from itertools import chain, groupby, product
 
 from .coloring import complete
@@ -66,8 +64,10 @@ from .graph import (
     _class_entry,
     _deletion_components,
     _pack_rows,
+    _set,
     _twin_classes,
     _unpack_rows,
+    _Value,
     _vertex_keys,
     bipartition,
     canonical_code,
@@ -439,6 +439,10 @@ def exceptional_graphs() -> tuple[Graph, Graph]:
     accessor refuses to fabricate them. The 7-vertex graph must show its
     known shape: a cut-vertex shared by three triangles.
     """
+    # imported here, its one use, so that importing properconn does not
+    # load it
+    from importlib import resources
+
     try:
         text = (
             resources.files("properconn")
@@ -469,31 +473,62 @@ def exceptional_graphs() -> tuple[Graph, Graph]:
 # survey reports
 
 
-@dataclass(frozen=True)
-class ExceptionRecord:
-    graph6: str
-    pc: int
-    certificate: PcCertificate
+class ExceptionRecord(_Value):
+    __slots__ = ("graph6", "pc", "certificate")
+
+    def __init__(self, graph6: str, pc: int, certificate: PcCertificate):
+        _set(self, "graph6", graph6)
+        _set(self, "pc", pc)
+        _set(self, "certificate", certificate)
 
 
-@dataclass(frozen=True)
-class UnresolvedRecord:
-    graph6: str
-    lower: int
-    upper: int
-    detail: str
+class UnresolvedRecord(_Value):
+    __slots__ = ("graph6", "lower", "upper", "detail")
+
+    def __init__(self, graph6: str, lower: int, upper: int, detail: str):
+        _set(self, "graph6", graph6)
+        _set(self, "lower", lower)
+        _set(self, "upper", upper)
+        _set(self, "detail", detail)
 
 
-@dataclass
-class SurveyReport:
-    survey: str
-    n_lo: int
-    n_hi: int
-    filter_desc: str
-    totals: dict[int, int]
-    exceptions: list[ExceptionRecord]
-    unresolved: list[UnresolvedRecord]
-    timing: dict[int, float]
+class SurveyReport(_Value):
+    """A survey's outcome; unlike the other records it is mutable, so it
+    has no hash."""
+
+    __slots__ = (
+        "survey",
+        "n_lo",
+        "n_hi",
+        "filter_desc",
+        "totals",
+        "exceptions",
+        "unresolved",
+        "timing",
+    )
+    __hash__ = None
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+
+    def __init__(
+        self,
+        survey: str,
+        n_lo: int,
+        n_hi: int,
+        filter_desc: str,
+        totals: dict[int, int],
+        exceptions: list[ExceptionRecord],
+        unresolved: list[UnresolvedRecord],
+        timing: dict[int, float],
+    ):
+        self.survey = survey
+        self.n_lo = n_lo
+        self.n_hi = n_hi
+        self.filter_desc = filter_desc
+        self.totals = totals
+        self.exceptions = exceptions
+        self.unresolved = unresolved
+        self.timing = timing
 
 
 def report_to_json(report: SurveyReport) -> dict:

@@ -136,7 +136,7 @@ def test_edge_list_text_round_trip(g):
 
 
 def test_parse_edge_list_text_rejects_junk():
-    for junk in ["", "n x\n0 1\n", "n 3\n0 1 2\n", "n 3\n0 a\n"]:
+    for junk in ["", "n x\n0 1\n", "n 3\n0 1 2\n", "n 3\n0 a\n", "n 3\n0 \u00b2"]:
         with pytest.raises(VertexOutOfRange):
             parse_edge_list_text(junk)
 

@@ -205,11 +205,15 @@ def test_min_degree_survey_builds_only_its_top_chain(monkeypatch):
     assert len(grown) == sum(len(survey_mod._level("general", n, 0)) for n in range(1, 8))
 
 
-def test_importing_the_package_starts_no_multiprocessing():
+def test_importing_the_package_leaves_heavy_modules_unloaded():
+    # -S: no site, whose .pth files may load any of them first
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(survey_mod.__file__)))
-    code = "import sys, properconn; print('multiprocessing' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert proc.stdout.strip() == "False", proc.stderr
+    heavy = ["dataclasses", "importlib.resources", "inspect", "multiprocessing"]
+    code = f"import sys, properconn, properconn.cli; print(sorted(set({heavy}) & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.stdout.strip() == "[]", proc.stderr
 
 
 def rejected_by_the_per_vertex_prefilter(g, attach):
@@ -608,6 +612,25 @@ def test_surveys_refuse_fewer_than_one_job():
             survey_min_degree(5, 5, jobs=jobs)
         with pytest.raises(OutOfRange):
             survey_bipartite(4, 4, jobs=jobs)
+
+
+def test_worker_pool_returns_the_same_report():
+    # two workers even on one CPU, so the two exceptions' certificates come
+    # back from the pool pickled. In a child interpreter with a timeout: a
+    # result the parent cannot unpickle stops the pool's result thread, and
+    # Pool.map then waits forever
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(survey_mod.__file__)))
+    code = (
+        "import os; os.cpu_count = lambda: 2\n"
+        "from properconn import survey_min_degree\n"
+        "one, two = survey_min_degree(7, 8), survey_min_degree(7, 8, jobs=2)\n"
+        "print(len(two.exceptions), (two.totals, two.exceptions, two.unresolved)"
+        " == (one.totals, one.exceptions, one.unresolved))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.stdout.split() == ["2", "True"], proc.stderr
 
 
 def test_worker_count_is_capped_by_cpus_and_chunks(monkeypatch):
