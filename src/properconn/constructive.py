@@ -651,8 +651,9 @@ def pc2_pipeline(g: Graph):
     proves that the coloring properly connects g. Else the completion
     kernel over every 2-coloring of g, assigned in `_bfs_order`, whose
     exhaustion is the verdict; its witness is the first passing
-    coloring in that order. The survey takes the same two steps but
-    keeps only the verdict (`survey._examine`).
+    coloring in that order. The survey takes the same path step but
+    keeps only the verdict, and hands the graphs it misses to pc_exact
+    (`survey._examine`).
     """
     if g.n > PIPELINE_MAX_N:
         raise TooLarge(f"pipeline limited to n <= {PIPELINE_MAX_N}")

@@ -222,10 +222,11 @@ def parse_edge_list_text(text: str) -> Graph:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("n "):
         raise VertexOutOfRange('edge-list text must start with "n <count>"')
-    try:
-        n = int(lines[0][2:])
-    except ValueError as exc:
-        raise VertexOutOfRange(f"bad vertex count line {lines[0]!r}") from exc
+    count = lines[0][2:].strip()
+    # int() alone accepts "+3", "1_0" and non-ASCII digits such as "٥"
+    if not (count.isascii() and count.isdigit()):
+        raise VertexOutOfRange(f"bad vertex count line {lines[0]!r}")
+    n = int(count)
     if n > DOCUMENT_MAX_N:
         raise TooLarge(f"edge lists name at most {DOCUMENT_MAX_N} vertices, got {n}")
     pairs = []
@@ -404,9 +405,9 @@ def _bipartite_sides(rows):
 # canonical labeling
 
 
-def _canonical_perm(n: int, rows) -> tuple[list[int], list[int]]:
-    """Permutation minimizing the column-major upper-triangle bit vector,
-    and that minimum code as its list of per-position fields.
+def _canonical_fields(n: int, rows) -> list[int]:
+    """The minimum over all permutations of the column-major upper-triangle
+    bit vector, as its list of per-position fields.
 
     Branch and bound: vertices are placed one position at a time; placing
     a vertex at position j contributes a j-bit field, its adjacency to the
@@ -437,22 +438,21 @@ def _canonical_perm(n: int, rows) -> tuple[list[int], list[int]]:
     sooner and the bound cuts more.
     """
     if n <= 1:
-        return list(range(n)), [0] * n
+        return [0] * n
     order = sorted(range(n), key=lambda v: rows[v].bit_count())
     where = [0] * n
     for i, v in enumerate(order):
         where[v] = i
     rows = [sum(1 << where[w] for w in range(n) if rows[v] >> w & 1) for v in order]
     best_fields: list[int] = []
-    best_perm: list[int] = []
 
-    def extend(perm, fields, keys, left, tie) -> bool:
-        """Search below the prefix perm, whose fields equal the best code's
-        when tie is set and are smaller otherwise. keys are the unplaced
-        vertices (the mask left) sorted by their field against perm.
-        True when the best code was replaced."""
-        nonlocal best_fields, best_perm
-        j = len(perm)
+    def extend(fields, keys, left, tie) -> bool:
+        """Search below the prefix with these fields, which equal the best
+        code's when tie is set and are smaller otherwise. keys are the
+        unplaced vertices (the mask left) sorted by their field against
+        the prefix. True when the best code was replaced."""
+        nonlocal best_fields
+        j = len(fields)
         if tie:
             i = 0
             for key in keys:
@@ -467,7 +467,6 @@ def _canonical_perm(n: int, rows) -> tuple[list[int], list[int]]:
         if j == n - 1:
             # past the lookahead, the one vertex left completes a better code
             best_fields = fields + [keys[0] >> 4]
-            best_perm = perm + [keys[0] & 15]
             return True
         improved = False
         top = best_fields[j] if tie else -1
@@ -486,23 +485,21 @@ def _canonical_perm(n: int, rows) -> tuple[list[int], list[int]]:
             if dup:
                 continue
             seen_rows.append((chunk, v, sig))
-            perm.append(v)
             fields.append(chunk)
             child = sorted(
                 [(k >> 4 << 1 | sig >> (k & 15) & 1) << 4 | k & 15 for k in keys if k != key]
             )
-            if extend(perm, fields, child, rest, chunk == top):
+            if extend(fields, child, rest, chunk == top):
                 tie = improved = True
                 top = chunk
-            perm.pop()
             fields.pop()
         return improved
 
-    extend([], [], list(range(n)), (1 << n) - 1, False)
+    extend([], list(range(n)), (1 << n) - 1, False)
     # extend holds itself through its closure cell; unbinding it leaves no
     # reference cycle for the cyclic collector
     del extend
-    return [order[v] for v in best_perm], best_fields
+    return best_fields
 
 
 def _check_canonical_size(g: Graph) -> None:
@@ -512,25 +509,17 @@ def _check_canonical_size(g: Graph) -> None:
 
 def canonical_form(g: Graph) -> Graph:
     """Relabel to the canonical representative of the isomorphism class."""
-    _check_canonical_size(g)
-    perm, _ = _canonical_perm(g.n, g.adj)
-    rows = [0] * g.n
-    for j in range(g.n):
-        for i in range(j):
-            if g.adj[perm[i]] >> perm[j] & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return from_adj_rows(g.n, rows)
+    return from_graph6(canonical_code(g).decode("ascii"))
 
 
 def canonical_code(g: Graph) -> bytes:
     """Isomorphism-invariant byte string: graph6 of the canonical form.
 
     The minimum code's fields are graph6's bits in order, so they are
-    packed directly rather than through canonical_form.
+    packed directly.
     """
     _check_canonical_size(g)
-    _, fields = _canonical_perm(g.n, g.adj)
+    fields = _canonical_fields(g.n, g.adj)
     bits = 0
     for j, field in enumerate(fields):
         bits = bits << j | field

@@ -128,17 +128,16 @@ def _bridge_star(g: Graph) -> int:
     return max(count, default=0)
 
 
-def pc_exact(g: Graph, kmax=None, *, lower: int = 2) -> tuple[int, PcCertificate]:
+def pc_exact(g: Graph, kmax=None) -> tuple[int, PcCertificate]:
     """The exact minimum palette size with a verified witness.
 
     If b bridges meet at one vertex v, then pc(G) >= b: for two of them,
     vx and vy, the only x-y path is x v y, since a path leaves x's side of
     vx and enters y's side of vy only through those edges, so the two
-    bridges need different colors. Palettes from max(2, b, lower) up to
-    the k of pc_upper's certificate are tried in increasing order; when
-    that start reaches k, no search runs, and b is computed only when
-    max(2, lower) leaves a palette to search. Each is searched by the
-    completion kernel (coloring.complete) over all edges in breadth-first
+    bridges need different colors. Palettes from max(2, b) up to the k of
+    pc_upper's certificate are tried in increasing order; when that k is
+    2 or less, no search runs and b is not computed. Each is searched by
+    the completion kernel (coloring.complete) over all edges in breadth-first
     order from a vertex of maximum degree (`_bfs_order`), colors
     ascending, in restricted growth order (color c+1 only after color
     c), which skips only relabelings of colorings already tried. Every
@@ -153,19 +152,15 @@ def pc_exact(g: Graph, kmax=None, *, lower: int = 2) -> tuple[int, PcCertificate
     disconnected graph and gives a complete graph its one-color
     certificate, for which no palette is searched.
     With kmax set, no palette above kmax is searched: unless the proved
-    bound meets the upper bound, the bracket
-    [max(2, b, lower, kmax+1), upper] is raised rather than guessed.
-    lower is a bound the caller has proved, pc(G) >= lower; no palette
-    below it is searched, and nothing here re-checks the proof (the CLI
-    never sets it). When pc_upper's k is below lower, that certificate is
-    still returned, and the caller's proof is contradicted.
+    bound meets the upper bound, the bracket [max(2, b, kmax+1), upper]
+    is raised rather than guessed.
     """
     deadline = _budget_deadline()
     upper = pc_upper(g)
-    if max(2, lower) >= upper.k:
+    if upper.k <= 2:
         return upper.k, upper
     order = _bfs_order(g)
-    for k in range(max(2, lower, _bridge_star(g)), upper.k):
+    for k in range(max(2, _bridge_star(g)), upper.k):
         if kmax is not None and k > kmax:
             raise SearchBudgetExceeded(
                 k, upper.k, f"palettes above kmax={kmax} are not searched"

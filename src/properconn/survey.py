@@ -17,18 +17,16 @@ way; the minimum-degree 1 level is the full level, and the minimum-degree
 2 level is filtered from the full level once that is built. A survey
 takes its top order first, so its lower orders filter what the top one
 grew.
-Surveys decide pc <= 2 with pc2_pipeline's two steps and keep only the
+Surveys settle pc <= 2 by pc2_pipeline's path step and keep only the
 verdict (_examine). The path search runs on packed rows, once per parent
 whose children a level lists together (_examine_families): a parent's
 path that 2-dominates it settles each child whose new vertex has two
 neighbours on it. Every other graph gets its own search, and a path that
 spans it or 2-dominates it settles it with no Graph and no coloring, by
 the lemma that _path_colors proves. Only the other graphs are built, and
-go to the exact kernel at k = 2, whose None
-is a verdict; those it rules out go to the exact solver, and graphs
-whose search budget runs out are reported, never dropped. A solver that
-finds a 2-coloring there contradicts the pipeline and raises
-VerificationFailed.
+each takes one route: the exact solver on its canonical relabeling,
+which searches every palette from 2 up under PC_BUDGET_MS. Graphs whose
+search budget runs out are reported, never dropped.
 """
 
 from __future__ import annotations
@@ -39,22 +37,14 @@ import time
 from functools import cache, partial
 from itertools import chain, groupby, product
 
-from .coloring import complete
 from .constructive import (
     PcCertificate,
-    _bfs_order,
     _dominates,
     _dominating_path,
     certificate_to_json,
 )
 from .constructive import pc2_pipeline  # noqa: F401  (perfbench/tracing.py wraps it here)
-from .errors import (
-    FixturesMissing,
-    OutOfRange,
-    SearchBudgetExceeded,
-    TooLarge,
-    VerificationFailed,
-)
+from .errors import FixturesMissing, OutOfRange, SearchBudgetExceeded, TooLarge
 from .graph import (
     _KEY_BITS,
     _KEY_MASK,
@@ -603,34 +593,25 @@ def _examine(n: int, packed: int):
     """Worker: settle the connected n-vertex graph with these packed rows
     (graph._pack_rows). Returns a picklable outcome tuple.
 
-    Two routes, pc2_pipeline's two steps with only the verdict kept. The
-    path search (`_dominating_path`) runs once, on the rows; when its
-    path spans the graph or 2-dominates it (`_dominates`), the graph has
-    pc <= 2 by `_path_colors`' lemma, with no Graph and no coloring
-    built. Every other graph is built once and goes to the completion
-    kernel at k = 2, in `_bfs_order`, whose exhaustion is the verdict.
-
-    A None from the kernel proves pc >= 3, so pc_exact starts there, on
-    the graph relabeled to its canonical form: the witness then certifies
-    the graph a report prints, and only such graphs are ever labeled.
-    pc_exact's witness has passed the exact checker already.
+    Two routes. The path search (`_dominating_path`) runs once, on the
+    rows; when its path spans the graph or 2-dominates it (`_dominates`),
+    the graph has pc <= 2 by `_path_colors`' lemma, with no Graph and no
+    coloring built. Every other graph is labeled, and its verdict is
+    pc_exact's on the canonical relabeling, which searches palette 2 and
+    up under the budget: the witness then certifies the graph a report
+    prints. pc_exact's witness has passed the exact checker already.
     """
     rows = _unpack_rows(n, packed)
     path = _dominating_path(rows)
     if path is not None and _dominates(rows, path):
         return ("two", None)
-    g = from_adj_rows(n, rows)
-    if complete(g, 2, {}, _bfs_order(g)) is not None:
-        return ("two", None)
-    canon = canonical_code(g).decode("ascii")
+    canon = canonical_code(from_adj_rows(n, rows)).decode("ascii")
     try:
-        pc, witness = pc_exact(from_graph6(canon), lower=3)
+        pc, witness = pc_exact(from_graph6(canon))
     except SearchBudgetExceeded as exc:
         return ("unresolved", (canon, exc.lower, exc.upper, str(exc)))
     if pc == 2:
-        raise VerificationFailed(
-            f"{canon}: pc_exact found a 2-coloring that pc2_pipeline ruled out"
-        )
+        return ("two", None)
     return ("exception", (pc, witness))
 
 

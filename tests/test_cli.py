@@ -246,6 +246,16 @@ def test_survey_window_with_known_exception(capsys):
     assert "F@QFw" in out
 
 
+def test_a_budgeted_survey_is_inconclusive_not_contradicted(monkeypatch, capsys):
+    # the frozen F@QFw runs out of budget: unresolved, neither found nor missing
+    monkeypatch.setenv("PC_BUDGET_MS", "0")
+    code, out, err = run(capsys, "survey", "--n", "7..7")
+    assert code == 2
+    assert "inconclusive" in err
+    assert "CONTRADICTION" not in err
+    assert "graph6=F@QFw pc_in=[2," in out
+
+
 def test_survey_bipartite(capsys):
     code, out, _ = run(capsys, "survey", "--n", "4..6", "--family", "bipartite")
     assert code == 0

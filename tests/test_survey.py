@@ -22,10 +22,8 @@ from properconn import (
     EdgeColoring,
     FixturesMissing,
     OutOfRange,
-    PcError,
     SearchBudgetExceeded,
     TooLarge,
-    VerificationFailed,
     canonical_code,
     degree_stats,
     enumerate_connected,
@@ -423,18 +421,25 @@ def test_min_degree_survey_finds_the_seven_vertex_exception():
     assert report.unresolved == []
 
 
-def test_solver_contradicting_the_pipeline_is_a_pc_error(monkeypatch):
-    # C5 has a 2-coloring, so a None from the path search and the kernel
-    # step here contradicts pc_exact
+def test_a_graph_the_path_step_misses_gets_pc_exacts_verdict(monkeypatch):
+    # C5 has a 2-coloring; with the survey's path search stubbed out, the
+    # verdict is pc_exact's
+    verdicts = []
+    real = survey_mod.pc_exact
+
+    def spy(g):
+        verdict = real(g)
+        verdicts.append(verdict[0])
+        return verdict
+
     monkeypatch.setattr(survey_mod, "_dominating_path", lambda rows: None)
-    monkeypatch.setattr(survey_mod, "complete", lambda *args: None)
-    packed = _pack_rows(cycle_graph(5).adj)
-    with pytest.raises(VerificationFailed, match="ruled out") as info:
-        survey_mod._examine(5, packed)
-    assert isinstance(info.value, PcError)
+    monkeypatch.setattr(survey_mod, "pc_exact", spy)
+    assert survey_mod._examine(5, _pack_rows(cycle_graph(5).adj)) == ("two", None)
+    assert verdicts == [2]
 
 
-def test_examine_searches_no_palette_the_pipeline_ruled_out(monkeypatch):
+def test_examine_searches_each_palette_once(monkeypatch):
+    assert not hasattr(survey_mod, "complete")
     searched = []
     real = solver_mod._search
 
@@ -445,7 +450,7 @@ def test_examine_searches_no_palette_the_pipeline_ruled_out(monkeypatch):
     monkeypatch.setattr(solver_mod, "_search", spy)
     kind, (pc, _) = survey_mod._examine(7, _pack_rows(from_graph6("F@QFw").adj))
     assert (kind, pc) == ("exception", 3)
-    assert 2 not in searched
+    assert searched == [2, 3]
 
 
 SURVEY_LEVELS = [("general", n, -(-n // 4)) for n in range(5, 9)]
@@ -583,13 +588,13 @@ def test_min_degree_survey_certifies_only_with_the_kernel(monkeypatch):
 
     count("search", survey_mod, "_dominating_path")
     count("path", constructive_mod, "_color_path")
-    count("kernel", survey_mod, "complete")
+    count("kernel", constructive_mod, "complete")
     count("exact", survey_mod, "pc_exact")
     report = survey_min_degree(5, 8)
     assert sum(report.totals.values()) == 8017
     # one search per parent with two or more children, and one per graph
     # its parent's path does not settle
-    assert calls == {"search": 1742, "path": 0, "kernel": 6, "exact": 2}
+    assert calls == {"search": 1742, "path": 0, "kernel": 8, "exact": 6}
 
 
 def test_min_degree_survey_bounds_checking():
@@ -699,14 +704,28 @@ def test_report_codes_are_canonical_codes_of_the_certified_graphs():
 
 
 def test_unresolved_records_carry_canonical_codes(monkeypatch):
-    def out_of_budget(g, lower):
-        raise SearchBudgetExceeded(lower, 4, "budget spent for the test")
+    def out_of_budget(g):
+        raise SearchBudgetExceeded(2, 4, "budget spent for the test")
 
     monkeypatch.setattr(survey_mod, "pc_exact", out_of_budget)
     relabeled = from_edge_list(8, [(7 - u, 7 - v) for u, v in from_graph6("G@LCE[").edges])
     report = survey_min_degree(8, 8, corpus=[relabeled])
     assert report.exceptions == []
-    assert [(r.graph6, r.lower, r.upper) for r in report.unresolved] == [("G@LCE[", 3, 4)]
+    assert [(r.graph6, r.lower, r.upper) for r in report.unresolved] == [("G@LCE[", 2, 4)]
+
+
+def test_a_spent_budget_leaves_every_missed_graph_unresolved(monkeypatch):
+    # palette 2 is searched under the budget too: with it spent, each of the
+    # 6 graphs the path step misses is a bracket from 2, not a verdict
+    monkeypatch.setenv("PC_BUDGET_MS", "0")
+    report = survey_min_degree(7, 8)
+    assert report.totals == {7: 506, 8: 7441}
+    assert report.exceptions == []
+    assert len(report.unresolved) == 6
+    assert {"F@QFw", "G@LCE["} <= {r.graph6 for r in report.unresolved}
+    monkeypatch.delenv("PC_BUDGET_MS")
+    for r in report.unresolved:
+        assert r.lower == 2 <= solver_mod.pc_exact(from_graph6(r.graph6))[0] <= r.upper
 
 
 def test_twin_class_swaps_are_automorphisms():
