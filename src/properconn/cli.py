@@ -98,10 +98,10 @@ def cmd_survey(args) -> int:
     lo, hi = _parse_range(args.n)
     corpus = read_graph6_file(args.input) if args.input else None
     if args.family == "bipartite":
-        report = survey_bipartite(lo, hi, jobs=args.jobs, corpus=corpus)
+        report = survey_bipartite(lo, hi, corpus=corpus)
         expected = set()
     else:
-        report = survey_min_degree(lo, hi, jobs=args.jobs, corpus=corpus)
+        report = survey_min_degree(lo, hi, corpus=corpus)
         g7, g8 = exceptional_graphs()
         expected = {to_graph6(g) for g in (g7, g8) if lo <= g.n <= hi}
     if args.out:
@@ -159,9 +159,6 @@ def _build_parser() -> _Parser:
         help="which graph family to sweep",
     )
     p_survey.add_argument("--input", metavar="CORPUS.g6", help="graph6 corpus file")
-    p_survey.add_argument(
-        "--jobs", type=int, default=1, help="worker processes, at least 1"
-    )
     p_survey.add_argument("--out", metavar="PATH", help="write the report here")
     p_survey.add_argument(
         "--format", choices=("text", "structured"), default="text"

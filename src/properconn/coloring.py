@@ -61,6 +61,8 @@ class EdgeColoring(_Value):
     __slots__ = ("graph", "k", "colors")
 
     def __init__(self, graph: Graph, k: int, colors: tuple[int, ...]):
+        # a copy, checked and then stored: a caller's list cannot change it
+        colors = tuple(colors)
         # floats and bools compare like ints, but the checker indexes and
         # shifts by colors, so only ints are colors
         if type(k) is not int or k < 1:
@@ -85,10 +87,8 @@ class EdgeColoring(_Value):
 def make_coloring(g: Graph, k: int, assignment) -> EdgeColoring:
     """Build an EdgeColoring from a dict {edge: color} or a parallel sequence."""
     if isinstance(assignment, dict):
-        colors = _colors_by_edge(g, assignment.items())
-    else:
-        colors = tuple(assignment)
-    return EdgeColoring(g, k, colors)
+        assignment = _colors_by_edge(g, assignment.items())
+    return EdgeColoring(g, k, assignment)
 
 
 def _colors_by_edge(g: Graph, pairs) -> tuple[int, ...]:

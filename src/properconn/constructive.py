@@ -93,7 +93,7 @@ def _certify(g: Graph, k: int, colors, strategy: str, path=None):
     """Wrap a coloring as a plain certificate, or raise if the checker
     refuses it. `path`, a path the coloring alternates along, is
     handed to the checker as a hint to walk before it searches."""
-    coloring = EdgeColoring(g, k, tuple(colors))
+    coloring = EdgeColoring(g, k, colors)
     if path is None:
         ok = is_proper_connected(coloring)
     else:

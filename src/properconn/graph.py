@@ -3,8 +3,8 @@
 Vertices are 0..n-1. Adjacency is kept as one bitmask row per vertex, so
 edge tests are O(1) and graphs are cheap to copy and hash. All functions
 here are pure. The package's record classes, Graph among them, are
-_Value classes: frozen, and pickled through __reduce__, which rebuilds
-a value from its fields, so they are safe to send to workers.
+_Value classes: frozen, and pickled and copied through __reduce__, which
+rebuilds a value from its fields and so checks them again.
 """
 
 from __future__ import annotations

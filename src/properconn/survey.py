@@ -32,10 +32,9 @@ search budget runs out are reported, never dropped.
 from __future__ import annotations
 
 import json
-import os
 import time
-from functools import cache, partial
-from itertools import chain, groupby, product
+from functools import cache
+from itertools import groupby, product
 
 from .constructive import (
     PcCertificate,
@@ -67,7 +66,6 @@ from .graph import (
     from_graph6,
     is_complete,
     is_connected,
-    to_graph6,
 )
 from .solver import pc_exact
 from .solver import verify_certificate  # noqa: F401  (perfbench/tracing.py wraps it here)
@@ -590,8 +588,9 @@ def write_report(report: SurveyReport, path, fmt: str = "text"):
 
 
 def _examine(n: int, packed: int):
-    """Worker: settle the connected n-vertex graph with these packed rows
-    (graph._pack_rows). Returns a picklable outcome tuple.
+    """Settle the connected n-vertex graph with these packed rows
+    (graph._pack_rows): None when two colors do, else its report record,
+    an ExceptionRecord or an UnresolvedRecord.
 
     Two routes. The path search (`_dominating_path`) runs once, on the
     rows; when its path spans the graph or 2-dominates it (`_dominates`),
@@ -599,20 +598,21 @@ def _examine(n: int, packed: int):
     coloring built. Every other graph is labeled, and its verdict is
     pc_exact's on the canonical relabeling, which searches palette 2 and
     up under the budget: the witness then certifies the graph a report
-    prints. pc_exact's witness has passed the exact checker already.
+    prints, whose code is canon. pc_exact's witness has passed the exact
+    checker already.
     """
     rows = _unpack_rows(n, packed)
     path = _dominating_path(rows)
     if path is not None and _dominates(rows, path):
-        return ("two", None)
+        return None
     canon = canonical_code(from_adj_rows(n, rows)).decode("ascii")
     try:
         pc, witness = pc_exact(from_graph6(canon))
     except SearchBudgetExceeded as exc:
-        return ("unresolved", (canon, exc.lower, exc.upper, str(exc)))
+        return UnresolvedRecord(canon, exc.lower, exc.upper, str(exc))
     if pc == 2:
-        return ("two", None)
-    return ("exception", (pc, witness))
+        return None
+    return ExceptionRecord(canon, pc, witness)
 
 
 def _examine_families(n: int, graphs) -> list:
@@ -641,32 +641,13 @@ def _examine_families(n: int, graphs) -> list:
                 on_path = sum(1 << v for v in path)
         for packed in family:
             if (packed >> shift & on_path).bit_count() >= 2:
-                out.append(("two", None))
+                out.append(None)
             else:
                 out.append(_examine(n, packed))
     return out
 
 
-def _map_examine(n: int, graphs, jobs: int):
-    """_examine every graph, in order, by families (_examine_families),
-    on at most jobs worker processes: never more than the machine's CPUs
-    or the chunks there are to hand out, and none for one worker or fewer
-    than 4 graphs. A chunk boundary may split a family, which costs that
-    family one more path search."""
-    workers = min(jobs, os.cpu_count() or 1)
-    chunk = max(1, len(graphs) // (8 * workers))
-    workers = min(workers, -(-len(graphs) // chunk))
-    if workers <= 1 or len(graphs) < 4:
-        return _examine_families(n, graphs)
-    from multiprocessing import get_context
-
-    chunks = [graphs[i : i + chunk] for i in range(0, len(graphs), chunk)]
-    with get_context("fork").Pool(workers) as pool:
-        outcomes = pool.map(partial(_examine_families, n), chunks, chunksize=1)
-    return list(chain.from_iterable(outcomes))
-
-
-def _run_survey(name, filter_desc, n_lo, n_hi, graphs_for, jobs) -> SurveyReport:
+def _run_survey(name, filter_desc, n_lo, n_hi, graphs_for) -> SurveyReport:
     """Examine graphs_for(n), the packed rows (graph._pack_rows) of one
     graph per class on n vertices, for every n in range. Reports print
     canonical graph6 codes, the only graph6 a survey produces.
@@ -680,16 +661,11 @@ def _run_survey(name, filter_desc, n_lo, n_hi, graphs_for, jobs) -> SurveyReport
         t0 = time.perf_counter()
         graphs = graphs_for(n)
         totals[n] = len(graphs)
-        found[n] = [out for out in _map_examine(n, graphs, jobs) if out[0] != "two"]
+        found[n] = [rec for rec in _examine_families(n, graphs) if rec is not None]
         timing[n] = time.perf_counter() - t0
-    exceptions, unresolved = [], []
-    for n in range(n_lo, n_hi + 1):
-        for kind, info in found[n]:
-            if kind == "exception":
-                pc, witness = info
-                exceptions.append(ExceptionRecord(to_graph6(witness.graph), pc, witness))
-            else:
-                unresolved.append(UnresolvedRecord(*info))
+    records = [rec for n in range(n_lo, n_hi + 1) for rec in found[n]]
+    exceptions = [rec for rec in records if isinstance(rec, ExceptionRecord)]
+    unresolved = [rec for rec in records if isinstance(rec, UnresolvedRecord)]
     totals, timing = dict(sorted(totals.items())), dict(sorted(timing.items()))
     return SurveyReport(
         name, n_lo, n_hi, filter_desc, totals, exceptions, unresolved, timing
@@ -710,18 +686,15 @@ def _corpus_rows(corpus, n, predicate):
     return kept
 
 
-def survey_min_degree(n_lo: int = 5, n_hi: int = 8, jobs: int = 1, corpus=None) -> SurveyReport:
+def survey_min_degree(n_lo: int = 5, n_hi: int = 8, corpus=None) -> SurveyReport:
     """Check every connected noncomplete graph with min degree >= ceil(n/4)
     for a verified 2-coloring; report the graphs needing more.
 
     Built-in enumeration and corpora (iterables of Graph) both cover n up
-    to 9. Budget shortfalls land in `unresolved`. jobs >= 1 worker
-    processes examine the graphs, at most one per CPU.
+    to 9. Budget shortfalls land in `unresolved`.
     """
     if not 5 <= n_lo <= n_hi:
         raise OutOfRange("need 5 <= n_lo <= n_hi")
-    if jobs < 1:
-        raise OutOfRange("jobs must be at least 1")
     if n_hi > ENUMERATION_MAX_N:
         raise TooLarge(f"minimum-degree survey covers n <= {ENUMERATION_MAX_N}")
 
@@ -742,22 +715,20 @@ def survey_min_degree(n_lo: int = 5, n_hi: int = 8, jobs: int = 1, corpus=None) 
         n_lo,
         n_hi,
         graphs_for,
-        jobs,
     )
 
 
-def survey_bipartite(n_lo: int = 4, n_hi: int = 9, jobs: int = 1, corpus=None) -> SurveyReport:
+def survey_bipartite(n_lo: int = 4, n_hi: int = 9, corpus=None) -> SurveyReport:
     """Check every connected bipartite graph with min degree >=
     ceil((n+6)/8) for a verified 2-coloring; zero exceptions expected.
 
     Built-in enumeration and corpora cover n up to BIPARTITE_MAX_N = 13,
-    past the general chain's 9: the n=13 level (75,624 classes) takes
-    about 35 s. jobs is as for survey_min_degree.
+    past the general chain's 9: on one core of a 2-core machine under
+    Python 3.11, order 13 (75,624 classes) takes about 11 s, nearly all
+    of it building the level.
     """
     if not 4 <= n_lo <= n_hi:
         raise OutOfRange("need 4 <= n_lo <= n_hi")
-    if jobs < 1:
-        raise OutOfRange("jobs must be at least 1")
     if n_hi > BIPARTITE_MAX_N:
         raise TooLarge(f"bipartite survey covers n <= {BIPARTITE_MAX_N}")
 
@@ -777,7 +748,6 @@ def survey_bipartite(n_lo: int = 4, n_hi: int = 9, jobs: int = 1, corpus=None) -
         n_lo,
         n_hi,
         graphs_for,
-        jobs,
     )
 
 

@@ -88,6 +88,18 @@ def test_make_coloring_validation():
     assert seq.colors == (1, 2)
 
 
+def test_a_coloring_keeps_its_own_copy_of_the_colors():
+    # checked and stored as one tuple: editing the caller's list afterwards
+    # changes neither the colors the checker reads nor equality and hash
+    g = path_graph(3)
+    given_colors = [1, 2]
+    c = coloring.EdgeColoring(g, 2, given_colors)
+    given_colors[0] = 9
+    assert c.colors == (1, 2)
+    assert c == coloring.EdgeColoring(g, 2, (1, 2))
+    assert hash(c) == hash(coloring.EdgeColoring(g, 2, (1, 2)))
+
+
 def test_color_lookup_is_symmetric():
     c = colored(3, [(0, 1), (1, 2)], [1, 2])
     assert c.color(0, 1) == c.color(1, 0) == 1

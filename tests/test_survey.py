@@ -6,7 +6,6 @@ from __future__ import annotations
 import hashlib
 import inspect
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -21,7 +20,6 @@ from hypothesis import strategies as st
 from properconn import (
     EdgeColoring,
     FixturesMissing,
-    OutOfRange,
     SearchBudgetExceeded,
     TooLarge,
     canonical_code,
@@ -434,7 +432,7 @@ def test_a_graph_the_path_step_misses_gets_pc_exacts_verdict(monkeypatch):
 
     monkeypatch.setattr(survey_mod, "_dominating_path", lambda rows: None)
     monkeypatch.setattr(survey_mod, "pc_exact", spy)
-    assert survey_mod._examine(5, _pack_rows(cycle_graph(5).adj)) == ("two", None)
+    assert survey_mod._examine(5, _pack_rows(cycle_graph(5).adj)) is None
     assert verdicts == [2]
 
 
@@ -448,8 +446,9 @@ def test_examine_searches_each_palette_once(monkeypatch):
         return real(g, k, *args, **kwargs)
 
     monkeypatch.setattr(solver_mod, "_search", spy)
-    kind, (pc, _) = survey_mod._examine(7, _pack_rows(from_graph6("F@QFw").adj))
-    assert (kind, pc) == ("exception", 3)
+    record = survey_mod._examine(7, _pack_rows(from_graph6("F@QFw").adj))
+    assert type(record) is survey_mod.ExceptionRecord
+    assert (record.graph6, record.pc) == ("F@QFw", 3)
     assert searched == [2, 3]
 
 
@@ -493,9 +492,12 @@ def test_examine_settles_each_survey_graph_as_the_pipeline_does(monkeypatch):
         parents = sum(1 for family in families(n, graphs) if len(family) > 1)
         assert len(searches) == parents + len(routed)
         total += len(searches)
-        for packed, (outcome, _) in zip(graphs, outcomes, strict=True):
+        for packed, record in zip(graphs, outcomes, strict=True):
             g = from_adj_rows(n, _unpack_rows(n, packed))
-            assert outcome == ("two" if pc2_pipeline(g) is not None else "exception")
+            if pc2_pipeline(g) is not None:
+                assert record is None
+            else:
+                assert type(record) is survey_mod.ExceptionRecord
             path = real_search(g.adj)
             if path is not None and constructive_mod._dominates(g.adj, path):
                 assert verify_certificate(constructive_mod._color_path(g, path)).ok
@@ -517,10 +519,11 @@ def parent_path_settlements(examine_families, n, family):
         paths.append(constructive_mod._dominating_path(rows))
         return paths[-1]
 
-    stubs = {"_dominating_path": search, "_examine": lambda n, packed: ("routed", None)}
+    routed = object()
+    stubs = {"_dominating_path": search, "_examine": lambda n, packed: routed}
     with mock.patch.dict(examine_families.__globals__, stubs):
         outcomes = examine_families(n, family)
-    settled = [packed for packed, (kind, _) in zip(family, outcomes) if kind == "two"]
+    settled = [packed for packed, outcome in zip(family, outcomes, strict=True) if outcome is None]
     failures = []
     for packed in settled:
         (path,) = paths
@@ -609,64 +612,6 @@ def test_bipartite_survey_stops_at_thirteen_vertices():
     for lo, hi in ((14, 14), (4, 14)):
         with pytest.raises(TooLarge, match="n <= 13"):
             survey_bipartite(lo, hi)
-
-
-def test_surveys_refuse_fewer_than_one_job():
-    for jobs in (0, -3):
-        with pytest.raises(OutOfRange):
-            survey_min_degree(5, 5, jobs=jobs)
-        with pytest.raises(OutOfRange):
-            survey_bipartite(4, 4, jobs=jobs)
-
-
-def test_worker_pool_returns_the_same_report():
-    # two workers even on one CPU, so the two exceptions' certificates come
-    # back from the pool pickled. In a child interpreter with a timeout: a
-    # result the parent cannot unpickle stops the pool's result thread, and
-    # Pool.map then waits forever
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(survey_mod.__file__)))
-    code = (
-        "import os; os.cpu_count = lambda: 2\n"
-        "from properconn import survey_min_degree\n"
-        "one, two = survey_min_degree(7, 8), survey_min_degree(7, 8, jobs=2)\n"
-        "print(len(two.exceptions), (two.totals, two.exceptions, two.unresolved)"
-        " == (one.totals, one.exceptions, one.unresolved))"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert proc.stdout.split() == ["2", "True"], proc.stderr
-
-
-def test_worker_count_is_capped_by_cpus_and_chunks(monkeypatch):
-    # a stand-in pool records the worker count and starts no process
-    started = []
-
-    class RecordingPool:
-        def __init__(self, processes):
-            started.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, func, items, chunksize):
-            return [func(item) for item in items]
-
-    class Context:
-        Pool = RecordingPool
-
-    monkeypatch.setattr(multiprocessing, "get_context", lambda method: Context)
-    graphs = survey_mod._level("general", 6, 2)
-    serial = survey_mod._map_examine(6, graphs, 1)
-    assert started == []
-    monkeypatch.setattr(survey_mod.os, "cpu_count", lambda: 3)
-    assert survey_mod._map_examine(6, graphs, 10**9) == serial
-    monkeypatch.setattr(survey_mod.os, "cpu_count", lambda: 64)
-    assert survey_mod._map_examine(6, graphs[:5], 10**9) == serial[:5]
-    assert started == [3, 5]
 
 
 def test_bipartite_survey_clean():
@@ -852,6 +797,24 @@ def test_report_json_round_trip():
     assert doc["survey"] == "bipartite"
     assert doc["totals"] == {"4": 1, "5": 1} or doc["totals"] == {4: 1, 5: 1}
     json.dumps(doc)  # must be serializable as-is
+
+
+# sha256 of json.dumps(report_to_json(report), indent=2, sort_keys=True)
+# with "timing_seconds" removed: every byte of a report but its timings,
+# certificate colors, filter text and unresolved list included
+REPORT_DIGESTS = {
+    ("min-degree", 5, 8): "a81f7fc40087224db484257d9778cc2db8d160033c9aa456be2325e7e393c404",
+    ("bipartite", 4, 9): "e7674cce8fd8556d5ca995aa479227a7f6ef019292a5a30890a812627f987c16",
+}
+
+
+def test_whole_survey_reports_are_pinned():
+    surveys = {"min-degree": survey_min_degree, "bipartite": survey_bipartite}
+    for (name, lo, hi), want in REPORT_DIGESTS.items():
+        doc = report_to_json(surveys[name](lo, hi))
+        del doc["timing_seconds"]
+        text = json.dumps(doc, indent=2, sort_keys=True)
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == want, (name, lo, hi)
 
 
 def test_write_report_with_sidecar(tmp_path):
