@@ -1,10 +1,9 @@
-"""Immutable simple graphs with desk-scale structural algorithms.
-
-Vertices are 0..n-1. Adjacency is kept as one bitmask row per vertex, so
-edge tests are O(1) and graphs are cheap to copy and hash. All functions
-here are pure. The package's record classes, Graph among them, are
-_Value classes: frozen, and pickled and copied through __reduce__, which
-rebuilds a value from its fields and so checks them again.
+"""Immutable simple graphs: the Graph value class and _Value, the frozen
+base of every record class (pickled and copied through __reduce__, which
+rebuilds a value from its fields and so checks them again); the graph6
+and edge-list text formats; connectivity, bridges, bipartitions and
+canonical labeling. Vertices are 0..n-1, adjacency is one bitmask row
+per vertex, and every function here is pure.
 """
 
 from __future__ import annotations
@@ -524,199 +523,3 @@ def canonical_code(g: Graph) -> bytes:
     for j, field in enumerate(fields):
         bits = bits << j | field
     return _pack_graph6(g.n, bits).encode("ascii")
-
-
-# ---------------------------------------------------------------------------
-# isomorphism classes without labeling
-
-
-# bits per vertex key in a _class_entry: a key is below 2**24 for n <= 13
-_KEY_BITS = 24
-_KEY_MASK = (1 << _KEY_BITS) - 1
-
-
-def _vertex_keys(rows) -> list[int]:
-    """Per-vertex invariant packed in one int: the degree, then the sum of
-    the neighbours' degrees, then the triangles through the vertex. An
-    isomorphism maps every vertex to one with the same key."""
-    degrees = [row.bit_count() for row in rows]
-    keys = []
-    for row in rows:
-        around = twice_triangles = 0
-        rest = row
-        while rest:
-            low = rest & -rest
-            w = low.bit_length() - 1
-            around += degrees[w]
-            twice_triangles += (row & rows[w]).bit_count()
-            rest ^= low
-        keys.append(row.bit_count() << 16 | around << 8 | twice_triangles >> 1)
-    return keys
-
-
-def _twin_classes(rows) -> list[list[int]]:
-    """The classes of twins of the graph with adjacency rows `rows`,
-    ascending: u and v are twins when N(u) - v = N(v) - u. This is an
-    equivalence, each class is a clique or an independent set, and any
-    permutation of a class that fixes every other vertex is an
-    automorphism.
-
-    Twins that are not adjacent have equal rows, and adjacent twins have
-    equal closed rows (row | 1 << u), so the classes are the groups of
-    equal rows and of equal closed rows. They share one dict, as no row
-    equals a closed row N[v]: a row holding v is the row of a neighbour
-    w of v, and N[v] holds w while w's row does not. No vertex has twins
-    of both kinds: N(u) = N(v) and N[u] = N[w] put w in N(v), so v in
-    N[w] = N[u], yet u and v are not adjacent."""
-    groups: dict[int, list[int]] = {}
-    for u, row in enumerate(rows):
-        groups.setdefault(row, []).append(u)
-        groups.setdefault(row | 1 << u, []).append(u)
-    classes = []
-    for u, row in enumerate(rows):
-        cls = groups[row]
-        if len(cls) == 1:
-            cls = groups[row | 1 << u]
-        if cls[0] == u:
-            classes.append(cls)
-    return classes
-
-
-def _isomorphic(a, keys_a, b, keys_b) -> bool:
-    """Exact isomorphism test of the graphs with adjacency rows a and b.
-
-    Backtracking over every bijection that maps each vertex of a to a
-    vertex of b with the same key; since every isomorphism keeps keys,
-    none is missed. The vertices of a are placed in breadth-first order
-    from one of the rarest key (lowest index on ties), each component in
-    turn, so every vertex but a component's first has a placed neighbour.
-    A vertex of b is accepted only when its placed neighbours are exactly
-    the images of the placed neighbours of the vertex of a it receives.
-    """
-    n = len(a)
-    if sorted(keys_a) != sorted(keys_b):
-        return False
-    by_key: dict[int, int] = {}
-    for w, key in enumerate(keys_b):
-        by_key[key] = by_key.get(key, 0) | 1 << w
-    cands = [by_key[key] for key in keys_a]
-    sizes = [mask.bit_count() for mask in cands]
-    start = sizes.index(min(sizes))
-    # before[i]: the neighbours of order[i] placed ahead of it
-    order, before = [start], [0]
-    full = (1 << n) - 1
-    seen, k = 1 << start, 0
-    while True:
-        while k < len(order):
-            rest = a[order[k]] & ~seen
-            k += 1
-            while rest:
-                low = rest & -rest
-                w = low.bit_length() - 1
-                order.append(w)
-                before.append(a[w] & seen)
-                seen |= low
-                rest ^= low
-        if seen == full:
-            break
-        rest = full & ~seen
-        low = rest & -rest
-        order.append(low.bit_length() - 1)
-        before.append(0)
-        seen |= low
-    # image[v]: the bit of v's image in b; frees[i]: candidates for
-    # position i not tried yet; needs[i]: the images of its placed
-    # neighbours, which its image's placed neighbours must equal
-    image, needs, frees = [0] * n, [0] * n, [0] * n
-    frees[0] = cands[start]
-    used, i = 0, 0
-    while True:
-        free = frees[i]
-        if not free:
-            if i == 0:
-                return False
-            i -= 1
-            used ^= image[order[i]]
-            continue
-        low = free & -free
-        frees[i] = free ^ low
-        if b[low.bit_length() - 1] & used != needs[i]:
-            continue
-        image[order[i]] = low
-        used |= low
-        i += 1
-        if i == n:
-            return True
-        need = 0
-        rest = before[i]
-        while rest:
-            bit = rest & -rest
-            need |= image[bit.bit_length() - 1]
-            rest ^= bit
-        needs[i] = need
-        frees[i] = cands[order[i]] & ~used
-
-
-def _pack_rows(rows) -> int:
-    """Adjacency rows of an n-vertex graph packed in one int, row v at
-    bit n*v."""
-    n = len(rows)
-    packed = 0
-    for row in reversed(rows):
-        packed = packed << n | row
-    return packed
-
-
-def _unpack_rows(n: int, packed: int) -> list[int]:
-    """The adjacency rows that _pack_rows packed for an n-vertex graph."""
-    full = (1 << n) - 1
-    return [packed >> n * v & full for v in range(n)]
-
-
-def _class_entry(rows, keys) -> int:
-    """The graph with these adjacency rows and vertex keys (_vertex_keys)
-    as one int: its packed rows (_pack_rows) in the low n*n bits, which
-    _unpack_rows reads from it as they are, and above them the keys,
-    _KEY_BITS bits each, vertex 0's lowest."""
-    packed = 0
-    for key in reversed(keys):
-        packed = packed << _KEY_BITS | key
-    return packed << len(rows) ** 2 | _pack_rows(rows)
-
-
-def _entry_keys(n: int, entry: int) -> list[int]:
-    """The vertex keys of an n-vertex graph's _class_entry."""
-    top = n * n
-    return [entry >> at & _KEY_MASK for at in range(top, top + _KEY_BITS * n, _KEY_BITS)]
-
-
-def _add_class(classes: dict, n: int, entry: int):
-    """Add the n-vertex graph of this entry (_class_entry) to classes
-    unless a graph isomorphic to it is there already. Returns its packed
-    rows (_pack_rows) when it was added, else None.
-
-    classes holds graphs of one order: survey._level keeps one for the
-    children that can meet an isomorph anywhere in the level and one per
-    parent for those that can meet one only among their siblings. It
-    maps the hash of a graph's
-    sorted vertex keys (hashes of int tuples do not depend on
-    PYTHONHASHSEED) to its one representative's entry, or to a list of
-    them when non-isomorphic graphs share the hash, so a collision reads
-    the keys it compares with instead of recomputing them.
-    """
-    keys = _entry_keys(n, entry)
-    slot = hash(tuple(sorted(keys)))
-    packed = entry & (1 << n * n) - 1
-    held = classes.get(slot)
-    if held is None:
-        classes[slot] = entry
-        return packed
-    rows = _unpack_rows(n, entry)
-    for rep in [held] if type(held) is int else held:
-        if _isomorphic(rows, keys, _unpack_rows(n, rep), _entry_keys(n, rep)):
-            return None
-    if type(held) is int:
-        classes[slot] = [held, entry]
-    else:
-        held.append(entry)
-    return packed

@@ -33,8 +33,8 @@ from properconn import (
     to_graph6,
     verify_certificate,
 )
-from properconn import survey as survey_mod
-from properconn.graph import _unpack_rows
+from properconn import enumeration as enumeration_mod
+from properconn.enumeration import _unpack_rows
 from util import (
     brute_is_proper_connected,
     complete_graph,
@@ -147,7 +147,7 @@ def test_criterion_5_closed_forms_for_complete_graphs_stars_and_trees():
     # holds them all
     trees = 0
     for n in range(2, 9):
-        for packed in survey_mod._level("general", n, 1):
+        for packed in enumeration_mod._level("general", n, 1):
             g = from_adj_rows(n, _unpack_rows(n, packed))
             if not is_tree(g):
                 continue

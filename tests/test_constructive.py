@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from properconn import coloring, constructive
-from properconn import survey as survey_mod
+from properconn import enumeration as enumeration_mod
 from properconn import (
     ColoringGraphMismatch,
     DegreeTooLow,
@@ -48,7 +48,7 @@ from properconn import (
     to_graph6,
     verify_certificate,
 )
-from properconn.graph import _unpack_rows
+from properconn.enumeration import _unpack_rows
 from util import (
     complete_bipartite,
     complete_graph,
@@ -138,7 +138,7 @@ def test_a_path_coloring_is_checked_without_a_search(monkeypatch):
 
     monkeypatch.setattr(coloring._Machine, "dfs_from", spy)
     checked = 0
-    for packed in survey_mod._level("general", 8, 2):
+    for packed in enumeration_mod._level("general", 8, 2):
         g = from_adj_rows(8, _unpack_rows(8, packed))
         path = constructive._dominating_path(g.adj)
         if path is None or len(path) < g.n:
@@ -306,7 +306,7 @@ def test_path_search_paths_and_steps_are_pinned(monkeypatch):
     digest = hashlib.sha256()
     for kind, orders, t in (("general", range(5, 9), 2), ("bipartite", range(2, 10), 0)):
         for n in orders:
-            for packed in survey_mod._level(kind, n, t):
+            for packed in enumeration_mod._level(kind, n, t):
                 steps[0] = 0
                 path = constructive._dominating_path(_unpack_rows(n, packed))
                 digest.update(f"{kind} {n} {path} {steps[0]}\n".encode())
@@ -475,7 +475,7 @@ def test_ear_decompositions_are_pinned():
     graphs = 0
     for kind, orders in (("general", range(3, 8)), ("bipartite", range(4, 11))):
         for n in orders:
-            for packed in survey_mod._level(kind, n, 2):
+            for packed in enumeration_mod._level(kind, n, 2):
                 g = from_adj_rows(n, _unpack_rows(n, packed))
                 if not find_bridges(g):
                     graphs += 1
@@ -500,7 +500,7 @@ def test_bipartite_bridgeless_classes_are_constructed_without_search(monkeypatch
     monkeypatch.setattr(constructive, "has_strong_property", counted)
     graphs = 0
     for n in range(4, 11):
-        for packed in survey_mod._level("bipartite", n, 2):
+        for packed in enumeration_mod._level("bipartite", n, 2):
             g = from_adj_rows(n, _unpack_rows(n, packed))
             if find_bridges(g):
                 continue

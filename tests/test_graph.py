@@ -27,7 +27,8 @@ from properconn import (
     parse_edge_list_text,
     to_graph6,
 )
-from properconn.graph import _isomorphic, _reach_mask, _vertex_keys
+from properconn.enumeration import _isomorphic, _vertex_keys
+from properconn.graph import _reach_mask
 from util import (
     brute_bridges,
     brute_canonical_code,

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from properconn import hamilton
-from properconn import survey as survey_mod
+from properconn import enumeration as enumeration_mod
 from properconn import (
     TooLarge,
     from_adj_rows,
@@ -19,7 +19,7 @@ from properconn import (
     hamilton_path,
     hamilton_path_from,
 )
-from properconn.graph import _unpack_rows
+from properconn.enumeration import _unpack_rows
 from util import (
     complete_bipartite,
     complete_graph,
@@ -145,7 +145,7 @@ def test_spanning_paths_are_pinned():
     lines = []
     for kind, top in (("general", 7), ("bipartite", 9)):
         for n in range(1, top + 1):
-            for packed in survey_mod._level(kind, n, 0):
+            for packed in enumeration_mod._level(kind, n, 0):
                 p = hamilton_path(from_adj_rows(n, _unpack_rows(n, packed)))
                 lines.append("-" if p is None else ",".join(map(str, p)))
     assert len(lines) == 1980

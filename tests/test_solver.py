@@ -32,9 +32,9 @@ from properconn import (
     strong_coloring_bridgeless,
     verify_certificate,
 )
-from properconn import survey as survey_mod
+from properconn import enumeration as enumeration_mod
 from properconn.coloring import complete
-from properconn.graph import _unpack_rows
+from properconn.enumeration import _unpack_rows
 from util import (
     complete_bipartite,
     complete_graph,
@@ -163,7 +163,7 @@ def test_upper_bound_is_two_wherever_the_exact_search_finds_a_spanning_path():
     # the reference for pc_upper's capped path search
     graphs = 0
     for n in range(2, 9):
-        for packed in survey_mod._level("general", n, 0):
+        for packed in enumeration_mod._level("general", n, 0):
             g = from_adj_rows(n, _unpack_rows(n, packed))
             cert = pc_upper(g)
             assert verify_certificate(cert).ok

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from properconn import (
     EdgeColoring,
     FixturesMissing,
+    OutOfRange,
     SearchBudgetExceeded,
     TooLarge,
     canonical_code,
@@ -44,10 +45,11 @@ from properconn import (
     write_report,
 )
 from properconn import constructive as constructive_mod
+from properconn import enumeration as enumeration_mod
 from properconn import solver as solver_mod
-from properconn import graph as graph_mod
 from properconn import survey as survey_mod
-from properconn.graph import _class_entry, _pack_rows, _reach_mask, _unpack_rows, _vertex_keys
+from properconn.enumeration import _class_entry, _pack_rows, _unpack_rows, _vertex_keys
+from properconn.graph import _reach_mask
 from util import (
     complete_bipartite,
     complete_graph,
@@ -150,7 +152,7 @@ def test_survey_representatives_are_pinned():
     for n, want in SURVEY_LEVEL_DIGESTS.items():
         text = "\n".join(
             to_graph6(from_adj_rows(n, _unpack_rows(n, packed)))
-            for packed in survey_mod._level("general", n, 2)
+            for packed in enumeration_mod._level("general", n, 2)
         )
         assert hashlib.sha256(text.encode("ascii")).hexdigest() == want, n
 
@@ -160,12 +162,12 @@ def min_degree_at_least(n, t, level):
 
 
 def test_every_small_level_is_pinned(monkeypatch):
-    monkeypatch.setattr(survey_mod, "_LEVELS", {})
+    monkeypatch.setattr(enumeration_mod, "_LEVELS", {})
     digest = hashlib.sha256()
     for kind, top in (("general", 8), ("bipartite", 10)):
         for n in range(1, top + 1):
             for t in range(4):
-                level = survey_mod._level(kind, n, t)
+                level = enumeration_mod._level(kind, n, t)
                 digest.update(f"{kind} {n} {t}: {' '.join(map(str, level))}\n".encode("ascii"))
     assert digest.hexdigest() == SMALL_LEVELS_DIGEST
 
@@ -176,29 +178,29 @@ def test_levels_one_and_two_follow_from_the_full_level(monkeypatch):
     # level is the full level
     for kind, top in (("general", 8), ("bipartite", 10)):
         for n in range(2, top + 1):
-            monkeypatch.setattr(survey_mod, "_LEVELS", {})
-            built = survey_mod._level(kind, n, 2)
-            full = survey_mod._level(kind, n, 0)
+            monkeypatch.setattr(enumeration_mod, "_LEVELS", {})
+            built = enumeration_mod._level(kind, n, 2)
+            full = enumeration_mod._level(kind, n, 0)
             assert built == min_degree_at_least(n, 2, full), (kind, n)
-            assert survey_mod._level(kind, n, 1) == full, (kind, n)
+            assert enumeration_mod._level(kind, n, 1) == full, (kind, n)
 
 
 def test_min_degree_survey_builds_only_its_top_chain(monkeypatch):
-    monkeypatch.setattr(survey_mod, "_LEVELS", {})
+    monkeypatch.setattr(enumeration_mod, "_LEVELS", {})
     grown = []
-    real = survey_mod._children
+    real = enumeration_mod._children
 
     def children(kind, rows, t):
         grown.append(len(rows))
         return real(kind, rows, t)
 
-    monkeypatch.setattr(survey_mod, "_children", children)
+    monkeypatch.setattr(enumeration_mod, "_children", children)
     survey_min_degree(5, 8)
     # the n=8 level grows the full levels below it, each once, and the
     # lower orders filter those: no t = 1 or lower t = 2 level is grown
     want = [("general", n, 0) for n in range(2, 8)] + [("general", n, 2) for n in range(5, 9)]
-    assert sorted(survey_mod._LEVELS) == sorted(want)
-    assert len(grown) == sum(len(survey_mod._level("general", n, 0)) for n in range(1, 8))
+    assert sorted(enumeration_mod._LEVELS) == sorted(want)
+    assert len(grown) == sum(len(enumeration_mod._level("general", n, 0)) for n in range(1, 8))
 
 
 def test_importing_the_package_leaves_heavy_modules_unloaded():
@@ -213,7 +215,7 @@ def test_importing_the_package_leaves_heavy_modules_unloaded():
 
 
 def rejected_by_the_per_vertex_prefilter(g, attach):
-    """Prune (b) of survey._level, vertex by vertex from scratch: some
+    """Prune (b) of enumeration._level, vertex by vertex from scratch: some
     vertex that is non-cut in the child has a larger (degree, sum of the
     neighbours' degrees) there than the new vertex."""
     grown = [row | (attach >> v & 1) << g.n for v, row in enumerate(g.adj)] + [attach]
@@ -238,7 +240,7 @@ def rejected_by_the_per_vertex_prefilter(g, attach):
 )
 @settings(max_examples=80, deadline=None)
 def test_child_keys_and_prunes_follow_from_the_parent(kind, n, t, pick):
-    parents = survey_mod._level(kind, n - 1, max(t - 1, 0))
+    parents = enumeration_mod._level(kind, n - 1, max(t - 1, 0))
     if not parents:
         return
     rows = _unpack_rows(n - 1, parents[pick % len(parents)])
@@ -247,11 +249,11 @@ def test_child_keys_and_prunes_follow_from_the_parent(kind, n, t, pick):
     masks = [1 << v for v in range(n - 1)]
     want = [
         attach
-        for attach in survey_mod._attachment_sets(kind, rows, t, masks)
+        for attach in enumeration_mod._attachment_sets(kind, rows, t, masks)
         if not rejected_by_the_per_vertex_prefilter(g, attach)
     ]
     got = []
-    for _, entry in survey_mod._children(kind, rows, t):
+    for _, entry in enumeration_mod._children(kind, rows, t):
         grown = _unpack_rows(n, entry)
         attach = grown[-1]
         assert grown[:-1] == [row | (attach >> v & 1) << g.n for v, row in enumerate(rows)]
@@ -271,24 +273,24 @@ def test_child_keys_and_prunes_follow_from_the_parent(kind, n, t, pick):
 @settings(max_examples=60, deadline=None)
 def test_attachment_sets_leave_out_exactly_the_sizes_below_least(kind, n, t, pick, meet_pick):
     # pruning partial unions keeps the other sets and their order
-    parents = survey_mod._level(kind, n - 1, max(t - 1, 0))
+    parents = enumeration_mod._level(kind, n - 1, max(t - 1, 0))
     if not parents:
         return
     rows = _unpack_rows(n - 1, parents[pick % len(parents)])
     masks = [1 << v for v in range(n - 1)]
-    every = list(survey_mod._attachment_sets(kind, rows, t, masks))
+    every = list(enumeration_mod._attachment_sets(kind, rows, t, masks))
     for least in range(n + 1):
         want = [a for a in every if not 2 <= a.bit_count() < least]
-        assert list(survey_mod._attachment_sets(kind, rows, t, masks, least)) == want
+        assert list(enumeration_mod._attachment_sets(kind, rows, t, masks, least)) == want
         # with a mask to meet, the sets of exactly least vertices that meet
         # it go too, and the rest keep their order
         meet = meet_pick % (1 << n - 1)
         want = [a for a in want if not (a.bit_count() == least and a & meet)]
-        assert list(survey_mod._attachment_sets(kind, rows, t, masks, least, meet)) == want
+        assert list(enumeration_mod._attachment_sets(kind, rows, t, masks, least, meet)) == want
 
 
 def test_level_computes_vertex_keys_per_parent_not_per_child(monkeypatch):
-    monkeypatch.setattr(survey_mod, "_LEVELS", {})
+    monkeypatch.setattr(enumeration_mod, "_LEVELS", {})
     calls = {"keys": 0, "isomorphic": 0, "children": 0}
 
     def counted(name, real):
@@ -298,14 +300,16 @@ def test_level_computes_vertex_keys_per_parent_not_per_child(monkeypatch):
 
         return call
 
-    keys = counted("keys", graph_mod._vertex_keys)
-    monkeypatch.setattr(survey_mod, "_vertex_keys", keys)
-    monkeypatch.setattr(graph_mod, "_vertex_keys", keys)
-    monkeypatch.setattr(graph_mod, "_isomorphic", counted("isomorphic", graph_mod._isomorphic))
-    monkeypatch.setattr(survey_mod, "_add_class", counted("children", survey_mod._add_class))
-    survey_mod._level("general", 8, 2)
+    keys = counted("keys", enumeration_mod._vertex_keys)
+    monkeypatch.setattr(enumeration_mod, "_vertex_keys", keys)
+    isomorphic = counted("isomorphic", enumeration_mod._isomorphic)
+    monkeypatch.setattr(enumeration_mod, "_isomorphic", isomorphic)
+    add_class = counted("children", enumeration_mod._add_class)
+    monkeypatch.setattr(enumeration_mod, "_add_class", add_class)
+    enumeration_mod._level("general", 8, 2)
     parents = sum(
-        len(survey_mod._level(kind, n - 1, max(t - 1, 0))) for kind, n, t in survey_mod._LEVELS
+        len(enumeration_mod._level(kind, n - 1, max(t - 1, 0)))
+        for kind, n, t in enumeration_mod._LEVELS
     )
     # one call per parent: a child's keys follow from its parent's, and a
     # representative's are stored with it for the children compared with it
@@ -317,6 +321,9 @@ def test_enumeration_bipartite_counts():
     for n, want in CONNECTED_BIPARTITE_COUNTS.items():
         got = sum(1 for _ in enumerate_connected(n, bipartite_only=True))
         assert got == want
+    # further up OEIS A005142, counted on the levels with no labeling
+    for n, want in {9: 730, 10: 4032, 11: 25598}.items():
+        assert len(enumeration_mod._level("bipartite", n, 0)) == want, n
 
 
 def test_enumeration_size_guard():
@@ -324,6 +331,16 @@ def test_enumeration_size_guard():
         next(enumerate_connected(10))
     with pytest.raises(TooLarge):
         next(enumerate_connected(1))
+
+
+def test_enumeration_refuses_a_min_degree_that_is_not_an_int(monkeypatch):
+    # 1.5 once yielded graphs of minimum degree 1 and cached levels keyed
+    # by floats
+    monkeypatch.setattr(enumeration_mod, "_LEVELS", {})
+    for bad in (1.5, 2.0, True):
+        with pytest.raises(OutOfRange):
+            next(enumerate_connected(6, bad))
+    assert enumeration_mod._LEVELS == {}
 
 
 def test_sweep_generator_agrees_with_augmentation():
@@ -485,7 +502,7 @@ def test_examine_settles_each_survey_graph_as_the_pipeline_does(monkeypatch):
     monkeypatch.setattr(survey_mod, "_examine", examine)
     on_rows = total = 0
     for kind, n, t in SURVEY_LEVELS:
-        graphs = survey_mod._level(kind, n, t)
+        graphs = enumeration_mod._level(kind, n, t)
         searches.clear()
         routed.clear()
         outcomes = survey_mod._examine_families(n, graphs)
@@ -549,7 +566,7 @@ def loose_examine_families():
 def test_parent_paths_settle_only_children_they_two_dominate():
     settled = 0
     for kind, n, t in SURVEY_LEVELS:
-        for family in families(n, survey_mod._level(kind, n, t)):
+        for family in families(n, enumeration_mod._level(kind, n, t)):
             done, failures = parent_path_settlements(survey_mod._examine_families, n, family)
             assert failures == []
             settled += len(done)
@@ -676,7 +693,7 @@ def test_a_spent_budget_leaves_every_missed_graph_unresolved(monkeypatch):
 def test_twin_class_swaps_are_automorphisms():
     for code in ("F@QFw", "G@LCE[", to_graph6(complete_graph(5)), to_graph6(cycle_graph(4))):
         g = from_graph6(code)
-        classes = survey_mod._twin_classes(g.adj)
+        classes = enumeration_mod._twin_classes(g.adj)
         assert sorted(v for cls in classes for v in cls) == list(range(g.n))
         for cls in classes:
             for u in cls:
@@ -733,7 +750,7 @@ def graphs_with_twins(draw):
 @given(graphs_with_twins())
 @settings(max_examples=200, deadline=None)
 def test_grouped_twin_classes_follow_the_pairwise_definition(rows):
-    assert survey_mod._twin_classes(rows) == pairwise_twin_classes(rows)
+    assert enumeration_mod._twin_classes(rows) == pairwise_twin_classes(rows)
 
 
 def test_grouped_twin_classes_on_small_and_complete_graphs():
@@ -742,25 +759,25 @@ def test_grouped_twin_classes_on_small_and_complete_graphs():
     both = from_edge_list(5, [(0, 1), (0, 4), (1, 4), (2, 4), (3, 4)])
     cases = [[], [0] * 4, complete_graph(1).adj, complete_graph(2).adj, complete_graph(5).adj]
     for rows in cases + [both.adj]:
-        assert survey_mod._twin_classes(rows) == pairwise_twin_classes(rows), rows
-    assert survey_mod._twin_classes([0] * 4) == [[0, 1, 2, 3]]
-    assert survey_mod._twin_classes(both.adj) == [[0, 1], [2, 3], [4]]
+        assert enumeration_mod._twin_classes(rows) == pairwise_twin_classes(rows), rows
+    assert enumeration_mod._twin_classes([0] * 4) == [[0, 1, 2, 3]]
+    assert enumeration_mod._twin_classes(both.adj) == [[0, 1], [2, 3], [4]]
 
 
 def test_routed_levels_equal_one_dict_for_all(monkeypatch):
     # each level is grown with its routes and compared with the same
     # children deduplicated in one dict; t = 2 goes first, so it is grown
     # rather than filtered from the t = 0 level
-    monkeypatch.setattr(survey_mod, "_LEVELS", {})
+    monkeypatch.setattr(enumeration_mod, "_LEVELS", {})
     for kind, top in (("general", 8), ("bipartite", 10)):
         for n in range(2, top + 1):
             for t in (2, 0):
                 want = level_through_one_dict(kind, n, t)
-                assert survey_mod._level(kind, n, t) == want, (kind, n, t)
+                assert enumeration_mod._level(kind, n, t) == want, (kind, n, t)
     routes = Counter(
         route
-        for parent in survey_mod._level("general", 7, 1)
-        for route, _ in survey_mod._children("general", _unpack_rows(7, parent), 2)
+        for parent in enumeration_mod._level("general", 7, 1)
+        for route, _ in enumeration_mod._children("general", _unpack_rows(7, parent), 2)
     )
     # at n = 8 some children are kept with no dict, some meet only their
     # siblings' dict and some the level's

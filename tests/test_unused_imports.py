@@ -130,3 +130,36 @@ def test_every_private_helper_is_referenced_outside_its_definition():
         )
     ]
     assert orphans == [], "defined but referenced only inside its own definition"
+
+
+# the level builder's internals: the class-entry layout, the dedup and the
+# augmentation, which no module but enumeration.py may name
+ENUMERATION_INTERNALS = {
+    "_KEY_BITS", "_KEY_MASK", "_class_entry", "_entry_keys", "_add_class", "_vertex_keys",
+    "_twin_classes", "_isomorphic", "_attachment_sets", "_order_tables", "_children", "_LEVELS",
+}
+
+
+def test_the_level_builder_stays_inside_enumeration():
+    readers, package_imports = [], []
+    for filename in sorted(os.listdir(PACKAGE)):
+        if not filename.endswith(".py"):
+            continue
+        with open(os.path.join(PACKAGE, filename), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                package_imports += [(filename, node.module or alias.name) for alias in node.names]
+                read = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Name):
+                read = {node.id}
+            elif isinstance(node, ast.Attribute):
+                read = {node.attr}
+            else:
+                continue
+            if filename != "enumeration.py" and read & ENUMERATION_INTERNALS:
+                readers.append(f"{filename}:{node.lineno} {sorted(read & ENUMERATION_INTERNALS)}")
+    assert readers == [], "reads the level builder's internals outside enumeration.py"
+    assert {module for filename, module in package_imports if filename == "enumeration.py"} == {
+        "graph"
+    }

@@ -8,8 +8,9 @@ from math import comb
 
 import numpy as np
 
-from properconn import Graph, TooLarge, canonical_code, from_edge_list, survey, to_graph6
-from properconn.graph import _add_class, _reach_mask, _unpack_rows
+from properconn import Graph, TooLarge, canonical_code, enumeration, from_edge_list, to_graph6
+from properconn.enumeration import _add_class, _unpack_rows
+from properconn.graph import _reach_mask
 
 SWEEP_MAX_N = 7
 
@@ -235,12 +236,12 @@ def enumerate_connected_by_sweep(n: int):
 
 
 def level_through_one_dict(kind: str, n: int, t: int):
-    """survey._level(kind, n, t) with every child of every parent sent
-    through one graph._add_class dict, whatever its route: the level the
+    """enumeration._level(kind, n, t) with every child of every parent sent
+    through one enumeration._add_class dict, whatever its route: the level the
     routes must reproduce, representatives and order alike."""
     classes, kept = {}, []
-    for parent in survey._level(kind, n - 1, max(t - 1, 0)):
-        for _, entry in survey._children(kind, _unpack_rows(n - 1, parent), t):
+    for parent in enumeration._level(kind, n - 1, max(t - 1, 0)):
+        for _, entry in enumeration._children(kind, _unpack_rows(n - 1, parent), t):
             packed = _add_class(classes, n, entry)
             if packed is not None:
                 kept.append(packed)
