@@ -6,9 +6,9 @@ them) and their dedup (_add_class, also behind _corpus_rows).
 Augmentation (grow by one vertex, keep one child per class) enumerates
 the classes for n <= 9, and the bipartite survey's classes for n <= 13;
 the test suite cross-checks it with an independent labeled
-adjacency-mask sweep for n <= 7. Children are pruned by twin classes and
-a canonical-deletion prefilter. The prefilter also shows which survivors
-can meet an isomorph only among their siblings, or none at all; the
+adjacency-mask sweep for n <= 7. Children are pruned by twin classes, a
+canonical-deletion prefilter and the parent's automorphisms. The
+prefilter also shows which survivors can meet no isomorph at all; the
 others are deduplicated level-wide, each by vertex invariants (derived
 from the parent's) plus an exact isomorphism test. A level with minimum
 degree >= t grows from levels filtered the same way; the minimum-degree
@@ -80,8 +80,10 @@ def _twin_classes(rows) -> list[list[int]]:
     return classes
 
 
-def _isomorphic(a, keys_a, b, keys_b) -> bool:
-    """Exact isomorphism test of the graphs with adjacency rows a and b.
+def _isomorphisms(a, keys_a, b, keys_b):
+    """Yield every isomorphism from the graph with adjacency rows a onto
+    the one with rows b, given their vertex keys, as a list: item v is
+    the bit of v's image.
 
     Backtracking over every bijection that maps each vertex of a to a
     vertex of b with the same key; since every isomorphism keeps keys,
@@ -93,7 +95,7 @@ def _isomorphic(a, keys_a, b, keys_b) -> bool:
     """
     n = len(a)
     if sorted(keys_a) != sorted(keys_b):
-        return False
+        return
     by_key: dict[int, int] = {}
     for w, key in enumerate(keys_b):
         by_key[key] = by_key.get(key, 0) | 1 << w
@@ -132,7 +134,7 @@ def _isomorphic(a, keys_a, b, keys_b) -> bool:
         free = frees[i]
         if not free:
             if i == 0:
-                return False
+                return
             i -= 1
             used ^= image[order[i]]
             continue
@@ -141,10 +143,11 @@ def _isomorphic(a, keys_a, b, keys_b) -> bool:
         if b[low.bit_length() - 1] & used != needs[i]:
             continue
         image[order[i]] = low
+        if i == n - 1:
+            yield image[:]
+            continue
         used |= low
         i += 1
-        if i == n:
-            return True
         need = 0
         rest = before[i]
         while rest:
@@ -153,6 +156,46 @@ def _isomorphic(a, keys_a, b, keys_b) -> bool:
             rest ^= bit
         needs[i] = need
         frees[i] = cands[order[i]] & ~used
+
+
+def _class_automorphisms(rows, keys, classes) -> list[list[int]]:
+    """The automorphisms of the graph with adjacency rows `rows`, vertex
+    keys `keys` and twin classes `classes`, as maps of the classes (item
+    i: the index of class i's image), sorted, so the identity is first.
+
+    An automorphism maps twins to twins, so it permutes the classes and
+    keeps their sizes, keys and joins (two classes are joined completely
+    or not at all). Each such permutation lifts to automorphisms: the
+    degree in the keys shows that a class and its image are both cliques
+    or both independent. So these are the automorphisms of the quotient
+    graph on the classes labeled by key and size, and they keep the sum
+    of the labels of the classes joined to each class too. With a class
+    per label, or per such pair, there is only the identity."""
+    k = len(classes)
+    labels = [keys[cls[0]] << 8 | len(cls) for cls in classes]
+    if len(set(labels)) == k:
+        return [list(range(k))]
+    at = [0] * len(rows)
+    for i, cls in enumerate(classes):
+        for v in cls:
+            at[v] = i
+    quotient, refined = [], []
+    for i, cls in enumerate(classes):
+        joined = around = 0
+        rest = rows[cls[0]]
+        while rest:
+            low = rest & -rest
+            j = at[low.bit_length() - 1]
+            if not joined >> j & 1:
+                joined |= 1 << j
+                around += labels[j]
+            rest ^= low
+        quotient.append(joined & ~(1 << i))
+        refined.append(labels[i] << 40 | around)
+    if len(set(refined)) == k:
+        return [list(range(k))]
+    images = _isomorphisms(quotient, refined, quotient, refined)
+    return sorted([bit.bit_length() - 1 for bit in image] for image in images)
 
 
 def _pack_rows(rows) -> int:
@@ -194,12 +237,11 @@ def _add_class(classes: dict, n: int, entry: int):
     rows (_pack_rows) when it was added, else None.
 
     classes holds graphs of one order: _level keeps one for the children
-    that can meet an isomorph anywhere in the level and one per parent
-    for those that can meet one only among their siblings. It maps the
-    hash of a graph's sorted vertex keys (hashes of int tuples do not
-    depend on PYTHONHASHSEED) to its one representative's entry, or to a
-    list of them when non-isomorphic graphs share the hash, so a collision
-    reads the keys it compares with instead of recomputing them.
+    that can meet an isomorph anywhere in the level. It maps the hash of
+    a graph's sorted vertex keys (hashes of int tuples do not depend on
+    PYTHONHASHSEED) to its one representative's entry, or to a list of
+    them when non-isomorphic graphs share the hash, so a collision reads
+    the keys it compares with instead of recomputing them.
     """
     keys = _entry_keys(n, entry)
     slot = hash(tuple(sorted(keys)))
@@ -210,7 +252,7 @@ def _add_class(classes: dict, n: int, entry: int):
         return packed
     rows = _unpack_rows(n, entry)
     for rep in [held] if type(held) is int else held:
-        if _isomorphic(rows, keys, _unpack_rows(n, rep), _entry_keys(n, rep)):
+        if any(_isomorphisms(rows, keys, _unpack_rows(n, rep), _entry_keys(n, rep))):
             return None
     if type(held) is int:
         classes[slot] = [held, entry]
@@ -309,11 +351,10 @@ def _order_tables(m: int) -> tuple:
 
 def _children(kind: str, rows, t: int):
     """Yield (route, entry) for each child of the graph with adjacency
-    rows `rows` that passes prunes (a) and (b) of _level, in
-    attachment-set order: entry is its class entry (_class_entry),
-    with the new vertex last, and route is what (b) proves about the
-    isomorphs it can meet (_level): 0 none, 1 only its siblings, 2 any
-    child of the level.
+    rows `rows` that passes prunes (a), (b) and (c) of _level, in
+    attachment-set order: entry is its class entry (_class_entry), with
+    the new vertex last, and route is what (b) proves about the isomorphs
+    it can meet (_level): 0 none, 2 any child of the level.
 
     Nothing is built per child but a few ints. What a set A changes is a
     sum over its vertices, so each vertex v gets one weight and
@@ -343,16 +384,18 @@ def _children(kind: str, rows, t: int):
     outside or inside A), and so is every set of exactly D >= 2 vertices
     that holds such a u of degree D (it has degree D + 1 in the child),
     so `_attachment_sets` leaves them out. The same test at threshold
-    mine << 8 finds the old vertices whose pair ties the new vertex's;
-    a child with none goes by its parent's route, 0 when the parent is
-    rigid (as many distinct keys as twin classes) and 1 otherwise."""
+    mine << 8 finds the old vertices whose pair ties the new vertex's:
+    a child with none takes route 0, and one with some route 2.
+
+    Isomorphic siblings share the new vertex's key, so a child whose key
+    is new among its siblings is first in its orbit; prune (c)
+    (_orbit_test) checks only the others."""
     m, n = len(rows), len(rows) + 1
     f = _KEY_BITS
     c_at, a_at, r_at, ones, guard, fields, by_row, fixed = _order_tables(m)
     keys = _vertex_keys(rows)
     comps = _deletion_components(rows)
     classes = _twin_classes(rows)
-    alone = 0 if len(set(keys)) == len(classes) else 1
     solids = [u for u, parts in enumerate(comps) if len(parts) <= 1]
     cuts = [(1 << f * u + f - 1, parts) for u, parts in enumerate(comps) if len(parts) > 1]
     most = max((keys[u] >> 16 for u in solids), default=0)
@@ -362,6 +405,7 @@ def _children(kind: str, rows, t: int):
     weight = [fixed[v] + by_row[row] for v, row in enumerate(rows)]
     base = sum(key << f * u for u, key in enumerate(keys))
     base_rows = sum(row << n * v for v, row in enumerate(rows))
+    heads, first = set(), None
     for s in _attachment_sets(kind, rows, t, weight, most, meet, classes):
         attach = s & full
         d = attach.bit_count()
@@ -385,101 +429,134 @@ def _children(kind: str, rows, t: int):
         # the new vertex's triangles: half of the sum of inner's fields,
         # which the product with ones gathers in field m-1
         tri = (inner * ones >> f * (m - 1) & _KEY_MASK) >> 1
-        top = child + inner | (mine << 8 | tri) << f * m
-        yield 2 if tied else alone, top << n * n | base_rows + (s >> r_at)
+        head = mine << 8 | tri
+        if head in heads:
+            first = first or _orbit_test(kind, rows, keys, classes)
+            if not first(attach):
+                continue
+        heads.add(head)
+        top = child + inner | head << f * m
+        yield 2 if tied else 0, top << n * n | base_rows + (s >> r_at)
+
+
+def _orbit_test(kind: str, rows, keys, classes):
+    """Prune (c) of _level for the graph with adjacency rows `rows`,
+    vertex keys `keys` and twin classes `classes`: a function that tells
+    whether an attachment set of (a), as a vertex mask, comes first in
+    its orbit under the automorphisms of the graph.
+
+    A set of (a) is known by its counts c_i in the classes, and
+    _attachment_sets yields it at place sum_i c_i * p_i, p_i being the
+    product of |class j| + 1 over the classes j after i, plus 2**m per
+    vertex on the second side of the bipartite chain. A class map g
+    (_class_automorphisms) sends it to the set with c_i vertices in
+    class g(i). So class i gets one _KEY_BITS field per map, holding
+    p_g(i), and a set's counts times these hold the places of all its
+    images, the identity's first (below 2**23 for m <= 18); the guarded
+    subtraction of prune (b) then finds an earlier one."""
+    group = _class_automorphisms(rows, keys, classes)
+    if len(group) == 1:
+        return lambda attach: True
+    m, f = len(rows), _KEY_BITS
+    side = 0 if kind == "general" else _bipartite_sides(rows)[1]
+    places, place = [0] * len(classes), 1
+    for i in reversed(range(len(classes))):
+        places[i] = place + ((side >> classes[i][0] & 1) << m)
+        place *= len(classes[i]) + 1
+    orbit = [
+        (sum(1 << v for v in cls), sum(places[to[i]] << f * j for j, to in enumerate(group)))
+        for i, cls in enumerate(classes)
+    ]
+    ones = sum(1 << f * j for j in range(len(group)))
+    guard = ones << f - 1
+
+    def first(attach):
+        at = 0
+        for mask, images in orbit:
+            at += (attach & mask).bit_count() * images
+        return ((at | guard) - (at & _KEY_MASK) * ones) & guard == guard
+
+    return first
 
 
 def _level(kind: str, n: int, t: int) -> tuple[int, ...]:
     """Packed rows (_pack_rows) of one representative per connected
     class on n vertices with minimum degree >= t (bipartite ones for that
-    kind). The representatives are not canonical forms; the order is
-    deterministic.
+    kind), in a deterministic order; they are not canonical forms.
 
     Each class H on n vertices is grown from one on n-1 by a new vertex
-    attached to a chosen set. Two prunes run before a child is kept:
+    attached to a chosen set. Three prunes run before a child is kept:
 
-    (a) the attachment set has at least t vertices, holds every parent
-        vertex of degree t-1, and meets each twin class of the parent in
-        a lowest-index prefix (`_attachment_sets`);
+    (a) the set has at least t vertices, holds every parent vertex of
+        degree t-1 and meets each twin class of the parent in a
+        lowest-index prefix (`_attachment_sets`);
     (b) the child is dropped when some non-cut vertex has a larger key
-        than the new vertex, where a vertex's key is its degree, then
-        the sum of its neighbours' degrees, compared in that order
-        (the cheap half of McKay's canonical deletion, J. Algorithms 26,
-        1998, with an isomorphism-invariant key).
+        than the new vertex, a key being the degree, then the sum of the
+        neighbours' degrees (the cheap half of McKay's canonical
+        deletion, J. Algorithms 26, 1998);
+    (c) the child is dropped when an automorphism of the parent maps its
+        set onto one that (a) yields earlier (McKay's orbit pruning,
+        `_orbit_test`); that set's child is isomorphic to this one by a
+        map that fixes the new vertex, so (b) keeps it too.
 
-    `_children` runs both, (b) on the child's keys packed in one int. A
-    surviving child is kept unless it is isomorphic to a child already
-    kept. Where it may meet one (the routes below), `_add_class`
-    decides: children are bucketed by their sorted vertex invariants, and
-    an exact isomorphism test decides within a bucket, so no child is
-    labeled. _vertex_keys runs once per parent: a child's keys follow
-    from its parent's, and a kept child's are stored with it for the
-    comparisons to come.
+    `_children` runs all three, on a child's keys packed in one int. A
+    kept child that may meet an isomorph from another parent goes to
+    `_add_class`, which buckets by sorted vertex invariants and tests
+    isomorphism exactly, so no child is labeled. _vertex_keys runs once
+    per parent: a child's keys follow from its parent's.
 
     Routes. Call the new vertex x of a child top when no other vertex has
     its (degree, neighbour-degree sum) pair.
 
-    Lemma (unique top). A kept child isomorphic to a child C with top x
-    is a sibling of C. An isomorphism g from C onto a kept child C' keeps
-    pairs and non-cut vertices. x is non-cut and (b) gave it the largest
-    pair among C's non-cut vertices, so g(x), the one vertex of C' with
-    that pair, has the largest among those of C'; (b) gave the new vertex
-    x' of C', also non-cut, the largest too, so x' = g(x). So C - x and
-    C' - x' are isomorphic parents, hence one parent P (a level holds
-    one per class), and g restricted to P is an automorphism of P that
-    carries one attachment set onto the other. C' is top too.
+    Lemma (unique top). An isomorphism g from a child C with top x onto a
+    kept child C' maps x to the new vertex x' of C': g keeps pairs and
+    non-cut vertices, and (b) gave x and x' the largest pair among the
+    non-cut vertices, which in C' only g(x) has. So C - x and C' - x' are
+    isomorphic, hence one parent P (a level holds one per class).
 
-    Lemma (rigid parent). If P has as many distinct keys (_vertex_keys)
-    as twin classes, each key class is a twin class, so every
-    automorphism of P permutes vertices within twin classes and maps no
-    set of (a), a union of class prefixes, onto another. So a top child
-    of a rigid P has no isomorph among the other kept children.
+    Lemma (orbits). Children of P with sets A and A' are isomorphic by a
+    map that fixes the new vertex iff an automorphism of P maps A onto A'
+    (restrict the map, or extend the automorphism). So by (c) a kept top
+    child has no isomorph among the other kept children.
 
-    So `_children` routes each child: a top child of a rigid parent is
-    kept with no dict, another top child goes through a dict for its
-    parent alone, and a tied child through the level-wide dict. A class
-    takes one route and every route keeps its first child, so the level
-    is the one a single dict would give. At _level("general", 8, 2) the
-    routes take 2,683, 3,679 and 3,493 of the 9,855 children.
+    So `_children` routes a top child to no dict (route 0) and a tied
+    child to the level-wide dict (route 2). A tied child that (c) drops
+    is isomorphic to an earlier sibling that takes that dict too, so the
+    level is the one a single dict for all the children of (a) and (b)
+    gives, representatives and order alike. At _level("general", 8, 2),
+    (c) drops 1,722 of the 9,855 children that (b) keeps, and the routes
+    take 5,202 and 2,931 of the rest.
 
     Soundness: in H delete a non-cut vertex v of maximum key among the
     non-cut vertices. H - v is connected with minimum degree >= t-1, so
     its class has a representative P in _level(kind, n-1, max(t-1, 0));
-    let f map H - v onto P. S = f(N(v)) has deg(v) >= t vertices and holds
-    every vertex whose degree dropped to t-1. An automorphism s of P that
-    permutes vertices within twin classes carries S to a set that meets
-    each class in a prefix, so (a) keeps s(S). Re-attaching v to s(S) gives a child
-    isomorphic to H by an isomorphism that fixes the new vertex, and (b)
-    depends only on that pair, so the new vertex again has maximum
-    non-cut key and (b) keeps it too. In the bipartite chain H - v stays
-    bipartite and N(v) lies within one of its sides, and automorphisms
-    keep or swap the sides of a connected bipartite graph. So every class
-    reaches the dedup, which keeps its first child and, being exact, never
-    merges two classes. t = 0 is the unfiltered chain.
+    let f map H - v onto P. S = f(N(v)) has deg(v) >= t vertices and
+    holds every vertex whose degree dropped to t-1. Permuting twins maps
+    S onto a set of (a) whose child is isomorphic to H by a map that
+    fixes the new vertex, so (b) keeps it, and (c) keeps the first set of
+    its orbit. In the bipartite chain H - v stays bipartite with N(v) on
+    one side, and automorphisms keep or swap the sides. So every class
+    reaches the dedup, which keeps its first child and, being exact,
+    never merges two classes. t = 0 is the unfiltered chain.
 
     Shared levels. For n >= 2 the t = 1 level is the t = 0 level: both
-    ask for a nonempty set, and the only vertex of degree 0 a parent can
-    have is the one of the one-vertex graph, whose one nonempty set holds
-    it, so the two builds are one. The t = 2 level is the t = 0
-    level filtered to minimum degree >= 2, with the same representatives
-    in the same order, so it is filtered when the t = 0 level is built
-    already:
-    - the parents are the same, since (n-1, 1) is (n-1, 0);
-    - a parent's t = 2 sets are exactly its t <= 1 sets whose child has
-      minimum degree >= 2 (two vertices or more, every vertex of degree
-      1 among them), in the same relative order: a class of degree-1
-      vertices keeps only its whole-class option, and the product of the
-      fewer options runs in the same order;
-    - prune (b) does not depend on t;
-    - the dedup keeps the first child of each class, and minimum degree
-      is a class invariant.
+    ask for a nonempty set, and only the one-vertex parent has a vertex
+    of degree 0, which its one nonempty set holds. The t = 2 level is the
+    t = 0 level filtered to minimum degree >= 2, with the same
+    representatives in the same order, so it is filtered once that is
+    built: the parents are the same, as (n-1, 1) is (n-1, 0); a parent's
+    t = 2 sets are its t <= 1 sets whose child has minimum degree >= 2,
+    in the same relative order (a class of degree-1 vertices keeps only
+    its whole-class option); prunes (b) and (c) do not depend on t, as
+    (c) compares a set only with its images; and the dedup keeps the
+    first child of each class.
 
     Cold, on one core of a 2-core machine under Python 3.11.7, the
-    min-degree chain of survey_min_degree(5, 8) takes about 0.14 s, the
-    full general level at n=8 about 0.17 s, _level("general", 9, 3)
-    (84,242 classes) about 1.5 s at 23 MB peak RSS, the full general level
-    at n=9 (261,080 classes) about 3.8 s and _level("bipartite", 12, 2)
-    (67,704 classes) about 3.8 s.
+    min-degree chain of survey_min_degree(5, 8) takes about 0.10 s, the
+    full general level at n=8 about 0.13 s, _level("general", 9, 3)
+    (84,242 classes) about 1.1 s at 23 MB peak RSS, the full general level
+    at n=9 (261,080 classes) about 2.7 s and _level("bipartite", 12, 2)
+    (67,704 classes) about 3.2 s.
     """
     if n == 1:
         return (0,) if t == 0 else ()
@@ -497,10 +574,8 @@ def _level(kind: str, n: int, t: int) -> tuple[int, ...]:
             kept = []
             rows_mask = (1 << n * n) - 1
             for parent in _level(kind, n - 1, max(t - 1, 0)):
-                # by route: no dict, the siblings' dict, the level's dict
-                dedup = (None, {}, classes)
                 for route, entry in _children(kind, _unpack_rows(n - 1, parent), t):
-                    packed = _add_class(dedup[route], n, entry) if route else entry & rows_mask
+                    packed = _add_class(classes, n, entry) if route else entry & rows_mask
                     if packed is not None:
                         kept.append(packed)
             _LEVELS[key] = tuple(kept)

@@ -49,13 +49,14 @@ from properconn import enumeration as enumeration_mod
 from properconn import solver as solver_mod
 from properconn import survey as survey_mod
 from properconn.enumeration import _class_entry, _pack_rows, _unpack_rows, _vertex_keys
-from properconn.graph import _reach_mask
 from util import (
+    brute_automorphisms,
     complete_bipartite,
     complete_graph,
     cycle_graph,
     enumerate_connected_by_sweep,
     level_through_one_dict,
+    rejected_by_the_per_vertex_prefilter,
 )
 
 # connected graphs per vertex count, a classic integer sequence
@@ -214,24 +215,6 @@ def test_importing_the_package_leaves_heavy_modules_unloaded():
     assert proc.stdout.strip() == "[]", proc.stderr
 
 
-def rejected_by_the_per_vertex_prefilter(g, attach):
-    """Prune (b) of enumeration._level, vertex by vertex from scratch: some
-    vertex that is non-cut in the child has a larger (degree, sum of the
-    neighbours' degrees) there than the new vertex."""
-    grown = [row | (attach >> v & 1) << g.n for v, row in enumerate(g.adj)] + [attach]
-    degrees = [row.bit_count() for row in grown]
-
-    def key(u):
-        return degrees[u], sum(degrees[w] for w in range(g.n + 1) if grown[u] >> w & 1)
-
-    full = (1 << g.n + 1) - 1
-    return any(
-        key(u) > key(g.n)
-        and _reach_mask(grown, 1 << g.n, full & ~(1 << u)) == full & ~(1 << u)
-        for u in range(g.n)
-    )
-
-
 @given(
     st.sampled_from(("general", "bipartite")),
     st.integers(min_value=2, max_value=8),
@@ -244,19 +227,27 @@ def test_child_keys_and_prunes_follow_from_the_parent(kind, n, t, pick):
     if not parents:
         return
     rows = _unpack_rows(n - 1, parents[pick % len(parents)])
-    g = from_adj_rows(n - 1, rows)
-    # the packed prune drops exactly the sets the per-vertex prefilter drops
+    # the packed prune drops exactly the sets the per-vertex prefilter
+    # drops, and the orbit prune every set that an automorphism of the
+    # parent maps onto an earlier survivor
     masks = [1 << v for v in range(n - 1)]
-    want = [
+    survivors = [
         attach
         for attach in enumeration_mod._attachment_sets(kind, rows, t, masks)
-        if not rejected_by_the_per_vertex_prefilter(g, attach)
+        if not rejected_by_the_per_vertex_prefilter(rows, attach)
+    ]
+    autos = brute_automorphisms(rows)
+    want = [
+        attach
+        for i, attach in enumerate(survivors)
+        if not {sum(1 << p[v] for v in range(n - 1) if attach >> v & 1) for p in autos}
+        & set(survivors[:i])
     ]
     got = []
     for _, entry in enumeration_mod._children(kind, rows, t):
         grown = _unpack_rows(n, entry)
         attach = grown[-1]
-        assert grown[:-1] == [row | (attach >> v & 1) << g.n for v, row in enumerate(rows)]
+        assert grown[:-1] == [row | (attach >> v & 1) << n - 1 for v, row in enumerate(rows)]
         # the derived keys are the child's fresh _vertex_keys
         assert entry == _class_entry(grown, _vertex_keys(grown)), (rows, attach)
         got.append(attach)
@@ -302,8 +293,8 @@ def test_level_computes_vertex_keys_per_parent_not_per_child(monkeypatch):
 
     keys = counted("keys", enumeration_mod._vertex_keys)
     monkeypatch.setattr(enumeration_mod, "_vertex_keys", keys)
-    isomorphic = counted("isomorphic", enumeration_mod._isomorphic)
-    monkeypatch.setattr(enumeration_mod, "_isomorphic", isomorphic)
+    isomorphic = counted("isomorphic", enumeration_mod._isomorphisms)
+    monkeypatch.setattr(enumeration_mod, "_isomorphisms", isomorphic)
     add_class = counted("children", enumeration_mod._add_class)
     monkeypatch.setattr(enumeration_mod, "_add_class", add_class)
     enumeration_mod._level("general", 8, 2)
@@ -722,18 +713,18 @@ def pairwise_twin_classes(rows):
 
 
 @st.composite
-def graphs_with_twins(draw):
-    """Rows of a graph on 0..12 vertices: a random graph, then copies of
+def graphs_with_twins(draw, top=12):
+    """Rows of a graph on 0..top vertices: a random graph, then copies of
     its vertices, each adjacent to its original (a closed twin) or not
     (an open twin), then a random relabeling."""
-    n = draw(st.integers(min_value=0, max_value=6))
+    n = draw(st.integers(min_value=0, max_value=min(6, top)))
     rows = [0] * n
     for u in range(n):
         for v in range(u + 1, n):
             if draw(st.booleans()):
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
-    for _ in range(draw(st.integers(min_value=0, max_value=12 - n)) if n else 0):
+    for _ in range(draw(st.integers(min_value=0, max_value=top - n)) if n else 0):
         v, closed, w = draw(st.integers(0, len(rows) - 1)), draw(st.booleans()), len(rows)
         row = rows[v] | closed << v
         for u in range(w):
@@ -764,6 +755,46 @@ def test_grouped_twin_classes_on_small_and_complete_graphs():
     assert enumeration_mod._twin_classes(both.adj) == [[0, 1], [2, 3], [4]]
 
 
+def projected_automorphisms(rows):
+    """The brute-force automorphisms of the graph with adjacency rows
+    `rows`, each as the map it induces on the twin classes: item i is
+    the index of the class holding the image of class i."""
+    classes = enumeration_mod._twin_classes(rows)
+    at = {v: i for i, cls in enumerate(classes) for v in cls}
+    return sorted({tuple(at[p[cls[0]]] for cls in classes) for p in brute_automorphisms(rows)})
+
+
+def class_automorphisms(rows):
+    keys = _vertex_keys(rows)
+    group = enumeration_mod._class_automorphisms(rows, keys, enumeration_mod._twin_classes(rows))
+    return [tuple(to) for to in group]
+
+
+@given(graphs_with_twins(top=8))
+@settings(max_examples=60, deadline=None)
+def test_class_automorphisms_are_the_projected_automorphisms(rows):
+    # each once, sorted, so the identity comes first
+    assert class_automorphisms(rows) == projected_automorphisms(rows)
+
+
+def test_class_automorphisms_of_named_graphs():
+    named = {
+        "F@QFw": from_graph6("F@QFw"),
+        "G@LCE[": from_graph6("G@LCE["),
+        "C7": cycle_graph(7),
+        "K3,3": complete_bipartite(3, 3),
+        "K1,5": complete_bipartite(1, 5),
+    }
+    sizes = {}
+    for name, g in named.items():
+        group = class_automorphisms(g.adj)
+        assert group == projected_automorphisms(g.adj), name
+        sizes[name] = len(group)
+    # F@QFw permutes its three twin pairs at will; C7 has its dihedral
+    # group, K3,3 swaps its two classes and K1,5 cannot
+    assert sizes == {"F@QFw": 6, "G@LCE[": 2, "C7": 14, "K3,3": 2, "K1,5": 1}, sizes
+
+
 def test_routed_levels_equal_one_dict_for_all(monkeypatch):
     # each level is grown with its routes and compared with the same
     # children deduplicated in one dict; t = 2 goes first, so it is grown
@@ -779,9 +810,9 @@ def test_routed_levels_equal_one_dict_for_all(monkeypatch):
         for parent in enumeration_mod._level("general", 7, 1)
         for route, _ in enumeration_mod._children("general", _unpack_rows(7, parent), 2)
     )
-    # at n = 8 some children are kept with no dict, some meet only their
-    # siblings' dict and some the level's
-    assert sorted(routes) == [0, 1, 2] and min(routes.values()) > 0, routes
+    # at n = 8 some children are kept with no dict and some meet the
+    # level's; none needs a dict of its siblings
+    assert sorted(routes) == [0, 2] and min(routes.values()) > 0, routes
 
 
 def test_corpus_deduplicates_isomorphs():

@@ -9,7 +9,7 @@ from math import comb
 import numpy as np
 
 from properconn import Graph, TooLarge, canonical_code, enumeration, from_edge_list, to_graph6
-from properconn.enumeration import _add_class, _unpack_rows
+from properconn.enumeration import _add_class, _class_entry, _unpack_rows, _vertex_keys
 from properconn.graph import _reach_mask
 
 SWEEP_MAX_N = 7
@@ -167,6 +167,16 @@ def brute_canonical_code(g: Graph) -> bytes:
     return to_graph6(from_edge_list(n, edges)).encode("ascii")
 
 
+def brute_automorphisms(rows):
+    """Every automorphism of the graph with adjacency rows `rows`, over
+    all n! vertex permutations: p with p[u] the image of u."""
+    n = len(rows)
+    # a permutation that maps every edge onto an edge maps the edges onto
+    # the edges, as there are as many
+    edges = [(u, w) for u in range(n) for w in range(u + 1, n) if rows[u] >> w & 1]
+    return [p for p in permutations(range(n)) if all(rows[p[u]] >> p[w] & 1 for u, w in edges)]
+
+
 # --- independent enumeration oracle: labeled sweep ----------------------------
 
 
@@ -235,14 +245,40 @@ def enumerate_connected_by_sweep(n: int):
 # --- reference level builder --------------------------------------------------
 
 
+def rejected_by_the_per_vertex_prefilter(rows, attach):
+    """Prune (b) of enumeration._level, vertex by vertex from scratch: in
+    the child of the graph with adjacency rows `rows` whose new vertex
+    attaches to the vertex mask `attach`, some vertex that is non-cut has
+    a larger (degree, sum of the neighbours' degrees) than the new vertex."""
+    m = len(rows)
+    grown = [row | (attach >> v & 1) << m for v, row in enumerate(rows)] + [attach]
+    degrees = [row.bit_count() for row in grown]
+
+    def key(u):
+        return degrees[u], sum(degrees[w] for w in range(m + 1) if grown[u] >> w & 1)
+
+    full, mine = (1 << m + 1) - 1, key(m)
+    return any(
+        key(u) > mine and _reach_mask(grown, 1 << m, full & ~(1 << u)) == full & ~(1 << u)
+        for u in range(m)
+    )
+
+
 def level_through_one_dict(kind: str, n: int, t: int):
-    """enumeration._level(kind, n, t) with every child of every parent sent
-    through one enumeration._add_class dict, whatever its route: the level the
-    routes must reproduce, representatives and order alike."""
+    """enumeration._level(kind, n, t) the plain way, with no routes and no
+    orbit prune: every child that prunes (a) and (b) keep, built from
+    scratch and sent through one enumeration._add_class dict. Prune (a)
+    is enumeration._attachment_sets on bitmask weights, with nothing left
+    out by size, and (b) the per-vertex prefilter. This is the level the
+    builder must reproduce, representatives and order alike."""
     classes, kept = {}, []
     for parent in enumeration._level(kind, n - 1, max(t - 1, 0)):
-        for _, entry in enumeration._children(kind, _unpack_rows(n - 1, parent), t):
-            packed = _add_class(classes, n, entry)
+        rows = _unpack_rows(n - 1, parent)
+        for attach in enumeration._attachment_sets(kind, rows, t, [1 << v for v in range(n - 1)]):
+            if rejected_by_the_per_vertex_prefilter(rows, attach):
+                continue
+            grown = [row | (attach >> v & 1) << n - 1 for v, row in enumerate(rows)] + [attach]
+            packed = _add_class(classes, n, _class_entry(grown, _vertex_keys(grown)))
             if packed is not None:
                 kept.append(packed)
     return tuple(kept)
