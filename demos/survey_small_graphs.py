@@ -2,18 +2,16 @@
 
 Two sweeps run here. The min-degree sweep walks all connected noncomplete
 graphs with minimum degree at least ceil(n/4) and finds that two colors
-almost always suffice; on 5..7 vertices exactly one graph refuses. The
-bipartite sweep (minimum degree ceil((n+6)/8)) finds no refusals at all.
-
-Extend the range to n=8 to watch the second known exception appear; that
-run visits 7441 more graphs and takes about half a minute.
+almost always suffice; on 5..8 vertices exactly two graphs refuse, one
+on 7 vertices and one on 8. The bipartite sweep (minimum degree
+ceil((n+6)/8)) finds no refusals at all.
 """
 
 from properconn import format_report_text, from_graph6, survey_bipartite, survey_min_degree
 
 
 def main():
-    report = survey_min_degree(5, 7)
+    report = survey_min_degree(5, 8)
     print(format_report_text(report))
     print()
 

@@ -32,7 +32,6 @@ from .errors import (
     ColoringGraphMismatch,
     DegreeTooLow,
     Disconnected,
-    FixturesMissing,
     HasBridge,
     LoopEdge,
     MalformedGraph6,

@@ -4,7 +4,8 @@ Exit codes are a stable contract:
   0  success / claims confirmed
   1  usage or input error (also failed verification)
   2  search budget ran out; the printed bracket is the honest answer
-  3  a survey found exceptions that differ from the frozen fixtures
+  3  a survey found exceptions that differ from the two frozen
+     exceptions (graph6 constants in survey.py)
 
 PC_BUDGET_MS caps per-graph exact-search wall time in milliseconds; a
 value that is not a non-negative integer is an input error (exit 1).

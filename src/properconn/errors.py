@@ -75,10 +75,6 @@ class UnsuitableBase(PcError, ValueError):
     """The base certificate has the wrong palette size."""
 
 
-class FixturesMissing(PcError):
-    """Checked-in exception fixtures are absent or unreadable."""
-
-
 class ColoringGraphMismatch(PcError):
     """A coloring file does not match the given graph."""
 

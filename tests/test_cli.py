@@ -237,7 +237,13 @@ def test_survey_clean_window(capsys):
     code, out, _ = run(capsys, "survey", "--n", "5..6")
     assert code == 0
     assert "survey: min-degree" in out
-    assert "exceptions: none" in out or "exceptions (0)" in out or "F@QFw" not in out
+    assert "exceptions: 0" in out
+
+
+def test_survey_window_with_the_eight_vertex_exception(capsys):
+    code, out, _ = run(capsys, "survey", "--n", "8")
+    assert code == 0  # the finding matches the frozen expectation
+    assert "exceptions: 1\n  graph6=G@LCE[ pc=3\n" in out
 
 
 def test_survey_window_with_known_exception(capsys):

@@ -47,6 +47,7 @@ from util import (
     per_pair_first_bad_pair,
     petersen,
     random_connected,
+    spanning_path,
 )
 
 PROPERTY_SETTINGS = settings(
@@ -223,7 +224,7 @@ def hint_sequence(g, color_of, kind, rng):
         return []
     shuffled = rng.sample(range(g.n), g.n)
     if kind == "spanning":
-        return hamilton_path(g) or shuffled
+        return spanning_path(g) or shuffled
     if kind == "shuffled":
         return shuffled
     if kind == "repeated":

@@ -22,7 +22,6 @@ from properconn import (
     from_adj_rows,
     from_edge_list,
     from_graph6,
-    hamilton_path,
     is_tree,
     make_coloring,
     make_star_of_bicliques,
@@ -42,6 +41,7 @@ from util import (
     friendship_graph,
     path_graph,
     random_connected,
+    spanning_path,
     star_graph,
 )
 
@@ -159,8 +159,8 @@ def test_exact_settles_a_sparse_fifteen_vertex_graph_quickly():
 
 
 def test_upper_bound_is_two_wherever_the_exact_search_finds_a_spanning_path():
-    # every connected graph on 2..8 vertices; the exact Hamilton search is
-    # the reference for pc_upper's capped path search
+    # every connected graph on 2..8 vertices; a plain DFS for a spanning
+    # path is the reference for pc_upper's capped path search
     graphs = 0
     for n in range(2, 9):
         for packed in enumeration_mod._level("general", n, 0):
@@ -168,7 +168,7 @@ def test_upper_bound_is_two_wherever_the_exact_search_finds_a_spanning_path():
             cert = pc_upper(g)
             assert verify_certificate(cert).ok
             if cert.k > 2:
-                assert cert.strategy == "tree" and hamilton_path(g) is None
+                assert cert.strategy == "tree" and spanning_path(g) is None
             graphs += 1
     assert graphs == 12112
 

@@ -1,5 +1,5 @@
-"""Isomorphism-free enumeration, the biclique-star family, fixtures,
-and the survey drivers with their reports."""
+"""Isomorphism-free enumeration, the biclique-star family, the frozen
+exceptions, and the survey drivers with their reports."""
 
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from properconn import (
     EdgeColoring,
-    FixturesMissing,
     OutOfRange,
     SearchBudgetExceeded,
     TooLarge,
@@ -379,7 +378,7 @@ def test_star_of_bicliques_blocks_are_bicliques():
                 assert g.has_edge(u, v)
 
 
-# --- frozen exceptional fixtures ------------------------------------------------
+# --- frozen exceptions -----------------------------------------------------------
 
 
 def test_exceptional_graphs_shapes():
@@ -398,12 +397,6 @@ def test_exceptional_seven_vertex_graph_is_three_triangles():
     others = [v for v in range(7) if v != hub]
     partners = {v: [w for w in g7.neighbors(v) if w != hub] for v in others}
     assert all(len(ws) == 1 for ws in partners.values())
-
-
-def test_missing_fixture_file_is_loud(monkeypatch):
-    monkeypatch.setattr(survey_mod, "FIXTURE_RESOURCE", "no_such_file.json")
-    with pytest.raises(FixturesMissing):
-        survey_mod.exceptional_graphs()
 
 
 # --- survey drivers --------------------------------------------------------------

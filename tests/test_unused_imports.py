@@ -141,6 +141,21 @@ ENUMERATION_INTERNALS = {
 }
 
 
+def test_the_package_ships_no_runtime_data():
+    # the library reads no file of its own at run time, so an install
+    # that leaves out package data loses nothing
+    stray = [
+        os.path.relpath(os.path.join(where, filename), PACKAGE)
+        for where, _, files in os.walk(PACKAGE)
+        if os.path.basename(where) != "__pycache__"
+        for filename in files
+        if not filename.endswith(".py")
+    ]
+    assert stray == [], "non-Python files in the package"
+    with open(os.path.join(ROOT, "pyproject.toml"), encoding="utf-8") as fh:
+        assert "package-data" not in fh.read()
+
+
 def test_the_level_builder_stays_inside_enumeration():
     readers, package_imports = [], []
     for filename in sorted(os.listdir(PACKAGE)):

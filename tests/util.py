@@ -79,6 +79,21 @@ def all_simple_paths(g: Graph, u: int, v: int):
     return out
 
 
+def spanning_path(g: Graph):
+    """A simple path through every vertex of g as a vertex list, or
+    None, by plain DFS from each start vertex; for n <= 8."""
+    if g.n > 8:
+        raise TooLarge("the plain spanning-path search covers n <= 8")
+    for start in range(g.n):
+        stack = [[start]]
+        while stack:
+            path = stack.pop()
+            if len(path) == g.n:
+                return path
+            stack += [path + [y] for y in g.neighbors(path[-1]) if y not in path]
+    return None
+
+
 def brute_profile(g: Graph, color_of, u: int, v: int):
     """Set of (start, end) colors over proper simple u-v paths."""
     pairs = set()
