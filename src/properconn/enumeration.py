@@ -21,7 +21,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import product
 
-from .graph import _bipartite_sides, _deletion_components, is_connected
+from .graph import _bipartite_sides, _deletion_components, _twin_classes, is_connected
 
 
 # ---------------------------------------------------------------------------
@@ -50,34 +50,6 @@ def _vertex_keys(rows) -> list[int]:
             rest ^= low
         keys.append(row.bit_count() << 16 | around << 8 | twice_triangles >> 1)
     return keys
-
-
-def _twin_classes(rows) -> list[list[int]]:
-    """The classes of twins of the graph with adjacency rows `rows`,
-    ascending: u and v are twins when N(u) - v = N(v) - u. This is an
-    equivalence, each class is a clique or an independent set, and any
-    permutation of a class that fixes every other vertex is an
-    automorphism.
-
-    Twins that are not adjacent have equal rows, and adjacent twins have
-    equal closed rows (row | 1 << u), so the classes are the groups of
-    equal rows and of equal closed rows. They share one dict, as no row
-    equals a closed row N[v]: a row holding v is the row of a neighbour
-    w of v, and N[v] holds w while w's row does not. No vertex has twins
-    of both kinds: N(u) = N(v) and N[u] = N[w] put w in N(v), so v in
-    N[w] = N[u], yet u and v are not adjacent."""
-    groups: dict[int, list[int]] = {}
-    for u, row in enumerate(rows):
-        groups.setdefault(row, []).append(u)
-        groups.setdefault(row | 1 << u, []).append(u)
-    classes = []
-    for u, row in enumerate(rows):
-        cls = groups[row]
-        if len(cls) == 1:
-            cls = groups[row | 1 << u]
-        if cls[0] == u:
-            classes.append(cls)
-    return classes
 
 
 def _isomorphisms(a, keys_a, b, keys_b):

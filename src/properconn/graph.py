@@ -1,9 +1,9 @@
 """Immutable simple graphs: the Graph value class and _Value, the frozen
 base of every record class (pickled and copied through __reduce__, which
 rebuilds a value from its fields and so checks them again); the graph6
-and edge-list text formats; connectivity, bridges, bipartitions and
-canonical labeling. Vertices are 0..n-1, adjacency is one bitmask row
-per vertex, and every function here is pure.
+and edge-list text formats; connectivity, twin classes, bridges,
+bipartitions and canonical labeling. Vertices are 0..n-1, adjacency is
+one bitmask row per vertex, and every function here is pure.
 """
 
 from __future__ import annotations
@@ -282,6 +282,34 @@ def _deletion_components(rows) -> list[list[int]]:
             left &= ~comp
         out.append(comps)
     return out
+
+
+def _twin_classes(rows) -> list[list[int]]:
+    """The classes of twins of the graph with adjacency rows `rows`,
+    ascending: u and v are twins when N(u) - v = N(v) - u. This is an
+    equivalence, each class is a clique or an independent set, and any
+    permutation of a class that fixes every other vertex is an
+    automorphism.
+
+    Twins that are not adjacent have equal rows, and adjacent twins have
+    equal closed rows (row | 1 << u), so the classes are the groups of
+    equal rows and of equal closed rows. They share one dict, as no row
+    equals a closed row N[v]: a row holding v is the row of a neighbour
+    w of v, and N[v] holds w while w's row does not. No vertex has twins
+    of both kinds: N(u) = N(v) and N[u] = N[w] put w in N(v), so v in
+    N[w] = N[u], yet u and v are not adjacent."""
+    groups: dict[int, list[int]] = {}
+    for u, row in enumerate(rows):
+        groups.setdefault(row, []).append(u)
+        groups.setdefault(row | 1 << u, []).append(u)
+    classes = []
+    for u, row in enumerate(rows):
+        cls = groups[row]
+        if len(cls) == 1:
+            cls = groups[row | 1 << u]
+        if cls[0] == u:
+            classes.append(cls)
+    return classes
 
 
 def is_connected(g: Graph) -> bool:

@@ -140,13 +140,15 @@ def pc_exact(g: Graph, kmax=None) -> tuple[int, PcCertificate]:
     the completion kernel (coloring.complete) over all edges in breadth-first
     order from a vertex of maximum degree (`_bfs_order`), colors
     ascending, in restricted growth order (color c+1 only after color
-    c), which skips only relabelings of colorings already tried. Every
-    node checks the partial coloring with each unassigned edge given its
-    own fresh color; no completion connects a pair that this relaxation
-    leaves unconnected, so a rejection prunes the whole subtree. The
-    witness is the first proper-connecting coloring in that order and
-    passed the exact checker, and an exhausted palette is a lower
-    bound. The budget clock starts when the call does and is read at
+    c), which skips only relabelings of colorings already tried, and
+    skipping every coloring that a swap of two twin vertices maps onto
+    a lexicographically smaller one, which passes exactly when it does.
+    Every node checks the partial coloring with each unassigned edge
+    given its own fresh color; no completion connects a pair that this
+    relaxation leaves unconnected, so a rejection prunes the whole
+    subtree. The witness is the first proper-connecting coloring in
+    that order and passed the exact checker, and an exhausted palette
+    is a lower bound. The budget clock starts when the call does and is read at
     every search node; an invalid PC_BUDGET_MS raises OutOfRange on every
     call, complete graphs included. pc_upper raises Disconnected on a
     disconnected graph and gives a complete graph its one-color

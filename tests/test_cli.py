@@ -219,7 +219,9 @@ def test_compute_kmax_bracket_is_inconclusive(capsys):
 
 
 def test_compute_honors_budget(monkeypatch, capsys):
-    monkeypatch.setenv("PC_BUDGET_MS", "1")
+    # a zero budget has run out by the first search node, however fast
+    # the search
+    monkeypatch.setenv("PC_BUDGET_MS", "0")
     code, out, _ = run(capsys, "compute", "--graph6", "G@LCE[")
     assert code == 2
     assert "inconclusive" in out

@@ -11,17 +11,21 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from properconn import (
     ColoringGraphMismatch,
+    LoopEdge,
+    PcError,
+    VertexOutOfRange,
     canonical_code,
     coloring_from_json,
     coloring_to_json,
     find_bridges,
     first_improper_pair,
     first_weak_pair,
+    from_adj_rows,
     from_edge_list,
     hamilton_path,
     has_strong_property,
@@ -43,6 +47,7 @@ from util import (
     complete_graph,
     cycle_graph,
     friendship_graph,
+    graphs_with_twins,
     path_graph,
     per_pair_first_bad_pair,
     petersen,
@@ -335,6 +340,78 @@ def test_json_mismatch_detected():
         coloring_from_json(json.dumps(doc))
 
 
+def _document(**change):
+    doc = {"n": 3, "k": 2, "edges": [[0, 1], [1, 2]], "colors": [1, 2]}
+    doc.update(change)
+    return json.dumps({key: value for key, value in doc.items() if value is not None})
+
+
+NOT_INTEGERS = "bad coloring document: n, k, edge ends and colors must be integers"
+
+# (document, exception class, message), one fault each
+MALFORMED_DOCUMENTS = {
+    "json syntax": (
+        '{"n": 3,',
+        ColoringGraphMismatch,
+        "bad coloring document: Expecting property name enclosed in double quotes:"
+        " line 1 column 9 (char 8)",
+    ),
+    "missing key": (_document(k=None), ColoringGraphMismatch, "bad coloring document: 'k'"),
+    "edges not a list": (
+        _document(edges=5),
+        ColoringGraphMismatch,
+        "bad coloring document: 'int' object is not iterable",
+    ),
+    "3-element edge": (
+        _document(edges=[[0, 1, 2], [1, 2]]),
+        ColoringGraphMismatch,
+        "bad coloring document: an edge is not a pair",
+    ),
+    "string edge": (_document(edges=["ab", [1, 2]]), ColoringGraphMismatch, NOT_INTEGERS),
+    "dict edge": (_document(edges=[{"u": 0, "v": 1}, [1, 2]]), ColoringGraphMismatch, NOT_INTEGERS),
+    "float edge end": (_document(edges=[[0, 1.0], [1, 2]]), ColoringGraphMismatch, NOT_INTEGERS),
+    "bool color": (_document(colors=[True, 2]), ColoringGraphMismatch, NOT_INTEGERS),
+    "float k": (_document(k=2.0), ColoringGraphMismatch, NOT_INTEGERS),
+    "string n": (_document(n="3"), ColoringGraphMismatch, NOT_INTEGERS),
+    "k = 0": (
+        _document(k=0, colors=[0, 0]),
+        ColoringGraphMismatch,
+        "palette size must be an integer >= 1, got 0",
+    ),
+    "color out of range": (
+        _document(colors=[1, 3]),
+        ColoringGraphMismatch,
+        "colors [3] are not integers in 1..2",
+    ),
+    "lengths differ": (_document(colors=[1]), ColoringGraphMismatch, "1 colors for 2 edges"),
+    "negative n": (_document(n=-1), VertexOutOfRange, "negative vertex count -1"),
+    "edge end out of range": (
+        _document(edges=[[0, 3], [1, 2]]),
+        VertexOutOfRange,
+        "edge (0,3) outside 0..2",
+    ),
+    "loop": (_document(edges=[[1, 1], [1, 2]]), LoopEdge, "loop at vertex 1"),
+    "repeat, other color": (
+        _document(edges=[[0, 1], [1, 2], [1, 0]], colors=[1, 2, 2]),
+        ColoringGraphMismatch,
+        "conflicting colors for edge (0, 1)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_DOCUMENTS)
+def test_malformed_documents_name_their_fault(case):
+    text, error, message = MALFORMED_DOCUMENTS[case]
+    with pytest.raises(PcError) as info:
+        coloring_from_json(text)
+    assert (type(info.value), str(info.value)) == (error, message)
+
+
+def test_a_document_may_repeat_an_edge_with_its_color():
+    c = coloring_from_json(_document(edges=[[0, 1], [1, 2], [1, 0]], colors=[1, 2, 1]))
+    assert c == make_coloring(path_graph(3), 2, (1, 2))
+
+
 def test_json_with_a_large_n_reads_in_time_linear_in_the_edges():
     # the edge tuple comes from the set bits of the rows, not from all
     # n(n-1)/2 vertex pairs
@@ -366,7 +443,18 @@ def enumerate_completion(g, k, fixed, free, strong):
 @st.composite
 def completion_problems(draw):
     """(graph, k, fixed, free in search order, strong); with some_fixed
-    false every edge is free and the palette is symmetric."""
+    false every edge is free and the palette is symmetric. Random graphs
+    seldom have twins, so one stratum draws graphs with twins, every edge
+    free, where the kernel's twin-swap prune runs."""
+    if draw(st.booleans()):
+        k = draw(st.sampled_from([2, 3]))
+        # joined to one more vertex: connected, and the twins stay twins;
+        # at most 4 or 5 vertices keeps the edges near the cap
+        rows = draw(graphs_with_twins(top={2: 4, 3: 3}[k]))
+        n = len(rows)
+        g = from_adj_rows(n + 1, [row | 1 << n for row in rows] + [(1 << n) - 1])
+        assume(n and g.m <= KERNEL_FREE_CAP[k])
+        return g, k, {}, draw(st.permutations(g.edges)), draw(st.booleans())
     n = draw(st.integers(min_value=2, max_value=6))
     k = draw(st.integers(min_value=1, max_value=3))
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
@@ -406,6 +494,18 @@ def test_kernel_exhausts_a_two_color_impossible_graph():
     assert complete(g, 2, {}, g.edges) is None
     colors = complete(g, 3, {}, g.edges)
     assert colors is not None and is_proper_connected(make_coloring(g, 3, colors))
+
+
+def test_twin_swaps_cut_the_friendship_graph_searches():
+    # F_k's 2k outer vertices pair off into k twin classes, and each
+    # palette-2 search below pc = 3 is exhausted; with no twin-swap prune
+    # and an 8-leaf threshold, pc_exact ran 268, 1,238 and 4,028 checks
+    real, counts = _Machine.first_bad_pair, []
+    for k in (3, 4, 5):
+        with mock.patch.object(_Machine, "first_bad_pair", autospec=True, side_effect=real) as spy:
+            assert pc_exact(friendship_graph(k))[0] == 3
+        counts.append(spy.call_count)
+    assert counts == [122, 224, 317]
 
 
 def test_kernel_rejects_a_bad_edge_split():

@@ -256,8 +256,9 @@ def test_kmax_turns_the_search_into_a_bounded_decision():
 
 
 def test_budget_deadline_is_honored(monkeypatch):
-    monkeypatch.setenv("PC_BUDGET_MS", "1")
-    # dense enough that even the k=2 sweep cannot finish in a millisecond
+    # a zero budget has run out by the first search node, however fast
+    # the search, and G@LCE[ needs the palette-2 search
+    monkeypatch.setenv("PC_BUDGET_MS", "0")
     g = from_graph6("G@LCE[")
     with pytest.raises(SearchBudgetExceeded) as info:
         pc_exact(g)

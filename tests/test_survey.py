@@ -54,6 +54,7 @@ from util import (
     complete_graph,
     cycle_graph,
     enumerate_connected_by_sweep,
+    graphs_with_twins,
     level_through_one_dict,
     rejected_by_the_per_vertex_prefilter,
 )
@@ -703,32 +704,6 @@ def pairwise_twin_classes(rows):
             done |= sum(1 << v for v in cls)
             classes.append(cls)
     return classes
-
-
-@st.composite
-def graphs_with_twins(draw, top=12):
-    """Rows of a graph on 0..top vertices: a random graph, then copies of
-    its vertices, each adjacent to its original (a closed twin) or not
-    (an open twin), then a random relabeling."""
-    n = draw(st.integers(min_value=0, max_value=min(6, top)))
-    rows = [0] * n
-    for u in range(n):
-        for v in range(u + 1, n):
-            if draw(st.booleans()):
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-    for _ in range(draw(st.integers(min_value=0, max_value=top - n)) if n else 0):
-        v, closed, w = draw(st.integers(0, len(rows) - 1)), draw(st.booleans()), len(rows)
-        row = rows[v] | closed << v
-        for u in range(w):
-            if row >> u & 1:
-                rows[u] |= 1 << w
-        rows.append(row)
-    label = draw(st.permutations(range(len(rows))))
-    relabeled = [0] * len(rows)
-    for u, row in enumerate(rows):
-        relabeled[label[u]] = sum(1 << label[v] for v in range(len(rows)) if row >> v & 1)
-    return relabeled
 
 
 @given(graphs_with_twins())

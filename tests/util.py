@@ -7,6 +7,7 @@ from itertools import combinations, permutations
 from math import comb
 
 import numpy as np
+from hypothesis import strategies as st
 
 from properconn import Graph, TooLarge, canonical_code, enumeration, from_edge_list, to_graph6
 from properconn.enumeration import _add_class, _class_entry, _unpack_rows, _vertex_keys
@@ -42,11 +43,12 @@ def petersen() -> Graph:
     return from_edge_list(10, outer + inner + spokes)
 
 
-def friendship_graph() -> Graph:
-    # three triangles sharing vertex 0
-    return from_edge_list(
-        7, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4), (0, 5), (0, 6), (5, 6)]
-    )
+def friendship_graph(k: int = 3) -> Graph:
+    """F_k: k triangles sharing vertex 0, the t-th on 0, 2t+1 and 2t+2."""
+    edges = []
+    for t in range(k):
+        edges += [(0, 2 * t + 1), (0, 2 * t + 2), (2 * t + 1, 2 * t + 2)]
+    return from_edge_list(2 * k + 1, edges)
 
 
 def random_connected(rng: random.Random, n: int, extra: float = 0.3) -> Graph:
@@ -59,6 +61,32 @@ def random_connected(rng: random.Random, n: int, extra: float = 0.3) -> Graph:
         if rng.random() < extra:
             edges.add((u, v))
     return from_edge_list(n, sorted(edges))
+
+
+@st.composite
+def graphs_with_twins(draw, top=12):
+    """Rows of a graph on 0..top vertices: a random graph, then copies of
+    its vertices, each adjacent to its original (a closed twin) or not
+    (an open twin), then a random relabeling."""
+    n = draw(st.integers(min_value=0, max_value=min(6, top)))
+    rows = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if draw(st.booleans()):
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    for _ in range(draw(st.integers(min_value=0, max_value=top - n)) if n else 0):
+        v, closed, w = draw(st.integers(0, len(rows) - 1)), draw(st.booleans()), len(rows)
+        row = rows[v] | closed << v
+        for u in range(w):
+            if row >> u & 1:
+                rows[u] |= 1 << w
+        rows.append(row)
+    label = draw(st.permutations(range(len(rows))))
+    relabeled = [0] * len(rows)
+    for u, row in enumerate(rows):
+        relabeled[label[u]] = sum(1 << label[v] for v in range(len(rows)) if row >> v & 1)
+    return relabeled
 
 
 # --- brute-force oracles ---------------------------------------------------
