@@ -67,11 +67,6 @@ from .graph import (
     parse_edge_list_text,
     to_graph6,
 )
-from .hamilton import (
-    hamilton_cycle,
-    hamilton_path,
-    hamilton_path_from,
-)
 from .solver import VerificationReport, pc_exact, pc_upper, verify_certificate
 from .survey import (
     ExceptionRecord,

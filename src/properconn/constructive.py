@@ -53,9 +53,11 @@ from .graph import (
     is_connected,
     is_tree,
 )
-from .hamilton import hamilton_cycle  # noqa: F401  (perfbench/tracing.py wraps it here)
-from .hamilton import hamilton_path  # noqa: F401  (perfbench/tracing.py wraps it here)
-from .hamilton import hamilton_path_from  # noqa: F401  (perfbench/tracing.py wraps it here)
+
+# The benchmark's tracer wraps these three names on this module, though
+# no code binds them to a function; ROADMAP item 1 removes them together
+# with their tracer entries.
+hamilton_cycle = hamilton_path = hamilton_path_from = None  # (perfbench/tracing.py wraps it here)
 
 STRONG_SEARCH_MAX_N = 10
 PIPELINE_MAX_N = 16

@@ -2,8 +2,8 @@
 
 Every error raised by the library derives from PcError so callers can
 catch toolkit failures without masking programming errors. OutOfRange,
-TooSmall and UnsuitableBase flag a bad argument value, so they also
-derive from ValueError for callers that catch that.
+TooSmall, UnsuitableBase and VertexOutOfRange flag a bad argument value,
+so they also derive from ValueError for callers that catch that.
 """
 
 
@@ -15,8 +15,9 @@ class LoopEdge(PcError):
     """An edge joins a vertex to itself."""
 
 
-class VertexOutOfRange(PcError):
-    """An edge endpoint is not in 0..n-1."""
+class VertexOutOfRange(PcError, ValueError):
+    """A vertex count is negative or not an int, or an edge endpoint is
+    not an int in 0..n-1."""
 
 
 class MalformedGraph6(PcError):

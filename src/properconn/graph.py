@@ -113,11 +113,16 @@ class Graph(_Value):
 
 
 def from_edge_list(n: int, pairs) -> Graph:
-    """Build a normalized Graph: dedup, sort, symmetrize; loops rejected."""
+    """Build a normalized Graph: dedup, sort, symmetrize; loops rejected.
+    The vertex count and the edge ends must be ints."""
+    if type(n) is not int:
+        raise VertexOutOfRange(f"vertex count must be an integer, got {n!r}")
     if n < 0:
         raise VertexOutOfRange(f"negative vertex count {n}")
     rows = [0] * n
     for u, v in pairs:
+        if type(u) is not int or type(v) is not int:
+            raise VertexOutOfRange(f"edge ({u!r},{v!r}) has an end that is not an integer")
         if not (0 <= u < n and 0 <= v < n):
             raise VertexOutOfRange(f"edge ({u},{v}) outside 0..{n - 1}")
         if u == v:

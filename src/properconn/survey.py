@@ -51,24 +51,25 @@ BIPARTITE_MAX_N = 13
 
 def enumerate_connected(n: int, min_degree: int = 0, bipartite_only: bool = False):
     """Yield one canonical representative per isomorphism class of
-    connected graphs on n vertices with minimum degree >= min_degree (an
-    int, else OutOfRange), in canonical-code order.
+    connected graphs on n vertices with minimum degree >= min_degree (n
+    and min_degree ints, else OutOfRange), in canonical-code order.
 
-    Built-in generation covers 2 <= n <= 9; larger orders must come from
-    graph6 corpus files. The level, packed rows of one representative
-    per class, is built without labeling (see _level) and each
-    representative is then labeled once. A min_degree level is built
+    Built-in generation covers 2 <= n <= 9. No library path surveys
+    past n = 9 (general) or n = 13 (bipartite), with or without a graph6
+    corpus. The level, packed rows of one representative per class, is
+    built without labeling (see _level) and each representative is then
+    labeled once. A min_degree level is built
     from filtered levels below it, so it costs far less than the full
     one. Cold, on one core of a 2-core machine under Python 3.11.7, the
     full general level at n=9 (261,080 classes) takes about 1 minute, n=8
     (11,117 classes) about 1.6 s, and the bipartite level at n=9 about
     0.3 s; labeling is nearly all of it.
     """
+    # a float or a bool would reach _level, whose keys and prunes take ints
+    if type(n) is not int or type(min_degree) is not int:
+        raise OutOfRange(f"n and min_degree must be integers, got {n!r} and {min_degree!r}")
     if not 2 <= n <= ENUMERATION_MAX_N:
         raise TooLarge(f"built-in enumeration covers 2 <= n <= {ENUMERATION_MAX_N}")
-    # a float or a bool would reach _level, whose keys and prunes take ints
-    if type(min_degree) is not int:
-        raise OutOfRange(f"min_degree must be an integer, got {min_degree!r}")
     kind = "bipartite" if bipartite_only else "general"
     codes = sorted(
         canonical_code(from_adj_rows(n, _unpack_rows(n, packed)))
@@ -92,8 +93,8 @@ def make_star_of_bicliques(t: int) -> Graph:
     and every inter-block path crosses two of them consecutively. t = 1
     degenerates to blocks that are single edges (minimum degree 1).
     """
-    if t < 1:
-        raise OutOfRange("block side size must be at least 1")
+    if type(t) is not int or t < 1:
+        raise OutOfRange(f"block side size must be an integer >= 1, got {t!r}")
     edges = []
     for b in range(4):
         off = 2 * t * b
@@ -344,8 +345,8 @@ def survey_min_degree(n_lo: int = 5, n_hi: int = 8, corpus=None) -> SurveyReport
     Built-in enumeration and corpora (iterables of Graph) both cover n up
     to 9. Budget shortfalls land in `unresolved`.
     """
-    if not 5 <= n_lo <= n_hi:
-        raise OutOfRange("need 5 <= n_lo <= n_hi")
+    if type(n_lo) is not int or type(n_hi) is not int or not 5 <= n_lo <= n_hi:
+        raise OutOfRange("need integers 5 <= n_lo <= n_hi")
     if n_hi > ENUMERATION_MAX_N:
         raise TooLarge(f"minimum-degree survey covers n <= {ENUMERATION_MAX_N}")
 
@@ -378,8 +379,8 @@ def survey_bipartite(n_lo: int = 4, n_hi: int = 9, corpus=None) -> SurveyReport:
     Python 3.11, order 13 (75,624 classes) takes about 11 s, nearly all
     of it building the level.
     """
-    if not 4 <= n_lo <= n_hi:
-        raise OutOfRange("need 4 <= n_lo <= n_hi")
+    if type(n_lo) is not int or type(n_hi) is not int or not 4 <= n_lo <= n_hi:
+        raise OutOfRange("need integers 4 <= n_lo <= n_hi")
     if n_hi > BIPARTITE_MAX_N:
         raise TooLarge(f"bipartite survey covers n <= {BIPARTITE_MAX_N}")
 

@@ -27,7 +27,6 @@ from properconn import (
     first_weak_pair,
     from_adj_rows,
     from_edge_list,
-    hamilton_path,
     has_strong_property,
     is_proper_connected,
     is_proper_path,
@@ -561,7 +560,6 @@ def test_searches_leave_no_reference_cycles():
             return _Machine(g.n, 3, g.edges, cert.coloring.colors).first_bad_pair(False)
 
     calls = {
-        "hamilton_path": lambda: hamilton_path(g),
         "complete": lambda: complete(c5, 2, {}, c5.edges),
         "pc_exact": lambda: pc_exact(g),
         "canonical_code": lambda: canonical_code(petersen()),

@@ -12,6 +12,8 @@ from properconn import (
     TooLarge,
     TooSmall,
     UnsuitableBase,
+    VertexOutOfRange,
+    enumerate_connected,
     extend_vertex,
     from_edge_list,
     make_star_of_bicliques,
@@ -34,6 +36,13 @@ def test_bad_argument_values_raise_pc_errors():
         (OutOfRange, lambda: make_star_of_bicliques(0)),
         (OutOfRange, lambda: survey_min_degree(6, 5)),
         (OutOfRange, lambda: survey_bipartite(3, 5)),
+        # sizes and vertex labels that are not ints
+        (OutOfRange, lambda: survey_min_degree(5, 8.0)),
+        (OutOfRange, lambda: survey_bipartite(4.0, 5)),
+        (OutOfRange, lambda: make_star_of_bicliques(2.0)),
+        (OutOfRange, lambda: list(enumerate_connected(5.0))),
+        (VertexOutOfRange, lambda: from_edge_list(3, [(0, 1.0)])),
+        (VertexOutOfRange, lambda: from_edge_list(3.0, [])),
         (TooSmall, lambda: strong_coloring_bridgeless(from_edge_list(1, []))),
         (UnsuitableBase, lambda: extend_vertex(pc_exact(star_graph(3))[1], [(4, 0), (4, 1)])),
         (UnsuitableBase, lambda: extend_vertex(forged(cycle_graph(4)), [(4, 0), (4, 2)])),
@@ -55,8 +64,9 @@ def test_invalid_budget_raises_out_of_range(monkeypatch):
 
 
 def test_solver_refuses_graphs_past_the_checker_cap():
-    # the Hamilton search stops at 16 vertices, as does the checker
-    # behind every other certificate
+    # both refuse past PROFILE_MAX_N = 16 vertices, the checker's cap
+    # behind every certificate; the path search and the pipeline stop at
+    # the same size (PIPELINE_MAX_N)
     for call in (pc_upper, pc_exact):
         with pytest.raises(TooLarge) as info:
             call(path_graph(17))

@@ -326,11 +326,14 @@ def test_enumeration_size_guard():
 
 def test_enumeration_refuses_a_min_degree_that_is_not_an_int(monkeypatch):
     # 1.5 once yielded graphs of minimum degree 1 and cached levels keyed
-    # by floats
+    # by floats; an n that is not an int is refused the same way
     monkeypatch.setattr(enumeration_mod, "_LEVELS", {})
     for bad in (1.5, 2.0, True):
         with pytest.raises(OutOfRange):
             next(enumerate_connected(6, bad))
+    for bad in (5.5, 6.0, True):
+        with pytest.raises(OutOfRange):
+            next(enumerate_connected(bad))
     assert enumeration_mod._LEVELS == {}
 
 

@@ -2,9 +2,10 @@
 helper and module-level constant is used somewhere in the package, so a
 deletion leaves no dead import, orphaned helper or unread constant
 behind. No linter is required: each module is parsed with ast. The one
-exception is an import marked for the benchmark's tracer, which wraps
-the name at that module; the mark must name a real wrap, and it goes
-once the module uses the name itself."""
+exception is a name marked for the benchmark's tracer, which wraps the
+name at that module: an import, or a module-level assignment that holds
+its place. The mark must name a real wrap, and it goes once the module
+uses the name itself."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import types
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "properconn")
-TRACER_MARK = "noqa: F401  (perfbench/tracing.py wraps it here)"
+TRACER_MARK = "(perfbench/tracing.py wraps it here)"
 
 
 def _traced_names() -> dict[str, set[str]]:
@@ -46,13 +47,16 @@ def _traced_names() -> dict[str, set[str]]:
     return wrapped
 
 
-def _imports(source: str):
-    """(line, name, used, marked) for each name the module imports: used
-    is whether the module reads it, marked whether the name's line
-    carries the tracer mark."""
+def _bindings(source: str):
+    """(line, name, used, marked) for each name the module imports and
+    each name a marked module-level assignment binds: used is whether
+    the module reads it, marked whether the name's line carries the
+    tracer mark."""
     tree = ast.parse(source)
     lines = source.splitlines()
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used = {
+        n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    }
     for node in ast.walk(tree):
         if not isinstance(node, (ast.Import, ast.ImportFrom)):
             continue
@@ -61,6 +65,10 @@ def _imports(source: str):
         for alias in node.names:
             name = (alias.asname or alias.name).split(".")[0]
             yield alias.lineno, name, name in used, TRACER_MARK in lines[alias.lineno - 1]
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and TRACER_MARK in lines[node.lineno - 1]:
+            for target in node.targets:
+                yield node.lineno, target.id, target.id in used, True
 
 
 def test_library_modules_use_every_name_they_import():
@@ -72,7 +80,7 @@ def test_library_modules_use_every_name_they_import():
         module = filename[:-3]
         with open(os.path.join(PACKAGE, filename), encoding="utf-8") as fh:
             source = fh.read()
-        for line, name, used, marked in _imports(source):
+        for line, name, used, marked in _bindings(source):
             where = f"{filename}:{line} {name}"
             if used:
                 if marked:
