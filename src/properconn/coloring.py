@@ -481,8 +481,8 @@ def is_proper_path(c: EdgeColoring, path) -> bool:
         raise NotAPath(f"repeated vertex in {seq}")
     g = c.graph
     for w in seq:
-        if not 0 <= w < g.n:
-            raise NotAPath(f"vertex {w} outside 0..{g.n - 1}")
+        if type(w) is not int or not 0 <= w < g.n:
+            raise NotAPath(f"vertex {w!r} is not an int in 0..{g.n - 1}")
     for a, b in zip(seq, seq[1:]):
         if not g.has_edge(a, b):
             raise NotAPath(f"({a},{b}) is not an edge")

@@ -19,9 +19,8 @@ from the full level once that is built.
 from __future__ import annotations
 
 from functools import cache
-from itertools import product
 
-from .graph import _bipartite_sides, _deletion_components, _twin_classes, is_connected
+from .graph import _bipartite_sides, _reach_mask, _twin_classes, is_connected
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +264,9 @@ def _attachment_sets(
     out, and so are the sets of exactly least vertices that meet the
     vertex mask `meet`.
 
-    Each set is yielded as the sum of weight[v] over its vertices v. A
+    Each set is returned as the sum of weight[v] over its vertices v. A
     weight must hold 1 << v in its low len(rows) bits, so the low bits of
-    a sum are the set; weights of 1 << v yield the sets' bitmasks.
+    a sum are the set; weights of 1 << v give the sets' bitmasks.
 
     Within each twin class (`classes`, by default _twin_classes(rows))
     only a lowest-index prefix is attached to: any other set maps onto
@@ -275,8 +274,11 @@ def _attachment_sets(
     within twin classes, and that automorphism, fixing the new vertex,
     carries one child onto the other. Twins share a
     degree, so the vertices of degree t-1 are whole classes. The sets are
-    the unions of one prefix per class, which are disjoint, taken in
-    itertools.product order."""
+    the unions of one prefix per class, which are disjoint, in
+    itertools.product order: the classes are folded in from the last, each
+    one's options outermost. Before the last fold, a union is dropped when
+    it is below its floor, need = max(t, 2, least) less the most vertices
+    the classes still to fold can add, unless it may end as one vertex."""
     full = (1 << len(rows)) - 1
     sides = [full] if kind == "general" else _bipartite_sides(rows)
     low = sum(1 << v for v, row in enumerate(rows) if row.bit_count() == t - 1)
@@ -287,14 +289,32 @@ def _attachment_sets(
             sums.append(sums[-1] + weight[v])
         prefixes.append(sums[-1:] if low >> cls[0] & 1 else sums)
     fewest = max(t, 1)
+    need = max(fewest, 2, least)
+    small = 1 if fewest == 1 else -1  # the most vertices of a union that may end as one
+    sets = []
     for side in sides:
         if low & ~side:
             continue
-        options = [[s for s in sums if not s & full & ~side] for sums in prefixes]
-        for s in map(sum, product(*options)):
+        out = full & ~side
+        options = [[s for s in sums if not s & out] for sums in prefixes] if out else prefixes
+        floor = need - sum((opts[-1] & full).bit_count() for opts in options)
+        combos = [0]
+        for opts in reversed(options):
+            floor += (opts[-1] & full).bit_count()
+            if 0 < floor < need:
+                combos = [
+                    s
+                    for a in opts
+                    for b in combos
+                    if not small < ((s := a + b) & full).bit_count() < floor
+                ]
+            else:
+                combos = [a + b for a in opts for b in combos]
+        for s in combos:
             d = (s & full).bit_count()
             if d >= fewest and not (2 <= d < least or d == least and s & meet):
-                yield s
+                sets.append(s)
+    return sets
 
 
 @cache
@@ -324,9 +344,9 @@ def _order_tables(m: int) -> tuple:
 def _children(kind: str, rows, t: int):
     """Yield (route, entry) for each child of the graph with adjacency
     rows `rows` that passes prunes (a), (b) and (c) of _level, in
-    attachment-set order: entry is its class entry (_class_entry), with
-    the new vertex last, and route is what (b) proves about the isomorphs
-    it can meet (_level): 0 none, 2 any child of the level.
+    attachment-set order, with the new vertex last: route is what (b)
+    proves about its isomorphs (_level), 0 none or 2 any child of the level;
+    entry is a route-2 child's _class_entry, a route-0 child's _pack_rows.
 
     Nothing is built per child but a few ints. What a set A changes is a
     sum over its vertices, so each vertex v gets one weight and
@@ -357,7 +377,9 @@ def _children(kind: str, rows, t: int):
     that holds such a u of degree D (it has degree D + 1 in the child),
     so `_attachment_sets` leaves them out. The same test at threshold
     mine << 8 finds the old vertices whose pair ties the new vertex's:
-    a child with none takes route 0, and one with some route 2.
+    a child with none takes route 0, and one with some route 2. One pass
+    over the parent packs its keys (guards set) and rows and finds its cut
+    vertices, tracing the components of the parent minus u only for those.
 
     Isomorphic siblings share the new vertex's key, so a child whose key
     is new among its siblings is first in its orbit; prune (c)
@@ -366,37 +388,46 @@ def _children(kind: str, rows, t: int):
     f = _KEY_BITS
     c_at, a_at, r_at, ones, guard, fields, by_row, fixed = _order_tables(m)
     keys = _vertex_keys(rows)
-    comps = _deletion_components(rows)
     classes = _twin_classes(rows)
-    solids = [u for u, parts in enumerate(comps) if len(parts) <= 1]
-    cuts = [(1 << f * u + f - 1, parts) for u, parts in enumerate(comps) if len(parts) > 1]
-    most = max((keys[u] >> 16 for u in solids), default=0)
-    meet = sum(1 << u for u in solids if keys[u] >> 16 == most) if most >= 2 else 0
-    solid = sum(1 << f * u + f - 1 for u in solids)
     full = (1 << m) - 1
+    gbase, base_rows, solid, most, meet, cuts = guard, 0, 0, 0, 0, []
+    for u, row in enumerate(rows):
+        gbase += keys[u] << f * u
+        base_rows += row << n * u
+        bit, left = 1 << f * u + f - 1, full & ~(1 << u)
+        part = _reach_mask(rows, left & -left, left)
+        if part == left:
+            solid |= bit
+            if keys[u] >> 16 > most:
+                most, meet = keys[u] >> 16, 1 << u
+            elif keys[u] >> 16 == most:
+                meet |= 1 << u
+            continue
+        parts = [part]
+        while left := left ^ parts[-1]:
+            parts.append(_reach_mask(rows, left & -left, left))
+        cuts.append((bit, parts))
     weight = [fixed[v] + by_row[row] for v, row in enumerate(rows)]
-    base = sum(key << f * u for u, key in enumerate(keys))
-    base_rows = sum(row << n * v for v, row in enumerate(rows))
     heads, first = set(), None
-    for s in _attachment_sets(kind, rows, t, weight, most, meet, classes):
+    for s in _attachment_sets(kind, rows, t, weight, most, meet if most >= 2 else 0, classes):
         attach = s & full
         d = attach.bit_count()
         around = d + (s >> m & 255)
         c = s >> c_at & fields
         on = s >> a_at & fields
-        # the keys without the triangles the attached vertices gain: (b)
-        # does not compare them, and a triangle count stays below 256, so
-        # adding them later carries into no compared bit
-        child = base + (c << 8) + on * (1 << 16 | d << 8)
+        # the keys, guards set, without the triangles the attached vertices
+        # gain: (b) does not compare them, and a triangle count stays below
+        # 256, so adding them later carries into no compared bit
+        child = gbase + (c << 8) + on * (1 << 16 | d << 8)
         mine = d << 8 | around
-        over = ((child | guard) - (mine + 1 << 8) * ones) & guard
+        over = (child - (mine + 1 << 8) * ones) & guard
         if over & (solid & ~(on << f - 1) if d == 1 else solid):
             continue
         if over & ~solid and any(
             over & bit and all(comp & attach for comp in parts) for bit, parts in cuts
         ):
             continue
-        tied = ((child | guard) - (mine << 8) * ones) & guard != over
+        tied = (child - (mine << 8) * ones) & guard != over
         inner = c & on * _KEY_MASK
         # the new vertex's triangles: half of the sum of inner's fields,
         # which the product with ones gathers in field m-1
@@ -407,8 +438,8 @@ def _children(kind: str, rows, t: int):
             if not first(attach):
                 continue
         heads.add(head)
-        top = child + inner | head << f * m
-        yield 2 if tied else 0, top << n * n | base_rows + (s >> r_at)
+        entry = base_rows + (s >> r_at)
+        yield (2, (child - guard + inner | head << f * m) << n * n | entry) if tied else (0, entry)
 
 
 def _orbit_test(kind: str, rows, keys, classes):
@@ -524,11 +555,11 @@ def _level(kind: str, n: int, t: int) -> tuple[int, ...]:
     first child of each class.
 
     Cold, on one core of a 2-core machine under Python 3.11.7, the
-    min-degree chain of survey_min_degree(5, 8) takes about 0.10 s, the
-    full general level at n=8 about 0.13 s, _level("general", 9, 3)
-    (84,242 classes) about 1.1 s at 23 MB peak RSS, the full general level
-    at n=9 (261,080 classes) about 2.7 s and _level("bipartite", 12, 2)
-    (67,704 classes) about 3.2 s.
+    min-degree chain of survey_min_degree(5, 8) takes about 0.083 s, the
+    full general level at n=8 about 0.11 s, _level("general", 9, 3)
+    (84,242 classes) about 0.89 s at 23 MB peak RSS, the full general
+    level at n=9 (261,080 classes) about 2.2 s and _level("bipartite", 12,
+    2) (67,704 classes) about 2.9 s.
     """
     if n == 1:
         return (0,) if t == 0 else ()
@@ -544,10 +575,9 @@ def _level(kind: str, n: int, t: int) -> tuple[int, ...]:
         else:
             classes: dict = {}
             kept = []
-            rows_mask = (1 << n * n) - 1
             for parent in _level(kind, n - 1, max(t - 1, 0)):
                 for route, entry in _children(kind, _unpack_rows(n - 1, parent), t):
-                    packed = _add_class(classes, n, entry) if route else entry & rows_mask
+                    packed = _add_class(classes, n, entry) if route else entry
                     if packed is not None:
                         kept.append(packed)
             _LEVELS[key] = tuple(kept)

@@ -178,6 +178,8 @@ def to_graph6(g: Graph) -> str:
 
 def from_graph6(text: str) -> Graph:
     """Decode one short-form graph6 line; strict about length and padding."""
+    if type(text) is not str:
+        raise MalformedGraph6(f"a graph6 line is a str, got {type(text).__name__}")
     line = text.strip()
     if not line:
         raise MalformedGraph6("empty graph6 line")
@@ -271,22 +273,6 @@ def _reach_mask(adj, seeds: int, allowed: int) -> int:
         frontier = nxt & allowed & ~seen
         seen |= frontier
     return seen
-
-
-def _deletion_components(rows) -> list[list[int]]:
-    """For every vertex u of the graph with adjacency rows `rows`, the
-    components of the graph minus u as bitmasks."""
-    full = (1 << len(rows)) - 1
-    out = []
-    for u in range(len(rows)):
-        left = full & ~(1 << u)
-        comps = []
-        while left:
-            comp = _reach_mask(rows, left & -left, left)
-            comps.append(comp)
-            left &= ~comp
-        out.append(comps)
-    return out
 
 
 def _twin_classes(rows) -> list[list[int]]:

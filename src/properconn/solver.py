@@ -155,8 +155,11 @@ def pc_exact(g: Graph, kmax=None) -> tuple[int, PcCertificate]:
     certificate, for which no palette is searched.
     With kmax set, no palette above kmax is searched: unless the proved
     bound meets the upper bound, the bracket [max(2, b, kmax+1), upper]
-    is raised rather than guessed.
+    is raised rather than guessed. A kmax that is neither None nor an int
+    raises OutOfRange.
     """
+    if kmax is not None and type(kmax) is not int:
+        raise OutOfRange(f"kmax must be an int or None, got {kmax!r}")
     deadline = _budget_deadline()
     upper = pc_upper(g)
     if upper.k <= 2:

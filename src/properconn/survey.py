@@ -313,6 +313,14 @@ def _examine_families(n: int, graphs) -> list:
     return out
 
 
+def _corpus_graphs(corpus):
+    """A survey's corpus items; one that is not a Graph raises OutOfRange."""
+    for g in corpus:
+        if not isinstance(g, Graph):
+            raise OutOfRange(f"a corpus holds Graphs, got {type(g).__name__}")
+        yield g
+
+
 def _run_survey(name, filter_desc, n_lo, n_hi, graphs_for) -> SurveyReport:
     """Examine graphs_for(n), the packed rows (_pack_rows) of one
     graph per class on n vertices, for every n in range. Reports print
@@ -354,7 +362,7 @@ def survey_min_degree(n_lo: int = 5, n_hi: int = 8, corpus=None) -> SurveyReport
         thr = -(-n // 4)
         if corpus is not None:
             return _corpus_rows(
-                corpus,
+                _corpus_graphs(corpus),
                 n,
                 lambda g: not is_complete(g) and degree_stats(g)[1] >= thr,
             )
@@ -388,7 +396,7 @@ def survey_bipartite(n_lo: int = 4, n_hi: int = 9, corpus=None) -> SurveyReport:
         thr = -(-(n + 6) // 8)
         if corpus is not None:
             return _corpus_rows(
-                corpus,
+                _corpus_graphs(corpus),
                 n,
                 lambda g: bipartition(g) is not None and degree_stats(g)[1] >= thr,
             )
@@ -409,6 +417,8 @@ def survey_bipartite(n_lo: int = 4, n_hi: int = 9, corpus=None) -> SurveyReport:
 
 def read_graph6_file(path) -> list[Graph]:
     """One graph per line; the conventional `>>graph6<<` header is allowed."""
+    if isinstance(path, int):
+        raise OutOfRange(f"a graph6 file is named by a path, not a file descriptor: {path!r}")
     graphs = []
     with open(path, encoding="ascii") as fh:
         for line in fh:

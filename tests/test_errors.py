@@ -6,6 +6,8 @@ import pytest
 
 from properconn import (
     EdgeColoring,
+    MalformedGraph6,
+    NotAPath,
     OutOfRange,
     PcCertificate,
     PcError,
@@ -16,9 +18,12 @@ from properconn import (
     enumerate_connected,
     extend_vertex,
     from_edge_list,
+    from_graph6,
+    is_proper_path,
     make_star_of_bicliques,
     pc_exact,
     pc_upper,
+    read_graph6_file,
     strong_coloring_bridgeless,
     survey_bipartite,
     survey_min_degree,
@@ -41,6 +46,13 @@ def test_bad_argument_values_raise_pc_errors():
         (OutOfRange, lambda: survey_bipartite(4.0, 5)),
         (OutOfRange, lambda: make_star_of_bicliques(2.0)),
         (OutOfRange, lambda: list(enumerate_connected(5.0))),
+        (OutOfRange, lambda: pc_exact(from_graph6("F@QFw"), kmax=2.5)),
+        (OutOfRange, lambda: pc_exact(from_graph6("F@QFw"), kmax=True)),
+        # a number for a graph6 file (not a file descriptor) or a graph
+        (OutOfRange, lambda: read_graph6_file(5)),
+        (OutOfRange, lambda: read_graph6_file(True)),
+        (OutOfRange, lambda: survey_min_degree(5, 5, corpus=[1])),
+        (OutOfRange, lambda: survey_bipartite(4, 4, corpus=[cycle_graph(4), "C~"])),
         (VertexOutOfRange, lambda: from_edge_list(3, [(0, 1.0)])),
         (VertexOutOfRange, lambda: from_edge_list(3.0, [])),
         (TooSmall, lambda: strong_coloring_bridgeless(from_edge_list(1, []))),
@@ -52,6 +64,17 @@ def test_bad_argument_values_raise_pc_errors():
             call()
         assert isinstance(info.value, PcError)
         assert isinstance(info.value, ValueError)
+
+
+def test_inputs_of_the_wrong_type_raise_pc_errors():
+    # a float vertex in a path and a number for a graph6 line are bad
+    # input documents, not argument values
+    cert = pc_exact(cycle_graph(4))[1]
+    with pytest.raises(NotAPath):
+        is_proper_path(cert.coloring, [0, 1.0])
+    for line in (5, None, b"C~"):
+        with pytest.raises(MalformedGraph6):
+            from_graph6(line)
 
 
 def test_invalid_budget_raises_out_of_range(monkeypatch):

@@ -49,6 +49,7 @@ from properconn import solver as solver_mod
 from properconn import survey as survey_mod
 from properconn.enumeration import _class_entry, _pack_rows, _unpack_rows, _vertex_keys
 from util import (
+    attachment_sets_by_product,
     brute_automorphisms,
     complete_bipartite,
     complete_graph,
@@ -57,6 +58,7 @@ from util import (
     graphs_with_twins,
     level_through_one_dict,
     rejected_by_the_per_vertex_prefilter,
+    size_rule_of,
 )
 
 # connected graphs per vertex count, a classic integer sequence
@@ -244,12 +246,23 @@ def test_child_keys_and_prunes_follow_from_the_parent(kind, n, t, pick):
         & set(survivors[:i])
     ]
     got = []
-    for _, entry in enumeration_mod._children(kind, rows, t):
+    for route, entry in enumeration_mod._children(kind, rows, t):
         grown = _unpack_rows(n, entry)
         attach = grown[-1]
         assert grown[:-1] == [row | (attach >> v & 1) << n - 1 for v, row in enumerate(rows)]
-        # the derived keys are the child's fresh _vertex_keys
-        assert entry == _class_entry(grown, _vertex_keys(grown)), (rows, attach)
+        # route 2 exactly when an old vertex ties the new one's (degree,
+        # neighbour-degree sum), counted from scratch
+        degrees = [row.bit_count() for row in grown]
+        pairs = [
+            (degrees[u], sum(degrees[w] for w in range(n) if grown[u] >> w & 1)) for u in range(n)
+        ]
+        assert route == (2 if pairs[-1] in pairs[:-1] else 0), (rows, attach)
+        if route:
+            # the derived keys are the child's fresh _vertex_keys
+            assert entry == _class_entry(grown, _vertex_keys(grown)), (rows, attach)
+        else:
+            # a top child is kept as it is, so only its rows are built
+            assert entry == _pack_rows(grown), (rows, attach)
         got.append(attach)
     assert got == want
 
@@ -278,6 +291,43 @@ def test_attachment_sets_leave_out_exactly_the_sizes_below_least(kind, n, t, pic
         meet = meet_pick % (1 << n - 1)
         want = [a for a in want if not (a.bit_count() == least and a & meet)]
         assert list(enumeration_mod._attachment_sets(kind, rows, t, masks, least, meet)) == want
+
+
+def test_attachment_sets_equal_the_product_oracle():
+    # the pruned fold returns exactly the product-then-filter list, in its
+    # order, on every parent the level builder grows at n <= 8 (bipartite
+    # n <= 10), with the size rule _children derives for that parent
+    for kind, top in (("general", 8), ("bipartite", 10)):
+        for n in range(2, top + 1):
+            for t in range(4):
+                for parent in enumeration_mod._level(kind, n - 1, max(t - 1, 0)):
+                    rows = _unpack_rows(n - 1, parent)
+                    masks = [1 << v for v in range(n - 1)]
+                    least, meet = size_rule_of(rows)
+                    got = enumeration_mod._attachment_sets(kind, rows, t, masks, least, meet)
+                    want = attachment_sets_by_product(kind, rows, t, masks, least, meet)
+                    assert got == want, (kind, rows, t)
+
+
+@given(
+    st.sampled_from(("general", "bipartite")),
+    st.integers(min_value=2, max_value=9),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=2**16),
+    st.integers(min_value=0, max_value=9),
+    st.integers(min_value=0, max_value=2**8),
+)
+@settings(max_examples=30, deadline=None)
+def test_attachment_sets_equal_the_product_oracle_at_drawn_sizes(kind, n, t, pick, least, meet):
+    parents = enumeration_mod._level(kind, n - 1, max(t - 1, 0))
+    if not parents:
+        return
+    rows = _unpack_rows(n - 1, parents[pick % len(parents)])
+    # weights with bits above the set's, as _children's are
+    weight = [1 << v | (v + 1) << 2 * n + 3 * v for v in range(n - 1)]
+    meet %= 1 << n - 1
+    want = attachment_sets_by_product(kind, rows, t, weight, least, meet)
+    assert enumeration_mod._attachment_sets(kind, rows, t, weight, least, meet) == want
 
 
 def test_level_computes_vertex_keys_per_parent_not_per_child(monkeypatch):

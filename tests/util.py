@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import comb
 
 import numpy as np
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from properconn import Graph, TooLarge, canonical_code, enumeration, from_edge_list, to_graph6
 from properconn.enumeration import _add_class, _class_entry, _unpack_rows, _vertex_keys
-from properconn.graph import _reach_mask
+from properconn.graph import _bipartite_sides, _reach_mask, _twin_classes
 
 SWEEP_MAX_N = 7
 
@@ -305,6 +305,48 @@ def rejected_by_the_per_vertex_prefilter(rows, attach):
         key(u) > mine and _reach_mask(grown, 1 << m, full & ~(1 << u)) == full & ~(1 << u)
         for u in range(m)
     )
+
+
+def attachment_sets_by_product(kind: str, rows, t: int, weight, least: int = 0, meet: int = 0):
+    """enumeration._attachment_sets the plain way: every union of one
+    lowest-index prefix per twin class, summed over itertools.product of
+    the classes' options, then filtered by size."""
+    full = (1 << len(rows)) - 1
+    sides = [full] if kind == "general" else _bipartite_sides(rows)
+    low = sum(1 << v for v, row in enumerate(rows) if row.bit_count() == t - 1)
+    prefixes = []
+    for cls in _twin_classes(rows):
+        sums = [0]
+        for v in cls:
+            sums.append(sums[-1] + weight[v])
+        prefixes.append(sums[-1:] if low >> cls[0] & 1 else sums)
+    sets = []
+    for side in sides:
+        if low & ~side:
+            continue
+        options = [[s for s in sums if not s & full & ~side] for sums in prefixes]
+        for s in map(sum, product(*options)):
+            d = (s & full).bit_count()
+            if d >= max(t, 1) and not (2 <= d < least or d == least and s & meet):
+                sets.append(s)
+    return sets
+
+
+def size_rule_of(rows):
+    """The least and meet that enumeration._children passes to
+    _attachment_sets for the graph with adjacency rows `rows`, from
+    scratch: D, the largest degree of a vertex whose deletion leaves the
+    graph connected, and the mask of those vertices of degree D (none
+    when D < 2)."""
+    full = (1 << len(rows)) - 1
+    solid = {}
+    for u, row in enumerate(rows):
+        left = full & ~(1 << u)
+        if _reach_mask(rows, left & -left, left) == left:
+            solid[u] = row.bit_count()
+    most = max(solid.values(), default=0)
+    meet = sum(1 << u for u, degree in solid.items() if degree == most)
+    return most, meet if most >= 2 else 0
 
 
 def level_through_one_dict(kind: str, n: int, t: int):
