@@ -362,24 +362,24 @@ def _children(kind: str, rows, t: int):
     sum c_u + |A| and c_u triangles, any other u gains c_u to its
     neighbour-degree sum.
 
-    Prune (b) then runs on all fields at once. A key's top 16 bits are
-    the (degree, neighbour-degree sum) that (b) compares, so u outranks
-    the new vertex, whose pair is mine = |A| << 8 | (|A| + the degree sum
-    of A), when its key is at least (mine + 1) << 8; setting each
-    field's top bit (a guard) and subtracting that threshold from every
-    field leaves the guard set exactly there. A u whose deletion
-    leaves the parent connected is a non-cut vertex of the child, except
-    when A = {u}: then u separates the new vertex. Any other u is a
-    non-cut vertex of the child when A meets every component of the
-    parent minus u. With D the largest degree of a u of the first kind,
-    every set of 2 to D-1 vertices is dropped (u outranks the new vertex
-    outside or inside A), and so is every set of exactly D >= 2 vertices
-    that holds such a u of degree D (it has degree D + 1 in the child),
-    so `_attachment_sets` leaves them out. The same test at threshold
-    mine << 8 finds the old vertices whose pair ties the new vertex's:
-    a child with none takes route 0, and one with some route 2. One pass
-    over the parent packs its keys (guards set) and rows and finds its cut
-    vertices, tracing the components of the parent minus u only for those.
+    Prune (b) then runs on all fields at once. The new vertex's key is
+    head = |A| << 16 | (|A| + the degree sum of A) << 8 | half the sum of
+    c_u over the attached u (its triangles), and u outranks it when u's
+    key is at least head + 1; setting each field's top bit (a guard) and
+    subtracting that threshold from every field leaves the guard set
+    exactly there. A u whose deletion leaves the parent connected is a
+    non-cut vertex of the child, except when A = {u}: then u separates the
+    new vertex. Any other u is a non-cut vertex of the child when A meets
+    every component of the parent minus u. With D the largest degree of a
+    u of the first kind, every set of 2 to D-1 vertices is dropped (u
+    outranks the new vertex outside or inside A), and so is every set of
+    exactly D >= 2 vertices that holds such a u of degree D (it has degree
+    D + 1 in the child), so `_attachment_sets` leaves them out (the degree
+    leads the key). The same test at threshold head finds the old vertices
+    whose key ties the new vertex's: a child with none takes route 0, and
+    one with some route 2. One pass over the parent packs its keys (guards
+    set) and rows and finds its cut vertices, tracing the components of
+    the parent minus u only for those.
 
     Isomorphic siblings share the new vertex's key, so a child whose key
     is new among its siblings is first in its orbit; prune (c)
@@ -412,34 +412,29 @@ def _children(kind: str, rows, t: int):
     for s in _attachment_sets(kind, rows, t, weight, most, meet if most >= 2 else 0, classes):
         attach = s & full
         d = attach.bit_count()
-        around = d + (s >> m & 255)
         c = s >> c_at & fields
         on = s >> a_at & fields
-        # the keys, guards set, without the triangles the attached vertices
-        # gain: (b) does not compare them, and a triangle count stays below
-        # 256, so adding them later carries into no compared bit
-        child = gbase + (c << 8) + on * (1 << 16 | d << 8)
-        mine = d << 8 | around
-        over = (child - (mine + 1 << 8) * ones) & guard
+        inner = c & on * _KEY_MASK
+        # the new vertex's triangles: half of the sum of inner's fields,
+        # which the product with ones gathers in field m-1
+        tri = (inner * ones >> f * (m - 1) & _KEY_MASK) >> 1
+        head = (d << 8 | d + (s >> m & 255)) << 8 | tri
+        child = gbase + (c << 8) + on * (1 << 16 | d << 8) + inner
+        over = (child - (head + 1) * ones) & guard
         if over & (solid & ~(on << f - 1) if d == 1 else solid):
             continue
         if over & ~solid and any(
             over & bit and all(comp & attach for comp in parts) for bit, parts in cuts
         ):
             continue
-        tied = (child - (mine << 8) * ones) & guard != over
-        inner = c & on * _KEY_MASK
-        # the new vertex's triangles: half of the sum of inner's fields,
-        # which the product with ones gathers in field m-1
-        tri = (inner * ones >> f * (m - 1) & _KEY_MASK) >> 1
-        head = mine << 8 | tri
+        tied = (child - head * ones) & guard != over
         if head in heads:
             first = first or _orbit_test(kind, rows, keys, classes)
             if not first(attach):
                 continue
         heads.add(head)
         entry = base_rows + (s >> r_at)
-        yield (2, (child - guard + inner | head << f * m) << n * n | entry) if tied else (0, entry)
+        yield (2, (child - guard | head << f * m) << n * n | entry) if tied else (0, entry)
 
 
 def _orbit_test(kind: str, rows, keys, classes):
@@ -494,9 +489,10 @@ def _level(kind: str, n: int, t: int) -> tuple[int, ...]:
         degree t-1 and meets each twin class of the parent in a
         lowest-index prefix (`_attachment_sets`);
     (b) the child is dropped when some non-cut vertex has a larger key
-        than the new vertex, a key being the degree, then the sum of the
-        neighbours' degrees (the cheap half of McKay's canonical
-        deletion, J. Algorithms 26, 1998);
+        than the new vertex, a key (_vertex_keys) being the degree, then
+        the sum of the neighbours' degrees, then the triangles through
+        the vertex (the cheap half of McKay's canonical deletion, J.
+        Algorithms 26, 1998);
     (c) the child is dropped when an automorphism of the parent maps its
         set onto one that (a) yields earlier (McKay's orbit pruning,
         `_orbit_test`); that set's child is isomorphic to this one by a
@@ -508,12 +504,11 @@ def _level(kind: str, n: int, t: int) -> tuple[int, ...]:
     isomorphism exactly, so no child is labeled. _vertex_keys runs once
     per parent: a child's keys follow from its parent's.
 
-    Routes. Call the new vertex x of a child top when no other vertex has
-    its (degree, neighbour-degree sum) pair.
+    Routes. The new vertex x of a child is top when no other has its key.
 
     Lemma (unique top). An isomorphism g from a child C with top x onto a
-    kept child C' maps x to the new vertex x' of C': g keeps pairs and
-    non-cut vertices, and (b) gave x and x' the largest pair among the
+    kept child C' maps x to the new vertex x' of C': g keeps keys and
+    non-cut vertices, and (b) gave x and x' the largest key among the
     non-cut vertices, which in C' only g(x) has. So C - x and C' - x' are
     isomorphic, hence one parent P (a level holds one per class).
 
@@ -527,8 +522,8 @@ def _level(kind: str, n: int, t: int) -> tuple[int, ...]:
     is isomorphic to an earlier sibling that takes that dict too, so the
     level is the one a single dict for all the children of (a) and (b)
     gives, representatives and order alike. At _level("general", 8, 2),
-    (c) drops 1,722 of the 9,855 children that (b) keeps, and the routes
-    take 5,202 and 2,931 of the rest.
+    (c) drops 1,611 of the 9,351 children that (b) keeps, and the routes
+    take 5,458 and 2,282 (298 of them duplicates) of the rest.
 
     Soundness: in H delete a non-cut vertex v of maximum key among the
     non-cut vertices. H - v is connected with minimum degree >= t-1, so
@@ -536,11 +531,13 @@ def _level(kind: str, n: int, t: int) -> tuple[int, ...]:
     let f map H - v onto P. S = f(N(v)) has deg(v) >= t vertices and
     holds every vertex whose degree dropped to t-1. Permuting twins maps
     S onto a set of (a) whose child is isomorphic to H by a map that
-    fixes the new vertex, so (b) keeps it, and (c) keeps the first set of
-    its orbit. In the bipartite chain H - v stays bipartite with N(v) on
-    one side, and automorphisms keep or swap the sides. So every class
-    reaches the dedup, which keeps its first child and, being exact,
-    never merges two classes. t = 0 is the unfiltered chain.
+    fixes the new vertex, so (b) keeps it (that map keeps keys and
+    non-cut vertices), and (c) keeps the first set of its orbit. In the
+    bipartite chain H - v stays bipartite with N(v) on one side, and
+    automorphisms keep or swap the sides. So every class reaches the
+    dedup, which keeps its first child and, being exact, never merges two
+    classes. t = 0 is the unfiltered chain. Both proofs use of the key
+    only that isomorphisms preserve it; a finer key leaves fewer ties.
 
     Shared levels. For n >= 2 the t = 1 level is the t = 0 level: both
     ask for a nonempty set, and only the one-vertex parent has a vertex
@@ -555,11 +552,11 @@ def _level(kind: str, n: int, t: int) -> tuple[int, ...]:
     first child of each class.
 
     Cold, on one core of a 2-core machine under Python 3.11.7, the
-    min-degree chain of survey_min_degree(5, 8) takes about 0.083 s, the
-    full general level at n=8 about 0.11 s, _level("general", 9, 3)
-    (84,242 classes) about 0.89 s at 23 MB peak RSS, the full general
-    level at n=9 (261,080 classes) about 2.2 s and _level("bipartite", 12,
-    2) (67,704 classes) about 2.9 s.
+    min-degree chain of survey_min_degree(5, 8) takes about 0.079 s, the
+    full general level at n=8 about 0.10 s, _level("general", 9, 3)
+    (84,242 classes) about 0.79 s at 23 MB peak RSS, the full general
+    level at n=9 (261,080 classes) about 1.9 s at 38 MB and
+    _level("bipartite", 12, 2) (67,704 classes) about 3.0 s.
     """
     if n == 1:
         return (0,) if t == 0 else ()

@@ -236,12 +236,15 @@ def format_report_text(report: SurveyReport) -> str:
 
 
 def write_report(report: SurveyReport, path, fmt: str = "text"):
-    """Write the report plus a graph6 sidecar of the exceptions."""
+    """Write the report, fmt "text" or "structured" (else OutOfRange, with
+    no file opened), plus a graph6 sidecar of the exceptions."""
     path = str(path)
     if fmt == "structured":
         body = json.dumps(report_to_json(report), indent=2, sort_keys=True) + "\n"
-    else:
+    elif fmt == "text":
         body = format_report_text(report)
+    else:
+        raise OutOfRange(f'fmt must be "text" or "structured", got {fmt!r}')
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(body)
     with open(path + ".exceptions.g6", "w", encoding="ascii") as fh:
@@ -313,12 +316,14 @@ def _examine_families(n: int, graphs) -> list:
     return out
 
 
-def _corpus_graphs(corpus):
-    """A survey's corpus items; one that is not a Graph raises OutOfRange."""
-    for g in corpus:
+def _corpus_graphs(corpus) -> list:
+    """A survey's corpus items in a list, which every order reads (an
+    iterator would serve only one); an item not a Graph is OutOfRange."""
+    graphs = list(corpus)
+    for g in graphs:
         if not isinstance(g, Graph):
             raise OutOfRange(f"a corpus holds Graphs, got {type(g).__name__}")
-        yield g
+    return graphs
 
 
 def _run_survey(name, filter_desc, n_lo, n_hi, graphs_for) -> SurveyReport:
@@ -357,14 +362,13 @@ def survey_min_degree(n_lo: int = 5, n_hi: int = 8, corpus=None) -> SurveyReport
         raise OutOfRange("need integers 5 <= n_lo <= n_hi")
     if n_hi > ENUMERATION_MAX_N:
         raise TooLarge(f"minimum-degree survey covers n <= {ENUMERATION_MAX_N}")
+    corpus = None if corpus is None else _corpus_graphs(corpus)
 
     def graphs_for(n):
         thr = -(-n // 4)
         if corpus is not None:
             return _corpus_rows(
-                _corpus_graphs(corpus),
-                n,
-                lambda g: not is_complete(g) and degree_stats(g)[1] >= thr,
+                corpus, n, lambda g: not is_complete(g) and degree_stats(g)[1] >= thr
             )
         kn = _pack_rows([(1 << n) - 1 & ~(1 << v) for v in range(n)])
         return [packed for packed in _level("general", n, thr) if packed != kn]
@@ -391,14 +395,13 @@ def survey_bipartite(n_lo: int = 4, n_hi: int = 9, corpus=None) -> SurveyReport:
         raise OutOfRange("need integers 4 <= n_lo <= n_hi")
     if n_hi > BIPARTITE_MAX_N:
         raise TooLarge(f"bipartite survey covers n <= {BIPARTITE_MAX_N}")
+    corpus = None if corpus is None else _corpus_graphs(corpus)
 
     def graphs_for(n):
         thr = -(-(n + 6) // 8)
         if corpus is not None:
             return _corpus_rows(
-                _corpus_graphs(corpus),
-                n,
-                lambda g: bipartition(g) is not None and degree_stats(g)[1] >= thr,
+                corpus, n, lambda g: bipartition(g) is not None and degree_stats(g)[1] >= thr
             )
         return _level("bipartite", n, thr)
 

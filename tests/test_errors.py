@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from properconn import (
@@ -27,6 +29,7 @@ from properconn import (
     strong_coloring_bridgeless,
     survey_bipartite,
     survey_min_degree,
+    write_report,
 )
 from util import complete_graph, cycle_graph, path_graph, star_graph
 
@@ -37,6 +40,7 @@ def forged(g):
 
 
 def test_bad_argument_values_raise_pc_errors():
+    nowhere = os.path.join(os.devnull, "report.txt")
     cases = [
         (OutOfRange, lambda: make_star_of_bicliques(0)),
         (OutOfRange, lambda: survey_min_degree(6, 5)),
@@ -53,6 +57,9 @@ def test_bad_argument_values_raise_pc_errors():
         (OutOfRange, lambda: read_graph6_file(True)),
         (OutOfRange, lambda: survey_min_degree(5, 5, corpus=[1])),
         (OutOfRange, lambda: survey_bipartite(4, 4, corpus=[cycle_graph(4), "C~"])),
+        # a report format that is neither "text" nor "structured", refused
+        # before the path (one no file can have) is opened
+        (OutOfRange, lambda: write_report(survey_bipartite(4, 4), nowhere, fmt="xml")),
         (VertexOutOfRange, lambda: from_edge_list(3, [(0, 1.0)])),
         (VertexOutOfRange, lambda: from_edge_list(3.0, [])),
         (TooSmall, lambda: strong_coloring_bridgeless(from_edge_list(1, []))),

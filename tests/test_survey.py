@@ -59,17 +59,22 @@ from util import (
     level_through_one_dict,
     rejected_by_the_per_vertex_prefilter,
     size_rule_of,
+    vertex_key_from_scratch,
 )
 
 # connected graphs per vertex count, a classic integer sequence
 CONNECTED_COUNTS = {2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 CONNECTED_BIPARTITE_COUNTS = {4: 3, 5: 5, 6: 17, 7: 44, 8: 182}
 
-# sha256 of the newline-joined graph6 codes of two whole levels, in
-# enumeration order: any change to the canonical labeling changes them
+# sha256 of the newline-joined graph6 codes of whole levels, keyed by
+# (n, bipartite_only, min_degree), in enumeration order: any change to
+# the canonical labeling changes them, and so does any change to the
+# set of classes, but not which representatives the level builder keeps
 LEVEL_DIGESTS = {
-    (7, False): "b8b85762ca13a0273d6c1392cc500221f97df2c933be4f76664547c41f0d3f6e",
-    (8, True): "37b3e8eedf8fb535f2ace010586c6a6e069af713ffcd5169f5ef68aef83a93a8",
+    (7, False, 0): "b8b85762ca13a0273d6c1392cc500221f97df2c933be4f76664547c41f0d3f6e",
+    (8, True, 0): "37b3e8eedf8fb535f2ace010586c6a6e069af713ffcd5169f5ef68aef83a93a8",
+    # the survey's top level
+    (8, False, 2): "8ffe771e0e370a43ed93c8a5a82e0a1f92d63a98df08581deaf4c718dfa3d4e0",
 }
 
 # sha256 of the newline-joined graph6 codes of the representatives that
@@ -78,16 +83,16 @@ LEVEL_DIGESTS = {
 # which pipeline strategy settles it
 SURVEY_LEVEL_DIGESTS = {
     5: "a50642565fa048132930eb72d38ddc374df84c7b0aa0cd1099085657168cf304",
-    6: "a25c26e106e9d316134d668280a72f1b0228f70094fa97b51c9cb954044022ca",
-    7: "2577617d5b637b13f13e3dee4ce74df2eb18b1af078483f4eb4c24b6d31456ac",
-    8: "642f4db44d1517547b00ba6ea86de565c64ce4d2e046244675325e22f5108e69",
+    6: "67da34ba7362bb41ca4fbe578441905193cf364760cfe17ba14c580408432402",
+    7: "fe045f772ddbc235d6bec8399389a0d6661932e2e7950f8c98a17926393b3a93",
+    8: "c3268b10d00bd0d6c4b555d6984d04edfb3b4cc41ad8b077dc25f74836ee1d9e",
 }
 
 # sha256 over the packed rows of every level _level(kind, n, t) for
 # general n <= 8 and bipartite n <= 10, t = 0..3: one line
 # "kind n t: packed packed ..." per level, so the representatives and
 # their order are pinned, not only their classes
-SMALL_LEVELS_DIGEST = "e57853371039b45410a2c453f89679d09db2e1f96f03970db006658f4fe9b2bf"
+SMALL_LEVELS_DIGEST = "571e17bca3acd726473c9a0f392f47627bb0b91ab08b1a537551e48927f711f7"
 
 
 def test_enumeration_counts():
@@ -146,9 +151,10 @@ def test_enumeration_matches_the_networkx_atlas():
 
 
 def test_enumeration_codes_are_pinned():
-    for (n, bipartite), want in LEVEL_DIGESTS.items():
-        text = "\n".join(to_graph6(g) for g in enumerate_connected(n, bipartite_only=bipartite))
-        assert hashlib.sha256(text.encode("ascii")).hexdigest() == want, (n, bipartite)
+    for (n, bipartite, t), want in LEVEL_DIGESTS.items():
+        graphs = enumerate_connected(n, min_degree=t, bipartite_only=bipartite)
+        text = "\n".join(to_graph6(g) for g in graphs)
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == want, (n, bipartite, t)
 
 
 def test_survey_representatives_are_pinned():
@@ -250,13 +256,10 @@ def test_child_keys_and_prunes_follow_from_the_parent(kind, n, t, pick):
         grown = _unpack_rows(n, entry)
         attach = grown[-1]
         assert grown[:-1] == [row | (attach >> v & 1) << n - 1 for v, row in enumerate(rows)]
-        # route 2 exactly when an old vertex ties the new one's (degree,
-        # neighbour-degree sum), counted from scratch
-        degrees = [row.bit_count() for row in grown]
-        pairs = [
-            (degrees[u], sum(degrees[w] for w in range(n) if grown[u] >> w & 1)) for u in range(n)
-        ]
-        assert route == (2 if pairs[-1] in pairs[:-1] else 0), (rows, attach)
+        # route 2 exactly when an old vertex ties the new one's vertex key,
+        # counted from scratch
+        keys = [vertex_key_from_scratch(grown, u) for u in range(n)]
+        assert route == (2 if keys[-1] in keys[:-1] else 0), (rows, attach)
         if route:
             # the derived keys are the child's fresh _vertex_keys
             assert entry == _class_entry(grown, _vertex_keys(grown)), (rows, attach)
@@ -833,13 +836,28 @@ def test_routed_levels_equal_one_dict_for_all(monkeypatch):
     )
     # at n = 8 some children are kept with no dict and some meet the
     # level's; none needs a dict of its siblings
-    assert sorted(routes) == [0, 2] and min(routes.values()) > 0, routes
+    assert routes == {0: 5458, 2: 2282}, routes
 
 
 def test_corpus_deduplicates_isomorphs():
     relabeled = from_graph6(to_graph6(canonical_form_of_c7()))
     report = survey_min_degree(7, 7, corpus=[cycle_graph(7), relabeled])
     assert report.totals == {7: 1}
+
+
+def test_a_one_shot_corpus_covers_every_order():
+    # a survey reads its corpus once, so an iterator gives the list's
+    # totals on every order, not on the first one only
+    for survey, lo, hi, bipartite in (
+        (survey_min_degree, 5, 6, False),
+        (survey_bipartite, 4, 6, True),
+    ):
+        graphs = [
+            g for n in range(lo, hi + 1) for g in enumerate_connected(n, bipartite_only=bipartite)
+        ]
+        want = survey(lo, hi, corpus=graphs).totals
+        assert min(want.values()) > 0, want
+        assert survey(lo, hi, corpus=iter(graphs)).totals == want, survey.__name__
 
 
 def canonical_form_of_c7():

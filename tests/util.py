@@ -288,21 +288,30 @@ def enumerate_connected_by_sweep(n: int):
 # --- reference level builder --------------------------------------------------
 
 
+def vertex_key_from_scratch(rows, u):
+    """The vertex key of u that enumeration._level's prune (b) compares,
+    in the graph with adjacency rows `rows`, from scratch: its degree, the
+    sum of its neighbours' degrees, and its triangles counted as the edges
+    among its neighbours."""
+    around = [w for w in range(len(rows)) if rows[u] >> w & 1]
+    return (
+        len(around),
+        sum(rows[w].bit_count() for w in around),
+        sum(1 for a, b in combinations(around, 2) if rows[a] >> b & 1),
+    )
+
+
 def rejected_by_the_per_vertex_prefilter(rows, attach):
     """Prune (b) of enumeration._level, vertex by vertex from scratch: in
     the child of the graph with adjacency rows `rows` whose new vertex
     attaches to the vertex mask `attach`, some vertex that is non-cut has
-    a larger (degree, sum of the neighbours' degrees) than the new vertex."""
+    a larger vertex key (vertex_key_from_scratch) than the new vertex."""
     m = len(rows)
     grown = [row | (attach >> v & 1) << m for v, row in enumerate(rows)] + [attach]
-    degrees = [row.bit_count() for row in grown]
-
-    def key(u):
-        return degrees[u], sum(degrees[w] for w in range(m + 1) if grown[u] >> w & 1)
-
-    full, mine = (1 << m + 1) - 1, key(m)
+    full, mine = (1 << m + 1) - 1, vertex_key_from_scratch(grown, m)
     return any(
-        key(u) > mine and _reach_mask(grown, 1 << m, full & ~(1 << u)) == full & ~(1 << u)
+        vertex_key_from_scratch(grown, u) > mine
+        and _reach_mask(grown, 1 << m, full & ~(1 << u)) == full & ~(1 << u)
         for u in range(m)
     )
 
