@@ -10,7 +10,6 @@ minimum-degree surveys over all small graph isomorphism classes.
 from .coloring import (
     EdgeColoring,
     coloring_from_json,
-    coloring_to_json,
     first_improper_pair,
     first_weak_pair,
     has_strong_property,
@@ -54,10 +53,8 @@ from .graph import (
     Graph,
     bipartition,
     canonical_code,
-    canonical_form,
     degree_stats,
     find_bridges,
-    format_edge_list_text,
     from_adj_rows,
     from_edge_list,
     from_graph6,

@@ -18,7 +18,7 @@ import json
 import sys
 
 from .coloring import coloring_from_json
-from .constructive import PcCertificate, certificate_to_json
+from .constructive import PcCertificate, _certificate_document
 from .errors import ColoringGraphMismatch, PcError, SearchBudgetExceeded
 from .graph import from_graph6, parse_edge_list_text, to_graph6
 from .solver import pc_exact, verify_certificate
@@ -68,12 +68,12 @@ def _parse_range(text: str) -> tuple[int, int]:
 def cmd_compute(args) -> int:
     g = _load_graph(args)
     pc, witness = pc_exact(g, kmax=args.kmax)
-    document = certificate_to_json(witness)
+    document = _certificate_document(witness)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(document + "\n")
+            fh.write(json.dumps(document) + "\n")
     if args.format == "structured":
-        print(json.dumps({"pc": pc, "witness": json.loads(document)}, sort_keys=True))
+        print(json.dumps({"pc": pc, "witness": document}, sort_keys=True))
     else:
         print(f"pc={pc}")
         print(f"strategy={witness.strategy}")

@@ -85,11 +85,13 @@ class EdgeColoring(_Value):
         _set(self, "colors", colors)
 
     def color(self, u: int, v: int) -> int:
-        edge = (min(u, v), max(u, v))
-        i = bisect_left(self.graph.edges, edge)
-        if i == len(self.colors) or self.graph.edges[i] != edge:
-            raise ColoringGraphMismatch(f"({u},{v}) is not an edge")
-        return self.colors[i]
+        # ints first: bisect would compare any other type with the edges
+        if type(u) is int and type(v) is int:
+            edge = (min(u, v), max(u, v))
+            i = bisect_left(self.graph.edges, edge)
+            if i < len(self.colors) and self.graph.edges[i] == edge:
+                return self.colors[i]
+        raise ColoringGraphMismatch(f"({u!r},{v!r}) is not an edge")
 
 
 def make_coloring(g: Graph, k: int, assignment) -> EdgeColoring:
@@ -477,12 +479,12 @@ def is_proper_path(c: EdgeColoring, path) -> bool:
     seq = list(path)
     if not seq:
         raise NotAPath("empty vertex sequence")
-    if len(set(seq)) != len(seq):
-        raise NotAPath(f"repeated vertex in {seq}")
     g = c.graph
     for w in seq:
         if type(w) is not int or not 0 <= w < g.n:
             raise NotAPath(f"vertex {w!r} is not an int in 0..{g.n - 1}")
+    if len(set(seq)) != len(seq):
+        raise NotAPath(f"repeated vertex in {seq}")
     for a, b in zip(seq, seq[1:]):
         if not g.has_edge(a, b):
             raise NotAPath(f"({a},{b}) is not an edge")
@@ -526,16 +528,6 @@ def has_strong_property(c: EdgeColoring) -> bool:
 
 # ---------------------------------------------------------------------------
 # structured text format
-
-
-def coloring_to_json(c: EdgeColoring) -> str:
-    payload = {
-        "n": c.graph.n,
-        "k": c.k,
-        "edges": [[u, v] for u, v in c.graph.edges],
-        "colors": list(c.colors),
-    }
-    return json.dumps(payload)
 
 
 def coloring_from_json(text: str) -> EdgeColoring:

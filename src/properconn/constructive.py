@@ -91,16 +91,12 @@ class PcCertificate(_Value):
         return self.coloring.k
 
 
-def _certify(g: Graph, k: int, colors, strategy: str, path=None):
+def _certify(g: Graph, k: int, colors, strategy: str, path=()):
     """Wrap a coloring as a plain certificate, or raise if the checker
     refuses it. `path`, a path the coloring alternates along, is
     handed to the checker as a hint to walk before it searches."""
     coloring = EdgeColoring(g, k, colors)
-    if path is None:
-        ok = is_proper_connected(coloring)
-    else:
-        ok = is_proper_connected(coloring, path=path)
-    if not ok:
+    if not is_proper_connected(coloring, path=path):
         raise VerificationFailed(
             f"{strategy} construction produced a non proper-connected coloring"
         )
@@ -231,20 +227,26 @@ def _extend(adj, full: int, v: int, visited: int, one: int, two: int, left):
 
 def _bfs_order(g: Graph) -> list[tuple[int, int]]:
     """The edges of connected g in breadth-first order, the order in
-    which the completion kernel assigns them when nothing is fixed.
-
-    The search starts at a vertex of maximum degree, the lowest on ties;
-    when a vertex is dequeued, its edges to vertices not yet dequeued
-    follow in index order. Every prefix is connected and each edge meets
-    the ones before it, so the kernel's early choices already constrain
-    the paths its relaxation checks (fail first): on compute-mix's
-    palette searches it runs about half the checks of g.edges order.
+    which the completion kernel assigns them when nothing is fixed: the
+    walk (`_bfs`) from a vertex of maximum degree, the lowest on ties.
+    Every prefix is connected and each edge meets the ones before it, so
+    the kernel's early choices already constrain the paths its
+    relaxation checks (fail first): on compute-mix's palette searches it
+    runs about half the checks of g.edges order.
     """
     adj = g.adj
     if not adj:
         return []
-    root = max(range(g.n), key=lambda v: (adj[v].bit_count(), -v))
-    order = []
+    return _bfs(adj, max(range(g.n), key=lambda v: (adj[v].bit_count(), -v)))[0]
+
+
+def _bfs(adj, root: int):
+    """The breadth-first walk from root of the connected graph with rows
+    adj: its edges in walk order, and the adjacency rows of its spanning
+    tree. When a vertex is dequeued, its edges to vertices not yet
+    dequeued follow in index order, and every other vertex hangs from
+    the first vertex in queue order adjacent to it."""
+    order, tree = [], [0] * len(adj)
     queued, done = 1 << root, 0
     queue = [root]
     for v in queue:
@@ -257,8 +259,10 @@ def _bfs_order(g: Graph) -> list[tuple[int, int]]:
             if not queued & low:
                 queued |= low
                 queue.append(w)
+                tree[v] |= low
+                tree[w] |= 1 << v
             rest ^= low
-    return order
+    return order, tree
 
 
 def _path_colors(g: Graph, path) -> tuple[int, ...]:
@@ -671,8 +675,11 @@ def pc2_pipeline(g: Graph):
 # serialization
 
 
-def certificate_to_json(cert: PcCertificate) -> str:
-    payload = {
+def _certificate_document(cert: PcCertificate) -> dict:
+    """The JSON document of a certificate, as a dict: the coloring's n,
+    k, edges and colors, and meta with the strategy and the strong
+    flag. certificate_from_json reads it back."""
+    return {
         "n": cert.graph.n,
         "k": cert.k,
         "edges": [[u, v] for u, v in cert.graph.edges],
@@ -682,7 +689,10 @@ def certificate_to_json(cert: PcCertificate) -> str:
             "strong": cert.strong,
         },
     }
-    return json.dumps(payload)
+
+
+def certificate_to_json(cert: PcCertificate) -> str:
+    return json.dumps(_certificate_document(cert))
 
 
 def certificate_from_json(text: str) -> PcCertificate:

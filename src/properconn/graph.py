@@ -95,18 +95,23 @@ class Graph(_Value):
     def m(self) -> int:
         return len(self.edges)
 
+    def _row(self, v: int) -> int:
+        # adj[-1] would read a negative vertex as counted from the end
+        if type(v) is not int or not 0 <= v < self.n:
+            raise VertexOutOfRange(f"vertex {v!r} is not an int in 0..{self.n - 1}")
+        return self.adj[v]
+
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
+        self._row(v)
+        return bool(self._row(u) >> v & 1)
 
     def degree(self, v: int) -> int:
-        return (self.adj[v]).bit_count()
+        return self._row(v).bit_count()
 
     def neighbors(self, v: int):
-        row = self.adj[v]
-        while row:
-            low = row & -row
-            yield low.bit_length() - 1
-            row ^= low
+        # not a generator, so that a bad vertex raises at the call
+        row = self._row(v)
+        return (w for w in range(row.bit_length()) if row >> w & 1)
 
     def vertices(self) -> range:
         return range(self.n)
@@ -213,13 +218,6 @@ def from_graph6(text: str) -> Graph:
                 rows[j] |= 1 << i
             pos += 1
     return from_adj_rows(n, rows)
-
-
-def format_edge_list_text(g: Graph) -> str:
-    """Plain text format: one "n <count>" header then "u v" per edge."""
-    lines = [f"n {g.n}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
-    return "\n".join(lines) + "\n"
 
 
 def parse_edge_list_text(text: str) -> Graph:
@@ -523,11 +521,6 @@ def _canonical_fields(n: int, rows) -> list[int]:
 def _check_canonical_size(g: Graph) -> None:
     if g.n > CANONICAL_MAX_N:
         raise TooLarge(f"canonical labeling limited to n <= {CANONICAL_MAX_N}")
-
-
-def canonical_form(g: Graph) -> Graph:
-    """Relabel to the canonical representative of the isomorphism class."""
-    return from_graph6(canonical_code(g).decode("ascii"))
 
 
 def canonical_code(g: Graph) -> bytes:

@@ -25,6 +25,7 @@ from .coloring import (
 from .constructive import (
     PcCertificate,
     _assignment_to_colors,
+    _bfs,
     _bfs_order,
     _certify,
     _color_path,
@@ -62,26 +63,6 @@ def _budget_deadline():
         raise OutOfRange(problem) from None
 
 
-def _bfs_tree(adj, root: int) -> list[int]:
-    """The adjacency rows of the breadth-first spanning tree from root of
-    the connected graph with rows adj: every other vertex hangs from the
-    first vertex in queue order adjacent to it."""
-    tree = [0] * len(adj)
-    seen = 1 << root
-    queue = [root]
-    for v in queue:
-        rest = adj[v] & ~seen
-        seen |= rest
-        tree[v] |= rest
-        while rest:
-            low = rest & -rest
-            w = low.bit_length() - 1
-            tree[w] |= 1 << v
-            queue.append(w)
-            rest ^= low
-    return tree
-
-
 def pc_upper(g: Graph) -> PcCertificate:
     """A verified certificate bounding the palette from above.
 
@@ -110,7 +91,7 @@ def pc_upper(g: Graph) -> PcCertificate:
     if path is not None:
         return _color_path(g, path)
     tree = min(
-        (_bfs_tree(g.adj, root) for root in range(g.n)),
+        (_bfs(g.adj, root)[1] for root in range(g.n)),
         key=lambda rows: max(row.bit_count() for row in rows),
     )
     assignment = {e: 1 for e in g.edges}

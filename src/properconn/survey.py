@@ -23,9 +23,9 @@ from itertools import groupby
 
 from .constructive import (
     PcCertificate,
+    _certificate_document,
     _dominates,
     _dominating_path,
-    certificate_to_json,
 )
 from .constructive import pc2_pipeline  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .enumeration import _corpus_rows, _level, _pack_rows, _unpack_rows
@@ -196,7 +196,7 @@ def report_to_json(report: SurveyReport) -> dict:
             {
                 "graph6": rec.graph6,
                 "pc": rec.pc,
-                "certificate": json.loads(certificate_to_json(rec.certificate)),
+                "certificate": _certificate_document(rec.certificate),
             }
             for rec in report.exceptions
         ],
@@ -326,19 +326,40 @@ def _corpus_graphs(corpus) -> list:
     return graphs
 
 
-def _run_survey(name, filter_desc, n_lo, n_hi, graphs_for) -> SurveyReport:
-    """Examine graphs_for(n), the packed rows (_pack_rows) of one
-    graph per class on n vertices, for every n in range. Reports print
-    canonical graph6 codes, the only graph6 a survey produces.
+def _survey(name, filter_desc, chain, lowest, highest, bound, n_lo, n_hi, corpus):
+    """The report on every connected noncomplete graph of the chain
+    ("general" or "bipartite") with min degree >= bound(n), one per class,
+    for each n in n_lo..n_hi, which must be ints with lowest <= n_lo <=
+    n_hi <= highest. A corpus is read once into a list of Graphs, and
+    each order keeps its graphs of that family; without one, each order
+    takes its level of the chain (_level), less K_n (no bipartite graph
+    on 3 or more vertices is complete). Reports print canonical graph6
+    codes, the only graph6 a survey produces.
 
     The orders run from the top down, so the top level builds the levels
     below it that it grows from, and the lower orders filter those
     (_level's shared levels); timing[n] is the time spent on order n,
     building included. The report lists every order ascending."""
+    if type(n_lo) is not int or type(n_hi) is not int or not lowest <= n_lo <= n_hi:
+        raise OutOfRange(f"need integers {lowest} <= n_lo <= n_hi")
+    if n_hi > highest:
+        raise TooLarge(f"{name} survey covers n <= {highest}")
+    corpus = None if corpus is None else _corpus_graphs(corpus)
     totals, timing, found = {}, {}, {}
     for n in range(n_hi, n_lo - 1, -1):
         t0 = time.perf_counter()
-        graphs = graphs_for(n)
+        thr = bound(n)
+        if corpus is None:
+            kn = _pack_rows([(1 << n) - 1 & ~(1 << v) for v in range(n)])
+            graphs = [packed for packed in _level(chain, n, thr) if packed != kn]
+        else:
+            graphs = _corpus_rows(
+                corpus,
+                n,
+                lambda g: not is_complete(g)
+                and degree_stats(g)[1] >= thr
+                and (chain == "general" or bipartition(g) is not None),
+            )
         totals[n] = len(graphs)
         found[n] = [rec for rec in _examine_families(n, graphs) if rec is not None]
         timing[n] = time.perf_counter() - t0
@@ -358,27 +379,10 @@ def survey_min_degree(n_lo: int = 5, n_hi: int = 8, corpus=None) -> SurveyReport
     Built-in enumeration and corpora (iterables of Graph) both cover n up
     to 9. Budget shortfalls land in `unresolved`.
     """
-    if type(n_lo) is not int or type(n_hi) is not int or not 5 <= n_lo <= n_hi:
-        raise OutOfRange("need integers 5 <= n_lo <= n_hi")
-    if n_hi > ENUMERATION_MAX_N:
-        raise TooLarge(f"minimum-degree survey covers n <= {ENUMERATION_MAX_N}")
-    corpus = None if corpus is None else _corpus_graphs(corpus)
-
-    def graphs_for(n):
-        thr = -(-n // 4)
-        if corpus is not None:
-            return _corpus_rows(
-                corpus, n, lambda g: not is_complete(g) and degree_stats(g)[1] >= thr
-            )
-        kn = _pack_rows([(1 << n) - 1 & ~(1 << v) for v in range(n)])
-        return [packed for packed in _level("general", n, thr) if packed != kn]
-
-    return _run_survey(
-        "min-degree",
-        "connected, noncomplete, min degree >= ceil(n/4)",
-        n_lo,
-        n_hi,
-        graphs_for,
+    return _survey(
+        "min-degree", "connected, noncomplete, min degree >= ceil(n/4)",
+        "general", 5, ENUMERATION_MAX_N, lambda n: -(-n // 4),
+        n_lo, n_hi, corpus,
     )
 
 
@@ -391,26 +395,10 @@ def survey_bipartite(n_lo: int = 4, n_hi: int = 9, corpus=None) -> SurveyReport:
     Python 3.11, order 13 (75,624 classes) takes about 11 s, nearly all
     of it building the level.
     """
-    if type(n_lo) is not int or type(n_hi) is not int or not 4 <= n_lo <= n_hi:
-        raise OutOfRange("need integers 4 <= n_lo <= n_hi")
-    if n_hi > BIPARTITE_MAX_N:
-        raise TooLarge(f"bipartite survey covers n <= {BIPARTITE_MAX_N}")
-    corpus = None if corpus is None else _corpus_graphs(corpus)
-
-    def graphs_for(n):
-        thr = -(-(n + 6) // 8)
-        if corpus is not None:
-            return _corpus_rows(
-                corpus, n, lambda g: bipartition(g) is not None and degree_stats(g)[1] >= thr
-            )
-        return _level("bipartite", n, thr)
-
-    return _run_survey(
-        "bipartite",
-        "connected, bipartite, min degree >= ceil((n+6)/8)",
-        n_lo,
-        n_hi,
-        graphs_for,
+    return _survey(
+        "bipartite", "connected, bipartite, min degree >= ceil((n+6)/8)",
+        "bipartite", 4, BIPARTITE_MAX_N, lambda n: -(-(n + 6) // 8),
+        n_lo, n_hi, corpus,
     )
 
 

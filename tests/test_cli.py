@@ -17,7 +17,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from properconn import (
-    coloring_to_json,
+    PcCertificate,
+    certificate_to_json,
     from_edge_list,
     make_coloring,
     strong_coloring_bridgeless,
@@ -70,7 +71,7 @@ def test_verify_rejects_improper_coloring(tmp_path, capsys):
     g = from_edge_list(3, [(0, 1), (1, 2)])
     bad = make_coloring(g, 2, {(0, 1): 1, (1, 2): 1})
     path = tmp_path / "bad.json"
-    path.write_text(coloring_to_json(bad))
+    path.write_text(certificate_to_json(PcCertificate(bad, "file", False)))
     code, out, _ = run(capsys, "verify", "--graph6", "Bg", str(path))
     assert code == 1
     assert "no proper path for pair (0, 2)" in out
@@ -80,7 +81,7 @@ def test_verify_strong_flag(tmp_path, capsys):
     g = from_edge_list(3, [(0, 1), (1, 2)])
     ok = make_coloring(g, 2, {(0, 1): 1, (1, 2): 2})
     path = tmp_path / "ok.json"
-    path.write_text(coloring_to_json(ok))
+    path.write_text(certificate_to_json(PcCertificate(ok, "file", False)))
     code, out, _ = run(capsys, "verify", "--graph6", "Bg", str(path))
     assert code == 0 and out.strip() == "ok"
     code, out, _ = run(
@@ -92,7 +93,7 @@ def test_verify_strong_flag(tmp_path, capsys):
 
 def test_verify_runs_one_check_on_a_passing_coloring(tmp_path, capsys, monkeypatch):
     path = tmp_path / "c6.json"
-    path.write_text(coloring_to_json(strong_coloring_bridgeless(cycle_graph(6)).coloring))
+    path.write_text(certificate_to_json(strong_coloring_bridgeless(cycle_graph(6))))
     calls = []
 
     def counted(name, check):
@@ -152,7 +153,7 @@ def test_verify_sizes_the_checker_by_the_colors_in_use(tmp_path, capsys, monkeyp
 def test_verify_graph_mismatch(tmp_path, capsys):
     g = from_edge_list(3, [(0, 1), (1, 2)])
     path = tmp_path / "c.json"
-    path.write_text(coloring_to_json(make_coloring(g, 2, [1, 2])))
+    path.write_text(certificate_to_json(PcCertificate(make_coloring(g, 2, [1, 2]), "file", False)))
     code, _, err = run(capsys, "verify", "--graph6", "Bw", str(path))
     assert code == 1
     assert "different graph" in err

@@ -17,11 +17,12 @@ from hypothesis import strategies as st
 from properconn import (
     ColoringGraphMismatch,
     LoopEdge,
+    PcCertificate,
     PcError,
     VertexOutOfRange,
     canonical_code,
+    certificate_to_json,
     coloring_from_json,
-    coloring_to_json,
     find_bridges,
     first_improper_pair,
     first_weak_pair,
@@ -324,7 +325,7 @@ def test_failure_reports_are_consistent():
 
 def test_json_round_trip():
     c = colored(4, [(0, 1), (1, 2), (1, 3)], [1, 2, 3])
-    text = coloring_to_json(c)
+    text = certificate_to_json(PcCertificate(c, "given", False))
     doc = json.loads(text)
     assert doc["n"] == 4 and doc["k"] == 3
     back = coloring_from_json(text)
@@ -333,7 +334,7 @@ def test_json_round_trip():
 
 def test_json_mismatch_detected():
     c = colored(3, [(0, 1), (1, 2)], [1, 2])
-    doc = json.loads(coloring_to_json(c))
+    doc = json.loads(certificate_to_json(PcCertificate(c, "given", False)))
     doc["colors"] = [1]
     with pytest.raises((ColoringGraphMismatch, ValueError)):
         coloring_from_json(json.dumps(doc))

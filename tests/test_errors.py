@@ -79,6 +79,11 @@ def test_inputs_of_the_wrong_type_raise_pc_errors():
     cert = pc_exact(cycle_graph(4))[1]
     with pytest.raises(NotAPath):
         is_proper_path(cert.coloring, [0, 1.0])
+    # lists cannot go in the repeat check's set, nor strs in the edge lookup
+    with pytest.raises(NotAPath):
+        is_proper_path(cert.coloring, [[0], [1]])
+    with pytest.raises(PcError):
+        cert.coloring.color("a", 0)
     for line in (5, None, b"C~"):
         with pytest.raises(MalformedGraph6):
             from_graph6(line)

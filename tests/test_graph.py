@@ -15,10 +15,8 @@ from properconn import (
     VertexOutOfRange,
     bipartition,
     canonical_code,
-    canonical_form,
     degree_stats,
     find_bridges,
-    format_edge_list_text,
     from_edge_list,
     from_graph6,
     is_complete,
@@ -96,6 +94,24 @@ def test_basic_accessors():
     assert list(g.vertices()) == [0, 1, 2, 3]
 
 
+def test_accessors_refuse_vertices_outside_the_graph():
+    # a negative vertex is out of range, not counted from the end and not
+    # a negative shift count (a bare ValueError)
+    g = path_graph(3)
+    for call in (
+        lambda: g.has_edge(-1, 1),
+        lambda: g.has_edge(0, -1),
+        lambda: g.has_edge(1, 3),
+        lambda: g.has_edge(0, 1.0),
+        lambda: g.degree(-1),
+        lambda: g.degree(True),
+        lambda: g.neighbors(-1),
+        lambda: g.neighbors(3),
+    ):
+        with pytest.raises(VertexOutOfRange):
+            call()
+
+
 def test_duplicate_edges_collapse():
     g = from_edge_list(3, [(0, 1), (1, 0), (0, 1)])
     assert g.m == 1
@@ -133,7 +149,8 @@ def test_graph6_round_trip(g):
 @given(small_graphs(max_n=10, connected=False))
 @PROPERTY_SETTINGS
 def test_edge_list_text_round_trip(g):
-    assert parse_edge_list_text(format_edge_list_text(g)) == g
+    text = f"n {g.n}\n" + "".join(f"{u} {v}\n" for u, v in g.edges)
+    assert parse_edge_list_text(text) == g
 
 
 def test_parse_edge_list_text_rejects_junk():
@@ -225,7 +242,9 @@ def test_canonical_form_is_relabeling_invariant(g, seed):
     random.Random(seed).shuffle(perm)
     h = from_edge_list(g.n, [(perm[u], perm[v]) for u, v in g.edges])
     assert canonical_code(g) == canonical_code(h)
-    assert canonical_form(g) == canonical_form(h)
+    # the graph the code decodes to is a relabeling of g
+    form = from_graph6(canonical_code(h).decode("ascii"))
+    assert canonical_code(form) == canonical_code(g)
 
 
 @given(
@@ -248,9 +267,9 @@ def test_canonical_code_separates_nonisomorphic():
 
 
 def test_canonical_form_is_idempotent():
-    g = petersen()
-    c = canonical_form(g)
-    assert canonical_form(c) == c
+    # the graph a canonical code decodes to has that code as its own
+    c = from_graph6(canonical_code(petersen()).decode("ascii"))
+    assert canonical_code(c) == to_graph6(c).encode("ascii")
 
 
 # --- isomorphism without labeling -------------------------------------------------

@@ -66,9 +66,9 @@ def test_tree_upper_bound_is_checked_once_on_the_graph(monkeypatch):
     check = constructive.is_proper_connected
     checked = []
 
-    def counted(coloring):
+    def counted(coloring, path=()):
         checked.append(coloring.graph)
-        return check(coloring)
+        return check(coloring, path=path)
 
     monkeypatch.setattr(constructive, "is_proper_connected", counted)
     cert = pc_upper(g)
@@ -131,7 +131,7 @@ def test_upper_bound_colors_a_tree_without_a_path_or_bfs_search(monkeypatch):
     trees = [star_graph(3), from_edge_list(7, [(0, 1), (1, 2), (1, 3), (3, 4), (3, 5), (5, 6)])]
     expected = [color_tree(t) for t in trees]
     monkeypatch.setattr(solver, "_dominating_path", refuse)
-    monkeypatch.setattr(solver, "_bfs_tree", refuse)
+    monkeypatch.setattr(solver, "_bfs", refuse)
     for t, cert in zip(trees, expected):
         got = pc_upper(t)
         assert (got.k, got.strategy, got.coloring) == (cert.k, "tree", cert.coloring)

@@ -840,7 +840,7 @@ def test_routed_levels_equal_one_dict_for_all(monkeypatch):
 
 
 def test_corpus_deduplicates_isomorphs():
-    relabeled = from_graph6(to_graph6(canonical_form_of_c7()))
+    relabeled = from_graph6(canonical_code(cycle_graph(7)).decode("ascii"))
     report = survey_min_degree(7, 7, corpus=[cycle_graph(7), relabeled])
     assert report.totals == {7: 1}
 
@@ -858,12 +858,6 @@ def test_a_one_shot_corpus_covers_every_order():
         want = survey(lo, hi, corpus=graphs).totals
         assert min(want.values()) > 0, want
         assert survey(lo, hi, corpus=iter(graphs)).totals == want, survey.__name__
-
-
-def canonical_form_of_c7():
-    from properconn import canonical_form
-
-    return canonical_form(cycle_graph(7))
 
 
 # --- reports ---------------------------------------------------------------------
