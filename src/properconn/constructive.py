@@ -47,7 +47,6 @@ from .graph import (
     _set,
     _Value,
     bipartition,
-    degree_stats,
     find_bridges,
     from_edge_list,
     is_connected,
@@ -60,7 +59,6 @@ from .graph import (
 hamilton_cycle = hamilton_path = hamilton_path_from = None  # (perfbench/tracing.py wraps it here)
 
 STRONG_SEARCH_MAX_N = 10
-PIPELINE_MAX_N = 16
 _PHASE_CAP = 4096
 _DFS_STEPS = 1024
 
@@ -71,13 +69,20 @@ class PcCertificate(_Value):
     palette size are the coloring's own, so they cannot disagree with it.
 
     Every certificate this library builds passed the exact checker
-    before it was returned. One read back with certificate_from_json is
-    only a claim until verify_certificate passes it.
+    before it was returned. One read back with certificate_from_json or
+    a pickle is only a claim until verify_certificate passes it; its
+    fields must be an EdgeColoring, a str and a bool (else
+    ColoringGraphMismatch), so verify_certificate can read every one.
     """
 
     __slots__ = ("coloring", "strategy", "strong")
 
     def __init__(self, coloring: EdgeColoring, strategy: str, strong: bool):
+        ok = isinstance(coloring, EdgeColoring) and type(strategy) is str and type(strong) is bool
+        if not ok:
+            raise ColoringGraphMismatch(
+                "a certificate needs an EdgeColoring, a str strategy and a bool strong flag"
+            )
         _set(self, "coloring", coloring)
         _set(self, "strategy", strategy)
         _set(self, "strong", strong)
@@ -113,11 +118,6 @@ def _search(g: Graph, k: int, fixed, free, strategy: str, strong=False, deadline
     return PcCertificate(EdgeColoring(g, k, colors), strategy, strong)
 
 
-def _assignment_to_colors(g: Graph, assignment: dict) -> tuple[int, ...]:
-    # g.edges is sorted pairs, so normalized keys suffice
-    return tuple(assignment[e] for e in g.edges)
-
-
 # ---------------------------------------------------------------------------
 # trees and paths that span or 2-dominate
 
@@ -130,9 +130,16 @@ def color_tree(t: Graph) -> PcCertificate:
     """
     if not is_tree(t):
         raise NotATree(f"graph with n={t.n}, m={t.m} is not a tree")
-    _, _, delta = degree_stats(t)
-    colors = _assignment_to_colors(t, _tree_assignment(t.adj))
-    return _certify(t, max(delta, 1), colors, "tree")
+    return _color_spanning_tree(t, t.adj)
+
+
+def _color_spanning_tree(g: Graph, tree) -> PcCertificate:
+    """Checked certificate "tree" of g: the spanning tree with rows tree
+    colored by `_tree_assignment` with k = its max degree (at least 1),
+    every other edge of g colored 1. A proper path of the tree is g's."""
+    assignment = _tree_assignment(tree)
+    k = max([1] + [row.bit_count() for row in tree])
+    return _certify(g, k, tuple([assignment.get(e, 1) for e in g.edges]), "tree")
 
 
 def _tree_assignment(rows) -> dict[tuple[int, int], int]:
@@ -174,11 +181,12 @@ def _dominating_path(adj):
 
     The search stops after _DFS_STEPS steps, so None is not a verdict:
     the pipeline's kernel decides those graphs. The 5 bits of the packing
-    hold any n <= PIPELINE_MAX_N; larger graphs raise TooLarge.
+    would hold any n <= 32 (vertices 0..31); graphs past PROFILE_MAX_N,
+    the cap of the checker behind every path certificate, raise TooLarge.
     """
     n = len(adj)
-    if n > PIPELINE_MAX_N:
-        raise TooLarge(f"path search limited to n <= {PIPELINE_MAX_N}")
+    if n > PROFILE_MAX_N:
+        raise TooLarge(f"path search limited to n <= {PROFILE_MAX_N}")
     if n == 0:
         return []
     left = [_DFS_STEPS]
@@ -561,35 +569,29 @@ def glue_across_bridge(
         raise VertexOutOfRange("composite labels must be 0..n-1")
 
     key = (min(u, v), max(u, v))
-    assignment: dict[tuple[int, int], int] = {}
-    for (x, y), c in zip(ga.edges, cert_a.coloring.colors):
-        p, q = map_a[x], map_a[y]
-        assignment[min(p, q), max(p, q)] = c
-    bridge_color_a = assignment.get(key)
-    if bridge_color_a is None:
-        raise NotABridge("first half does not contain the bridge edge")
-    b_pairs = {}
-    for (x, y), c in zip(gb.edges, cert_b.coloring.colors):
-        p, q = map_b[x], map_b[y]
-        b_pairs[min(p, q), max(p, q)] = c
-    if key not in b_pairs:
-        raise NotABridge("second half does not contain the bridge edge")
-    swap_a, swap_b = bridge_color_a, b_pairs[key]
-
-    def rename(c):
-        if c == swap_b:
-            return swap_a
-        if c == swap_a:
-            return swap_b
-        return c
-
-    for e, c in b_pairs.items():
-        assignment[e] = rename(c)
+    assignment = _composite_colors(cert_a, map_a, key, "first")
+    b_colors = _composite_colors(cert_b, map_b, key, "second")
+    # the second palette swaps its bridge color with the first half's
+    swap = {b_colors[key]: assignment[key], assignment[key]: b_colors[key]}
+    for e, c in b_colors.items():
+        assignment[e] = swap.get(c, c)
     composite = from_edge_list(n, assignment)
     if key not in find_bridges(composite):
         raise NotABridge(f"{key} is not a bridge of the composite")
     k = max(cert_a.k, cert_b.k)
-    return _certify(composite, k, _assignment_to_colors(composite, assignment), "glue")
+    return _certify(composite, k, tuple([assignment[e] for e in composite.edges]), "glue")
+
+
+def _composite_colors(cert: PcCertificate, mapping, key, half: str) -> dict:
+    """One half's colors keyed by its edges' composite labels under
+    mapping; NotABridge, naming the half, if the bridge key is missing."""
+    colors = {}
+    for (x, y), c in zip(cert.graph.edges, cert.coloring.colors):
+        p, q = mapping[x], mapping[y]
+        colors[(p, q) if p < q else (q, p)] = c
+    if key not in colors:
+        raise NotABridge(f"{half} half does not contain the bridge edge")
+    return colors
 
 
 # ---------------------------------------------------------------------------
@@ -598,10 +600,17 @@ def glue_across_bridge(
 
 def _extension_edges(base: Graph, new_edges) -> list[tuple[int, int]]:
     """The attachment edges of the new vertex w = base.n as sorted pairs
-    (v, w), each once; every edge must join w to a base vertex."""
+    (v, w), each once; every edge must be a pair of ints (bools are not)
+    joining w to a base vertex, else VertexOutOfRange."""
     w = base.n
     attach = set()
-    for u, v in new_edges:
+    for edge in new_edges:
+        try:
+            u, v = edge
+        except (TypeError, ValueError):
+            u = v = None
+        if type(u) is not int or type(v) is not int:
+            raise VertexOutOfRange(f"attachment edge {edge!r} is not a pair of ints")
         if v == w:
             u, v = v, u
         if u != w:
@@ -661,8 +670,8 @@ def pc2_pipeline(g: Graph):
     keeps only the verdict, and hands the graphs it misses to pc_exact
     (`survey._examine`).
     """
-    if g.n > PIPELINE_MAX_N:
-        raise TooLarge(f"pipeline limited to n <= {PIPELINE_MAX_N}")
+    if g.n > PROFILE_MAX_N:
+        raise TooLarge(f"pipeline limited to n <= {PROFILE_MAX_N}")
     if not is_connected(g):
         raise Disconnected("only connected graphs have a connection number")
     path = _dominating_path(g.adj)
@@ -700,10 +709,4 @@ def certificate_from_json(text: str) -> PcCertificate:
     meta = payload.get("meta", {})
     if type(meta) is not dict:
         raise ColoringGraphMismatch("bad certificate document: meta is not an object")
-    strategy = meta.get("strategy", "exhaustive")
-    strong = meta.get("strong", False)
-    if type(strategy) is not str or type(strong) is not bool:
-        raise ColoringGraphMismatch(
-            "bad certificate document: strategy must be a string and strong a boolean"
-        )
-    return PcCertificate(coloring, strategy, strong)
+    return PcCertificate(coloring, meta.get("strategy", "exhaustive"), meta.get("strong", False))

@@ -28,18 +28,23 @@ _set = object.__setattr__
 
 class _Value:
     """Base of the package's record classes. A subclass names its fields
-    in __slots__ and stores them in its own __init__ with _set
-    (object.__setattr__). It gets:
+    in __slots__ and gets:
 
-    - == against its own class only (NotImplemented otherwise), and hash
+    - __init__(*fields), which stores the fields by position, in __slots__
+      order (no caller passes one by keyword); a wrong count raises TypeError
+    - == against its own class only (NotImplemented otherwise), and hash,
+      both on the tuple of the fields
     - the repr Name(field=value, ...)
     - __match_args__, the field names
     - pickling and copying through __reduce__, which calls the class
-      with the fields again, so __init__ checks them again
+      with the fields again, so a checking __init__ checks them again
     - AttributeError on assigning or deleting any attribute
 
-    A subclass that defines __eq__ or __hash__ itself keeps its own; a
-    mutable one also puts object's __setattr__ and __delattr__ back.
+    EdgeColoring and PcCertificate check their fields and VerificationReport
+    defaults its reason, so those three keep their own __init__, which
+    stores with _set (object.__setattr__). An unhashable subclass sets
+    __hash__ = None; a mutable one also puts object's __setattr__ and
+    __delattr__ back.
     """
 
     __slots__ = ()
@@ -47,32 +52,30 @@ class _Value:
     def __init_subclass__(cls):
         super().__init_subclass__()
         cls.__match_args__ = cls.__slots__
-        mine = "".join(f"self.{name}, " for name in cls.__slots__)
-        theirs = mine.replace("self.", "other.")
-        # compiled per class, as dataclasses does, so that == and hash read
-        # the fields with plain attribute loads: an operator.attrgetter
-        # made them 30-80% slower per call
-        methods: dict = {}
-        exec(
-            "def __eq__(self, other):\n"
-            "    if other.__class__ is self.__class__:\n"
-            f"        return ({mine}) == ({theirs})\n"
-            "    return NotImplemented\n"
-            "def __hash__(self):\n"
-            f"    return hash(({mine}))\n",
-            {},
-            methods,
-        )
-        for name, method in methods.items():
-            if name not in cls.__dict__:
-                setattr(cls, name, method)
+
+    def __init__(self, *fields):
+        if len(fields) != len(self.__slots__):
+            raise TypeError(f"{self.__class__.__qualname__} takes {len(self.__slots__)} fields")
+        for name, value in zip(self.__slots__, fields):
+            _set(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{self.__class__.__qualname__}({fields})"
 
     def __reduce__(self):
-        return self.__class__, tuple(getattr(self, name) for name in self.__slots__)
+        return self.__class__, self._fields()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -85,11 +88,6 @@ class Graph(_Value):
     """Simple undirected graph: vertex count, sorted edge list, bit rows."""
 
     __slots__ = ("n", "edges", "adj")
-
-    def __init__(self, n: int, edges: tuple[tuple[int, int], ...], adj: tuple[int, ...]):
-        _set(self, "n", n)
-        _set(self, "edges", edges)
-        _set(self, "adj", adj)
 
     @property
     def m(self) -> int:
@@ -371,10 +369,6 @@ def find_bridges(g: Graph) -> list[tuple[int, int]]:
 
 class Bipartition(_Value):
     __slots__ = ("sideU", "sideV")
-
-    def __init__(self, sideU: frozenset[int], sideV: frozenset[int]):
-        _set(self, "sideU", sideU)
-        _set(self, "sideV", sideV)
 
 
 def bipartition(g: Graph):

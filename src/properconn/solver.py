@@ -24,14 +24,13 @@ from .coloring import (
 )
 from .constructive import (
     PcCertificate,
-    _assignment_to_colors,
     _bfs,
     _bfs_order,
     _certify,
     _color_path,
+    _color_spanning_tree,
     _dominating_path,
     _search,
-    _tree_assignment,
     color_tree,
 )
 from .errors import Disconnected, OutOfRange, PcError, SearchBudgetExceeded, TooLarge
@@ -94,10 +93,7 @@ def pc_upper(g: Graph) -> PcCertificate:
         (_bfs(g.adj, root)[1] for root in range(g.n)),
         key=lambda rows: max(row.bit_count() for row in rows),
     )
-    assignment = {e: 1 for e in g.edges}
-    assignment.update(_tree_assignment(tree))
-    delta = max(row.bit_count() for row in tree)
-    return _certify(g, delta, _assignment_to_colors(g, assignment), "tree")
+    return _color_spanning_tree(g, tree)
 
 
 def _bridge_star(g: Graph) -> int:

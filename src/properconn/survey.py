@@ -22,7 +22,6 @@ import time
 from itertools import groupby
 
 from .constructive import (
-    PcCertificate,
     _certificate_document,
     _dominates,
     _dominating_path,
@@ -32,7 +31,6 @@ from .enumeration import _corpus_rows, _level, _pack_rows, _unpack_rows
 from .errors import OutOfRange, SearchBudgetExceeded, TooLarge
 from .graph import (
     Graph,
-    _set,
     _Value,
     bipartition,
     canonical_code,
@@ -130,20 +128,9 @@ def exceptional_graphs() -> tuple[Graph, Graph]:
 class ExceptionRecord(_Value):
     __slots__ = ("graph6", "pc", "certificate")
 
-    def __init__(self, graph6: str, pc: int, certificate: PcCertificate):
-        _set(self, "graph6", graph6)
-        _set(self, "pc", pc)
-        _set(self, "certificate", certificate)
-
 
 class UnresolvedRecord(_Value):
     __slots__ = ("graph6", "lower", "upper", "detail")
-
-    def __init__(self, graph6: str, lower: int, upper: int, detail: str):
-        _set(self, "graph6", graph6)
-        _set(self, "lower", lower)
-        _set(self, "upper", upper)
-        _set(self, "detail", detail)
 
 
 class SurveyReport(_Value):
@@ -163,26 +150,6 @@ class SurveyReport(_Value):
     __hash__ = None
     __setattr__ = object.__setattr__
     __delattr__ = object.__delattr__
-
-    def __init__(
-        self,
-        survey: str,
-        n_lo: int,
-        n_hi: int,
-        filter_desc: str,
-        totals: dict[int, int],
-        exceptions: list[ExceptionRecord],
-        unresolved: list[UnresolvedRecord],
-        timing: dict[int, float],
-    ):
-        self.survey = survey
-        self.n_lo = n_lo
-        self.n_hi = n_hi
-        self.filter_desc = filter_desc
-        self.totals = totals
-        self.exceptions = exceptions
-        self.unresolved = unresolved
-        self.timing = timing
 
 
 def report_to_json(report: SurveyReport) -> dict:

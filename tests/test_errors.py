@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import os
+import pickle
 
 import pytest
 
 from properconn import (
+    ColoringGraphMismatch,
     EdgeColoring,
     MalformedGraph6,
     NotAPath,
@@ -41,6 +43,7 @@ def forged(g):
 
 def test_bad_argument_values_raise_pc_errors():
     nowhere = os.path.join(os.devnull, "report.txt")
+    c4 = pc_exact(cycle_graph(4))[1]
     cases = [
         (OutOfRange, lambda: make_star_of_bicliques(0)),
         (OutOfRange, lambda: survey_min_degree(6, 5)),
@@ -62,6 +65,9 @@ def test_bad_argument_values_raise_pc_errors():
         (OutOfRange, lambda: write_report(survey_bipartite(4, 4), nowhere, fmt="xml")),
         (VertexOutOfRange, lambda: from_edge_list(3, [(0, 1.0)])),
         (VertexOutOfRange, lambda: from_edge_list(3.0, [])),
+        # attachment edges that are not pairs of ints
+        (VertexOutOfRange, lambda: extend_vertex(c4, [(4, "a"), (4, 0)])),
+        (VertexOutOfRange, lambda: extend_vertex(c4, [(4, 0, 1), (4, 2)])),
         (TooSmall, lambda: strong_coloring_bridgeless(from_edge_list(1, []))),
         (UnsuitableBase, lambda: extend_vertex(pc_exact(star_graph(3))[1], [(4, 0), (4, 1)])),
         (UnsuitableBase, lambda: extend_vertex(forged(cycle_graph(4)), [(4, 0), (4, 2)])),
@@ -71,6 +77,16 @@ def test_bad_argument_values_raise_pc_errors():
             call()
         assert isinstance(info.value, PcError)
         assert isinstance(info.value, ValueError)
+
+
+def _unpickled_certificate(*fields):
+    """What unpickling a certificate whose pickle names fields gives."""
+
+    class Tampered:
+        def __reduce__(self):
+            return PcCertificate, fields
+
+    return pickle.loads(pickle.dumps(Tampered()))
 
 
 def test_inputs_of_the_wrong_type_raise_pc_errors():
@@ -84,6 +100,13 @@ def test_inputs_of_the_wrong_type_raise_pc_errors():
         is_proper_path(cert.coloring, [[0], [1]])
     with pytest.raises(PcError):
         cert.coloring.color("a", 0)
+    # a certificate's fields are an EdgeColoring, a str and a bool, also
+    # when a tampered pickle rebuilds it, so verify_certificate can read
+    # every certificate that constructs
+    for fields in ((None, "x", True), (cert.coloring, 1, False), (cert.coloring, "x", 1)):
+        for build in (PcCertificate, _unpickled_certificate):
+            with pytest.raises(ColoringGraphMismatch):
+                build(*fields)
     for line in (5, None, b"C~"):
         with pytest.raises(MalformedGraph6):
             from_graph6(line)
@@ -100,8 +123,8 @@ def test_invalid_budget_raises_out_of_range(monkeypatch):
 
 def test_solver_refuses_graphs_past_the_checker_cap():
     # both refuse past PROFILE_MAX_N = 16 vertices, the checker's cap
-    # behind every certificate; the path search and the pipeline stop at
-    # the same size (PIPELINE_MAX_N)
+    # behind every certificate, where the path search and the pipeline
+    # stop too
     for call in (pc_upper, pc_exact):
         with pytest.raises(TooLarge) as info:
             call(path_graph(17))
