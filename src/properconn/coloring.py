@@ -69,6 +69,8 @@ class EdgeColoring(_Value):
     __slots__ = ("graph", "k", "colors")
 
     def __init__(self, graph: Graph, k: int, colors: tuple[int, ...]):
+        if not isinstance(graph, Graph):
+            raise ColoringGraphMismatch(f"a coloring colors a Graph, got {type(graph).__name__}")
         # a copy, checked and then stored: a caller's list cannot change it
         colors = tuple(colors)
         # floats and bools compare like ints, but the checker indexes and

@@ -16,8 +16,8 @@ class LoopEdge(PcError):
 
 
 class VertexOutOfRange(PcError, ValueError):
-    """A vertex count is negative or not an int, or an edge endpoint is
-    not an int in 0..n-1."""
+    """A vertex count is negative or not an int, an edge endpoint is not
+    an int in 0..n-1, or a graph's edge list and rows disagree."""
 
 
 class MalformedGraph6(PcError):
@@ -69,11 +69,13 @@ class DegreeTooLow(PcError):
 
 
 class VerificationExhausted(PcError):
-    """Bounded search over extensions found no verifiable coloring."""
+    """The strong 3-coloring search of a bridgeless graph exhausted,
+    which the guarantee for bridgeless graphs rules out: a bug."""
 
 
 class UnsuitableBase(PcError, ValueError):
-    """The base certificate has the wrong palette size."""
+    """The base certificate of an extension does not have 2 colors, or
+    its coloring is not properly connected."""
 
 
 class ColoringGraphMismatch(PcError):

@@ -40,11 +40,11 @@ class _Value:
       with the fields again, so a checking __init__ checks them again
     - AttributeError on assigning or deleting any attribute
 
-    EdgeColoring and PcCertificate check their fields and VerificationReport
-    defaults its reason, so those three keep their own __init__, which
-    stores with _set (object.__setattr__). An unhashable subclass sets
-    __hash__ = None; a mutable one also puts object's __setattr__ and
-    __delattr__ back.
+    Graph, EdgeColoring and PcCertificate check their fields and
+    VerificationReport defaults its reason, so those four keep their own
+    __init__, which stores with _set (object.__setattr__). An unhashable
+    subclass sets __hash__ = None; a mutable one also puts object's
+    __setattr__ and __delattr__ back.
     """
 
     __slots__ = ()
@@ -85,9 +85,36 @@ class _Value:
 
 
 class Graph(_Value):
-    """Simple undirected graph: vertex count, sorted edge list, bit rows."""
+    """Simple undirected graph: vertex count, sorted edge list, bit rows.
+
+    The checker reads the edge list and every other function the rows,
+    so the two must agree: the constructor, which unpickling runs too,
+    rebuilds the rows from a tuple of ascending pairs u < v of ints in
+    0..n-1 and raises VertexOutOfRange unless they equal adj.
+    """
 
     __slots__ = ("n", "edges", "adj")
+
+    def __init__(self, n: int, edges: tuple, adj: tuple):
+        if type(n) is not int or n < 0:
+            raise VertexOutOfRange(f"vertex count must be an integer >= 0, got {n!r}")
+        if type(edges) is not tuple:
+            raise VertexOutOfRange(f"edges must be a tuple, got {type(edges).__name__}")
+        rows = [0] * n
+        last = ()
+        for e in edges:
+            u, v = e if type(e) is tuple and len(e) == 2 else (None, None)
+            if type(u) is not int or type(v) is not int or not 0 <= u < v < n or e <= last:
+                raise VertexOutOfRange(f"edges must be ascending pairs u < v in 0..{n - 1}: {e!r}")
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+            last = e
+        rows = tuple(rows)
+        if rows != adj:
+            raise VertexOutOfRange("the rows adj are not those of the edge list")
+        _set(self, "n", n)
+        _set(self, "edges", edges)
+        _set(self, "adj", rows)
 
     @property
     def m(self) -> int:
@@ -136,7 +163,7 @@ def from_edge_list(n: int, pairs) -> Graph:
 
 
 def from_adj_rows(n: int, rows) -> Graph:
-    """Internal-friendly constructor from trusted bitmask rows."""
+    """The Graph with these n bitmask rows, which Graph checks."""
     # the set bits above the diagonal, not all n(n-1)/2 pairs, so a large
     # n with few edges is cheap. From a list, tuple() takes a tuple of the
     # exact size off CPython's free list; from a generator it grows a new

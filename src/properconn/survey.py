@@ -5,11 +5,13 @@ labels each enumeration class once.
 
 Surveys settle pc <= 2 by pc2_pipeline's path step and keep only the
 verdict (_examine). The path search runs on packed rows, once per parent
-whose children a level lists together (_examine_families): a parent's
-path that 2-dominates it settles each child whose new vertex has two
-neighbours on it. Every other graph gets its own search, and a path that
-spans it or 2-dominates it settles it with no Graph and no coloring, by
-the lemma that _path_colors proves. Only the other graphs are built, and
+whose children a level lists together (_examine_families): a parent
+that its path 2-dominates settles its whole family, since every survey
+asks min degree >= 2 and a new vertex with two neighbours never raises
+pc above 2 (the lemma in extend_vertex's docstring). Every graph of
+another family gets its own search, and a path that spans it or
+2-dominates it settles it with no Graph and no coloring, by the lemma
+that _path_colors proves. Only the other graphs are built, and
 each takes one route: the exact solver on its canonical relabeling,
 which searches every palette from 2 up under PC_BUDGET_MS. Graphs whose
 search budget runs out are reported, never dropped.
@@ -253,33 +255,26 @@ def _examine(n: int, packed: int):
 
 def _examine_families(n: int, graphs) -> list:
     """_examine every graph, in order, with one path search per family:
-    a run of two or more graphs that share their first n-1 rows once bit
-    n-1 is masked off, that is, a parent P = G - x for the last vertex x.
-    A level lists the children of one parent together.
+    a run of graphs that share their first n-1 rows once bit n-1 is
+    masked off, that is, a parent P = G - x for the last vertex x. A
+    level lists the children of one parent together.
 
-    Lemma: if a path p of P 2-dominates P (`_dominates`) and x has at
-    least two neighbours on p, then p 2-dominates G. It is a path of G,
-    since P is G - x; a vertex of P off p keeps its two neighbours on p;
-    and x is the one vertex of G not in P. So the parent's path is
-    searched once, and a child whose last row meets it twice is settled;
-    every other graph, and a family of one, takes _examine's route.
+    When P's path 2-dominates P (`_dominates`), two colors properly
+    connect P, by the lemma that `_path_colors` proves. Every survey asks
+    min degree >= 2, so x has two neighbours in P, and by the lemma that
+    `extend_vertex` proves, two colors properly connect G too. So that
+    one search settles the whole family, and only the graphs of the
+    other families take _examine's route.
     """
-    shift = n * (n - 1)
     parent_bits = sum(((1 << n - 1) - 1) << n * v for v in range(n - 1))
     out = []
     for parent, family in groupby(graphs, parent_bits.__and__):
-        family = list(family)
-        on_path = 0
-        if len(family) > 1:
-            rows = _unpack_rows(n, parent)[:-1]
-            path = _dominating_path(rows)
-            if path is not None and _dominates(rows, path):
-                on_path = sum(1 << v for v in path)
-        for packed in family:
-            if (packed >> shift & on_path).bit_count() >= 2:
-                out.append(None)
-            else:
-                out.append(_examine(n, packed))
+        rows = _unpack_rows(n, parent)[:-1]
+        path = _dominating_path(rows)
+        if path is not None and _dominates(rows, path):
+            out += [None for _ in family]
+        else:
+            out += [_examine(n, packed) for packed in family]
     return out
 
 

@@ -683,6 +683,32 @@ def test_extend_vertex_takes_bases_that_are_not_strong(seed, n, extra):
     assert bigger.k == 2 and verify_certificate(bigger).ok
 
 
+def test_extend_vertex_regrows_every_small_graph_from_a_vertex_deleted():
+    # the lemma on every connected G with n <= 7 and every non-cut
+    # vertex x of degree >= 2: a 2-color certificate of G - x extends to
+    # one of G, relabeled so that x comes last
+    pairs = two_color_bases = 0
+    for n in range(3, 8):
+        for packed in enumeration_mod._level("general", n, 0):
+            g = from_adj_rows(n, _unpack_rows(n, packed))
+            for x in g.vertices():
+                order = [v for v in g.vertices() if v != x] + [x]
+                at = {v: i for i, v in enumerate(order)}
+                edges = [(at[u], at[v]) for u, v in g.edges]
+                base = from_edge_list(n - 1, [e for e in edges if n - 1 not in e])
+                if g.degree(x) < 2 or not is_connected(base):
+                    continue
+                pairs += 1
+                cert = pc2_pipeline(base)
+                if cert is None:
+                    continue
+                two_color_bases += 1
+                bigger = extend_vertex(cert, [(n - 1, at[v]) for v in g.neighbors(x)])
+                assert bigger.k == 2 and verify_certificate(bigger).ok
+                assert bigger.graph == from_edge_list(n, edges)
+    assert (pairs, two_color_bases) == (5466, 5006)
+
+
 # --- pipeline ----------------------------------------------------------------
 
 

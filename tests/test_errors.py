@@ -10,6 +10,7 @@ import pytest
 from properconn import (
     ColoringGraphMismatch,
     EdgeColoring,
+    Graph,
     MalformedGraph6,
     NotAPath,
     OutOfRange,
@@ -21,6 +22,7 @@ from properconn import (
     VertexOutOfRange,
     enumerate_connected,
     extend_vertex,
+    from_adj_rows,
     from_edge_list,
     from_graph6,
     is_proper_path,
@@ -79,12 +81,12 @@ def test_bad_argument_values_raise_pc_errors():
         assert isinstance(info.value, ValueError)
 
 
-def _unpickled_certificate(*fields):
-    """What unpickling a certificate whose pickle names fields gives."""
+def _unpickled(cls, *fields):
+    """What unpickling a cls value whose pickle names fields gives."""
 
     class Tampered:
         def __reduce__(self):
-            return PcCertificate, fields
+            return cls, fields
 
     return pickle.loads(pickle.dumps(Tampered()))
 
@@ -104,12 +106,33 @@ def test_inputs_of_the_wrong_type_raise_pc_errors():
     # when a tampered pickle rebuilds it, so verify_certificate can read
     # every certificate that constructs
     for fields in ((None, "x", True), (cert.coloring, 1, False), (cert.coloring, "x", 1)):
-        for build in (PcCertificate, _unpickled_certificate):
+        for build in (PcCertificate, lambda *f: _unpickled(PcCertificate, *f)):
             with pytest.raises(ColoringGraphMismatch):
                 build(*fields)
+    # and a coloring's graph is a Graph
+    for build in (EdgeColoring, lambda *f: _unpickled(EdgeColoring, *f)):
+        with pytest.raises(ColoringGraphMismatch):
+            build(None, 2, ())
     for line in (5, None, b"C~"):
         with pytest.raises(MalformedGraph6):
             from_graph6(line)
+
+
+def test_graphs_whose_edges_and_rows_disagree_cannot_be_built():
+    # the first has a triangle for its edge list and the path 0-1-2 for
+    # its rows, so the checker, which reads the edges, would pass a
+    # one-color certificate of a graph with pc 2; the second has the
+    # edge (2, 3) out of range, and the third rows that are not symmetric
+    triangle = ((0, 1), (0, 2), (1, 2))
+    cases = [
+        (lambda: Graph(3, triangle, (2, 5, 2)), (3, triangle, (2, 5, 2))),
+        (lambda: from_adj_rows(3, [2, 5, 10]), (3, ((0, 1), (1, 2), (2, 3)), (2, 5, 10))),
+        (lambda: from_adj_rows(3, [6, 0, 0]), (3, ((0, 1), (0, 2)), (6, 0, 0))),
+    ]
+    for build, fields in cases:
+        for call in (build, lambda: _unpickled(Graph, *fields)):
+            with pytest.raises(VertexOutOfRange):
+                call()
 
 
 def test_invalid_budget_raises_out_of_range(monkeypatch):

@@ -4,7 +4,6 @@ exceptions, and the survey drivers with their reports."""
 from __future__ import annotations
 
 import hashlib
-import inspect
 import json
 import os
 import subprocess
@@ -18,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from properconn import (
-    EdgeColoring,
     OutOfRange,
     SearchBudgetExceeded,
     TooLarge,
@@ -26,13 +24,13 @@ from properconn import (
     degree_stats,
     enumerate_connected,
     exceptional_graphs,
+    extend_vertex,
     find_bridges,
     format_report_text,
     from_adj_rows,
     from_edge_list,
     from_graph6,
     is_connected,
-    is_proper_connected,
     make_star_of_bicliques,
     pc2_pipeline,
     read_graph6_file,
@@ -522,9 +520,9 @@ def families(n, graphs):
 
 
 def test_examine_settles_each_survey_graph_as_the_pipeline_does(monkeypatch):
-    # one path search per family of two or more, plus one per graph that
-    # takes _examine's route; a graph settled on its own rows also gets a
-    # path certificate that the checker passes with no path hint
+    # one path search per family, plus one per graph that takes
+    # _examine's route; a graph settled on its own rows also gets a path
+    # certificate that the checker passes with no path hint
     searches, routed = [], []
     real_search, real_examine = survey_mod._dominating_path, survey_mod._examine
 
@@ -547,8 +545,7 @@ def test_examine_settles_each_survey_graph_as_the_pipeline_does(monkeypatch):
         searches.clear()
         routed.clear()
         outcomes = survey_mod._examine_families(n, graphs)
-        parents = sum(1 for family in families(n, graphs) if len(family) > 1)
-        assert len(searches) == parents + len(routed)
+        assert len(searches) == len(families(n, graphs)) + len(routed)
         total += len(searches)
         for packed, record in zip(graphs, outcomes, strict=True):
             g = from_adj_rows(n, _unpack_rows(n, packed))
@@ -566,11 +563,12 @@ def test_examine_settles_each_survey_graph_as_the_pipeline_does(monkeypatch):
     assert total < 8015 + 221
 
 
-def parent_path_settlements(examine_families, n, family):
-    """Run examine_families (survey._examine_families or a copy) on one
-    family with _examine stubbed out. Returns the graphs its parent's
-    path settled, and those of them that the path does not 2-dominate or
-    whose coloring (_path_colors) does not properly connect them."""
+def parent_path_settlements(n, family):
+    """Run survey._examine_families on one family with _examine stubbed
+    out. Returns the graphs its parent's path settled, and those of them
+    that extend_vertex, given the parent's path certificate (_color_path)
+    and the last vertex's edges, does not certify with two colors and a
+    check that passes."""
     paths = []
 
     def search(rows):
@@ -578,61 +576,55 @@ def parent_path_settlements(examine_families, n, family):
         return paths[-1]
 
     routed = object()
-    stubs = {"_dominating_path": search, "_examine": lambda n, packed: routed}
-    with mock.patch.dict(examine_families.__globals__, stubs):
-        outcomes = examine_families(n, family)
+    with mock.patch.multiple(survey_mod, _dominating_path=search, _examine=lambda n, p: routed):
+        outcomes = survey_mod._examine_families(n, family)
     settled = [packed for packed, outcome in zip(family, outcomes, strict=True) if outcome is None]
     failures = []
     for packed in settled:
         (path,) = paths
-        g = from_adj_rows(n, _unpack_rows(n, packed))
-        if not (
-            constructive_mod._dominates(g.adj, path)
-            and is_proper_connected(EdgeColoring(g, 2, constructive_mod._path_colors(g, path)))
-        ):
+        rows = _unpack_rows(n, packed)
+        parent = from_adj_rows(n - 1, [row & ~(1 << n - 1) for row in rows[:-1]])
+        attach = [(n - 1, v) for v in range(n - 1) if rows[-1] >> v & 1]
+        cert = extend_vertex(constructive_mod._color_path(parent, path), attach)
+        if not (cert.k == 2 and cert.graph.adj == tuple(rows) and verify_certificate(cert).ok):
             failures.append(packed)
     return settled, failures
 
 
-def loose_examine_families():
-    """A copy of survey._examine_families that settles a child with one
-    neighbour on its parent's path, not two."""
-    source = inspect.getsource(survey_mod._examine_families)
-    assert source.count(".bit_count() >= 2") == 1
-    namespace = dict(vars(survey_mod))
-    exec(source.replace(".bit_count() >= 2", ".bit_count() >= 1"), namespace)
-    return namespace["_examine_families"]
-
-
-def test_parent_paths_settle_only_children_they_two_dominate():
+def test_parent_paths_settle_whole_families_by_extension():
     settled = 0
     for kind, n, t in SURVEY_LEVELS:
         for family in families(n, enumeration_mod._level(kind, n, t)):
-            done, failures = parent_path_settlements(survey_mod._examine_families, n, family)
+            done, failures = parent_path_settlements(n, family)
             assert failures == []
             settled += len(done)
-    assert settled > 7000
+    # the 8,021 + 221 graphs of these levels less the 754 + 82 that
+    # _examine searches. On these levels the parent's path 2-dominates
+    # every child it settles, too; the K_{2,4} child below is one that
+    # it does not
+    assert settled == 7406
     # K_{2,4} has no spanning path, and a longest path 2-dominates it. A
     # new vertex joined to one vertex on that path and to the one it
-    # leaves off has two neighbours but is not 2-dominated by the path
+    # leaves off has two neighbours but is not 2-dominated by the path;
+    # its family is settled all the same
     parent = complete_bipartite(2, 4)
     path = constructive_mod._dominating_path(parent.adj)
     (off,) = set(range(6)) - set(path)
     child = from_edge_list(7, list(parent.edges) + [(path[0], 6), (off, 6)])
+    assert not constructive_mod._dominates(child.adj, path)
     family = [_pack_rows(child.adj)] * 2
-    assert parent_path_settlements(survey_mod._examine_families, 7, family) == ([], [])
-    assert parent_path_settlements(loose_examine_families(), 7, family) == (family, family)
+    assert parent_path_settlements(7, family) == (family, [])
 
 
 @given(st.integers(min_value=3, max_value=9), st.data())
 @settings(max_examples=150, deadline=None)
-def test_parent_paths_settle_random_children_they_two_dominate(n, data):
+def test_parent_paths_settle_random_children_by_extension(n, data):
     # a family of two copies of a graph whose last vertex has degree >= 2
     edges = data.draw(st.sets(st.tuples(st.integers(0, n - 2), st.integers(0, n - 2))))
     attach = data.draw(st.sets(st.integers(0, n - 2), min_size=2))
     g = from_edge_list(n, [(u, v) for u, v in edges if u != v] + [(v, n - 1) for v in attach])
     packed = _pack_rows(g.adj)
-    assert parent_path_settlements(survey_mod._examine_families, n, [packed, packed])[1] == []
+    assert parent_path_settlements(n, [packed, packed])[1] == []
 
 
 def test_min_degree_survey_certifies_only_with_the_kernel(monkeypatch):
