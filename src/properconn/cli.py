@@ -23,10 +23,9 @@ from .errors import ColoringGraphMismatch, PcError, SearchBudgetExceeded
 from .graph import from_graph6, parse_edge_list_text, to_graph6
 from .solver import pc_exact, verify_certificate
 from .survey import (
+    _report_body,
     exceptional_graphs,
-    format_report_text,
     read_graph6_file,
-    report_to_json,
     survey_bipartite,
     survey_min_degree,
     write_report,
@@ -107,10 +106,7 @@ def cmd_survey(args) -> int:
         expected = {to_graph6(g) for g in (g7, g8) if lo <= g.n <= hi}
     if args.out:
         write_report(report, args.out, fmt=args.format)
-    if args.format == "structured":
-        print(json.dumps(report_to_json(report), indent=2, sort_keys=True))
-    else:
-        print(format_report_text(report), end="")
+    print(_report_body(report, args.format), end="")
     found = {rec.graph6 for rec in report.exceptions}
     # a frozen exception that hit the budget is inconclusive, not missing
     missing = expected - found - {rec.graph6 for rec in report.unresolved}

@@ -52,6 +52,7 @@ from .errors import (
 from .graph import (
     DOCUMENT_MAX_N,
     Graph,
+    _edge_ends,
     _reach_mask,
     _set,
     _twin_classes,
@@ -105,9 +106,11 @@ def make_coloring(g: Graph, k: int, assignment) -> EdgeColoring:
 
 def _colors_by_edge(g: Graph, pairs) -> tuple[int, ...]:
     """Colors in g.edges order from (edge, color) pairs that name each edge
-    of g, in either orientation, with one color."""
+    of g, in either orientation, with one color; an edge that is not a
+    pair of ints is ColoringGraphMismatch."""
     normalized = {}
-    for (u, v), c in pairs:
+    for edge, c in pairs:
+        u, v = _edge_ends(edge, ColoringGraphMismatch)
         key = (min(u, v), max(u, v))
         if normalized.get(key, c) != c:
             raise ColoringGraphMismatch(f"conflicting colors for edge {key}")

@@ -44,6 +44,7 @@ from .errors import (
 )
 from .graph import (
     Graph,
+    _edge_ends,
     _set,
     _Value,
     bipartition,
@@ -605,12 +606,7 @@ def _extension_edges(base: Graph, new_edges) -> list[tuple[int, int]]:
     w = base.n
     attach = set()
     for edge in new_edges:
-        try:
-            u, v = edge
-        except (TypeError, ValueError):
-            u = v = None
-        if type(u) is not int or type(v) is not int:
-            raise VertexOutOfRange(f"attachment edge {edge!r} is not a pair of ints")
+        u, v = _edge_ends(edge, VertexOutOfRange)
         if v == w:
             u, v = v, u
         if u != w:

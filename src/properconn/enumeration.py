@@ -1,7 +1,7 @@
 """Isomorph-free enumeration of small connected graphs without canonical
 labeling: the level builder (_level, cached in _LEVELS), its class
 entries (_class_entry: a graph's packed rows with its vertex keys above
-them) and their dedup (_add_class, also behind _corpus_rows).
+them) and their dedup (_dedup, one stream for a level or a corpus).
 
 Augmentation (grow by one vertex, keep one child per class) enumerates
 the classes for n <= 9, and the bipartite survey's classes for n <= 13;
@@ -19,6 +19,7 @@ from the full level once that is built.
 from __future__ import annotations
 
 from functools import cache
+from itertools import chain
 
 from .graph import _bipartite_sides, _reach_mask, _twin_classes, is_connected
 
@@ -207,12 +208,12 @@ def _add_class(classes: dict, n: int, entry: int):
     unless a graph isomorphic to it is there already. Returns its packed
     rows (_pack_rows) when it was added, else None.
 
-    classes holds graphs of one order: _level keeps one for the children
-    that can meet an isomorph anywhere in the level. It maps the hash of
-    a graph's sorted vertex keys (hashes of int tuples do not depend on
-    PYTHONHASHSEED) to its one representative's entry, or to a list of
-    them when non-isomorphic graphs share the hash, so a collision reads
-    the keys it compares with instead of recomputing them.
+    classes, the table of one _dedup stream, holds graphs of one order.
+    It maps the hash of a graph's sorted vertex keys (hashes of int
+    tuples do not depend on PYTHONHASHSEED) to its one representative's
+    entry, or to a list of them when non-isomorphic graphs share the
+    hash, so a collision reads the keys it compares with instead of
+    recomputing them.
     """
     keys = _entry_keys(n, entry)
     slot = hash(tuple(sorted(keys)))
@@ -232,18 +233,32 @@ def _add_class(classes: dict, n: int, entry: int):
     return packed
 
 
+def _dedup(n: int, stream):
+    """Yield the packed rows (_pack_rows) of the first graph of each
+    class in a stream of n-vertex (route, entry) pairs, in order. Route 0
+    passes a graph with no isomorph in the stream (entry: its packed
+    rows); route 2 goes through one _add_class table (entry: its
+    _class_entry).
+
+    Exact on any stream whose route-0 graphs have no isomorph in it: all
+    on route 2 (_corpus_rows), or the children (_children) of pairwise
+    non-isomorphic parents (_level's routes). So the children of any
+    subset of a level's parents give, once, each class whose
+    canonical-deletion parent (_level's soundness) is in the subset."""
+    classes: dict = {}
+    for route, entry in stream:
+        if not route:
+            yield entry
+        elif (packed := _add_class(classes, n, entry)) is not None:
+            yield packed
+
+
 def _corpus_rows(corpus, n, predicate):
     """Packed rows (_pack_rows) of the corpus graphs on n vertices
     that are connected and pass the predicate, the first of each class in
-    corpus order."""
-    classes: dict = {}
-    kept = []
-    for g in corpus:
-        if g.n == n and is_connected(g) and predicate(g):
-            packed = _add_class(classes, n, _class_entry(g.adj, _vertex_keys(g.adj)))
-            if packed is not None:
-                kept.append(packed)
-    return kept
+    corpus order (_dedup, all on route 2)."""
+    graphs = (g for g in corpus if g.n == n and is_connected(g) and predicate(g))
+    return list(_dedup(n, ((2, _class_entry(g.adj, _vertex_keys(g.adj))) for g in graphs)))
 
 
 # ---------------------------------------------------------------------------
@@ -498,11 +513,12 @@ def _level(kind: str, n: int, t: int) -> tuple[int, ...]:
         `_orbit_test`); that set's child is isomorphic to this one by a
         map that fixes the new vertex, so (b) keeps it too.
 
-    `_children` runs all three, on a child's keys packed in one int. A
-    kept child that may meet an isomorph from another parent goes to
-    `_add_class`, which buckets by sorted vertex invariants and tests
-    isomorphism exactly, so no child is labeled. _vertex_keys runs once
-    per parent: a child's keys follow from its parent's.
+    `_children` runs all three, on a child's keys packed in one int. Its
+    kept children stream through `_dedup`: one that may meet an isomorph
+    from another parent goes to `_add_class`, which buckets by sorted
+    vertex invariants and tests isomorphism exactly, so no child is
+    labeled. _vertex_keys runs once per parent: a child's keys follow
+    from its parent's.
 
     Routes. The new vertex x of a child is top when no other has its key.
 
@@ -570,12 +586,7 @@ def _level(kind: str, n: int, t: int) -> tuple[int, ...]:
                 packed for packed in full if min(map(int.bit_count, _unpack_rows(n, packed))) >= 2
             )
         else:
-            classes: dict = {}
-            kept = []
-            for parent in _level(kind, n - 1, max(t - 1, 0)):
-                for route, entry in _children(kind, _unpack_rows(n - 1, parent), t):
-                    packed = _add_class(classes, n, entry) if route else entry
-                    if packed is not None:
-                        kept.append(packed)
-            _LEVELS[key] = tuple(kept)
+            parents = _level(kind, n - 1, max(t - 1, 0))
+            children = (_children(kind, _unpack_rows(n - 1, p), t) for p in parents)
+            _LEVELS[key] = tuple(_dedup(n, chain.from_iterable(children)))
     return _LEVELS[key]

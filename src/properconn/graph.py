@@ -142,17 +142,28 @@ class Graph(_Value):
         return range(self.n)
 
 
+def _edge_ends(edge, error) -> tuple[int, int]:
+    """The two ends of an edge given as a pair of ints (bools are not),
+    else the error class `error`, raised with the edge named."""
+    try:
+        u, v = edge
+    except (TypeError, ValueError):
+        u = v = None
+    if type(u) is not int or type(v) is not int:
+        raise error(f"edge {edge!r} is not a pair of ints")
+    return u, v
+
+
 def from_edge_list(n: int, pairs) -> Graph:
     """Build a normalized Graph: dedup, sort, symmetrize; loops rejected.
-    The vertex count and the edge ends must be ints."""
+    The vertex count and the edge ends must be ints, each edge a pair."""
     if type(n) is not int:
         raise VertexOutOfRange(f"vertex count must be an integer, got {n!r}")
     if n < 0:
         raise VertexOutOfRange(f"negative vertex count {n}")
     rows = [0] * n
-    for u, v in pairs:
-        if type(u) is not int or type(v) is not int:
-            raise VertexOutOfRange(f"edge ({u!r},{v!r}) has an end that is not an integer")
+    for edge in pairs:
+        u, v = _edge_ends(edge, VertexOutOfRange)
         if not (0 <= u < n and 0 <= v < n):
             raise VertexOutOfRange(f"edge ({u},{v}) outside 0..{n - 1}")
         if u == v:

@@ -4,15 +4,14 @@ constants, the graph6 corpus reader, and enumerate_connected, which
 labels each enumeration class once.
 
 Surveys settle pc <= 2 by pc2_pipeline's path step and keep only the
-verdict (_examine). The path search runs on packed rows, once per parent
-whose children a level lists together (_examine_families): a parent
-that its path 2-dominates settles its whole family, since every survey
-asks min degree >= 2 and a new vertex with two neighbours never raises
-pc above 2 (the lemma in extend_vertex's docstring). Every graph of
-another family gets its own search, and a path that spans it or
-2-dominates it settles it with no Graph and no coloring, by the lemma
-that _path_colors proves. Only the other graphs are built, and
-each takes one route: the exact solver on its canonical relabeling,
+verdict (_examine). The path search runs on packed rows (_path_settles),
+once per parent whose children a level lists together
+(_examine_families): a parent that its path 2-dominates settles its
+whole family, since every survey asks min degree >= 2 and a new vertex
+with two neighbours never raises pc above 2 (the lemma in
+extend_vertex's docstring). Every graph of another family gets its own
+search. Only the graphs that no path settles are built, and each takes
+one route: the exact solver on its canonical relabeling,
 which searches every palette from 2 up under PC_BUDGET_MS. Graphs whose
 search budget runs out are reported, never dropped.
 """
@@ -204,16 +203,21 @@ def format_report_text(report: SurveyReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _report_body(report: SurveyReport, fmt: str) -> str:
+    """The report as write_report writes it and `pc survey` prints it,
+    fmt "text" or "structured", else OutOfRange."""
+    if fmt == "structured":
+        return json.dumps(report_to_json(report), indent=2, sort_keys=True) + "\n"
+    if fmt == "text":
+        return format_report_text(report)
+    raise OutOfRange(f'fmt must be "text" or "structured", got {fmt!r}')
+
+
 def write_report(report: SurveyReport, path, fmt: str = "text"):
     """Write the report, fmt "text" or "structured" (else OutOfRange, with
     no file opened), plus a graph6 sidecar of the exceptions."""
     path = str(path)
-    if fmt == "structured":
-        body = json.dumps(report_to_json(report), indent=2, sort_keys=True) + "\n"
-    elif fmt == "text":
-        body = format_report_text(report)
-    else:
-        raise OutOfRange(f'fmt must be "text" or "structured", got {fmt!r}')
+    body = _report_body(report, fmt)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(body)
     with open(path + ".exceptions.g6", "w", encoding="ascii") as fh:
@@ -225,23 +229,30 @@ def write_report(report: SurveyReport, path, fmt: str = "text"):
 # survey engines
 
 
+def _path_settles(rows) -> bool:
+    """Whether the path search (`_dominating_path`) on these adjacency
+    rows finds a path that spans the graph or 2-dominates it
+    (`_dominates`), so that two colors properly connect it by the lemma
+    that `_path_colors` proves, with no Graph and no coloring built."""
+    path = _dominating_path(rows)
+    return path is not None and _dominates(rows, path)
+
+
 def _examine(n: int, packed: int):
     """Settle the connected n-vertex graph with these packed rows
     (_pack_rows): None when two colors do, else its report record,
     an ExceptionRecord or an UnresolvedRecord.
 
-    Two routes. The path search (`_dominating_path`) runs once, on the
-    rows; when its path spans the graph or 2-dominates it (`_dominates`),
-    the graph has pc <= 2 by `_path_colors`' lemma, with no Graph and no
-    coloring built. Every other graph is labeled, and its verdict is
-    pc_exact's on the canonical relabeling, which searches palette 2 and
-    up under the budget: the witness then certifies the graph a report
-    prints, whose code is canon. pc_exact's witness has passed the exact
+    Two routes. The path search runs once, on the rows; when its path
+    settles the graph (`_path_settles`), the graph has pc <= 2. Every
+    other graph is labeled, and its verdict is pc_exact's on the
+    canonical relabeling, which searches palette 2 and up under the
+    budget: the witness then certifies the graph a report prints, whose
+    code is canon. pc_exact's witness has passed the exact
     checker already.
     """
     rows = _unpack_rows(n, packed)
-    path = _dominating_path(rows)
-    if path is not None and _dominates(rows, path):
+    if _path_settles(rows):
         return None
     canon = canonical_code(from_adj_rows(n, rows)).decode("ascii")
     try:
@@ -259,19 +270,16 @@ def _examine_families(n: int, graphs) -> list:
     masked off, that is, a parent P = G - x for the last vertex x. A
     level lists the children of one parent together.
 
-    When P's path 2-dominates P (`_dominates`), two colors properly
-    connect P, by the lemma that `_path_colors` proves. Every survey asks
-    min degree >= 2, so x has two neighbours in P, and by the lemma that
-    `extend_vertex` proves, two colors properly connect G too. So that
-    one search settles the whole family, and only the graphs of the
-    other families take _examine's route.
+    When P's path settles P (`_path_settles`), two colors properly
+    connect P. Every survey asks min degree >= 2, so x has two neighbours
+    in P, and by the lemma that `extend_vertex` proves, two colors
+    properly connect G too. So that one search settles the whole family,
+    and only the graphs of the other families take _examine's route.
     """
     parent_bits = sum(((1 << n - 1) - 1) << n * v for v in range(n - 1))
     out = []
     for parent, family in groupby(graphs, parent_bits.__and__):
-        rows = _unpack_rows(n, parent)[:-1]
-        path = _dominating_path(rows)
-        if path is not None and _dominates(rows, path):
+        if _path_settles(_unpack_rows(n, parent)[:-1]):
             out += [None for _ in family]
         else:
             out += [_examine(n, packed) for packed in family]

@@ -85,6 +85,11 @@ def test_make_coloring_validation():
         make_coloring(g, 2, {(0, 1): 1, (1, 2): 3})  # color beyond palette
     with pytest.raises(ColoringGraphMismatch):
         make_coloring(g, 0, {})
+    # keys that are not pairs of ints
+    with pytest.raises(ColoringGraphMismatch):
+        make_coloring(g, 2, {(0, 1, 2): 1, (1, 2): 2})
+    with pytest.raises(ColoringGraphMismatch):
+        make_coloring(g, 2, {(0, "b"): 1, (1, 2): 2})
     # floats and bools compare like ints, but the checker indexes its
     # tables by colors
     for k, colors in ((2, [1.0, 2.0]), (2.0, [1, 2]), (2.5, [1, 2]), (True, [1, 1]), (2, [True, 2])):

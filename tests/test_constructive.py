@@ -671,8 +671,8 @@ def test_extend_vertex_random_attachments(seed):
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_extend_vertex_takes_bases_that_are_not_strong(seed, n, extra):
     # criterion 6 extends strong bases only; the pipeline's certificates
-    # of random graphs are seldom strong, and extend_vertex claims that
-    # those extend too
+    # of random graphs are seldom strong, and the lemma in extend_vertex's
+    # docstring proves that those extend too
     rng = random.Random(seed)
     base_graph = random_connected(rng, n, extra)
     base = pc2_pipeline(base_graph)

@@ -67,6 +67,9 @@ def test_bad_argument_values_raise_pc_errors():
         (OutOfRange, lambda: write_report(survey_bipartite(4, 4), nowhere, fmt="xml")),
         (VertexOutOfRange, lambda: from_edge_list(3, [(0, 1.0)])),
         (VertexOutOfRange, lambda: from_edge_list(3.0, [])),
+        # edges that are not pairs
+        (VertexOutOfRange, lambda: from_edge_list(3, [(0, 1, 2)])),
+        (VertexOutOfRange, lambda: from_edge_list(3, [5])),
         # attachment edges that are not pairs of ints
         (VertexOutOfRange, lambda: extend_vertex(c4, [(4, "a"), (4, 0)])),
         (VertexOutOfRange, lambda: extend_vertex(c4, [(4, 0, 1), (4, 2)])),

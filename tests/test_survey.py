@@ -6,10 +6,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
 from itertools import groupby
+from math import comb, factorial, prod
 from unittest import mock
 
 import pytest
@@ -368,6 +370,42 @@ def test_enumeration_bipartite_counts():
         assert len(enumeration_mod._level("bipartite", n, 0)) == want, n
 
 
+def labeled_connected_count(kind, n):
+    """The labeled connected graphs on n vertices, bipartite ones for that
+    kind: c_n = T(n) - sum over k < n of C(n-1, k-1) c_k T(n-k), T(n)
+    being 2**C(n, 2) for all graphs, and for bipartite ones the number of
+    2-colored graphs, sum over k of C(n, k) 2**(k(n-k)). A connected
+    bipartite graph has exactly two 2-colorings, so that c_n is halved."""
+    if kind == "general":
+        total = [2 ** comb(m, 2) for m in range(n + 1)]
+    else:
+        total = [sum(comb(m, k) * 2 ** (k * (m - k)) for k in range(m + 1)) for m in range(n + 1)]
+    c = [0]
+    for m in range(1, n + 1):
+        c.append(total[m] - sum(comb(m - 1, k - 1) * c[k] * total[m - k] for k in range(1, m)))
+    return c[n] if kind == "general" else c[n] // 2
+
+
+def test_every_full_level_counts_every_labeled_connected_graph():
+    # completeness by orbit counting: a class G stands for n!/|Aut(G)|
+    # labeled graphs, so a missed class lowers the sum and a repeated one
+    # raises it. |Aut(G)| is the automorphisms of the twin-class quotient
+    # times the permutations within each twin class
+    for kind, top in (("general", 8), ("bipartite", 10)):
+        for n in range(1, top + 1):
+            labeled = 0
+            for packed in enumeration_mod._level(kind, n, 0):
+                rows = _unpack_rows(n, packed)
+                classes = enumeration_mod._twin_classes(rows)
+                group = enumeration_mod._class_automorphisms(rows, _vertex_keys(rows), classes)
+                labeled += factorial(n) // (len(group) * prod(factorial(len(c)) for c in classes))
+            assert labeled == labeled_connected_count(kind, n), (kind, n)
+    # 1, 1, 4, 38 and 728 labeled connected graphs (OEIS A001187)
+    assert [labeled_connected_count("general", n) for n in range(1, 6)] == [1, 1, 4, 38, 728]
+    # 1, 1, 3, 19 and 195 labeled connected bipartite graphs (OEIS A001832)
+    assert [labeled_connected_count("bipartite", n) for n in range(1, 6)] == [1, 1, 3, 19, 195]
+
+
 def test_enumeration_size_guard():
     with pytest.raises(TooLarge):
         next(enumerate_connected(10))
@@ -688,6 +726,31 @@ def test_corpus_reports_a_relabeled_exception_by_its_canonical_code():
     assert report.totals == {7: 2}
     assert [e.graph6 for e in report.exceptions] == ["F@QFw"]
     assert report.exceptions[0].certificate.graph == from_graph6("F@QFw")
+
+
+def relabeled_twice(graphs, seed):
+    """Two copies of each graph, each relabeled at random, shuffled."""
+    rng = random.Random(seed)
+    corpus = []
+    for g in graphs * 2:
+        perm = rng.sample(range(g.n), g.n)
+        corpus.append(from_edge_list(g.n, [(perm[u], perm[v]) for u, v in g.edges]))
+    rng.shuffle(corpus)
+    return corpus
+
+
+def test_a_corpus_of_every_class_gives_the_level_survey():
+    # every class twice, under other labels: a corpus goes through the
+    # same dedup as a level, each graph on route 2
+    corpus = relabeled_twice(list(enumerate_connected(7, 2)), 7)
+    for report in (survey_min_degree(7, 7, corpus=corpus), survey_min_degree(7, 7)):
+        assert report.totals == {7: 506}
+        assert [e.graph6 for e in report.exceptions] == ["F@QFw"]
+    graphs = [g for n in (8, 9) for g in enumerate_connected(n, 2, bipartite_only=True)]
+    corpus = relabeled_twice(graphs, 9)
+    for report in (survey_bipartite(8, 9, corpus=corpus), survey_bipartite(8, 9)):
+        assert report.totals == {8: 45, 9: 160}
+        assert report.exceptions == report.unresolved == []
 
 
 def test_report_codes_are_canonical_codes_of_the_certified_graphs():

@@ -144,7 +144,7 @@ def test_every_private_helper_is_referenced_outside_its_definition():
 # augmentation, which no module but enumeration.py may name
 ENUMERATION_INTERNALS = {
     "_KEY_BITS", "_KEY_MASK", "_class_entry", "_entry_keys", "_add_class", "_vertex_keys",
-    "_isomorphisms", "_class_automorphisms", "_attachment_sets", "_order_tables",
+    "_dedup", "_isomorphisms", "_class_automorphisms", "_attachment_sets", "_order_tables",
     "_children", "_LEVELS",
 }
 
