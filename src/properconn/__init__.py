@@ -9,7 +9,6 @@ minimum-degree surveys over all small graph isomorphism classes.
 
 from .coloring import (
     EdgeColoring,
-    coloring_from_json,
     first_improper_pair,
     first_weak_pair,
     has_strong_property,
@@ -22,6 +21,7 @@ from .constructive import (
     certificate_from_json,
     certificate_to_json,
     color_tree,
+    coloring_from_json,
     extend_vertex,
     glue_across_bridge,
     pc2_pipeline,

@@ -17,8 +17,7 @@ import argparse
 import json
 import sys
 
-from .coloring import coloring_from_json
-from .constructive import PcCertificate, _certificate_document
+from .constructive import PcCertificate, _certificate_document, coloring_from_json
 from .errors import ColoringGraphMismatch, PcError, SearchBudgetExceeded
 from .graph import from_graph6, parse_edge_list_text, to_graph6
 from .solver import pc_exact, verify_certificate

@@ -36,28 +36,19 @@ last step, vertex extensions) extends a partial coloring through it.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from bisect import bisect_left
 
-from .errors import (
-    ColoringGraphMismatch,
-    Disconnected,
-    LoopEdge,
-    NotAPath,
-    TooLarge,
-    VertexOutOfRange,
-)
+from .errors import ColoringGraphMismatch, Disconnected, NotAPath, TooLarge
 from .graph import (
-    DOCUMENT_MAX_N,
     Graph,
     _edge_ends,
+    _items,
     _reach_mask,
     _set,
     _twin_classes,
     _Value,
-    from_adj_rows,
     is_connected,
 )
 
@@ -72,8 +63,7 @@ class EdgeColoring(_Value):
     def __init__(self, graph: Graph, k: int, colors: tuple[int, ...]):
         if not isinstance(graph, Graph):
             raise ColoringGraphMismatch(f"a coloring colors a Graph, got {type(graph).__name__}")
-        # a copy, checked and then stored: a caller's list cannot change it
-        colors = tuple(colors)
+        colors = _items(colors, ColoringGraphMismatch, "colors")
         # floats and bools compare like ints, but the checker indexes and
         # shifts by colors, so only ints are colors
         if type(k) is not int or k < 1:
@@ -111,13 +101,12 @@ def _colors_by_edge(g: Graph, pairs) -> tuple[int, ...]:
     normalized = {}
     for edge, c in pairs:
         u, v = _edge_ends(edge, ColoringGraphMismatch)
-        key = (min(u, v), max(u, v))
-        if normalized.get(key, c) != c:
+        key = (u, v) if u < v else (v, u)
+        if normalized.setdefault(key, c) != c:
             raise ColoringGraphMismatch(f"conflicting colors for edge {key}")
-        normalized[key] = c
-    if set(normalized) != set(g.edges):
+    if normalized.keys() != set(g.edges):
         raise ColoringGraphMismatch("assignment does not cover the edge set")
-    return tuple(normalized[e] for e in g.edges)
+    return tuple([normalized[e] for e in g.edges])
 
 
 # ---------------------------------------------------------------------------
@@ -272,19 +261,22 @@ class _Machine:
 
         In plain mode the vertex sequence `path` is walked first, up to
         the first step that dfs_from would not take (a non-edge, a color
-        equal to the previous edge's, a visited or unknown vertex), and
-        each step marks linked as a search step does. The walk only
-        settles pairs that a proper simple path joins, so any sequence
-        leaves the answer as it is; a proper spanning path settles every
-        pair, and then no search runs.
+        equal to the previous edge's, a visited or unknown vertex, an
+        element that is not an int), and each step marks linked as a
+        search step does. The walk only settles pairs that a proper
+        simple path joins, so any sequence leaves the answer as it is; a
+        proper spanning path settles every pair, and then no search runs.
         """
         n = self.n
         linked = [0] * n
-        if not strong and path and path[0] in range(n):
+        # only an int is a vertex: 1.0 and True are equal to 1, so they
+        # would pass a range test and find vertex 1's row entries
+        first = path[0] if path else None
+        if not strong and type(first) is int and 0 <= first < n:
             rows = self.rows
-            w, last, visited = path[0], 0, 1 << path[0]
+            w, last, visited = first, 0, 1 << first
             for x in path[1:]:
-                cx = rows[w].get(x)
+                cx = rows[w].get(x) if type(x) is int else None
                 if cx is None or cx == last or visited >> x & 1:
                     break
                 linked[x] |= visited
@@ -529,64 +521,3 @@ def is_proper_connected(c: EdgeColoring, *, path=()) -> bool:
 
 def has_strong_property(c: EdgeColoring) -> bool:
     return first_weak_pair(c) is None
-
-
-# ---------------------------------------------------------------------------
-# structured text format
-
-
-def coloring_from_json(text: str) -> EdgeColoring:
-    return _coloring_document(text)[0]
-
-
-_NOT_INTEGERS = "bad coloring document: n, k, edge ends and colors must be integers"
-
-
-def _coloring_document(text: str):
-    """The coloring a JSON document describes, and the parsed document.
-
-    n, k, the edge ends and the colors must be JSON integers (not
-    booleans, not floats) and each edge a pair; n is at most
-    DOCUMENT_MAX_N. An edge may repeat, in either orientation, with the
-    same color. One pass over the edges checks each one (a pair of
-    integers in range, not a loop, not repeated with another color), sets
-    its bits in the rows and records its color, so a document with
-    several faulty edges is refused for the first.
-    """
-    try:
-        payload = json.loads(text)
-        n = payload["n"]
-        k = payload["k"]
-        raw_edges = [tuple(e) for e in payload["edges"]]
-        raw_colors = list(payload["colors"])
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise ColoringGraphMismatch(f"bad coloring document: {exc}") from exc
-    if type(n) is not int or type(k) is not int:
-        raise ColoringGraphMismatch(_NOT_INTEGERS)
-    if len(raw_edges) != len(raw_colors):
-        raise ColoringGraphMismatch(
-            f"{len(raw_colors)} colors for {len(raw_edges)} edges"
-        )
-    if n > DOCUMENT_MAX_N:
-        raise TooLarge(f"coloring documents name at most {DOCUMENT_MAX_N} vertices, got {n}")
-    if n < 0:
-        raise VertexOutOfRange(f"negative vertex count {n}")
-    rows = [0] * n
-    color_of: dict[tuple[int, int], int] = {}
-    for e, c in zip(raw_edges, raw_colors):
-        if len(e) != 2:
-            raise ColoringGraphMismatch("bad coloring document: an edge is not a pair")
-        u, v = e
-        if type(u) is not int or type(v) is not int or type(c) is not int:
-            raise ColoringGraphMismatch(_NOT_INTEGERS)
-        if not (0 <= u < n and 0 <= v < n):
-            raise VertexOutOfRange(f"edge ({u},{v}) outside 0..{n - 1}")
-        if u == v:
-            raise LoopEdge(f"loop at vertex {u}")
-        key = (u, v) if u < v else (v, u)
-        if color_of.setdefault(key, c) != c:
-            raise ColoringGraphMismatch(f"conflicting colors for edge {key}")
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    g = from_adj_rows(n, rows)
-    return EdgeColoring(g, k, [color_of[e] for e in g.edges]), payload

@@ -1,5 +1,6 @@
 """Certificate-producing colorings: trees, bridgeless cores, gluing,
-one-vertex extensions, and the 2-color decision pc2_pipeline.
+one-vertex extensions, and the 2-color decision pc2_pipeline; and the
+certificate JSON document, which only this module writes and reads.
 
 Every operation checks its output with the exact checker before
 returning it, exactly once and on the graph it certifies; a certificate
@@ -22,7 +23,7 @@ from itertools import islice, product
 from .coloring import (
     PROFILE_MAX_N,
     EdgeColoring,
-    _coloring_document,
+    _colors_by_edge,
     complete,
     has_strong_property,
     is_proper_connected,
@@ -43,8 +44,10 @@ from .errors import (
     VertexOutOfRange,
 )
 from .graph import (
+    DOCUMENT_MAX_N,
     Graph,
     _edge_ends,
+    _items,
     _set,
     _Value,
     bipartition,
@@ -371,18 +374,6 @@ def _bfs_path(adj, start: int, away: int, stop: int):
     return None
 
 
-def _shortest_cycle(g: Graph):
-    """Vertex list of a shortest cycle, or None in a forest. Each edge
-    uv closes the cycle from v back along `_bfs_path` from u to v
-    without the edge uv; the first shortest in g.edges order wins."""
-    best = None
-    for u, v in g.edges:
-        path = _bfs_path(g.adj, u, v, 1 << v)
-        if path is not None and (best is None or len(path) < len(best)):
-            best = path[::-1]
-    return best
-
-
 def _ear_decomposition(g: Graph):
     """Cycle-plus-ears cover of a connected bridgeless graph.
 
@@ -390,14 +381,16 @@ def _ear_decomposition(g: Graph):
     later one a path whose endpoints already lie in the covered part and
     whose interior is new. Chords appear as two-vertex ears.
 
-    The cycle is `_shortest_cycle`'s. Each ear starts with the first
+    The cycle is a shortest one: each edge uv closes the cycle from v
+    back along `_bfs_path` from u to v without the edge uv, and the first
+    shortest in g.edges order wins. Each ear starts with the first
     uncovered edge in g.edges order that has a covered end x; from its
     other end y, when not covered, it runs along `_bfs_path` back to the
     cover, not by the edge yx. The cover is a vertex mask and, per
     vertex, the mask of neighbours joined to it by a covered edge.
     """
     adj = g.adj
-    cycle = _shortest_cycle(g)
+    cycle = min(filter(None, (_bfs_path(adj, u, v, 1 << v) for u, v in g.edges)), key=len)[::-1]
     ears = [cycle]
     covered, done = 0, [0] * g.n
     seq = cycle + cycle[:1]
@@ -406,18 +399,13 @@ def _ear_decomposition(g: Graph):
             covered |= 1 << a | 1 << b
             done[a] |= 1 << b
             done[b] |= 1 << a
-        for x, row in enumerate(adj):
-            # neighbours above x across an uncovered edge, with a covered end
-            rest = row & ~done[x] & -(2 << x)
-            if not covered >> x & 1:
-                rest &= covered
-            if rest:
+        for x, y in g.edges:
+            if not done[x] >> y & 1 and (covered >> x | covered >> y) & 1:
                 break
         else:
             if tuple(done) != adj:
                 raise Disconnected("uncovered edges unreachable from the cover")
             return ears
-        y = (rest & -rest).bit_length() - 1
         if not covered >> x & 1:
             x, y = y, x
         if covered >> y & 1:
@@ -431,25 +419,22 @@ def _ear_decomposition(g: Graph):
         seq = ear
 
 
-def _ear_edge_runs(ears):
-    runs = []
-    for idx, ear in enumerate(ears):
-        seq = ear + [ear[0]] if idx == 0 else ear
-        runs.append([(min(a, b), max(a, b)) for a, b in zip(seq, seq[1:])])
-    return runs
-
-
 def _ear_patterns(g: Graph):
     """2-color tuples that alternate 1, 2, 1, ... along each ear of
     `_ear_decomposition(g)`, one phase per ear: the first _PHASE_CAP
     phase vectors in `product` order, so all phases 0 come first."""
-    edge_index = {e: i for i, e in enumerate(g.edges)}
-    runs = _ear_edge_runs(_ear_decomposition(g))
+    at = {e: i for i, e in enumerate(g.edges)}
+    ears = _ear_decomposition(g)
+    # each ear's edges as positions in g.edges, in ear order; the cycle closes
+    runs = [
+        [at[(a, b) if a < b else (b, a)] for a, b in zip(seq, seq[1:])]
+        for seq in [ears[0] + ears[0][:1]] + ears[1:]
+    ]
     for phases in islice(product((0, 1), repeat=len(runs)), _PHASE_CAP):
         colors = [1] * g.m
         for run, phase in zip(runs, phases):
             for i, e in enumerate(run):
-                colors[edge_index[e]] = 1 + (i + phase) % 2
+                colors[e] = 1 + (i + phase) % 2
         yield tuple(colors)
 
 
@@ -605,7 +590,7 @@ def _extension_edges(base: Graph, new_edges) -> list[tuple[int, int]]:
     joining w to a base vertex, else VertexOutOfRange."""
     w = base.n
     attach = set()
-    for edge in new_edges:
+    for edge in _items(new_edges, VertexOutOfRange, "attachment edges"):
         u, v = _edge_ends(edge, VertexOutOfRange)
         if v == w:
             u, v = v, u
@@ -714,3 +699,47 @@ def certificate_from_json(text: str) -> PcCertificate:
     if type(meta) is not dict:
         raise ColoringGraphMismatch("bad certificate document: meta is not an object")
     return PcCertificate(coloring, meta.get("strategy", "exhaustive"), meta.get("strong", False))
+
+
+def coloring_from_json(text: str) -> EdgeColoring:
+    return _coloring_document(text)[0]
+
+
+_NOT_INTEGERS = "bad coloring document: n, k, edge ends and colors must be integers"
+
+
+def _coloring_document(text: str):
+    """The coloring a JSON document describes, and the parsed document.
+
+    n, k, the edge ends and the colors must be JSON integers (not
+    booleans, not floats), each edge a pair, and n at most
+    DOCUMENT_MAX_N. An edge may repeat, in either orientation, with the
+    same color. A document with several faults is refused for the first
+    in this order: its shape and types (JSON syntax and keys, n and k,
+    the lengths, n's cap, then each edge's shape and ints in turn); then
+    from_edge_list's rules (a negative n, then each edge in turn, an end
+    out of range before a loop); then an edge repeated with another
+    color (`_colors_by_edge`); then the palette and the colors
+    (EdgeColoring).
+    """
+    try:
+        payload = json.loads(text)
+        n = payload["n"]
+        k = payload["k"]
+        edges = [tuple(e) for e in payload["edges"]]
+        colors = list(payload["colors"])
+    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        raise ColoringGraphMismatch(f"bad coloring document: {exc}") from exc
+    if type(n) is not int or type(k) is not int:
+        raise ColoringGraphMismatch(_NOT_INTEGERS)
+    if len(edges) != len(colors):
+        raise ColoringGraphMismatch(f"{len(colors)} colors for {len(edges)} edges")
+    if n > DOCUMENT_MAX_N:
+        raise TooLarge(f"coloring documents name at most {DOCUMENT_MAX_N} vertices, got {n}")
+    for e, c in zip(edges, colors):
+        if len(e) != 2:
+            raise ColoringGraphMismatch("bad coloring document: an edge is not a pair")
+        if type(e[0]) is not int or type(e[1]) is not int or type(c) is not int:
+            raise ColoringGraphMismatch(_NOT_INTEGERS)
+    g = from_edge_list(n, edges)
+    return EdgeColoring(g, k, _colors_by_edge(g, zip(edges, colors))), payload

@@ -154,6 +154,15 @@ def _edge_ends(edge, error) -> tuple[int, int]:
     return u, v
 
 
+def _items(values, error, what: str) -> tuple:
+    """The values of an iterable as a tuple, a copy that the caller's
+    object cannot change, else the error class `error`, naming `what`."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise error(f"{what} must be a sequence, got {type(values).__name__}") from None
+
+
 def from_edge_list(n: int, pairs) -> Graph:
     """Build a normalized Graph: dedup, sort, symmetrize; loops rejected.
     The vertex count and the edge ends must be ints, each edge a pair."""

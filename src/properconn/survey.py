@@ -32,6 +32,7 @@ from .enumeration import _corpus_rows, _level, _pack_rows, _unpack_rows
 from .errors import OutOfRange, SearchBudgetExceeded, TooLarge
 from .graph import (
     Graph,
+    _items,
     _Value,
     bipartition,
     canonical_code,
@@ -286,10 +287,11 @@ def _examine_families(n: int, graphs) -> list:
     return out
 
 
-def _corpus_graphs(corpus) -> list:
-    """A survey's corpus items in a list, which every order reads (an
-    iterator would serve only one); an item not a Graph is OutOfRange."""
-    graphs = list(corpus)
+def _corpus_graphs(corpus) -> tuple:
+    """A survey's corpus items in a tuple, which every order reads (an
+    iterator would serve only one); a corpus that is not iterable, or an
+    item not a Graph, is OutOfRange."""
+    graphs = _items(corpus, OutOfRange, "a corpus")
     for g in graphs:
         if not isinstance(g, Graph):
             raise OutOfRange(f"a corpus holds Graphs, got {type(g).__name__}")
@@ -300,7 +302,7 @@ def _survey(name, filter_desc, chain, lowest, highest, bound, n_lo, n_hi, corpus
     """The report on every connected noncomplete graph of the chain
     ("general" or "bipartite") with min degree >= bound(n), one per class,
     for each n in n_lo..n_hi, which must be ints with lowest <= n_lo <=
-    n_hi <= highest. A corpus is read once into a list of Graphs, and
+    n_hi <= highest. A corpus is read once into a tuple of Graphs, and
     each order keeps its graphs of that family; without one, each order
     takes its level of the chain (_level), less K_n (no bipartite graph
     on 3 or more vertices is complete). Reports print canonical graph6

@@ -17,8 +17,10 @@ from hypothesis import strategies as st
 from properconn import (
     ColoringGraphMismatch,
     LoopEdge,
+    NotAPath,
     PcCertificate,
     PcError,
+    TooLarge,
     VertexOutOfRange,
     canonical_code,
     certificate_to_json,
@@ -90,6 +92,12 @@ def test_make_coloring_validation():
         make_coloring(g, 2, {(0, 1, 2): 1, (1, 2): 2})
     with pytest.raises(ColoringGraphMismatch):
         make_coloring(g, 2, {(0, "b"): 1, (1, 2): 2})
+    # one edge named twice, in both orientations, with two colors
+    with pytest.raises(ColoringGraphMismatch, match="conflicting colors for edge"):
+        make_coloring(g, 2, {(0, 1): 1, (1, 0): 2, (1, 2): 1})
+    # a sequence of the wrong length
+    with pytest.raises(ColoringGraphMismatch, match="1 colors for 2 edges"):
+        make_coloring(g, 2, [1])
     # floats and bools compare like ints, but the checker indexes its
     # tables by colors
     for k, colors in ((2, [1.0, 2.0]), (2.0, [1, 2]), (2.5, [1, 2]), (True, [1, 1]), (2, [True, 2])):
@@ -125,6 +133,10 @@ def test_is_proper_path():
     assert not is_proper_path(c, [1, 2, 3])  # repeats color 2
     assert is_proper_path(c, [2, 3])  # single edge is always fine
     assert is_proper_path(c, [3])
+    # not a simple path of the graph at all: empty, a repeated vertex, a non-edge
+    for bad in ([], [0, 1, 0], [0, 2]):
+        with pytest.raises(NotAPath):
+            is_proper_path(c, bad)
 
 
 def test_two_edge_path_one_color_fails():
@@ -201,7 +213,7 @@ def test_first_bad_pair_matches_independent_oracles(steps, case, strong):
         assert _Machine(g.n, k, g.edges, colors).first_bad_pair(strong) == want
 
 
-HINT_KINDS = ("spanning", "shuffled", "non-edge", "repeated", "out-of-range", "empty")
+HINT_KINDS = ("spanning", "shuffled", "non-edge", "repeated", "out-of-range", "empty", "float")
 
 
 def proper_walk(g, color_of, rng, simple=True):
@@ -227,9 +239,10 @@ def proper_walk(g, color_of, rng, simple=True):
 def hint_sequence(g, color_of, kind, rng):
     """A vertex sequence of the given kind: a spanning path (when g has
     one), a shuffle of the vertices, a proper walk that revisits a
-    vertex, or a proper simple path followed by a non-edge or an
-    out-of-range vertex; each but the spanning path ends in a shuffle,
-    and "empty" is []."""
+    vertex, a proper simple path followed by a non-edge or an
+    out-of-range vertex, or a proper simple path with one vertex, the
+    first or a later one, given as a float; each but the spanning path
+    ends in a shuffle, and "empty" is []."""
     if kind == "empty":
         return []
     shuffled = rng.sample(range(g.n), g.n)
@@ -237,6 +250,12 @@ def hint_sequence(g, color_of, kind, rng):
         return spanning_path(g) or shuffled
     if kind == "shuffled":
         return shuffled
+    if kind == "float":
+        # 1.0 == 1, so the float names a vertex the walk could step onto
+        walk = proper_walk(g, color_of, rng)
+        at = rng.choice([0, rng.randrange(len(walk))])
+        walk[at] = float(walk[at])
+        return walk + shuffled
     if kind == "repeated":
         walk = proper_walk(g, color_of, rng, simple=False)
         if len(set(walk)) == len(walk):
@@ -400,6 +419,11 @@ MALFORMED_DOCUMENTS = {
         _document(edges=[[0, 1], [1, 2], [1, 0]], colors=[1, 2, 2]),
         ColoringGraphMismatch,
         "conflicting colors for edge (0, 1)",
+    ),
+    "n past the cap": (
+        _document(n=2**20 + 1),
+        TooLarge,
+        "coloring documents name at most 1048576 vertices, got 1048577",
     ),
 }
 

@@ -568,6 +568,12 @@ def test_glue_rejects_missing_bridge():
     cb = two_triangle_halves()[1]
     with pytest.raises(NotABridge):
         glue_across_bridge(ca, cb, (2, 3), ([0, 1, 2, 3], [3, 4, 5, 2]))
+    # both halves hold the edge (1, 2), but the first half's triangle
+    # 0-1-2 keeps it on a cycle of the composite
+    triangle = pc_exact(complete_graph(3))[1]
+    path = pc_exact(path_graph(3))[1]
+    with pytest.raises(NotABridge, match="not a bridge of the composite"):
+        glue_across_bridge(triangle, path, (1, 2), ([0, 1, 2], [1, 2, 3]))
 
 
 def tampered(cert):

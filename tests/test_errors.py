@@ -22,10 +22,14 @@ from properconn import (
     VertexOutOfRange,
     enumerate_connected,
     extend_vertex,
+    first_weak_pair,
     from_adj_rows,
     from_edge_list,
     from_graph6,
+    glue_across_bridge,
+    is_proper_connected,
     is_proper_path,
+    make_coloring,
     make_star_of_bicliques,
     pc_exact,
     pc_upper,
@@ -46,6 +50,13 @@ def forged(g):
 def test_bad_argument_values_raise_pc_errors():
     nowhere = os.path.join(os.devnull, "report.txt")
     c4 = pc_exact(cycle_graph(4))[1]
+    # a triangle with a pendant edge (2, 3), which glues to itself across
+    # that edge by the maps [0, 1, 2, 3] and [4, 5, 3, 2]
+    half = pc_exact(from_edge_list(4, [(0, 1), (0, 2), (1, 2), (2, 3)]))[1]
+
+    def glue(map_a, map_b):
+        return glue_across_bridge(half, half, (2, 3), (map_a, map_b))
+
     cases = [
         (OutOfRange, lambda: make_star_of_bicliques(0)),
         (OutOfRange, lambda: survey_min_degree(6, 5)),
@@ -61,6 +72,7 @@ def test_bad_argument_values_raise_pc_errors():
         (OutOfRange, lambda: read_graph6_file(5)),
         (OutOfRange, lambda: read_graph6_file(True)),
         (OutOfRange, lambda: survey_min_degree(5, 5, corpus=[1])),
+        (OutOfRange, lambda: survey_min_degree(5, 5, corpus=5)),
         (OutOfRange, lambda: survey_bipartite(4, 4, corpus=[cycle_graph(4), "C~"])),
         # a report format that is neither "text" nor "structured", refused
         # before the path (one no file can have) is opened
@@ -73,6 +85,11 @@ def test_bad_argument_values_raise_pc_errors():
         # attachment edges that are not pairs of ints
         (VertexOutOfRange, lambda: extend_vertex(c4, [(4, "a"), (4, 0)])),
         (VertexOutOfRange, lambda: extend_vertex(c4, [(4, 0, 1), (4, 2)])),
+        (VertexOutOfRange, lambda: extend_vertex(c4, None)),
+        # glue embeddings of the wrong size, not injective, or not onto 0..n-1
+        (VertexOutOfRange, lambda: glue([0, 1, 2], [4, 5, 3, 2])),
+        (VertexOutOfRange, lambda: glue([0, 1, 2, 3], [4, 4, 3, 2])),
+        (VertexOutOfRange, lambda: glue([0, 1, 2, 3], [4, 9, 3, 2])),
         (TooSmall, lambda: strong_coloring_bridgeless(from_edge_list(1, []))),
         (UnsuitableBase, lambda: extend_vertex(pc_exact(star_graph(3))[1], [(4, 0), (4, 1)])),
         (UnsuitableBase, lambda: extend_vertex(forged(cycle_graph(4)), [(4, 0), (4, 2)])),
@@ -112,10 +129,13 @@ def test_inputs_of_the_wrong_type_raise_pc_errors():
         for build in (PcCertificate, lambda *f: _unpickled(PcCertificate, *f)):
             with pytest.raises(ColoringGraphMismatch):
                 build(*fields)
-    # and a coloring's graph is a Graph
-    for build in (EdgeColoring, lambda *f: _unpickled(EdgeColoring, *f)):
-        with pytest.raises(ColoringGraphMismatch):
-            build(None, 2, ())
+    # and a coloring's graph is a Graph, and its colors a sequence
+    for fields in ((None, 2, ()), (cert.graph, 2, None)):
+        for build in (EdgeColoring, lambda *f: _unpickled(EdgeColoring, *f)):
+            with pytest.raises(ColoringGraphMismatch):
+                build(*fields)
+    with pytest.raises(ColoringGraphMismatch):
+        make_coloring(cert.graph, 2, 5)
     for line in (5, None, b"C~"):
         with pytest.raises(MalformedGraph6):
             from_graph6(line)
@@ -155,3 +175,9 @@ def test_solver_refuses_graphs_past_the_checker_cap():
         with pytest.raises(TooLarge) as info:
             call(path_graph(17))
         assert isinstance(info.value, PcError)
+    # and so does the checker itself, in both modes
+    g = path_graph(17)
+    alternating = make_coloring(g, 2, [1 + i % 2 for i in range(g.m)])
+    for check in (is_proper_connected, first_weak_pair):
+        with pytest.raises(TooLarge):
+            check(alternating)

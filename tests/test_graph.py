@@ -132,10 +132,16 @@ def test_graph6_known_codes():
     assert to_graph6(complete_graph(3)) == "Bw"
     assert to_graph6(from_edge_list(2, [(0, 1)])) == "A_"
     assert from_graph6("Bw").edges == ((0, 1), (0, 2), (1, 2))
+    # the short form holds n <= 62, and canonical labeling takes n <= 13
+    with pytest.raises(TooLarge):
+        to_graph6(from_edge_list(63, []))
+    with pytest.raises(TooLarge):
+        canonical_code(path_graph(14))
 
 
 def test_graph6_rejects_garbage():
-    for bad in ["", "A", "Bw~", "\x7f", "B" + chr(30)]:
+    # "B\x7f": a data byte past "~"; "A`": a nonzero padding bit after n=2's one bit
+    for bad in ["", "A", "Bw~", "\x7f", "B" + chr(30), "B\x7f", "A`"]:
         with pytest.raises(MalformedGraph6):
             from_graph6(bad)
 

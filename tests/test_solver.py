@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 import time
 
@@ -15,13 +16,16 @@ from properconn import (
     PcCertificate,
     SearchBudgetExceeded,
     TooLarge,
+    certificate_from_json,
     color_tree,
     constructive,
     enumerate_connected,
     find_bridges,
+    first_weak_pair,
     from_adj_rows,
     from_edge_list,
     from_graph6,
+    is_proper_connected,
     is_tree,
     make_coloring,
     make_star_of_bicliques,
@@ -239,6 +243,16 @@ def test_exact_rejects_disconnected():
         pc_exact(from_edge_list(4, [(0, 1), (2, 3)]))
     with pytest.raises(Disconnected):
         pc_upper(from_edge_list(3, [(0, 1)]))
+    # the checker refuses one in both modes, and a certificate read from
+    # a document of one gets a report, not an exception
+    c = make_coloring(from_edge_list(4, [(0, 1), (2, 3)]), 1, [1, 1])
+    for check in (is_proper_connected, first_weak_pair):
+        with pytest.raises(Disconnected):
+            check(c)
+    document = {"n": 4, "k": 1, "edges": [[0, 1], [2, 3]], "colors": [1, 1]}
+    report = verify_certificate(certificate_from_json(json.dumps(document)))
+    assert not report.ok
+    assert report.reason.startswith("verification impossible: ")
 
 
 def test_kmax_turns_the_search_into_a_bounded_decision():

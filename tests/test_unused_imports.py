@@ -187,3 +187,32 @@ def test_the_level_builder_stays_inside_enumeration():
     assert {module for filename, module in package_imports if filename == "enumeration.py"} == {
         "graph"
     }
+
+
+# the certificate document's reader, which no module but constructive.py,
+# where its writer is, may name; json.loads is how a module would read one
+DOCUMENT_READER = {"_coloring_document", "_NOT_INTEGERS", "json.loads"}
+
+
+def test_the_certificate_document_stays_inside_constructive():
+    readers = []
+    for filename in sorted(os.listdir(PACKAGE)):
+        if not filename.endswith(".py") or filename == "constructive.py":
+            continue
+        with open(os.path.join(PACKAGE, filename), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                read = {f"{node.module}.{alias.name}" for alias in node.names}
+                read |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.Name):
+                read = {node.id}
+            elif isinstance(node, ast.Attribute):
+                read = {node.attr}
+                if isinstance(node.value, ast.Name):
+                    read.add(f"{node.value.id}.{node.attr}")
+            else:
+                continue
+            if read & DOCUMENT_READER:
+                readers.append(f"{filename}:{node.lineno} {sorted(read & DOCUMENT_READER)}")
+    assert readers == [], "reads the certificate document outside constructive.py"
